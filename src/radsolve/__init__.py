@@ -15,7 +15,6 @@ from .quadrature import (
     GridFunction,
     ProbeConfig,
     RadialGrid,
-    cumulative_integral,
     probe_divergence,
 )
 from .transforms import (
@@ -25,12 +24,10 @@ from .transforms import (
     TransformTables,
     build_A,
     build_F,
-    build_H,
     build_transform_tables,
     estimate_A_inf,
     estimate_F_inf,
     eval_F,
-    invert_F,
 )
 from .solver import (
     CentralValues,
@@ -61,10 +58,10 @@ __all__ = [
     "__version__",
     "Expr", "EvalError", "ParseError", "evaluate", "evaluate_array", "parse", "unparse",
     "DivergenceVerdict", "GridFunction", "ProbeConfig", "RadialGrid",
-    "cumulative_integral", "probe_divergence",
+    "probe_divergence",
     "FInverseRangeError", "FTable", "ProblemSpec", "TransformTables",
-    "build_A", "build_F", "build_H", "build_transform_tables",
-    "estimate_A_inf", "estimate_F_inf", "eval_F", "invert_F",
+    "build_A", "build_F", "build_transform_tables",
+    "estimate_A_inf", "estimate_F_inf", "eval_F",
     "CentralValues", "SolutionBundle", "VerificationReport",
     "iterate", "residual", "verify_bounds", "verify_solution",
     "Classification", "ClassifierConfig", "ConditionVerdict", "LairInstance",

@@ -24,8 +24,7 @@ two-component Laplacian system (which the general solver can cross-check).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -35,9 +34,9 @@ from .quadrature import (
     CumulativeInterpolant,
     DivergenceVerdict,
     ProbeConfig,
-    add_head,
     classify_tail,
     probe_divergence,
+    probe_from_origin,
 )
 from .transforms import (
     FTable,
@@ -260,7 +259,7 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
             "the barrier tails already exceed the remaining F range just above anchor/d"),
             None)
 
-    cap = spec.anchor * 2.0 ** config.probe.horizon_count / d
+    cap = replace(config.probe, r_start=anchor).t_max / d
     lo, g_prev = beta_lo, g_lo
     hi = None
     beta = beta_lo
@@ -379,24 +378,34 @@ def check_sup_bounded(spec: ProblemSpec,
     return ConditionVerdict("inconclusive", evidence)
 
 
+def _primitive_root_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
+    """Probe dt / P(t)^expo from ``probe.r_start``, P the primitive of ``f_diag`` from 0.
+
+    A primitive that cannot be tabulated out to ``probe.t_max`` (a domain
+    error or overflow of f) makes the verdict inconclusive.
+    """
+    try:
+        primitive = CumulativeInterpolant(f_diag, probe.t_max, power=0)
+    except (ExprError, ValueError) as err:
+        return DivergenceVerdict("inconclusive", note=f"primitive not computable: {err}")
+
+    def integrand(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.power(primitive(t), -expo)
+
+    return probe_divergence(integrand, probe.r_start, probe)
+
+
 def check_keller_osserman(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
     """Probe the inverse-square-root growth test on the primitive of f.
 
     Divergence of the probed integral is the classical threshold allowing
     blow-up solutions.  A vanishing primitive makes the integrand infinite,
-    which the probe reports as inconclusive with a note.
+    and a primitive that cannot be computed leaves nothing to probe; the
+    verdict is inconclusive with a note in both cases.
     """
-    t_max = probe.r_start * 2.0 ** probe.horizon_count
-    primitive = CumulativeInterpolant(f_diag, t_max, power=0)
-
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.power(primitive(s), -0.5)
-
-    return probe_divergence(integrand, probe.r_start, probe.horizon_count,
-                            rho_conv=probe.rho_conv,
-                            nodes_per_octave=probe.nodes_per_octave)
+    return _primitive_root_probe(f_diag, 0.5, probe)
 
 
 def check_ye_zhou(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
@@ -408,9 +417,7 @@ def check_ye_zhou(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) -> Diver
             vals = np.asarray(f_diag(t), dtype=float)
             return 1.0 / vals
 
-    return probe_divergence(integrand, probe.r_start, probe.horizon_count,
-                            rho_conv=probe.rho_conv,
-                            nodes_per_octave=probe.nodes_per_octave)
+    return probe_divergence(integrand, probe.r_start, probe)
 
 
 @dataclass(frozen=True)
@@ -435,8 +442,7 @@ def check_remark_implications(spec: ProblemSpec, c3_status: str,
     prove the implication, it can only expose inconsistent evidence.
     """
     expo1 = 1.0 / (spec.min_p - 1.0)
-    expo2 = 1.0 / spec.min_p
-    t_max = spec.anchor * 2.0 ** probe.horizon_count
+    anchored = replace(probe, r_start=spec.anchor)
     r1 = []
     r2 = []
     for j in range(spec.d):
@@ -445,25 +451,9 @@ def check_remark_implications(spec: ProblemSpec, c3_status: str,
             with np.errstate(divide="ignore"):
                 return np.power(spec.f_diagonal(j, s), -expo1)
 
-        r1.append(probe_divergence(integrand1, spec.anchor, probe.horizon_count,
-                                   rho_conv=probe.rho_conv,
-                                   nodes_per_octave=probe.nodes_per_octave))
-
-        try:
-            primitive = CumulativeInterpolant(
-                lambda s, j=j: spec.f_diagonal(j, np.asarray(s, float)), t_max, power=0)
-        except (ExprError, ValueError) as err:
-            r2.append(DivergenceVerdict("inconclusive", note=f"primitive not computable: {err}"))
-            continue
-
-        def integrand2(t, primitive=primitive):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.power(primitive(t), -expo2)
-
-        r2.append(probe_divergence(integrand2, spec.anchor, probe.horizon_count,
-                                   rho_conv=probe.rho_conv,
-                                   nodes_per_octave=probe.nodes_per_octave))
+        r1.append(probe_divergence(integrand1, spec.anchor, anchored))
+        r2.append(_primitive_root_probe(
+            lambda s, j=j: spec.f_diagonal(j, np.asarray(s, float)), 1.0 / spec.min_p, anchored))
 
     if c3_status != "holds":
         return RemarkReport(False, tuple(r1), tuple(r2), None,
@@ -510,14 +500,12 @@ def check_lair_proposition(inst: LairInstance,
     the sublinear exponent range the probes still run, but the prediction is
     not theorem-backed; callers should consult ``within_sublinear_range``.
     """
-    t_max = probe.r_start * 2.0 ** probe.horizon_count
-
     def one_side(a_out: Expr, a_in: Expr, expo: float) -> DivergenceVerdict:
         try:
             inner = CumulativeInterpolant(
                 lambda tau: evaluate_array(a_in, {"r": np.asarray(tau, float)}),
-                t_max, power=1)
-            nested = CumulativeInterpolant(lambda s: inner(s), t_max, power=inst.N - 3)
+                probe.t_max, power=1)
+            nested = CumulativeInterpolant(lambda s: inner(s), probe.t_max, power=inst.N - 3)
         except (ExprError, ValueError) as err:
             return DivergenceVerdict("inconclusive", note=f"nested kernel not probeable: {err}")
 
@@ -530,12 +518,7 @@ def check_lair_proposition(inst: LairInstance,
             out[pos] = tp * av * np.power(tp ** (2.0 - inst.N) * nested(tp), expo)
             return out
 
-        head_nodes = np.linspace(0.0, probe.r_start, 4097)
-        head = float(np.trapezoid(integrand(head_nodes), head_nodes))
-        verdict = probe_divergence(integrand, probe.r_start, probe.horizon_count,
-                                   rho_conv=probe.rho_conv,
-                                   nodes_per_octave=probe.nodes_per_octave)
-        return add_head(verdict, head, note=f"limit includes head over [0, {probe.r_start:g}]")
+        return probe_from_origin(integrand, probe)
 
     return (one_side(inst.a1, inst.a2, inst.alpha),
             one_side(inst.a2, inst.a1, inst.beta_exp))

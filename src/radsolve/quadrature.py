@@ -9,10 +9,11 @@ rules are provided:
   kernels accurate near the origin, where ``s^q`` vanishes),
 * a two-point Gauss rule per interval for smooth scalar integrands.
 
-Improper integrals over ``[r_start, inf)`` are probed on geometric horizons
-``r_start * 2^k``.  Divergence of an improper integral is not decidable
-numerically, so the verdict is three-valued with an explicit ``inconclusive``
-outcome.
+Improper integrals over ``[start, inf)`` are probed on geometric horizons
+``start * 2^k`` by ``probe_divergence``; ``probe_from_origin``, the one entry
+point for integrals over ``[0, inf)``, adds a dense head over ``[0, r_start]``.
+Divergence of an improper integral is not decidable numerically, so the
+verdict is three-valued with an explicit ``inconclusive`` outcome.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ __all__ = [
     "GridFunction",
     "DivergenceVerdict",
     "ProbeConfig",
-    "cumulative_integral",
     "cumulative_trapezoid",
     "power_weighted_cumulative",
     "cumulative_gauss2",
     "probe_divergence",
+    "probe_from_origin",
     "classify_tail",
+    "octave_nodes",
     "CumulativeInterpolant",
 ]
 
@@ -91,11 +93,6 @@ def cumulative_trapezoid(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(segs)])
 
 
-def cumulative_integral(f: GridFunction) -> GridFunction:
-    """Cumulative trapezoid integral of ``f`` from 0; exact for affine data."""
-    return GridFunction(f.grid, cumulative_trapezoid(f.grid.nodes, f.values))
-
-
 def power_weighted_cumulative(nodes: np.ndarray, smooth: np.ndarray, power: int) -> np.ndarray:
     """Running integral of ``s^power * w(s)`` with ``w`` piecewise linear.
 
@@ -149,6 +146,11 @@ class ProbeConfig:
             raise ValueError("rho_conv must lie in (0, 1)")
         if self.nodes_per_octave < 8:
             raise ValueError("nodes_per_octave must be >= 8")
+
+    @property
+    def t_max(self) -> float:
+        """Outermost probe horizon, ``r_start * 2^horizon_count``."""
+        return self.r_start * 2.0 ** self.horizon_count
 
 
 @dataclass(frozen=True)
@@ -221,41 +223,47 @@ def _eval_segment(integrand: Callable, xs: np.ndarray) -> np.ndarray:
     return arr
 
 
-def probe_divergence(integrand: Callable, r_start: float, horizon_count: int = 10,
-                     *, rho_conv: float = 0.9, nodes_per_octave: int = 2048) -> DivergenceVerdict:
-    """Probe ``integral of integrand over [r_start, inf)`` for divergence.
+def _samples(integrand: Callable, xs: np.ndarray) -> tuple[np.ndarray | None, str]:
+    """Integrand values on ``xs`` clipped at zero, or None and why they are unusable
+    (a domain error or a non-finite value); clearly negative values raise."""
+    try:
+        ys = _eval_segment(integrand, xs)
+    except (ExprError, ArithmeticError) as err:
+        return None, f"integrand error on [{xs[0]:g},{xs[-1]:g}]: {err}"
+    if not np.all(np.isfinite(ys)):
+        bad = float(xs[int(np.argmax(~np.isfinite(ys)))])
+        return None, f"integrand not finite near r = {bad:g}"
+    low = float(ys.min())
+    if low < -1e-12 * max(1.0, float(np.abs(ys).max())):
+        raise ValueError(f"integrand is negative (min {low:g}); probe requires nonnegative data")
+    return np.maximum(ys, 0.0), ""
 
-    Partial integrals ``I_k`` over ``[r_start, r_start * 2^k]`` are computed
-    by composite trapezoid with a fixed node count per octave.  With
+
+def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
+    """Probe ``integral of integrand over [start, inf)`` for divergence.
+
+    Partial integrals ``I_k`` over ``[start, start * 2^k]``, k = 1 ..
+    ``cfg.horizon_count``, are computed by composite trapezoid with
+    ``cfg.nodes_per_octave`` intervals per octave.  With
     ``delta_k = I_k - I_{k-1}``: if every tail ratio ``delta_k / delta_{k-1}``
-    is at most ``rho_conv`` the verdict is ``converges`` with limit
+    is at most ``cfg.rho_conv`` the verdict is ``converges`` with limit
     ``I_K + delta_K * q / (1 - q)`` (q the last ratio); if the tail increments
     are nondecreasing the verdict is ``diverges``; anything else, or a domain
     error or non-finite integrand value at a probe point, is ``inconclusive``.
     """
-    cfg = ProbeConfig(horizon_count, r_start, rho_conv, nodes_per_octave)
+    if not start > 0:
+        raise ValueError("start must be positive")
     partials: list[float] = []
     horizons: list[float] = []
     total = 0.0
-    left = cfg.r_start
+    left = start
     for k in range(1, cfg.horizon_count + 1):
-        right = cfg.r_start * 2.0 ** k
+        right = start * 2.0 ** k
         xs = np.linspace(left, right, cfg.nodes_per_octave + 1)
-        try:
-            ys = _eval_segment(integrand, xs)
-        except (ExprError, ArithmeticError) as err:
+        ys, why = _samples(integrand, xs)
+        if ys is None:
             return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
-                                     partials=tuple(partials),
-                                     note=f"integrand error on [{left:g},{right:g}]: {err}")
-        if not np.all(np.isfinite(ys)):
-            bad = float(xs[int(np.argmax(~np.isfinite(ys)))])
-            return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
-                                     partials=tuple(partials),
-                                     note=f"integrand not finite near r = {bad:g}")
-        low = float(ys.min())
-        if low < -1e-12 * max(1.0, float(np.abs(ys).max())):
-            raise ValueError(f"integrand is negative (min {low:g}); probe requires nonnegative data")
-        ys = np.maximum(ys, 0.0)
+                                     partials=tuple(partials), note=why)
         total += float(np.trapezoid(ys, xs))
         partials.append(total)
         horizons.append(right)
@@ -271,37 +279,49 @@ def probe_divergence(integrand: Callable, r_start: float, horizon_count: int = 1
                              partials=tuple(partials), note=note)
 
 
-def add_head(verdict: DivergenceVerdict, head: float, note: str = "") -> DivergenceVerdict:
-    """Shift a convergent limit by a nonnegative head integral (other verdicts pass through)."""
-    if head < 0:
-        raise ValueError("head must be nonnegative")
+def probe_from_origin(integrand: Callable, cfg: ProbeConfig) -> DivergenceVerdict:
+    """Probe ``integral of integrand over [0, inf)`` for divergence.
+
+    A trapezoid on 4097 nodes integrates the head ``[0, cfg.r_start]``, guarded
+    like the tail, and ``probe_divergence`` probes the tail from there; a
+    convergent limit includes the head.
+    """
+    head_nodes = np.linspace(0.0, cfg.r_start, 4097)
+    head_values, why = _samples(integrand, head_nodes)
+    if head_values is None:
+        return DivergenceVerdict("inconclusive", note=why)
+    verdict = probe_divergence(integrand, cfg.r_start, cfg)
     if verdict.verdict != "converges":
         return verdict
-    merged = (verdict.note + "; " + note).strip("; ") if note else verdict.note
-    return replace(verdict, limit=verdict.limit + head, note=merged)
+    head = float(np.trapezoid(head_values, head_nodes))
+    return replace(verdict, limit=verdict.limit + head,
+                   note=f"{verdict.note}; limit includes head over [0, {cfg.r_start:g}]")
+
+
+def octave_nodes(t_max: float) -> np.ndarray:
+    """Nodes on [0, t_max]: 2048 intervals over [0, 1], then 1024 per octave, so
+    the relative resolution stays roughly constant out to large ``t_max``."""
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    pieces = [np.linspace(0.0, min(1.0, t_max), 2049)]
+    left = 1.0
+    while left < t_max:
+        right = min(2.0 * left, t_max)
+        pieces.append(np.linspace(left, right, 1025)[1:])
+        left = right
+    return np.concatenate(pieces)
 
 
 class CumulativeInterpolant:
     """Dense running integral of ``s^power * fn(s)`` on [0, t_max], queryable anywhere.
 
-    Nodes are laid out uniformly on a head interval and then per octave, so the
-    relative resolution stays roughly constant out to large ``t_max``.  Values
-    between nodes come from linear interpolation of the (smooth, nondecreasing
-    for nonnegative data) running integral.
+    The integral is tabulated on ``octave_nodes(t_max)``.  Values between
+    nodes come from linear interpolation of the (smooth, nondecreasing for
+    nonnegative data) running integral.
     """
 
-    def __init__(self, fn: Callable, t_max: float, power: int = 0,
-                 head_span: float = 1.0, head_nodes: int = 2048,
-                 nodes_per_octave: int = 1024):
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        pieces = [np.linspace(0.0, min(head_span, t_max), head_nodes + 1)]
-        left = head_span
-        while left < t_max:
-            right = min(2.0 * left, t_max)
-            pieces.append(np.linspace(left, right, nodes_per_octave + 1)[1:])
-            left = right
-        nodes = np.concatenate(pieces)
+    def __init__(self, fn: Callable, t_max: float, power: int = 0):
+        nodes = octave_nodes(t_max)
         vals = _eval_segment(fn, nodes)
         if not np.all(np.isfinite(vals)):
             bad = float(nodes[int(np.argmax(~np.isfinite(vals)))])

@@ -6,9 +6,11 @@ Starting from the constant central values, each sweep applies
               integral_0^t H_j a_j f_j(u_1, .., u_d) ds )^(1/(p_j-1)) dt
 
 with every component update reading the frozen previous iterate (a Jacobi
-sweep).  For nondecreasing nonnegative nonlinearities the discrete operator
-preserves order, so the iterates form a nodewise nondecreasing sequence; the
-loop stops when the sup-norm update falls below the tolerance.
+sweep).  The nested ratio is ``transforms.RadialKernel.ratio`` with f_j at the
+iterate as its source, the same kernel whose f = 1 case is the barrier A_j.
+For nondecreasing nonnegative nonlinearities the discrete operator preserves
+order, so the iterates form a nodewise nondecreasing sequence; the loop stops
+when the sup-norm update falls below the tolerance.
 
 Verification is two-sided: the sandwich bounds built from the barrier and
 growth-scale tables, and a residual pair (the integral-equation identity as
@@ -18,16 +20,17 @@ operator as a secondary one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .exprlang import evaluate_array
-from .quadrature import GridFunction, RadialGrid, cumulative_trapezoid, power_weighted_cumulative
+from .quadrature import GridFunction, RadialGrid, cumulative_trapezoid
 from .transforms import (
     FInverseRangeError,
     ProblemSpec,
+    RadialKernel,
     TransformTables,
     eval_F,
     ensure_covers,
@@ -88,48 +91,19 @@ class SolutionBundle:
     L_estimate: float
 
 
-class _Operator:
-    """Precomputed kernel pieces for one (spec, grid) pair."""
+def _f_at(spec: ProblemSpec, u: Sequence[np.ndarray], j: int) -> np.ndarray:
+    env = {f"u{i + 1}": u[i] for i in range(spec.d)}
+    fv = evaluate_array(spec.f[j], env)
+    if np.any(fv < 0):
+        raise ValueError(f"f[{j}] produced negative values; nonlinearities must be nonnegative")
+    return fv
 
-    def __init__(self, spec: ProblemSpec, grid: RadialGrid):
-        self.spec = spec
-        self.grid = grid
-        r = grid.nodes
-        self.expfac = []
-        self.H = []
-        self.source = []
-        for j in range(spec.d):
-            hv = spec.h_values(j, r)
-            if np.any(hv < 0):
-                raise ValueError(f"h[{j}] takes negative values on the grid")
-            ef = np.exp(cumulative_trapezoid(r, hv))
-            av = spec.a_values(j, r)
-            if np.any(av < 0):
-                raise ValueError(f"a[{j}] takes negative values on the grid")
-            self.expfac.append(ef)
-            self.H.append(r ** (spec.N - 1) * ef)
-            self.source.append(av)
-        self.expo = [1.0 / (pj - 1.0) for pj in spec.p]
 
-    def f_at(self, u: Sequence[np.ndarray], j: int) -> np.ndarray:
-        env = {f"u{i + 1}": u[i] for i in range(self.spec.d)}
-        fv = evaluate_array(self.spec.f[j], env)
-        if np.any(fv < 0):
-            raise ValueError(f"f[{j}] produced negative values; nonlinearities must be nonnegative")
-        return fv
-
-    def kernel(self, u: Sequence[np.ndarray], j: int) -> np.ndarray:
-        """Integrand of the outer integral for component j at the iterate u."""
-        r = self.grid.nodes
-        smooth = self.expfac[j] * self.source[j] * self.f_at(u, j)
-        inner = power_weighted_cumulative(r, smooth, self.spec.N - 1)
-        ratio = np.zeros_like(r)
-        ratio[1:] = inner[1:] / self.H[j][1:]
-        return np.power(ratio, self.expo[j])
-
-    def apply(self, u: Sequence[np.ndarray], central: CentralValues) -> list[np.ndarray]:
-        return [central.values[j] + cumulative_trapezoid(self.grid.nodes, self.kernel(u, j))
-                for j in range(self.spec.d)]
+def _apply(spec: ProblemSpec, kernels: Sequence[RadialKernel], u: Sequence[np.ndarray],
+           central: CentralValues) -> list[np.ndarray]:
+    """One Jacobi sweep of the integral operator at the iterate ``u``."""
+    return [central.values[j] + cumulative_trapezoid(k.nodes, k.ratio(_f_at(spec, u, j)))
+            for j, k in enumerate(kernels)]
 
 
 def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
@@ -146,14 +120,14 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
         raise ValueError(f"expected {spec.d} central values, got {len(central)}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    op = _Operator(spec, grid)
+    kernels = [RadialKernel(spec, j, grid.nodes) for j in range(spec.d)]
     u = [np.full(len(grid), b) for b in central.values]
     iterations = 0
     update = np.inf
     worst_dip = 0.0
     while iterations < max_iter:
         iterations += 1
-        u_next = op.apply(u, central)
+        u_next = _apply(spec, kernels, u, central)
         dip = min(float(np.min(nxt - cur)) for nxt, cur in zip(u_next, u))
         if dip < worst_dip:
             worst_dip = dip
@@ -230,29 +204,6 @@ class VerificationReport:
         parts = [p for p in (self.bounds_pass, self.residual_pass) if p is not None]
         return bool(parts) and all(parts) and self.converged
 
-    def merged_with(self, other: "VerificationReport") -> "VerificationReport":
-        def pick(a, b):
-            return b if a is None else a
-
-        def pick_tol(a, b):
-            return b if np.isnan(a) else a
-
-        return VerificationReport(
-            lower_margins=pick(self.lower_margins, other.lower_margins),
-            upper_margins=pick(self.upper_margins, other.upper_margins),
-            upper_reason=self.upper_reason or other.upper_reason,
-            lower_curves=pick(self.lower_curves, other.lower_curves),
-            upper_curve=pick(self.upper_curve, other.upper_curve),
-            integral_residuals=pick(self.integral_residuals, other.integral_residuals),
-            ode_residuals=pick(self.ode_residuals, other.ode_residuals),
-            ode_window=pick(self.ode_window, other.ode_window),
-            bounds_tolerance=self.bounds_tolerance,
-            integral_tolerance=pick_tol(self.integral_tolerance, other.integral_tolerance),
-            ode_tolerance=pick_tol(self.ode_tolerance, other.ode_tolerance),
-            converged=self.converged and other.converged,
-            notes=self.notes + other.notes,
-        )
-
 
 def verify_bounds(bundle: SolutionBundle, tables: TransformTables, spec: ProblemSpec,
                   tolerance: float = 1e-6) -> VerificationReport:
@@ -327,9 +278,9 @@ def residual(bundle: SolutionBundle, spec: ProblemSpec,
     not smooth at the origin for p < 2).  A non-converged bundle still gets a
     report; the gap is simply carried as-is.
     """
-    op = _Operator(spec, bundle.grid)
+    kernels = [RadialKernel(spec, j, bundle.grid.nodes) for j in range(spec.d)]
     u = [g.values for g in bundle.u]
-    applied = op.apply(u, bundle.central)
+    applied = _apply(spec, kernels, u, bundle.central)
     integral_residuals = tuple(float(np.max(np.abs(ui - ti))) for ui, ti in zip(u, applied))
 
     r = bundle.grid.nodes
@@ -340,13 +291,13 @@ def residual(bundle: SolutionBundle, spec: ProblemSpec,
     rhs_scale = 0.0
     for j in range(spec.d):
         du = np.gradient(u[j], hstep)
-        flux = op.H[j] * np.sign(du) * np.abs(du) ** (spec.p[j] - 1.0)
+        flux = kernels[j].H * np.sign(du) * np.abs(du) ** (spec.p[j] - 1.0)
         dflux = np.gradient(flux, hstep)
-        rhs = op.source[j] * op.f_at(u, j)
+        rhs = kernels[j].a * _f_at(spec, u, j)
         rhs_scale = max(rhs_scale, float(np.max(np.abs(rhs))))
         defect = np.full_like(r, np.nan)
         interior = slice(1, len(r) - 1)
-        defect[interior] = np.abs(dflux[interior] / op.H[j][interior] - rhs[interior])
+        defect[interior] = np.abs(dflux[interior] / kernels[j].H[interior] - rhs[interior])
         inside = defect[window]
         ode_residuals.append(float(np.nanmax(inside)) if inside.size else 0.0)
 
@@ -364,6 +315,10 @@ def residual(bundle: SolutionBundle, spec: ProblemSpec,
 
 def verify_solution(bundle: SolutionBundle, tables: TransformTables, spec: ProblemSpec,
                     bounds_tolerance: float = 1e-6) -> VerificationReport:
-    """Bounds and residual checks merged into one report."""
-    return verify_bounds(bundle, tables, spec, bounds_tolerance).merged_with(
-        residual(bundle, spec))
+    """Bounds and residual checks in one report."""
+    bounds = verify_bounds(bundle, tables, spec, bounds_tolerance)
+    res = residual(bundle, spec)
+    return replace(bounds, integral_residuals=res.integral_residuals,
+                   ode_residuals=res.ode_residuals, ode_window=res.ode_window,
+                   integral_tolerance=res.integral_tolerance,
+                   ode_tolerance=res.ode_tolerance, notes=bounds.notes + res.notes)

@@ -17,31 +17,33 @@ solution bound and the feasibility search for bounded solutions.  The
 nonlinearities take d arguments; inside F they are evaluated on the diagonal
 ``f_j(s, ..., s)``.
 
-The inner kernel of A_j is a 0/0 at t = 0 (H_j vanishes there); its limit is
-0, and the tables define it so.
+``RadialKernel`` is the one implementation of H_j and of the nested ratio
+((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j integrates it with f = 1,
+the solver's operator with f at the iterate.  The ratio is a 0/0 at t = 0
+(H_j vanishes there); its limit is 0, and the kernel defines it so.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from . import exprlang
 from .exprlang import Expr, ExprError, ValidationReport, evaluate_array, validate_sampled
 from .quadrature import (
-    CumulativeInterpolant,
     DivergenceVerdict,
     GridFunction,
     ProbeConfig,
     RadialGrid,
-    add_head,
     cumulative_gauss2,
     cumulative_trapezoid,
+    octave_nodes,
     power_weighted_cumulative,
     probe_divergence,
+    probe_from_origin,
 )
 
 __all__ = [
@@ -49,11 +51,10 @@ __all__ = [
     "FTable",
     "FInverseRangeError",
     "TransformTables",
-    "build_H",
+    "RadialKernel",
     "build_A",
     "build_F",
     "eval_F",
-    "invert_F",
     "invert_F_many",
     "estimate_A_inf",
     "estimate_F_inf",
@@ -127,9 +128,6 @@ class ProblemSpec:
     def a_values(self, j: int, r: np.ndarray) -> np.ndarray:
         return evaluate_array(self.a[j], {"r": r})
 
-    def f_values(self, j: int, u: Mapping[str, np.ndarray]) -> np.ndarray:
-        return evaluate_array(self.f[j], u)
-
     def f_diagonal(self, j: int, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         env = {f"u{i}": s for i in range(1, self.d + 1)}
@@ -149,45 +147,56 @@ class ProblemSpec:
         return fn
 
 
-def _weight_parts(spec: ProblemSpec, grid: RadialGrid, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(exp of the cumulative gradient coefficient, full weight H_j) on the grid."""
-    r = grid.nodes
-    hv = spec.h_values(j, r)
-    if np.any(hv < 0):
-        raise ValueError(f"h[{j}] takes negative values on the grid")
-    expfac = np.exp(cumulative_trapezoid(r, hv))
-    return expfac, r ** (spec.N - 1) * expfac
+class RadialKernel:
+    """H_j and the nested ratio of component ``j``, evaluated once on ``nodes``.
 
+    ``h_cum`` is the running integral of h_j, ``H`` = r^(N-1) * exp(h_cum) and
+    ``weighted_a`` = exp(h_cum) * a_j.  A negative h_j or a_j, or a weight
+    that overflows, raises ``ValueError``.
+    """
 
-def build_H(spec: ProblemSpec, grid: RadialGrid, j: int) -> GridFunction:
-    """Radial weight H_j = r^(N-1) * exp(cumulative h_j); H_j(0) = 0."""
-    if not 0 <= j < spec.d:
-        raise ValueError(f"component index {j} out of range for d = {spec.d}")
-    _, H = _weight_parts(spec, grid, j)
-    return GridFunction(grid, H)
+    def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray):
+        if not 0 <= j < spec.d:
+            raise ValueError(f"component index {j} out of range for d = {spec.d}")
+        hv = spec.h_values(j, nodes)
+        if np.any(hv < 0):
+            raise ValueError(f"h[{j}] takes negative values on [0, {nodes[-1]:g}]")
+        av = spec.a_values(j, nodes)
+        if np.any(av < 0):
+            raise ValueError(f"a[{j}] takes negative values on [0, {nodes[-1]:g}]")
+        self.nodes = nodes
+        self.power = spec.N - 1
+        self.expo = 1.0 / (spec.p[j] - 1.0)
+        self.a = av
+        self.h_cum = cumulative_trapezoid(nodes, hv)
+        with np.errstate(over="ignore"):
+            expfac = np.exp(self.h_cum)
+            self.H = nodes ** self.power * expfac
+            self.weighted_a = expfac * av
+        if not np.all(np.isfinite(self.weighted_a)):
+            bad = float(nodes[int(np.argmax(~np.isfinite(self.weighted_a)))])
+            raise ValueError(f"integrand not finite near t = {bad:g}")
+
+    def inner(self, source: np.ndarray | None = None) -> np.ndarray:
+        """Running integral of H_j * a_j * source (source = 1 when omitted)."""
+        smooth = self.weighted_a if source is None else self.weighted_a * source
+        return power_weighted_cumulative(self.nodes, smooth, self.power)
+
+    def ratio(self, source: np.ndarray | None = None) -> np.ndarray:
+        """((1/H_j) * inner(source))^(1/(p_j-1)), taken as 0 at the origin."""
+        inner = self.inner(source)
+        ratio = np.zeros_like(self.nodes)
+        ratio[1:] = inner[1:] / self.H[1:]
+        if np.any(ratio < 0):
+            raise RuntimeError("negative inner kernel value; nonnegative inputs cannot produce this")
+        return np.power(ratio, self.expo)
 
 
 def build_A(spec: ProblemSpec, grid: RadialGrid, j: int) -> GridFunction:
-    """Barrier A_j on the grid; nondecreasing with A_j(0) = 0.
-
-    The inner integral of ``H_j a_j`` uses the product rule so the division by
-    ``H_j``, which vanishes at the origin, stays accurate; the kernel value at
-    t = 0 is taken as its limit, 0.
-    """
-    if not 0 <= j < spec.d:
-        raise ValueError(f"component index {j} out of range for d = {spec.d}")
-    r = grid.nodes
-    expfac, H = _weight_parts(spec, grid, j)
-    av = spec.a_values(j, r)
-    if np.any(av < 0):
-        raise ValueError(f"a[{j}] takes negative values on the grid")
-    inner = power_weighted_cumulative(r, expfac * av, spec.N - 1)
-    ratio = np.zeros_like(r)
-    ratio[1:] = inner[1:] / H[1:]
-    if np.any(ratio < 0):
-        raise RuntimeError("negative inner kernel value; nonnegative inputs cannot produce this")
-    kernel = np.power(ratio, 1.0 / (spec.p[j] - 1.0))
-    return GridFunction(grid, cumulative_trapezoid(r, kernel))
+    """Barrier A_j on the grid, the running integral of the kernel ratio with f = 1;
+    nondecreasing with A_j(0) = 0."""
+    kernel = RadialKernel(spec, j, grid.nodes)
+    return GridFunction(grid, cumulative_trapezoid(grid.nodes, kernel.ratio()))
 
 
 @dataclass(frozen=True)
@@ -273,17 +282,6 @@ def _cover_value(table: FTable, y_max: float, max_doublings: int = 60) -> FTable
     raise RuntimeError("F table extension cap reached; the integral may converge")
 
 
-def invert_F(table: FTable, y: float) -> tuple[float, FTable]:
-    """Solve F(s) = y on the table, extending it on demand.
-
-    Returns the solution together with the (possibly extended) table so the
-    caller can keep the larger one.  Raises :class:`FInverseRangeError` when
-    the tail estimate says F never reaches ``y``.
-    """
-    s, table = invert_F_many(table, np.asarray([y], dtype=float))
-    return float(s[0]), table
-
-
 def invert_F_many(table: FTable, ys: np.ndarray) -> tuple[np.ndarray, FTable]:
     ys = np.asarray(ys, dtype=float)
     if np.any(ys < 0):
@@ -301,35 +299,26 @@ def invert_F_many(table: FTable, ys: np.ndarray) -> tuple[np.ndarray, FTable]:
 
 def estimate_F_inf(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
     """Tail probe of the F integral from the anchor; a convergent limit estimates F(inf)."""
-    return probe_divergence(spec.diagonal_integrand(), spec.anchor,
-                            probe.horizon_count, rho_conv=probe.rho_conv,
-                            nodes_per_octave=probe.nodes_per_octave)
+    return probe_divergence(spec.diagonal_integrand(), spec.anchor, probe)
 
 
 def estimate_A_inf(spec: ProblemSpec, j: int,
                    probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
     """Tail probe of the barrier integral; a convergent limit estimates A_j(inf).
 
-    The probe runs on [r_start, inf); the dense head integral over
-    [0, r_start] is added to a convergent limit so the estimate is the full
-    A_j(inf).  Any evaluation failure (overflow of the weight far out, domain
-    errors) yields an inconclusive verdict rather than an exception.
+    The kernel is tabulated on ``octave_nodes(probe.t_max)`` and probed from
+    the origin, so a convergent limit is the full A_j(inf).  A kernel that
+    cannot be built (negative h_j or a_j, overflow of the weight far out,
+    domain errors) yields an inconclusive verdict rather than an exception.
     """
     if not 0 <= j < spec.d:
         raise ValueError(f"component index {j} out of range for d = {spec.d}")
-    t_max = probe.r_start * 2.0 ** probe.horizon_count
-    expo = 1.0 / (spec.p[j] - 1.0)
-    def weighted_source(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(over="ignore"):
-            return np.exp(h_cum(s)) * spec.a_values(j, s)
-
+    nodes = octave_nodes(probe.t_max)
     try:
-        h_cum = CumulativeInterpolant(lambda s: spec.h_values(j, np.asarray(s, float)),
-                                      t_max, power=0)
-        inner = CumulativeInterpolant(weighted_source, t_max, power=spec.N - 1)
+        kernel = RadialKernel(spec, j, nodes)
     except (ExprError, ValueError, FloatingPointError) as err:
         return DivergenceVerdict("inconclusive", note=f"barrier kernel not probeable: {err}")
+    inner = kernel.inner()
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
@@ -337,17 +326,12 @@ def estimate_A_inf(spec: ProblemSpec, j: int,
         pos = t > 0
         tp = t[pos]
         with np.errstate(over="ignore"):
-            weight = tp ** (spec.N - 1) * np.exp(h_cum(tp))
-        ratio = np.where(np.isfinite(weight), inner(tp) / weight, 0.0)
-        out[pos] = np.power(np.maximum(ratio, 0.0), expo)
+            weight = tp ** kernel.power * np.exp(np.interp(tp, nodes, kernel.h_cum))
+        ratio = np.where(np.isfinite(weight), np.interp(tp, nodes, inner) / weight, 0.0)
+        out[pos] = np.power(np.maximum(ratio, 0.0), kernel.expo)
         return out
 
-    head_nodes = np.linspace(0.0, probe.r_start, 4097)
-    head = float(np.trapezoid(integrand(head_nodes), head_nodes))
-    verdict = probe_divergence(integrand, probe.r_start, probe.horizon_count,
-                               rho_conv=probe.rho_conv,
-                               nodes_per_octave=probe.nodes_per_octave)
-    return add_head(verdict, head, note=f"limit includes head over [0, {probe.r_start:g}]")
+    return probe_from_origin(integrand, probe)
 
 
 @dataclass(frozen=True)
@@ -355,7 +339,6 @@ class TransformTables:
     """All transforms of one instance on one working grid; immutable once built."""
 
     grid: RadialGrid
-    H: tuple[GridFunction, ...]
     A: tuple[GridFunction, ...]
     A_inf: tuple[DivergenceVerdict, ...]
     F: FTable
@@ -366,7 +349,7 @@ def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,
                            probe: ProbeConfig = ProbeConfig(),
                            beta_scale: float = 1.0,
                            f_step: float = F_TABLE_STEP) -> TransformTables:
-    """Assemble H_j, A_j, their tail estimates, and the F table.
+    """Assemble A_j, their tail estimates, and the F table.
 
     ``beta_scale`` is the largest central value the caller intends to use; the
     initial F table spans ``max(10 * d * beta_scale, anchor + 1)`` and grows on
@@ -375,10 +358,9 @@ def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,
     f_inf = estimate_F_inf(spec, probe)
     s_max = max(10.0 * spec.d * beta_scale, spec.anchor + 1.0)
     ftable = build_F(spec, s_max, step=f_step, f_inf=f_inf)
-    H = tuple(build_H(spec, grid, j) for j in range(spec.d))
     A = tuple(build_A(spec, grid, j) for j in range(spec.d))
     A_inf = tuple(estimate_A_inf(spec, j, probe) for j in range(spec.d))
-    return TransformTables(grid, H, A, A_inf, ftable, f_inf)
+    return TransformTables(grid, A, A_inf, ftable, f_inf)
 
 
 def validate_hypotheses(spec: ProblemSpec, r_max: float, u_max: float,

@@ -21,7 +21,7 @@ from radsolve.conditions import (
     classify,
 )
 from radsolve.exprlang import parse
-from radsolve.quadrature import RadialGrid, probe_divergence
+from radsolve.quadrature import ProbeConfig, RadialGrid, probe_divergence
 from radsolve.solver import CentralValues, iterate, residual, verify_bounds
 from radsolve.transforms import (
     ProblemSpec,
@@ -29,7 +29,7 @@ from radsolve.transforms import (
     build_F,
     build_transform_tables,
     eval_F,
-    invert_F,
+    invert_F_many,
 )
 
 from test_solver import series_sinh_over_r
@@ -73,8 +73,8 @@ def test_criterion_2_transform_closed_forms():
     round_trip = 0.0
     for s in np.linspace(1.0, 3.9, 100):
         y = float(eval_F(table, s))
-        s_back, table = invert_F(table, y)
-        round_trip = max(round_trip, abs(s_back - s))
+        s_back, table = invert_F_many(table, np.array([y]))
+        round_trip = max(round_trip, abs(float(s_back[0]) - s))
 
     ok = a_err < 1e-6 and table.step <= 1e-3 and f_err < 1e-8 and round_trip < 1e-8
     report(2, ok, "barrier and growth-scale closed forms",
@@ -190,10 +190,10 @@ def test_criterion_7_grid_convergence():
 def test_criterion_8_probe_correctness():
     results = []
 
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r), 1.0, 8)
+    v = probe_divergence(lambda r: 1.0 / (1.0 + r), 1.0, ProbeConfig(horizon_count=8))
     results.append(("1/(1+r)", v.verdict == "diverges"))
 
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, 8)
+    v = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
     results.append(("1/(1+r)^2", v.verdict == "converges"
                     and abs(v.limit - 0.5) / 0.5 <= 0.05))
 

@@ -181,6 +181,40 @@ def test_classify_inconclusive_exit_code(tmp_path):
                  "--out", str(tmp_path / "out")]) == 5
 
 
+def test_classify_reports_when_the_primitive_overflows(tmp_path):
+    # exp(u1) overflows on the probe range; the Keller-Osserman primitive is
+    # then not computable, which is an inconclusive probe, not a config error
+    doc = base_config(grid={"R": 1.0, "M": 200})
+    del doc["probes"]  # the default horizon 2^10 lies beyond the overflow of exp
+    doc["problem"]["f"] = ["exp(u1)"]
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(path), "--out", str(out)]) in (0, 5)
+    report = json.loads((out / "report.json").read_text())
+    ko = report["auxiliary"]["keller_osserman"][0]
+    assert ko["verdict"] == "inconclusive"
+    assert ko["note"].startswith("primitive not computable")
+
+
+def test_classify_reports_when_the_lair_head_is_undefined(tmp_path):
+    # sqrt(r-0.5) is undefined on the head [0, 0.5) of the Lair probe; the head
+    # is guarded like the tail, so that side is inconclusive
+    doc = base_config(grid={"R": 1.0, "M": 200})
+    doc["problem"]["d"] = 2
+    doc["problem"]["p"] = [2.0, 2.0]
+    doc["problem"]["h"] = ["0", "0"]
+    doc["problem"]["a"] = ["sqrt(r-0.5)", "1"]
+    doc["problem"]["f"] = ["u2", "u1"]
+    doc["beta"] = [1.0, 1.0]
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(path), "--out", str(out)]) in (0, 5)
+    lair = json.loads((out / "report.json").read_text())["auxiliary"]["lair"]
+    assert lair["first"]["verdict"] == "inconclusive"
+    assert "integrand error on [0,1]" in lair["first"]["note"]
+    assert lair["explosive_predicted"] is None
+
+
 def test_sweep_ordering_and_linear_scaling(tmp_path):
     doc = base_config(grid={"R": 3.0, "M": 200}, beta=[1.0, 2.0])
     path = write_config(tmp_path, doc)

@@ -7,12 +7,14 @@ from radsolve.quadrature import (
     CumulativeInterpolant,
     DivergenceVerdict,
     GridFunction,
+    ProbeConfig,
     RadialGrid,
     classify_tail,
     cumulative_gauss2,
-    cumulative_integral,
+    cumulative_trapezoid,
     power_weighted_cumulative,
     probe_divergence,
+    probe_from_origin,
 )
 
 
@@ -39,21 +41,21 @@ def test_grid_function_checks_shape_and_finiteness():
 
 def test_cumulative_zero_integrand():
     g = RadialGrid(3.0, 16)
-    out = cumulative_integral(GridFunction(g, np.zeros(17)))
-    assert np.all(out.values == 0.0)
+    out = cumulative_trapezoid(g.nodes, np.zeros(17))
+    assert np.all(out == 0.0)
 
 
 def test_cumulative_constant_is_exact():
     g = RadialGrid(2.0, 64)
-    out = cumulative_integral(GridFunction(g, np.ones(65)))
-    assert out.values[-1] == pytest.approx(2.0, abs=1e-14)
+    out = cumulative_trapezoid(g.nodes, np.ones(65))
+    assert out[-1] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_cumulative_affine_is_exact():
     g = RadialGrid(1.0, 1000)
-    out = cumulative_integral(GridFunction(g, g.nodes))
-    assert out.values[-1] == pytest.approx(0.5, abs=1e-14)
-    assert out.values[0] == 0.0
+    out = cumulative_trapezoid(g.nodes, g.nodes)
+    assert out[-1] == pytest.approx(0.5, abs=1e-14)
+    assert out[0] == 0.0
 
 
 def test_cumulative_second_order_on_cubic():
@@ -61,8 +63,8 @@ def test_cumulative_second_order_on_cubic():
     errs = []
     for M in (100, 200, 400):
         g = RadialGrid(1.0, M)
-        out = cumulative_integral(GridFunction(g, g.nodes ** 3))
-        errs.append(abs(out.values[-1] - 0.25))
+        out = cumulative_trapezoid(g.nodes, g.nodes ** 3)
+        errs.append(abs(out[-1] - 0.25))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 
@@ -70,8 +72,9 @@ def test_cumulative_second_order_on_cubic():
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=9, max_size=60))
 def test_cumulative_monotone_for_nonnegative_integrands(vals):
     g = RadialGrid(1.0, len(vals) - 1)
-    out = cumulative_integral(GridFunction(g, np.array(vals)))
-    assert np.all(np.diff(out.values) >= 0.0)
+    out = cumulative_trapezoid(g.nodes, np.array(vals))
+    assert np.all(np.isfinite(out))
+    assert np.all(np.diff(out) >= 0.0)
 
 
 def test_power_weighted_matches_monomial_exactly():
@@ -90,7 +93,6 @@ def test_power_weighted_linear_smooth_part_exact():
 def test_power_weighted_power_zero_is_trapezoid():
     x = np.linspace(0.0, 1.0, 9)
     v = np.cos(x)
-    from radsolve.quadrature import cumulative_trapezoid
     assert np.array_equal(power_weighted_cumulative(x, v, 0), cumulative_trapezoid(x, v))
 
 
@@ -103,19 +105,19 @@ def test_gauss2_is_fourth_order():
 # --- probing ----------------------------------------------------------------
 
 def test_probe_convergent_quadratic_tail():
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, 8)
+    v = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
     assert v.verdict == "converges"
     assert v.limit == pytest.approx(0.5, rel=0.05)
 
 
 def test_probe_divergent_harmonic_tail():
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r), 1.0, 8)
+    v = probe_divergence(lambda r: 1.0 / (1.0 + r), 1.0, ProbeConfig(horizon_count=8))
     assert v.verdict == "diverges"
     assert v.limit is None
 
 
 def test_probe_zero_integrand():
-    v = probe_divergence(lambda r: np.zeros_like(np.asarray(r)), 1.0, 6)
+    v = probe_divergence(lambda r: np.zeros_like(np.asarray(r)), 1.0, ProbeConfig(horizon_count=6))
     assert v.verdict == "converges"
     assert v.limit == 0.0
 
@@ -124,33 +126,81 @@ def test_probe_domain_error_is_inconclusive():
     def bad(r):
         raise ZeroDivisionError("boom")
 
-    v = probe_divergence(bad, 1.0, 5)
+    v = probe_divergence(bad, 1.0, ProbeConfig(horizon_count=5))
     assert v.verdict == "inconclusive"
     assert "boom" in v.note
 
 
 def test_probe_nonfinite_integrand_is_inconclusive():
-    v = probe_divergence(lambda r: np.full_like(np.asarray(r, dtype=float), np.inf), 1.0, 5)
+    v = probe_divergence(lambda r: np.full_like(np.asarray(r, dtype=float), np.inf), 1.0,
+                         ProbeConfig(horizon_count=5))
     assert v.verdict == "inconclusive"
 
 
 def test_probe_rejects_negative_integrand():
     with pytest.raises(ValueError, match="nonnegative"):
-        probe_divergence(lambda r: -np.ones_like(np.asarray(r)), 1.0, 5)
+        probe_divergence(lambda r: -np.ones_like(np.asarray(r)), 1.0, ProbeConfig(horizon_count=5))
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_probe_scaling_invariance(c):
-    base = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, 8)
-    scaled = probe_divergence(lambda r: c / (1.0 + r) ** 2, 1.0, 8)
+    base = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
+    scaled = probe_divergence(lambda r: c / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
     assert scaled.verdict == base.verdict
     assert scaled.limit == pytest.approx(c * base.limit, rel=1e-9)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_probe_scaling_preserves_divergence(c):
-    scaled = probe_divergence(lambda r: c / (1.0 + r), 1.0, 6)
+    scaled = probe_divergence(lambda r: c / (1.0 + r), 1.0, ProbeConfig(horizon_count=6))
     assert scaled.verdict == "diverges"
+
+
+def test_probe_rejects_nonpositive_start():
+    for start in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="start must be positive"):
+            probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, start, ProbeConfig())
+
+
+def test_probe_config_t_max_is_last_horizon():
+    cfg = ProbeConfig(horizon_count=7, r_start=0.5)
+    assert cfg.t_max == 0.5 * 2.0 ** 7
+    v = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, cfg.r_start, cfg)
+    assert v.horizons[-1] == cfg.t_max
+
+
+def test_probe_from_origin_includes_head():
+    # integral of (1+r)^-2 over [0, inf) is 1; the head over [0, 1] is 1/2
+    cfg = ProbeConfig(horizon_count=8)
+    v = probe_from_origin(lambda r: 1.0 / (1.0 + r) ** 2, cfg)
+    tail = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, cfg)
+    assert v.verdict == "converges"
+    assert v.limit == pytest.approx(tail.limit + 0.5, rel=1e-6)
+    assert v.limit == pytest.approx(1.0, rel=0.05)
+    assert "head over [0, 1]" in v.note
+    assert v.partials == tail.partials
+
+
+def test_probe_from_origin_passes_divergence_through():
+    v = probe_from_origin(lambda r: 1.0 / (1.0 + r), ProbeConfig(horizon_count=8))
+    assert v.verdict == "diverges"
+    assert v.limit is None
+
+
+def test_probe_from_origin_guards_the_head():
+    def sqrt_shifted(r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0.5):
+            raise ArithmeticError("sqrt of a negative number")
+        return np.sqrt(r - 0.5)
+
+    v = probe_from_origin(sqrt_shifted, ProbeConfig())
+    assert v.verdict == "inconclusive"
+    assert "sqrt of a negative number" in v.note
+    with np.errstate(divide="ignore"):
+        v = probe_from_origin(lambda r: 1.0 / np.asarray(r, dtype=float), ProbeConfig())
+    assert v.verdict == "inconclusive"
+    assert "not finite near r = 0" in v.note
 
 
 def test_verdict_invariants():

@@ -3,7 +3,13 @@ import pytest
 
 from radsolve.quadrature import ProbeConfig, RadialGrid
 from radsolve.solver import CentralValues, iterate, residual, verify_bounds, verify_solution
-from radsolve.transforms import ProblemSpec, build_transform_tables, eval_F, invert_F_many
+from radsolve.transforms import (
+    ProblemSpec,
+    build_A,
+    build_transform_tables,
+    eval_F,
+    invert_F_many,
+)
 
 # frozen oracle checkpoints for the radial closed form sinh(r)/r, computed by
 # power series at 30-digit precision
@@ -42,6 +48,22 @@ def test_zero_nonlinearity_converges_immediately():
     assert bundle.converged
     assert bundle.iterations == 1
     assert np.all(bundle.u[0].values == 2.5)
+
+
+@pytest.mark.parametrize("p", [1.6, 2.0, 3.0])
+def test_constant_nonlinearity_fixed_point_is_the_lower_sandwich_curve(p):
+    # with f = c the operator's kernel is c^(1/(p-1)) times the barrier's, so the
+    # fixed point is beta + c^(1/(p-1)) * A exactly; the lower bound relies on it
+    c, beta = 1.7, 0.9
+    spec = ProblemSpec.from_strings(4, 1, p, "0.4/(1+r)", "1 + r^2", repr(c))
+    grid = RadialGrid(2.0, 400)
+    bundle = iterate(spec, grid, CentralValues.uniform(beta, 1), tol=1e-13)
+    assert bundle.converged
+    lower = beta + c ** (1.0 / (p - 1.0)) * build_A(spec, grid, 0).values
+    assert np.max(np.abs(bundle.u[0].values - lower) / lower) < 1e-12
+    tables = build_transform_tables(spec, grid, ProbeConfig(horizon_count=6))
+    report = verify_bounds(bundle, tables, spec)
+    assert np.array_equal(report.lower_curves[0], lower)
 
 
 def test_sinh_oracle_medium_grid():

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from radsolve.quadrature import ProbeConfig, RadialGrid
+from radsolve.quadrature import ProbeConfig, RadialGrid, cumulative_trapezoid
 from radsolve.transforms import (
     FInverseRangeError,
     ProblemSpec,
+    RadialKernel,
     build_A,
     build_F,
-    build_H,
     build_transform_tables,
     estimate_A_inf,
     estimate_F_inf,
     eval_F,
-    invert_F,
     invert_F_many,
     validate_hypotheses,
 )
@@ -42,17 +41,40 @@ def test_spec_validation():
 
 def test_H_without_gradient_term_is_pure_power():
     grid = RadialGrid(2.0, 64)
-    H = build_H(linear_spec(), grid, 0)
-    assert np.allclose(H.values, grid.nodes ** 2, rtol=1e-14, atol=0.0)
-    assert H.values[0] == 0.0
+    H = RadialKernel(linear_spec(), 0, grid.nodes).H
+    assert np.allclose(H, grid.nodes ** 2, rtol=1e-14, atol=0.0)
+    assert H[0] == 0.0
 
 
 def test_H_with_constant_gradient_coefficient():
     # cumulative of a constant is exact under the trapezoid rule
     spec = ProblemSpec.from_strings(3, 1, 2.0, "1", "1", "u1")
     grid = RadialGrid(2.0, 128)
-    H = build_H(spec, grid, 0)
-    assert np.allclose(H.values, grid.nodes ** 2 * np.exp(grid.nodes), rtol=1e-13)
+    H = RadialKernel(spec, 0, grid.nodes).H
+    assert np.allclose(H, grid.nodes ** 2 * np.exp(grid.nodes), rtol=1e-13)
+
+
+def test_kernel_ratio_with_unit_source_is_the_barrier_integrand():
+    spec = ProblemSpec.from_strings(4, 1, 2.5, "0.3/(1+r)", "exp(-r)", "u1")
+    grid = RadialGrid(3.0, 300)
+    kernel = RadialKernel(spec, 0, grid.nodes)
+    ones = np.ones_like(grid.nodes)
+    assert np.array_equal(kernel.ratio(), kernel.ratio(ones))
+    assert np.array_equal(kernel.inner(), kernel.inner(ones))
+    A = build_A(spec, grid, 0)
+    assert np.array_equal(A.values, cumulative_trapezoid(grid.nodes, kernel.ratio()))
+    # a source scales the inner integral linearly
+    assert np.allclose(kernel.inner(3.0 * ones), 3.0 * kernel.inner(), rtol=1e-14)
+
+
+def test_kernel_rejects_negative_coefficients_and_bad_index():
+    grid = RadialGrid(2.0, 64)
+    with pytest.raises(ValueError, match=r"h\[0\] takes negative values"):
+        RadialKernel(ProblemSpec.from_strings(3, 1, 2.0, "r-1", "1", "u1"), 0, grid.nodes)
+    with pytest.raises(ValueError, match=r"a\[0\] takes negative values"):
+        RadialKernel(ProblemSpec.from_strings(3, 1, 2.0, "0", "1-r", "u1"), 0, grid.nodes)
+    with pytest.raises(ValueError, match="out of range"):
+        RadialKernel(linear_spec(), 1, grid.nodes)
 
 
 def test_A_closed_form_quadratic():
@@ -117,21 +139,21 @@ def test_invert_F_round_trip():
     table = build_F(linear_spec(), s_max=8.0)
     for s in np.linspace(1.0, 7.5, 100):
         y = float(eval_F(table, s))
-        s_back, table = invert_F(table, y)
-        assert abs(s_back - s) < 1e-8
+        s_back, table = invert_F_many(table, np.array([y]))
+        assert abs(float(s_back[0]) - s) < 1e-8
 
 
 def test_invert_F_known_value():
     table = build_F(linear_spec(), s_max=4.0)
-    s, _ = invert_F(table, LN2)
-    assert abs(s - 3.0) < 1e-6
+    s, _ = invert_F_many(table, np.array([LN2]))
+    assert abs(float(s[0]) - 3.0) < 1e-6
 
 
 def test_invert_F_linear_case_auto_extends():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
     table = build_F(spec, s_max=2.0)
-    s, table = invert_F(table, 100.0)  # F(s) = s - 1, so the answer is 101
-    assert s == pytest.approx(101.0, abs=1e-9)
+    s, table = invert_F_many(table, np.array([100.0]))  # F(s) = s - 1, so the answer is 101
+    assert float(s[0]) == pytest.approx(101.0, abs=1e-9)
     assert table.s_max >= 101.0
 
 
@@ -141,7 +163,7 @@ def test_invert_F_beyond_finite_range():
     assert f_inf.verdict == "converges"
     table = build_F(spec, s_max=4.0, f_inf=f_inf)
     with pytest.raises(FInverseRangeError, match="beyond the range"):
-        invert_F(table, 1.0)
+        invert_F_many(table, np.array([1.0]))
 
 
 def test_estimate_F_inf_fixtures():
@@ -176,13 +198,22 @@ def test_estimate_A_inf_overflowing_weight_is_inconclusive():
     assert v.note
 
 
+def test_estimate_A_inf_negative_coefficient_is_inconclusive():
+    # negative values on the probe nodes, beyond any solver grid, are reported
+    for h, a in (("0", "2-r"), ("1-r", "1")):
+        v = estimate_A_inf(ProblemSpec.from_strings(3, 1, 2.0, h, a, "u1"), 0)
+        assert v.verdict == "inconclusive"
+        assert "takes negative values" in v.note
+
+
 def test_tables_immutable_assembly():
     spec = linear_spec()
     grid = RadialGrid(2.0, 64)
     tables = build_transform_tables(spec, grid, ProbeConfig(horizon_count=6))
     assert tables.F_inf.verdict == "diverges"
     assert tables.A_inf[0].verdict == "diverges"
-    assert tables.H[0].values[0] == 0.0
+    assert RadialKernel(spec, 0, grid.nodes).H[0] == 0.0
+    assert not hasattr(tables, "H")
     with pytest.raises((AttributeError, TypeError)):
         tables.F = None
 
