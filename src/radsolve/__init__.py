@@ -19,7 +19,6 @@ from .quadrature import (
 )
 from .transforms import (
     FInverseRangeError,
-    FTable,
     ProblemSpec,
     TransformTables,
     build_A,
@@ -59,7 +58,7 @@ __all__ = [
     "Expr", "EvalError", "ParseError", "evaluate", "evaluate_array", "parse", "unparse",
     "DivergenceVerdict", "GridFunction", "ProbeConfig", "RadialGrid",
     "probe_divergence",
-    "FInverseRangeError", "FTable", "ProblemSpec", "TransformTables",
+    "FInverseRangeError", "ProblemSpec", "TransformTables",
     "build_A", "build_F", "build_transform_tables",
     "estimate_A_inf", "estimate_F_inf", "eval_F",
     "CentralValues", "SolutionBundle", "VerificationReport",

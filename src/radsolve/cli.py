@@ -371,9 +371,7 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
 
 def _solve_all(cfg: RunConfig, out: Path):
     t0 = time.perf_counter()
-    beta_scale = max(max(b.values) for b in cfg.betas)
-    tables = build_transform_tables(cfg.spec, cfg.grid, cfg.classifier.probe,
-                                    beta_scale=beta_scale)
+    tables = build_transform_tables(cfg.spec, cfg.grid, cfg.classifier.probe)
     _timing("transform tables built", t0)
     results = []
     for i, beta in enumerate(cfg.betas):
@@ -479,8 +477,7 @@ def cmd_verify(cfg: RunConfig, solution_path: str, out_override: str | None = No
         monotone_iterates=True, max_iterate_dip=0.0,
         L_estimate=float(np.max(np.sum(u, axis=0))),
     )
-    tables = build_transform_tables(cfg.spec, cfg.grid, cfg.classifier.probe,
-                                    beta_scale=max(central.values))
+    tables = build_transform_tables(cfg.spec, cfg.grid, cfg.classifier.probe)
     report = verify_solution(bundle, tables, cfg.spec)
     doc = {
         "command": "verify",

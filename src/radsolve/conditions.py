@@ -39,10 +39,8 @@ from .quadrature import (
     probe_from_origin,
 )
 from .transforms import (
-    FTable,
     ProblemSpec,
     build_F,
-    ensure_covers,
     estimate_A_inf,
     estimate_F_inf,
     eval_F,
@@ -242,15 +240,13 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     total_A = float(sum(v.limit for v in a_inf))
     d, anchor = spec.d, spec.anchor
 
-    table = build_F(spec, max(2.0 * anchor, anchor + 1.0), f_inf=f_inf)
+    table = build_F(spec)
 
-    def gap(beta: float) -> tuple[float, FTable]:
-        nonlocal table
-        table = ensure_covers(table, d * beta)
-        return F_lim - float(eval_F(table, d * beta)) - total_A, table
+    def gap(beta: float) -> float:
+        return F_lim - float(eval_F(table, d * beta)) - total_A
 
     beta_lo = (anchor / d) * (1.0 + 1e-6)
-    g_lo, table = gap(beta_lo)
+    g_lo = gap(beta_lo)
     trace: list[tuple[float, float]] = [(beta_lo, g_lo)]
     if g_lo <= 0.0:
         return (ConditionVerdict(
@@ -265,7 +261,7 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     beta = beta_lo
     while beta < cap:
         beta = min(2.0 * beta, cap)
-        g, table = gap(beta)
+        g = gap(beta)
         trace.append((beta, g))
         if g > g_prev + 1e-9 * (1.0 + abs(g_prev)):
             raise RuntimeError("feasibility gap increased with beta; F table is inconsistent")
@@ -286,14 +282,14 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        g, table = gap(mid)
+        g = gap(mid)
         trace.append((mid, g))
         if g > 0.0:
             lo = mid
         else:
             hi = mid
     beta_max = 0.5 * (lo + hi)
-    g_final, table = gap(beta_max)
+    g_final = gap(beta_max)
     return (ConditionVerdict(
         "holds",
         {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo,
@@ -385,7 +381,7 @@ def _primitive_root_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> 
     error or overflow of f) makes the verdict inconclusive.
     """
     try:
-        primitive = CumulativeInterpolant(f_diag, probe.t_max, power=0)
+        primitive = CumulativeInterpolant(f_diag, probe.t_max)
     except (ExprError, ValueError) as err:
         return DivergenceVerdict("inconclusive", note=f"primitive not computable: {err}")
 
@@ -503,9 +499,9 @@ def check_lair_proposition(inst: LairInstance,
     def one_side(a_out: Expr, a_in: Expr, expo: float) -> DivergenceVerdict:
         try:
             inner = CumulativeInterpolant(
-                lambda tau: evaluate_array(a_in, {"r": np.asarray(tau, float)}),
-                probe.t_max, power=1)
-            nested = CumulativeInterpolant(lambda s: inner(s), probe.t_max, power=inst.N - 3)
+                lambda tau: tau * evaluate_array(a_in, {"r": np.asarray(tau, float)}),
+                probe.t_max)
+            nested = CumulativeInterpolant(lambda s: s ** (inst.N - 3) * inner(s), probe.t_max)
         except (ExprError, ValueError) as err:
             return DivergenceVerdict("inconclusive", note=f"nested kernel not probeable: {err}")
 

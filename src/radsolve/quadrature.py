@@ -1,13 +1,17 @@
 """Radial grids, cumulative quadrature, and improper-integral tail probing.
 
-Everything here is pure and operates on immutable inputs.  Three cumulative
-rules are provided:
+Two cumulative rules work on given node values:
 
 * plain composite trapezoid (exact for affine integrands),
 * a product rule integrating ``s^q * w(s)`` with ``w`` piecewise linear
   (exact moments of the monomial weight; this is what keeps the nested radial
-  kernels accurate near the origin, where ``s^q`` vanishes),
-* a two-point Gauss rule per interval for smooth scalar integrands.
+  kernels accurate near the origin, where ``s^q`` vanishes).
+
+``CumulativeInterpolant`` is the one running-integral table of a callable:
+two-point Gauss segment integrals on ``octave_nodes``, linear interpolation
+between nodes, an exact inverse on the same linear pieces, and ``extend``,
+which appends whole octaves without re-sampling what is already tabulated.
+It is the only mutable object here; everything else is pure.
 
 Improper integrals over ``[start, inf)`` are probed on geometric horizons
 ``start * 2^k`` by ``probe_divergence``; ``probe_from_origin``, the one entry
@@ -18,6 +22,7 @@ verdict is three-valued with an explicit ``inconclusive`` outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -32,7 +37,6 @@ __all__ = [
     "ProbeConfig",
     "cumulative_trapezoid",
     "power_weighted_cumulative",
-    "cumulative_gauss2",
     "probe_divergence",
     "probe_from_origin",
     "classify_tail",
@@ -114,17 +118,6 @@ def power_weighted_cumulative(nodes: np.ndarray, smooth: np.ndarray, power: int)
     segs = smooth[:-1] * m0 + slope * (m1 - x0 * m0)
     if np.all(smooth >= 0):
         segs = np.maximum(segs, 0.0)
-    return np.concatenate([[0.0], np.cumsum(segs)])
-
-
-def cumulative_gauss2(nodes: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Running integral via a 2-point Gauss rule on each interval (order 4)."""
-    x0, x1 = nodes[:-1], nodes[1:]
-    mid = (x0 + x1) / 2.0
-    half = (x1 - x0) / 2.0
-    off = half / np.sqrt(3.0)
-    segs = half * (np.asarray(fn(mid - off), dtype=float)
-                   + np.asarray(fn(mid + off), dtype=float))
     return np.concatenate([[0.0], np.cumsum(segs)])
 
 
@@ -298,41 +291,80 @@ def probe_from_origin(integrand: Callable, cfg: ProbeConfig) -> DivergenceVerdic
                    note=f"{verdict.note}; limit includes head over [0, {cfg.r_start:g}]")
 
 
-def octave_nodes(t_max: float) -> np.ndarray:
-    """Nodes on [0, t_max]: 2048 intervals over [0, 1], then 1024 per octave, so
-    the relative resolution stays roughly constant out to large ``t_max``."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    pieces = [np.linspace(0.0, min(1.0, t_max), 2049)]
-    left = 1.0
+def octave_nodes(t_max: float, lo: float = 0.0, intervals: int = 1024) -> np.ndarray:
+    """Nodes on [lo, t_max] in octaves [t, 2t] of ``intervals`` intervals each,
+    the last one clipped at ``t_max``, so the relative resolution stays roughly
+    constant out to large ``t_max``.  From ``lo = 0`` the first piece is [0, 1]
+    with ``2 * intervals`` intervals."""
+    if not t_max > lo >= 0:
+        raise ValueError("need 0 <= lo < t_max")
+    if lo == 0.0:
+        pieces, left = [np.linspace(0.0, min(1.0, t_max), 2 * intervals + 1)], 1.0
+    else:
+        pieces, left = [np.array([lo])], lo
     while left < t_max:
         right = min(2.0 * left, t_max)
-        pieces.append(np.linspace(left, right, 1025)[1:])
+        pieces.append(np.linspace(left, right, intervals + 1)[1:])
         left = right
     return np.concatenate(pieces)
 
 
 class CumulativeInterpolant:
-    """Dense running integral of ``s^power * fn(s)`` on [0, t_max], queryable anywhere.
+    """Running integral of ``fn`` from ``lo``, tabulated on ``octave_nodes``.
 
-    The integral is tabulated on ``octave_nodes(t_max)``.  Values between
-    nodes come from linear interpolation of the (smooth, nondecreasing for
-    nonnegative data) running integral.
+    ``s`` holds the nodes and ``values`` the running integral there, built
+    from a two-point Gauss rule per interval, so ``fn`` is never evaluated
+    outside (lo, t_max).  Between nodes the integral is linear, and
+    ``inverse`` solves those same linear pieces exactly.  ``extend`` appends
+    whole octaves and accumulates them in one sequential sum with the last
+    tabulated value, so a table grown octave by octave holds the same bits as
+    one built in a single step.
     """
 
-    def __init__(self, fn: Callable, t_max: float, power: int = 0):
-        nodes = octave_nodes(t_max)
-        vals = _eval_segment(fn, nodes)
+    def __init__(self, fn: Callable, t_max: float, lo: float = 0.0, intervals: int = 1024):
+        self._fn = fn
+        self._intervals = intervals
+        self.lo = float(lo)
+        self.s = octave_nodes(t_max, self.lo, intervals)
+        self.values = self._running(self.s, 0.0)
+
+    @property
+    def t_max(self) -> float:
+        return float(self.s[-1])
+
+    def _running(self, nodes: np.ndarray, start: float) -> np.ndarray:
+        """``start`` followed by the running integral over consecutive ``nodes``."""
+        mid = (nodes[:-1] + nodes[1:]) / 2.0
+        half = np.diff(nodes) / 2.0
+        off = half / np.sqrt(3.0)
+        xs = np.concatenate([mid - off, mid + off])
+        vals = _eval_segment(self._fn, xs)
         if not np.all(np.isfinite(vals)):
-            bad = float(nodes[int(np.argmax(~np.isfinite(vals)))])
+            bad = float(xs[int(np.argmax(~np.isfinite(vals)))])
             raise ValueError(f"integrand not finite near t = {bad:g}")
-        self._nodes = nodes
-        self._cum = power_weighted_cumulative(nodes, vals, power)
-        self.t_max = float(nodes[-1])
+        segs = half * (vals[:len(mid)] + vals[len(mid):])
+        return np.cumsum(np.concatenate([[start], segs]))
+
+    def extend(self, t: float) -> None:
+        """Append whole octaves until the table reaches ``t``."""
+        if t <= self.t_max:
+            return
+        octaves = math.ceil(math.log2(t / self.t_max))
+        nodes = octave_nodes(self.t_max * 2.0 ** octaves, self.t_max, self._intervals)
+        self.values = np.concatenate([self.values, self._running(nodes, self.values[-1])[1:]])
+        self.s = np.concatenate([self.s, nodes[1:]])
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0) or np.any(t_arr > self.t_max * (1 + 1e-12)):
-            raise ValueError(f"query outside [0, {self.t_max:g}]")
-        out = np.interp(t_arr, self._nodes, self._cum)
+        if np.any(t_arr < self.lo * (1 - 1e-12)) or np.any(t_arr > self.t_max * (1 + 1e-12)):
+            raise ValueError(f"query outside [{self.lo:g}, {self.t_max:g}]")
+        out = np.interp(t_arr, self.s, self.values)
         return float(out) if np.isscalar(t) else out
+
+    def inverse(self, ys: np.ndarray) -> np.ndarray:
+        """The node-linear inverse at ``ys`` in [0, values[-1]]; the table
+        must increase strictly."""
+        hi = np.clip(np.searchsorted(self.values, ys, side="left"), 1, len(self.values) - 1)
+        f0, f1 = self.values[hi - 1], self.values[hi]
+        s0, s1 = self.s[hi - 1], self.s[hi]
+        return s0 + (ys - f0) * (s1 - s0) / (f1 - f0)

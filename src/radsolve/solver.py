@@ -33,8 +33,7 @@ from .transforms import (
     RadialKernel,
     TransformTables,
     eval_F,
-    ensure_covers,
-    invert_F_many,
+    invert_F,
 )
 
 __all__ = [
@@ -239,10 +238,9 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables, spec: Problem
                             "upper bound not evaluable")
         else:
             try:
-                ftable = ensure_covers(tables.F, dbeta)
-                y0 = float(eval_F(ftable, dbeta))
+                y0 = float(eval_F(tables.F, dbeta))
                 ys = y0 + np.sum([A.values for A in tables.A], axis=0)
-                ub, _ = invert_F_many(ftable, ys)
+                ub = invert_F(tables.F, ys, tables.F_inf)
                 upper_curve = ub
                 upper_margins = tuple(float(np.max(bundle.u[j].values - ub))
                                       for j in range(spec.d))

@@ -15,7 +15,10 @@ The growth scale F maps s >= anchor to
 a strictly increasing function whose tabulated inverse drives the upper
 solution bound and the feasibility search for bounded solutions.  The
 nonlinearities take d arguments; inside F they are evaluated on the diagonal
-``f_j(s, ..., s)``.
+``f_j(s, ..., s)``.  F is a ``quadrature.CumulativeInterpolant`` from the
+anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
+``invert_F`` extend it in place by whole octaves as queries need, so every
+query against one table reads the same tabulation.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j integrates it with f = 1,
@@ -25,8 +28,7 @@ the solver's operator with f at the iterate.  The ratio is a 0/0 at t = 0
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,11 +36,11 @@ import numpy as np
 from . import exprlang
 from .exprlang import Expr, ExprError, ValidationReport, evaluate_array, validate_sampled
 from .quadrature import (
+    CumulativeInterpolant,
     DivergenceVerdict,
     GridFunction,
     ProbeConfig,
     RadialGrid,
-    cumulative_gauss2,
     cumulative_trapezoid,
     octave_nodes,
     power_weighted_cumulative,
@@ -48,24 +50,25 @@ from .quadrature import (
 
 __all__ = [
     "ProblemSpec",
-    "FTable",
     "FInverseRangeError",
     "TransformTables",
     "RadialKernel",
     "build_A",
     "build_F",
     "eval_F",
-    "invert_F_many",
+    "invert_F",
     "estimate_A_inf",
     "estimate_F_inf",
     "build_transform_tables",
     "validate_hypotheses",
 ]
 
-# default sampling step for the F table; fine enough that linear interpolation
-# between nodes stays below 1e-8 for smooth integrands
-F_TABLE_STEP = 5e-4
-_MAX_F_NODES = 4_000_000
+# intervals per octave of the F table: linear interpolation between nodes then
+# errs by at most s^2 |F''| / (8 * 4096^2), which is 7.5e-9 where s^2 |F''| <= 1
+# (as for the shipped configs)
+_F_INTERVALS = 4096
+# how far past the anchor the inverse looks for a value before giving up
+_F_OCTAVES = 60
 
 
 class FInverseRangeError(Exception):
@@ -199,102 +202,42 @@ def build_A(spec: ProblemSpec, grid: RadialGrid, j: int) -> GridFunction:
     return GridFunction(grid, cumulative_trapezoid(grid.nodes, kernel.ratio()))
 
 
-@dataclass(frozen=True)
-class FTable:
-    """Sampled strictly increasing F on [anchor, s_max] plus its integrand.
+def build_F(spec: ProblemSpec) -> CumulativeInterpolant:
+    """The first octave [anchor, 2 * anchor] of the F table."""
+    return CumulativeInterpolant(spec.diagonal_integrand(), 2.0 * spec.anchor,
+                                 lo=spec.anchor, intervals=_F_INTERVALS)
 
-    Evaluation is piecewise linear between nodes and inversion solves the same
-    linear pieces exactly, so the pair is mutually consistent by construction.
-    Extension re-samples at the same step, it never extrapolates.
+
+def eval_F(table: CumulativeInterpolant, s) -> float | np.ndarray:
+    """F at ``s`` >= anchor, extending the table in place to cover ``s``."""
+    table.extend(float(np.max(s)))
+    return table(s)
+
+
+def invert_F(table: CumulativeInterpolant, ys: np.ndarray,
+             f_inf: DivergenceVerdict) -> np.ndarray:
+    """F^-1 at ``ys`` >= 0, extending the table in place until it covers them.
+
+    Raises ``FInverseRangeError`` when a value lies at or beyond the limit
+    ``f_inf`` estimates for a convergent F, or is not reached within
+    ``_F_OCTAVES`` octaves of the anchor.
     """
-
-    anchor: float
-    step: float
-    s: np.ndarray
-    values: np.ndarray
-    integrand: Callable = field(repr=False, compare=False)
-    f_inf: DivergenceVerdict | None = field(default=None, compare=False)
-
-    @property
-    def s_max(self) -> float:
-        return float(self.s[-1])
-
-
-def build_F(spec_or_integrand, s_max: float, *, step: float = F_TABLE_STEP,
-            f_inf: DivergenceVerdict | None = None, anchor: float | None = None) -> FTable:
-    """Tabulate F on [anchor, s_max] with a 2-point Gauss rule per interval."""
-    if isinstance(spec_or_integrand, ProblemSpec):
-        integrand = spec_or_integrand.diagonal_integrand()
-        anchor = spec_or_integrand.anchor if anchor is None else anchor
-    else:
-        integrand = spec_or_integrand
-        if anchor is None:
-            raise ValueError("anchor required when passing a bare integrand")
-    if not s_max > anchor:
-        raise ValueError("s_max must exceed the anchor")
-    n = max(8, math.ceil((s_max - anchor) / step))
-    if n > _MAX_F_NODES:
-        # coarsen rather than lose coverage of [anchor, s_max]
-        n = _MAX_F_NODES
-        step = (s_max - anchor) / n
-    nodes = np.linspace(anchor, anchor + n * step, n + 1)
-    vals = cumulative_gauss2(nodes, integrand)
-    if not np.all(np.diff(vals) > 0):
-        raise RuntimeError("F table is not strictly increasing; integrand underflowed")
-    return FTable(float(anchor), float(step), nodes, vals, integrand, f_inf)
-
-
-def _extended(table: FTable, s_target: float) -> FTable:
-    s_max = table.s_max
-    while s_max < s_target:
-        s_max *= 2.0
-    return build_F(table.integrand, s_max, step=table.step,
-                   f_inf=table.f_inf, anchor=table.anchor)
-
-
-def eval_F(table: FTable, s) -> float | np.ndarray:
-    """F at ``s`` by linear interpolation; ``s`` must lie inside the table."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < table.anchor * (1 - 1e-12) - 1e-300):
-        raise ValueError(f"F is defined on [{table.anchor:g}, inf) only")
-    if np.any(s_arr > table.s_max * (1 + 1e-12)):
-        raise ValueError("query beyond the table; extend it first")
-    out = np.interp(s_arr, table.s, table.values)
-    return float(out) if np.isscalar(s) else out
-
-
-def ensure_covers(table: FTable, s_target: float) -> FTable:
-    if s_target <= table.s_max:
-        return table
-    return _extended(table, s_target)
-
-
-def _cover_value(table: FTable, y_max: float, max_doublings: int = 60) -> FTable:
-    for _ in range(max_doublings):
-        if table.values[-1] >= y_max:
-            return table
-        fi = table.f_inf
-        if fi is not None and fi.verdict == "converges" and fi.limit <= y_max:
-            raise FInverseRangeError(
-                f"value {y_max:g} is beyond the range of the inverse "
-                f"(estimated F limit {fi.limit:g})")
-        table = _extended(table, table.s_max * 2.0)
-    raise RuntimeError("F table extension cap reached; the integral may converge")
-
-
-def invert_F_many(table: FTable, ys: np.ndarray) -> tuple[np.ndarray, FTable]:
     ys = np.asarray(ys, dtype=float)
     if np.any(ys < 0):
         raise ValueError("inverse queries must be nonnegative")
-    if ys.size:
-        table = _cover_value(table, float(ys.max()))
-    hi = np.searchsorted(table.values, ys, side="left")
-    hi = np.clip(hi, 1, len(table.values) - 1)
-    lo = hi - 1
-    f0, f1 = table.values[lo], table.values[hi]
-    s0, s1 = table.s[lo], table.s[hi]
-    out = s0 + (ys - f0) * (s1 - s0) / (f1 - f0)
-    return np.maximum(out, table.anchor), table
+    y_max = float(ys.max()) if ys.size else 0.0
+    while table.values[-1] < y_max:
+        if f_inf.verdict == "converges" and f_inf.limit <= y_max:
+            raise FInverseRangeError(
+                f"value {y_max:g} is beyond the range of the inverse "
+                f"(estimated F limit {f_inf.limit:g})")
+        if table.t_max >= table.lo * 2.0 ** _F_OCTAVES:
+            raise FInverseRangeError(
+                f"value {y_max:g} not reached within {_F_OCTAVES} octaves of the anchor")
+        table.extend(2.0 * table.t_max)
+    if not np.all(np.diff(table.values) > 0):
+        raise RuntimeError("F table is not strictly increasing; integrand underflowed")
+    return table.inverse(ys)
 
 
 def estimate_F_inf(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
@@ -336,31 +279,27 @@ def estimate_A_inf(spec: ProblemSpec, j: int,
 
 @dataclass(frozen=True)
 class TransformTables:
-    """All transforms of one instance on one working grid; immutable once built."""
+    """All transforms of one instance on one working grid.
+
+    The fields are fixed once built.  The F table they hold grows in place as
+    ``eval_F`` and ``invert_F`` need, so every central value verified against
+    these tables shares one tabulation of F.
+    """
 
     grid: RadialGrid
     A: tuple[GridFunction, ...]
     A_inf: tuple[DivergenceVerdict, ...]
-    F: FTable
+    F: CumulativeInterpolant
     F_inf: DivergenceVerdict
 
 
 def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,
-                           probe: ProbeConfig = ProbeConfig(),
-                           beta_scale: float = 1.0,
-                           f_step: float = F_TABLE_STEP) -> TransformTables:
-    """Assemble A_j, their tail estimates, and the F table.
-
-    ``beta_scale`` is the largest central value the caller intends to use; the
-    initial F table spans ``max(10 * d * beta_scale, anchor + 1)`` and grows on
-    demand during inversion.
-    """
+                           probe: ProbeConfig = ProbeConfig()) -> TransformTables:
+    """Assemble A_j, their tail estimates, the F table and its tail estimate."""
     f_inf = estimate_F_inf(spec, probe)
-    s_max = max(10.0 * spec.d * beta_scale, spec.anchor + 1.0)
-    ftable = build_F(spec, s_max, step=f_step, f_inf=f_inf)
     A = tuple(build_A(spec, grid, j) for j in range(spec.d))
     A_inf = tuple(estimate_A_inf(spec, j, probe) for j in range(spec.d))
-    return TransformTables(grid, A, A_inf, ftable, f_inf)
+    return TransformTables(grid, A, A_inf, build_F(spec), f_inf)
 
 
 def validate_hypotheses(spec: ProblemSpec, r_max: float, u_max: float,

@@ -28,8 +28,9 @@ from radsolve.transforms import (
     build_A,
     build_F,
     build_transform_tables,
+    estimate_F_inf,
     eval_F,
-    invert_F_many,
+    invert_F,
 )
 
 from test_solver import series_sinh_over_r
@@ -67,16 +68,18 @@ def test_criterion_2_transform_closed_forms():
     A = build_A(sinh_spec(), grid, 0)
     a_err = abs(A.values[-1] - 1.0 / 6.0) / (1.0 / 6.0)
 
-    table = build_F(sinh_spec(), s_max=4.0)
+    table = build_F(sinh_spec())
+    f_inf = estimate_F_inf(sinh_spec())
     f_err = abs(float(eval_F(table, 3.0)) - LN2)
+    spacing = float(np.max(np.diff(table.s[table.s <= 4.0])))
 
     round_trip = 0.0
     for s in np.linspace(1.0, 3.9, 100):
         y = float(eval_F(table, s))
-        s_back, table = invert_F_many(table, np.array([y]))
+        s_back = invert_F(table, np.array([y]), f_inf)
         round_trip = max(round_trip, abs(float(s_back[0]) - s))
 
-    ok = a_err < 1e-6 and table.step <= 1e-3 and f_err < 1e-8 and round_trip < 1e-8
+    ok = a_err < 1e-6 and spacing <= 1e-3 and f_err < 1e-8 and round_trip < 1e-8
     report(2, ok, "barrier and growth-scale closed forms",
            f"A_rel={a_err:.2e}, F_abs={f_err:.2e}, inv_rt={round_trip:.2e}")
 
@@ -109,7 +112,7 @@ def test_criterion_4_sandwich_bounds(suite_solutions):
         c = classify(spec, central.values)
         if not all(c.conditions[k].status == "holds" for k in ("C4", "C5", "C6")):
             continue
-        tables = build_transform_tables(spec, grid, beta_scale=max(central.values))
+        tables = build_transform_tables(spec, grid)
         rep = verify_bounds(bundle, tables, spec, tolerance=1e-6)
         checked += 1
         worst = max(worst, max(rep.lower_margins))

@@ -215,6 +215,20 @@ def test_classify_reports_when_the_lair_head_is_undefined(tmp_path):
     assert lair["explosive_predicted"] is None
 
 
+def test_solve_reports_when_the_F_inverse_is_out_of_reach(tmp_path):
+    # F = ln((1+s)/2) reaches F(1) + A(16) = 42.7 only beyond s = 2^60, so the
+    # upper bound is not evaluable; the report says so instead of crashing
+    doc = base_config(grid={"R": 16.0, "M": 400})
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(path), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    verification = report["solutions"][0]["verification"]
+    assert verification["upper_margins"] is None
+    assert "not reached within 60 octaves" in verification["upper_reason"]
+    assert code == (0 if verification["passed"] else 4)
+
+
 def test_sweep_ordering_and_linear_scaling(tmp_path):
     doc = base_config(grid={"R": 3.0, "M": 200}, beta=[1.0, 2.0])
     path = write_config(tmp_path, doc)

@@ -1,11 +1,10 @@
 """Byte-level regression of the CLI artifacts on the shipped configs.
 
 The digests pin every ``report.json`` and solution CSV that ``classify`` (all
-three shipped configs) and ``solve`` (``sinh_oracle`` and ``bounded_cubic``)
-write.  A refactor that is meant to leave the numerics alone must leave these
-bytes alone; a change that is meant to move a number updates the digest and
-says why.  ``sweep`` and the ``coupled_sweep`` solve are left out because they
-take seconds, not tenths of a second.
+three shipped configs), ``solve`` (``sinh_oracle`` and ``bounded_cubic``) and
+``sweep`` (``coupled_sweep``) write.  A refactor that is meant to leave the
+numerics alone must leave these bytes alone; a change that is meant to move a
+number updates the digest and says why.
 """
 
 import contextlib
@@ -23,6 +22,7 @@ RUNS = (
     ("classify", "coupled_sweep"),
     ("solve", "sinh_oracle"),
     ("solve", "bounded_cubic"),
+    ("sweep", "coupled_sweep"),
 )
 
 GOLDEN = {
@@ -31,7 +31,7 @@ GOLDEN = {
         "cd3684c7b1d6abd29a9c0e68b28a3b3600b5f93a767418ffee7c9b420c1aedb3",
     "classify_bounded_cubic": 0,
     "classify_bounded_cubic/report.json":
-        "9a427f0d6b12475f4fda992b18e43fc51f6d76533f61bf21618c69604f9fde25",
+        "482f2f7df767f03875809af4efddc85a789bb5efead5acdcce2906fd52281782",
     "classify_coupled_sweep": 0,
     "classify_coupled_sweep/report.json":
         "4432d6e8cd9bbae6d6c61a52d07f2cc9598c3b22566037c92320634d012012cc",
@@ -39,12 +39,23 @@ GOLDEN = {
     "solve_sinh_oracle/report.json":
         "e8058708ae9afe901db1f0be73fe854405590cf9437726ea59050d48b4ecba51",
     "solve_sinh_oracle/solution_000.csv":
-        "cc1f5f2dc31bf0c15dec75227b12de48656159057b554fc2fe6bd7109a5fc55a",
+        "7338364835b3aa3fdcb31b105ce6601d8b404c1b7def29d9c08a10991feec6c5",
     "solve_bounded_cubic": 0,
     "solve_bounded_cubic/report.json":
         "ccc8c23ffe9083ec0346ac3d7a4776468bc25c9b7db10b6446cc28d6fbae5f97",
     "solve_bounded_cubic/solution_000.csv":
-        "7c1085d741af73b26ff3fcf7c6f19ed1cf5efcfc430708a294fc4bcf4e23275c",
+        "c2daeac9b79763626448462d2f26ccd41427021821ddac8e4bbc0dc83e624f74",
+    "sweep_coupled_sweep": 0,
+    "sweep_coupled_sweep/report.json":
+        "f81aab7e4f66c42e000098471e66e2758320fffd3141683b12eb849361de6fd0",
+    "sweep_coupled_sweep/solution_000.csv":
+        "c3e48feaff585ec7ee6ee726e3451fabd4360329934b238ac5cc6fd3a60a1209",
+    "sweep_coupled_sweep/solution_001.csv":
+        "c13176158edef39dea3c504796ad30b78071e864561ef2688cba9dbb0b0eb03f",
+    "sweep_coupled_sweep/solution_002.csv":
+        "0ef38893c629866fbd2944e4e023cff0c61ff4fd1cf31ca1694b776269cb354e",
+    "sweep_coupled_sweep/sweep_table.csv":
+        "8feaa8bfa6fccadd297094e05bc5a3cb373588e59f79c94e17bdebd6b12b9dd5",
 }
 
 

@@ -10,8 +10,8 @@ from radsolve.quadrature import (
     ProbeConfig,
     RadialGrid,
     classify_tail,
-    cumulative_gauss2,
     cumulative_trapezoid,
+    octave_nodes,
     power_weighted_cumulative,
     probe_divergence,
     probe_from_origin,
@@ -98,8 +98,9 @@ def test_power_weighted_power_zero_is_trapezoid():
 
 def test_gauss2_is_fourth_order():
     x = np.linspace(0.0, 1.0, 101)
-    out = cumulative_gauss2(x, lambda s: np.exp(s))
-    assert abs(out[-1] - (np.e - 1.0)) < 1e-11
+    table = CumulativeInterpolant(np.exp, 1.0, intervals=50)
+    assert np.array_equal(table.s, x)
+    assert abs(table.values[-1] - (np.e - 1.0)) < 1e-11
 
 
 # --- probing ----------------------------------------------------------------
@@ -217,9 +218,39 @@ def test_classify_tail_needs_three_increments():
         classify_tail([1.0, 0.5], 0.9)
 
 
+def test_octave_nodes_layout_from_origin():
+    expected = np.concatenate([np.linspace(0.0, 1.0, 2049), np.linspace(1.0, 2.0, 1025)[1:],
+                               np.linspace(2.0, 4.0, 1025)[1:], np.linspace(4.0, 5.0, 1025)[1:]])
+    assert np.array_equal(octave_nodes(5.0), expected)
+
+
+def test_cumulative_interpolant_samples_inside_and_extends_without_resampling():
+    seen = []
+
+    def fn(t):
+        seen.append(np.asarray(t))
+        return np.ones_like(seen[-1])
+
+    table = CumulativeInterpolant(fn, 5.0)
+    assert min(x.min() for x in seen) > 0.0 and max(x.max() for x in seen) < 5.0
+    seen.clear()
+    table.extend(12.0)  # whole octaves [5, 10] and [10, 20]
+    assert table.t_max == 20.0
+    assert min(x.min() for x in seen) > 5.0 and max(x.max() for x in seen) < 20.0
+    assert table(20.0) == pytest.approx(20.0, rel=1e-13)
+
+
+def test_cumulative_interpolant_inverse_solves_its_linear_pieces():
+    table = CumulativeInterpolant(np.exp, 8.0, lo=1.0, intervals=16)
+    t = np.random.default_rng(1).uniform(1.0, 8.0, 200)
+    assert np.allclose(table.inverse(table(t)), t, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match="outside"):
+        table(0.5)
+
+
 def test_cumulative_interpolant_tracks_primitive():
-    ci = CumulativeInterpolant(lambda t: np.asarray(t), 64.0, power=0)
+    ci = CumulativeInterpolant(lambda t: np.asarray(t), 64.0)
     for t in (0.5, 1.0, 7.3, 64.0):
         assert ci(t) == pytest.approx(t * t / 2.0, rel=1e-6)
-    ci3 = CumulativeInterpolant(lambda t: np.ones_like(np.asarray(t)), 32.0, power=2)
+    ci3 = CumulativeInterpolant(lambda t: np.asarray(t) ** 2, 32.0)
     assert ci3(8.0) == pytest.approx(8.0 ** 3 / 3.0, rel=1e-9)

@@ -8,7 +8,7 @@ from radsolve.transforms import (
     build_A,
     build_transform_tables,
     eval_F,
-    invert_F_many,
+    invert_F,
 )
 
 # frozen oracle checkpoints for the radial closed form sinh(r)/r, computed by
@@ -140,13 +140,26 @@ def test_upper_chain_on_component_sum():
     spec = ProblemSpec.from_strings(3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"],
                                     ["u2", "u1"])
     grid = RadialGrid(3.0, 512)
-    tables = build_transform_tables(spec, grid, beta_scale=1.0)
+    tables = build_transform_tables(spec, grid)
     bundle = iterate(spec, grid, CentralValues.uniform(1.0, 2), tol=1e-10)
     dbeta = 2.0
     ys = float(eval_F(tables.F, dbeta)) + np.sum([A.values for A in tables.A], axis=0)
-    ub, _ = invert_F_many(tables.F, ys)
+    ub = invert_F(tables.F, ys, tables.F_inf)
     total = np.sum([g.values for g in bundle.u], axis=0)
     assert np.max(total - ub) <= 1e-6
+
+
+def test_upper_bound_starts_at_d_beta():
+    # F(d*beta) is evaluated and inverted on one table, so ub(0) = d*beta and
+    # the margin at r = 0 is exactly beta - d*beta
+    spec = ProblemSpec.from_strings(3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"],
+                                    ["u2", "u1"])
+    grid = RadialGrid(4.0, 400)
+    tables = build_transform_tables(spec, grid)
+    bundle = iterate(spec, grid, CentralValues.uniform(2.0, 2), tol=1e-10)
+    rep = verify_bounds(bundle, tables, spec)
+    assert rep.upper_curve[0] == pytest.approx(4.0, rel=1e-12)
+    assert rep.upper_margins == pytest.approx((-2.0, -2.0), rel=1e-12)
 
 
 def test_bounds_degenerate_zero_source():
@@ -163,7 +176,7 @@ def test_upper_bound_skipped_for_nonuniform_central_values():
     spec = ProblemSpec.from_strings(3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"],
                                     ["u2", "u1"])
     grid = RadialGrid(2.0, 64)
-    tables = build_transform_tables(spec, grid, beta_scale=2.0)
+    tables = build_transform_tables(spec, grid)
     bundle = iterate(spec, grid, CentralValues((1.0, 2.0)))
     rep = verify_bounds(bundle, tables, spec)
     assert rep.upper_margins is None

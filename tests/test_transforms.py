@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from radsolve.quadrature import ProbeConfig, RadialGrid, cumulative_trapezoid
+from radsolve.quadrature import (
+    CumulativeInterpolant,
+    ProbeConfig,
+    RadialGrid,
+    cumulative_trapezoid,
+)
 from radsolve.transforms import (
     FInverseRangeError,
     ProblemSpec,
@@ -16,7 +21,7 @@ from radsolve.transforms import (
     estimate_A_inf,
     estimate_F_inf,
     eval_F,
-    invert_F_many,
+    invert_F,
     validate_hypotheses,
 )
 
@@ -117,53 +122,92 @@ def test_A_scales_linearly_with_source_when_p_is_2(c):
 
 
 def test_F_closed_form_log():
-    table = build_F(linear_spec(), s_max=4.0)
+    table = build_F(linear_spec())
     assert abs(eval_F(table, 3.0) - LN2) < 1e-8
-    assert table.step <= 1e-3
+    assert np.max(np.diff(table.s[table.s <= 4.0])) <= 1e-3
 
 
 def test_F_unit_integrand_for_zero_nonlinearity():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
-    table = build_F(spec, s_max=5.0)
+    table = build_F(spec)
     ss = np.linspace(1.0, 5.0, 11)
     assert np.allclose(eval_F(table, ss), ss - 1.0, atol=1e-12)
 
 
 def test_F_strictly_increasing():
     table = build_F(ProblemSpec.from_strings(3, 2, [2.0, 3.0], ["0", "0"],
-                                             ["1", "1"], ["u1^2", "u1 + u2"]), 6.0)
+                                             ["1", "1"], ["u1^2", "u1 + u2"]))
+    eval_F(table, 6.0)
+    assert table.t_max >= 6.0
     assert np.all(np.diff(table.values) > 0.0)
 
 
+# F of the shipped sinh_oracle (f = u1) and coupled_sweep (f = (u2, u1)) configs
+F_CLOSED_FORMS = (
+    (ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1"),
+     lambda s: np.log((1.0 + s) / 2.0)),
+    (ProblemSpec.from_strings(3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"], ["u2", "u1"]),
+     lambda s: 0.5 * np.log((1.0 + 2.0 * s) / 3.0)),
+)
+
+
+@pytest.mark.parametrize("spec, exact", F_CLOSED_FORMS)
+def test_F_table_and_inverse_match_closed_form_up_to_2e5(spec, exact):
+    table = build_F(spec)
+    eval_F(table, 2e5)
+    nodes = table.s[table.s <= 2e5]
+    # nodes carry the quadrature error, midpoints the interpolation error too
+    s = np.concatenate([nodes, (nodes[:-1] + nodes[1:]) / 2.0])
+    assert np.max(np.abs(eval_F(table, s) - exact(s))) <= 1e-8
+    s_back = invert_F(table, exact(s), estimate_F_inf(spec))
+    assert np.max(np.abs(s_back - s) / s) <= 1e-8
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in F_CLOSED_FORMS])
+def test_F_table_grown_by_octaves_equals_one_built_at_once(spec):
+    grown = build_F(spec)
+    intervals = len(grown.s) - 1  # one octave
+    for k in range(2, 19):
+        eval_F(grown, 2.0 ** k)
+    extended_once = build_F(spec)
+    extended_once.extend(2.0 ** 18)
+    built_once = CumulativeInterpolant(spec.diagonal_integrand(), 2.0 ** 18,
+                                       lo=spec.anchor, intervals=intervals)
+    for table in (extended_once, built_once):
+        assert np.array_equal(table.s, grown.s)
+        assert np.array_equal(table.values, grown.values)
+
+
 def test_invert_F_round_trip():
-    table = build_F(linear_spec(), s_max=8.0)
+    table = build_F(linear_spec())
+    f_inf = estimate_F_inf(linear_spec())
     for s in np.linspace(1.0, 7.5, 100):
         y = float(eval_F(table, s))
-        s_back, table = invert_F_many(table, np.array([y]))
+        s_back = invert_F(table, np.array([y]), f_inf)
         assert abs(float(s_back[0]) - s) < 1e-8
 
 
 def test_invert_F_known_value():
-    table = build_F(linear_spec(), s_max=4.0)
-    s, _ = invert_F_many(table, np.array([LN2]))
+    table = build_F(linear_spec())
+    s = invert_F(table, np.array([LN2]), estimate_F_inf(linear_spec()))
     assert abs(float(s[0]) - 3.0) < 1e-6
 
 
 def test_invert_F_linear_case_auto_extends():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
-    table = build_F(spec, s_max=2.0)
-    s, table = invert_F_many(table, np.array([100.0]))  # F(s) = s - 1, so the answer is 101
+    table = build_F(spec)
+    s = invert_F(table, np.array([100.0]), estimate_F_inf(spec))  # F(s) = s - 1: s = 101
     assert float(s[0]) == pytest.approx(101.0, abs=1e-9)
-    assert table.s_max >= 101.0
+    assert table.t_max >= 101.0
 
 
 def test_invert_F_beyond_finite_range():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^3")
     f_inf = estimate_F_inf(spec)
     assert f_inf.verdict == "converges"
-    table = build_F(spec, s_max=4.0, f_inf=f_inf)
+    table = build_F(spec)
     with pytest.raises(FInverseRangeError, match="beyond the range"):
-        invert_F_many(table, np.array([1.0]))
+        invert_F(table, np.array([1.0]), f_inf)
 
 
 def test_estimate_F_inf_fixtures():
