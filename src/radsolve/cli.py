@@ -8,9 +8,10 @@ central values, output location); the subcommands are
     verify    recheck a stored solution file against its config
     sweep     solve a family of central values and compare the solutions
 
-Reports are canonical JSON (sorted keys, fixed layout) and solution CSVs use
-full round-trip float formatting, so identical configs produce byte-identical
-artifacts.  Timings go to stderr only, never into the report.
+Reports are canonical JSON (sorted keys, fixed layout).  Solution CSVs are
+written a column at a time with ``repr`` round-trip formatting, so identical
+configs produce byte-identical artifacts and reading a CSV back yields the
+same bits.  Timings go to stderr only, never into the report.
 
 Exit codes: 0 success, 2 config or file error, 3 solver non-convergence,
 4 verification or consistency failure, 5 inconclusive classification.
@@ -315,44 +316,60 @@ def _hypotheses_dict(spec: ProblemSpec, grid: RadialGrid, betas) -> dict:
     }
 
 
+def _csv_header(d: int) -> list[str]:
+    return (["r"] + [f"u_{j + 1}" for j in range(d)]
+            + [f"lb_{j + 1}" for j in range(d)] + ["ub"])
+
+
 def write_solution_csv(path: Path, grid: RadialGrid, u: list[np.ndarray],
                        lower: list[np.ndarray] | None,
                        upper: np.ndarray | None) -> None:
-    d = len(u)
-    header = (["r"] + [f"u_{j + 1}" for j in range(d)]
-              + [f"lb_{j + 1}" for j in range(d)] + ["ub"])
-    lines = [",".join(header)]
-    for i, r in enumerate(grid.nodes):
-        row = [repr(float(r))]
-        row += [repr(float(x[i])) for x in u]
-        row += [repr(float(x[i])) for x in lower] if lower is not None else [""] * d
-        row.append(repr(float(upper[i])) if upper is not None else "")
-        lines.append(",".join(row))
+    columns = [grid.nodes, *u, *(lower if lower is not None else [None] * len(u)), upper]
+    cells = [[""] * len(grid) if col is None else map(repr, map(float, col))
+             for col in columns]
+    lines = [",".join(_csv_header(len(u))), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_solution_csv(path: Path, d: int):
-    """Return (r, u list, lower list or None, upper or None) from a solution file."""
+    """Return (r, u list, lower list or None, upper or None) from a solution file.
+
+    A non-numeric cell, or a non-finite ``r``/``u_j`` cell, is a ``ConfigError``
+    naming the file, column and row (counted from 1 below the header)."""
     try:
         lines = path.read_text(encoding="utf-8").strip().split("\n")
     except FileNotFoundError:
         raise ConfigError(str(path), "solution file not found") from None
-    header = lines[0].split(",")
-    expected = (["r"] + [f"u_{j + 1}" for j in range(d)]
-                + [f"lb_{j + 1}" for j in range(d)] + ["ub"])
-    if header != expected:
+    header, width = lines[0].split(","), 2 * d + 2
+    if header != _csv_header(d):
         raise ConfigError(str(path), f"unexpected CSV header {header!r}")
-    rows = [line.split(",") for line in lines[1:]]
-    if any(len(row) != len(expected) for row in rows):
+    if any(line.count(",") != width - 1 for line in lines[1:]):
         raise ConfigError(str(path), "malformed CSV row")
-    r = np.array([float(row[0]) for row in rows])
-    u = [np.array([float(row[1 + j]) for row in rows]) for j in range(d)]
-    lb_cols = [[row[1 + d + j] for row in rows] for j in range(d)]
-    lower = None
-    if all(all(cell != "" for cell in col) for col in lb_cols):
-        lower = [np.array([float(c) for c in col]) for col in lb_cols]
-    ub_col = [row[1 + 2 * d] for row in rows]
-    upper = np.array([float(c) for c in ub_col]) if all(c != "" for c in ub_col) else None
+    cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+
+    def column(k: int, finite: bool = True) -> np.ndarray:
+        texts = cells[k::width]
+        try:
+            values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+        except ValueError:
+            for row, text in enumerate(texts):  # find the cell that failed
+                try:
+                    float(text)
+                except ValueError:
+                    raise ConfigError(str(path), f"column {header[k]}, row {row + 1}: "
+                                      f"not a number: {text!r}") from None
+            raise
+        if finite and not np.all(np.isfinite(values)):
+            row = int(np.argmax(~np.isfinite(values)))
+            raise ConfigError(str(path), f"column {header[k]}, row {row + 1}: "
+                              f"not finite: {texts[row]!r}")
+        return values
+
+    # the bounds are optional: a blank cell in any lb_j (in ub) leaves lower (upper) absent
+    r, *u = [column(k) for k in range(1 + d)]
+    lb = range(1 + d, width - 1)
+    lower = [column(k, False) for k in lb] if all(all(cells[k::width]) for k in lb) else None
+    upper = column(width - 1, False) if all(cells[width - 1::width]) else None
     return r, u, lower, upper
 
 

@@ -1,11 +1,10 @@
 """Radial grids, cumulative quadrature, and improper-integral tail probing.
 
-Two cumulative rules work on given node values:
-
-* plain composite trapezoid (exact for affine integrands),
-* a product rule integrating ``s^q * w(s)`` with ``w`` piecewise linear
-  (exact moments of the monomial weight; this is what keeps the nested radial
-  kernels accurate near the origin, where ``s^q`` vanishes).
+``cumulative_trapezoid`` is the composite trapezoid running integral of given
+node values (exact for affine integrands).  The product rule for the nested
+radial kernels, which integrates ``s^(N-1) * w(s)`` with exact monomial
+moments, lives in ``transforms.RadialKernel``, where its node-only factors are
+computed once per grid.
 
 ``CumulativeInterpolant`` is the one running-integral table of a callable:
 two-point Gauss segment integrals on ``octave_nodes``, linear interpolation
@@ -36,7 +35,6 @@ __all__ = [
     "DivergenceVerdict",
     "ProbeConfig",
     "cumulative_trapezoid",
-    "power_weighted_cumulative",
     "probe_divergence",
     "probe_from_origin",
     "classify_tail",
@@ -94,30 +92,6 @@ class GridFunction:
 def cumulative_trapezoid(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Composite trapezoid running integral; output[0] = 0."""
     segs = (values[1:] + values[:-1]) / 2.0 * np.diff(nodes)
-    return np.concatenate([[0.0], np.cumsum(segs)])
-
-
-def power_weighted_cumulative(nodes: np.ndarray, smooth: np.ndarray, power: int) -> np.ndarray:
-    """Running integral of ``s^power * w(s)`` with ``w`` piecewise linear.
-
-    The monomial moments are integrated exactly on every interval, so the
-    rule stays second-order accurate relative to the integral even where
-    ``s^power`` vanishes.  ``power`` must be a nonnegative integer.  Negative
-    segment values can only arise from rounding and are clipped at zero so the
-    output is nondecreasing whenever ``smooth`` is nonnegative.
-    """
-    q = int(power)
-    if q < 0:
-        raise ValueError("power must be >= 0")
-    if q == 0:
-        return cumulative_trapezoid(nodes, smooth)
-    x0, x1 = nodes[:-1], nodes[1:]
-    m0 = (x1 ** (q + 1) - x0 ** (q + 1)) / (q + 1)
-    m1 = (x1 ** (q + 2) - x0 ** (q + 2)) / (q + 2)
-    slope = np.diff(smooth) / np.diff(nodes)
-    segs = smooth[:-1] * m0 + slope * (m1 - x0 * m0)
-    if np.all(smooth >= 0):
-        segs = np.maximum(segs, 0.0)
     return np.concatenate([[0.0], np.cumsum(segs)])
 
 

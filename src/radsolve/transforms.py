@@ -43,7 +43,6 @@ from .quadrature import (
     RadialGrid,
     cumulative_trapezoid,
     octave_nodes,
-    power_weighted_cumulative,
     probe_divergence,
     probe_from_origin,
 )
@@ -155,7 +154,10 @@ class RadialKernel:
 
     ``h_cum`` is the running integral of h_j, ``H`` = r^(N-1) * exp(h_cum) and
     ``weighted_a`` = exp(h_cum) * a_j.  A negative h_j or a_j, or a weight
-    that overflows, raises ``ValueError``.
+    that overflows, raises ``ValueError``.  ``inner`` integrates s^(N-1) * w
+    with w piecewise linear, taking the monomial moments of each interval
+    exactly (second order even where s^(N-1) vanishes); the moments and the
+    interval widths depend on the nodes only and are computed here once.
     """
 
     def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray):
@@ -179,11 +181,19 @@ class RadialKernel:
         if not np.all(np.isfinite(self.weighted_a)):
             bad = float(nodes[int(np.argmax(~np.isfinite(self.weighted_a)))])
             raise ValueError(f"integrand not finite near t = {bad:g}")
+        q, x0, x1 = self.power, nodes[:-1], nodes[1:]
+        self._m0 = (x1 ** (q + 1) - x0 ** (q + 1)) / (q + 1)
+        self._m1 = (x1 ** (q + 2) - x0 ** (q + 2)) / (q + 2) - x0 * self._m0
+        self._widths = np.diff(nodes)
 
     def inner(self, source: np.ndarray | None = None) -> np.ndarray:
-        """Running integral of H_j * a_j * source (source = 1 when omitted)."""
+        """Running integral of H_j * a_j * source (source = 1 when omitted);
+        rounding-negative intervals of a nonnegative integrand are clipped to 0."""
         smooth = self.weighted_a if source is None else self.weighted_a * source
-        return power_weighted_cumulative(self.nodes, smooth, self.power)
+        segs = smooth[:-1] * self._m0 + np.diff(smooth) / self._widths * self._m1
+        if np.all(smooth >= 0):
+            segs = np.maximum(segs, 0.0)
+        return np.concatenate([[0.0], np.cumsum(segs)])
 
     def ratio(self, source: np.ndarray | None = None) -> np.ndarray:
         """((1/H_j) * inner(source))^(1/(p_j-1)), taken as 0 at the origin."""
@@ -279,7 +289,8 @@ def estimate_A_inf(spec: ProblemSpec, j: int,
 
 @dataclass(frozen=True)
 class TransformTables:
-    """All transforms of one instance on one working grid.
+    """What verifying solutions on one working grid needs: A_j, F and F's tail
+    estimate (the A_j tails are the classifier's, via ``estimate_A_inf``).
 
     The fields are fixed once built.  The F table they hold grows in place as
     ``eval_F`` and ``invert_F`` need, so every central value verified against
@@ -288,18 +299,16 @@ class TransformTables:
 
     grid: RadialGrid
     A: tuple[GridFunction, ...]
-    A_inf: tuple[DivergenceVerdict, ...]
     F: CumulativeInterpolant
     F_inf: DivergenceVerdict
 
 
 def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,
                            probe: ProbeConfig = ProbeConfig()) -> TransformTables:
-    """Assemble A_j, their tail estimates, the F table and its tail estimate."""
+    """Assemble A_j, the F table and the tail estimate of F."""
     f_inf = estimate_F_inf(spec, probe)
     A = tuple(build_A(spec, grid, j) for j in range(spec.d))
-    A_inf = tuple(estimate_A_inf(spec, j, probe) for j in range(spec.d))
-    return TransformTables(grid, A, A_inf, build_F(spec), f_inf)
+    return TransformTables(grid, A, build_F(spec), f_inf)
 
 
 def validate_hypotheses(spec: ProblemSpec, r_max: float, u_max: float,

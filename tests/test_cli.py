@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from radsolve.cli import (
     ConfigError,
@@ -11,7 +13,9 @@ from radsolve.cli import (
     main,
     parse_config,
     read_solution_csv,
+    write_solution_csv,
 )
+from radsolve.quadrature import RadialGrid
 
 
 def base_config(**overrides):
@@ -137,6 +141,83 @@ def test_verify_truncated_file_is_grid_mismatch(tmp_path):
     truncated.write_text("\n".join(lines[:-5]) + "\n")
     assert main(["verify", "--config", str(path), "--solution", str(truncated),
                  "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("u_1", "abc"),
+    ("r", ""),
+    ("u_1", ""),
+    ("u_1", "nan"),
+    ("u_1", "1e400"),
+])
+def test_verify_bad_cell_is_a_config_error(tmp_path, capsys, column, cell):
+    path = write_config(tmp_path, base_config(grid={"R": 3.0, "M": 200}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "solution_000.csv").read_text().splitlines()
+    cells = lines[57].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[57] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", str(path), "--solution", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert str(bad) in err and f"column {column}" in err and "row 57" in err
+
+
+def _cell_by_cell_csv(grid, u, lower, upper) -> str:
+    """Reference formatter: one ``repr(float(...))`` per cell, row by row."""
+    d = len(u)
+    header = (["r"] + [f"u_{j + 1}" for j in range(d)]
+              + [f"lb_{j + 1}" for j in range(d)] + ["ub"])
+    lines = [",".join(header)]
+    for i, r in enumerate(grid.nodes):
+        row = [repr(float(r))]
+        row += [repr(float(x[i])) for x in u]
+        row += [repr(float(x[i])) for x in lower] if lower is not None else [""] * d
+        row.append(repr(float(upper[i])) if upper is not None else "")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+# finite floats of every magnitude, plus values on both sides of the points
+# where ``repr`` switches between positional and exponent notation
+_SWITCH = st.one_of(st.floats(1e-5, 1e-3), st.floats(1e15, 1e17))
+_CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  _SWITCH, _SWITCH.map(lambda x: -x))
+
+
+@st.composite
+def _solution(draw):
+    grid = RadialGrid(draw(st.floats(1e-3, 1e6)), draw(st.integers(8, 24)))
+    d = draw(st.integers(1, 3))
+    column = st.lists(_CELL, min_size=len(grid), max_size=len(grid)).map(np.array)
+    u = [draw(column) for _ in range(d)]
+    lower = [draw(column) for _ in range(d)] if draw(st.booleans()) else None
+    upper = draw(column) if draw(st.booleans()) else None
+    return grid, u, lower, upper
+
+
+@given(_solution())
+def test_solution_csv_round_trip_is_bit_identical(tmp_path_factory, solution):
+    grid, u, lower, upper = solution
+    path = tmp_path_factory.mktemp("csv") / "solution.csv"
+    write_solution_csv(path, grid, u, lower, upper)
+    assert path.read_text(encoding="utf-8") == _cell_by_cell_csv(grid, u, lower, upper)
+    r, u_read, lower_read, upper_read = read_solution_csv(path, len(u))
+    assert r.tobytes() == grid.nodes.tobytes()
+    assert [x.tobytes() for x in u_read] == [x.tobytes() for x in u]
+    if lower is None:
+        assert lower_read is None
+    else:
+        assert [x.tobytes() for x in lower_read] == [x.tobytes() for x in lower]
+    if upper is None:
+        assert upper_read is None
+    else:
+        assert upper_read.tobytes() == upper.tobytes()
 
 
 def test_classify_command_reports_verdict(tmp_path):

@@ -2,9 +2,10 @@
 
 The digests pin every ``report.json`` and solution CSV that ``classify`` (all
 three shipped configs), ``solve`` (``sinh_oracle`` and ``bounded_cubic``) and
-``sweep`` (``coupled_sweep``) write.  A refactor that is meant to leave the
-numerics alone must leave these bytes alone; a change that is meant to move a
-number updates the digest and says why.
+``sweep`` (``coupled_sweep``) write, and the ``verify_report.json`` that
+``verify`` writes for the solved ``sinh_oracle`` CSV.  A refactor that is meant
+to leave the numerics alone must leave these bytes alone; a change that is
+meant to move a number updates the digest and says why.
 """
 
 import contextlib
@@ -77,3 +78,25 @@ def artifact_digests(tmp_path: Path) -> dict[str, object]:
 
 def test_shipped_config_artifacts_are_byte_identical(tmp_path):
     assert artifact_digests(tmp_path) == GOLDEN
+
+
+VERIFY_GOLDEN = {
+    "solve": 0,
+    "verify": 0,
+    "verify/verify_report.json":
+        "5eb487d5eba7b0515c630069de6705d391bf5e6309fafe5c3587417ed488fb5b",
+}
+
+
+def test_verify_of_a_solved_csv_is_byte_identical(tmp_path, monkeypatch):
+    # relative paths, so the ``solution`` path echoed in the report is stable
+    monkeypatch.chdir(tmp_path)
+    config = str(CONFIGS / "sinh_oracle.json")
+    out: dict[str, object] = {}
+    with contextlib.redirect_stderr(io.StringIO()):
+        out["solve"] = main(["solve", "--config", config, "--out", "solve"])
+        out["verify"] = main(["verify", "--config", config, "--out", "verify",
+                              "--solution", "solve/solution_000.csv"])
+    report = Path("verify") / "verify_report.json"
+    out["verify/verify_report.json"] = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert out == VERIFY_GOLDEN

@@ -12,10 +12,10 @@ from radsolve.quadrature import (
     classify_tail,
     cumulative_trapezoid,
     octave_nodes,
-    power_weighted_cumulative,
     probe_divergence,
     probe_from_origin,
 )
+from radsolve.transforms import ProblemSpec, RadialKernel
 
 
 def test_grid_basics():
@@ -77,23 +77,45 @@ def test_cumulative_monotone_for_nonnegative_integrands(vals):
     assert np.all(np.diff(out) >= 0.0)
 
 
+def _flat_kernel(N: int, x: np.ndarray) -> RadialKernel:
+    # h = 0 and a = 1: ``inner(w)`` is the power-weighted rule for s^(N-1) * w
+    return RadialKernel(ProblemSpec.from_strings(N, 1, 2.0, "0", "1", "u1"), 0, x)
+
+
 def test_power_weighted_matches_monomial_exactly():
     # integrating s^2 * 1 must give t^3/3 to rounding on any grid
     x = np.linspace(0.0, 2.0, 33)
-    out = power_weighted_cumulative(x, np.ones_like(x), 2)
+    out = _flat_kernel(3, x).inner(np.ones_like(x))
     assert np.allclose(out, x ** 3 / 3.0, rtol=1e-14, atol=1e-14)
 
 
 def test_power_weighted_linear_smooth_part_exact():
     x = np.linspace(0.0, 1.0, 17)
-    out = power_weighted_cumulative(x, 2.0 * x, 3)  # integral of 2 s^4
+    out = _flat_kernel(4, x).inner(2.0 * x)  # integral of 2 s^4
     assert np.allclose(out, 2.0 * x ** 5 / 5.0, rtol=1e-13, atol=1e-15)
 
 
-def test_power_weighted_power_zero_is_trapezoid():
-    x = np.linspace(0.0, 1.0, 9)
-    v = np.cos(x)
-    assert np.array_equal(power_weighted_cumulative(x, v, 0), cumulative_trapezoid(x, v))
+def _power_weighted_reference(nodes, smooth, q):
+    """The rule as one function that recomputes the node factors per call."""
+    x0, x1 = nodes[:-1], nodes[1:]
+    m0 = (x1 ** (q + 1) - x0 ** (q + 1)) / (q + 1)
+    m1 = (x1 ** (q + 2) - x0 ** (q + 2)) / (q + 2)
+    slope = np.diff(smooth) / np.diff(nodes)
+    segs = smooth[:-1] * m0 + slope * (m1 - x0 * m0)
+    if np.all(smooth >= 0):
+        segs = np.maximum(segs, 0.0)
+    return np.concatenate([[0.0], np.cumsum(segs)])
+
+
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_power_weighted_node_factors_once_match_the_per_call_rule(N):
+    x = np.linspace(0.0, 3.0, 200) ** 1.5
+    spec = ProblemSpec.from_strings(N, 1, 2.0, "0.3/(1+r)", "1+r", "u1")
+    kernel = RadialKernel(spec, 0, x)
+    for source in (None, np.cos(x) + 1.5, np.sin(3.0 * x)):  # the last is signed
+        smooth = kernel.weighted_a if source is None else kernel.weighted_a * source
+        assert np.array_equal(kernel.inner(source),
+                              _power_weighted_reference(x, smooth, N - 1))
 
 
 def test_gauss2_is_fourth_order():

@@ -255,9 +255,10 @@ def test_tables_immutable_assembly():
     grid = RadialGrid(2.0, 64)
     tables = build_transform_tables(spec, grid, ProbeConfig(horizon_count=6))
     assert tables.F_inf.verdict == "diverges"
-    assert tables.A_inf[0].verdict == "diverges"
+    assert estimate_A_inf(spec, 0, ProbeConfig(horizon_count=6)).verdict == "diverges"
     assert RadialKernel(spec, 0, grid.nodes).H[0] == 0.0
     assert not hasattr(tables, "H")
+    assert not hasattr(tables, "A_inf")
     with pytest.raises((AttributeError, TypeError)):
         tables.F = None
 
