@@ -43,7 +43,8 @@ from .conditions import (
 from .exprlang import ExprError
 from .quadrature import DivergenceVerdict, GridFunction, ProbeConfig, RadialGrid
 from .solver import CentralValues, SolutionBundle, VerificationReport, iterate, verify_solution
-from .transforms import ProblemSpec, build_transform_tables, validate_hypotheses
+from .transforms import (NegativeCoefficientError, ProblemSpec, build_transform_tables,
+                         validate_hypotheses)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -436,10 +437,8 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
     spec = cfg.spec
     classification = classify(spec, cfg.betas[0].values, cfg.classifier)
     probe = cfg.classifier.probe
-    ko = [check_keller_osserman(lambda t, j=j: spec.f_diagonal(j, np.asarray(t, float)), probe)
-          for j in range(spec.d)]
-    yz = [check_ye_zhou(lambda t, j=j: spec.f_diagonal(j, np.asarray(t, float)), probe)
-          for j in range(spec.d)]
+    ko = [check_keller_osserman(spec.diagonal(j), probe) for j in range(spec.d)]
+    yz = [check_ye_zhou(spec.diagonal(j), probe) for j in range(spec.d)]
     remarks = check_remark_implications(spec, classification.conditions["C3"].status, probe)
     lair_doc = None
     inst = match_lair_form(spec)
@@ -594,6 +593,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.solution, args.out)
         return cmd_sweep(cfg, args.out)
+    except NegativeCoefficientError as err:  # a coefficient negative on the working grid
+        print(f"[radsolve] config error: {ConfigError(f'problem.{err.key}', err.detail)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as err:
         print(f"[radsolve] config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,6 +34,7 @@ from .quadrature import (
     CumulativeInterpolant,
     DivergenceVerdict,
     ProbeConfig,
+    SharedSamples,
     classify_tail,
     probe_divergence,
     probe_from_origin,
@@ -304,7 +305,7 @@ def _bracket_values(spec: ProblemSpec, s: np.ndarray) -> np.ndarray:
     expo = 1.0 / (spec.min_p - 1.0)
     total = np.zeros_like(s)
     for i in range(spec.d):
-        total = total + np.power(1.0 + spec.f_diagonal(i, s), expo)
+        total = total + np.power(1.0 + spec.diagonal(i)(s), expo)
     return total
 
 
@@ -375,13 +376,15 @@ def check_sup_bounded(spec: ProblemSpec,
 
 
 def _primitive_root_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
-    """Probe dt / P(t)^expo from ``probe.r_start``, P the primitive of ``f_diag`` from 0.
+    """Probe dt / P(t)^expo from ``probe.r_start``, P the primitive of ``f_diag`` from 0
+    (the shared table when ``f_diag`` is a ``SharedSamples``).
 
     A primitive that cannot be tabulated out to ``probe.t_max`` (a domain
     error or overflow of f) makes the verdict inconclusive.
     """
+    shared = f_diag if isinstance(f_diag, SharedSamples) else SharedSamples(f_diag)
     try:
-        primitive = CumulativeInterpolant(f_diag, probe.t_max)
+        primitive = shared.primitive(probe.t_max)
     except (ExprError, ValueError) as err:
         return DivergenceVerdict("inconclusive", note=f"primitive not computable: {err}")
 
@@ -405,7 +408,8 @@ def check_keller_osserman(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) 
 
 
 def check_ye_zhou(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
-    """Probe the reciprocal growth test on f itself."""
+    """Probe the reciprocal growth test on f itself (on the samples of the F
+    probe when ``f_diag`` is ``spec.diagonal(j)`` and the anchor is r_start)."""
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
@@ -433,23 +437,24 @@ def check_remark_implications(spec: ProblemSpec, c3_status: str,
 
     Both are probed per component from the anchor:  ds over
     f_j(s,..,s)^(1/(min_p - 1)), and dt over the min_p-th root of the
-    primitive of the diagonal.  A convergent probe against a divergent F is
-    flagged as a numerical contradiction worth investigating; nothing here can
-    prove the implication, it can only expose inconsistent evidence.
+    primitive of the diagonal, both through ``spec.diagonal(j)`` so that they
+    share its samples and primitive with the F probe and Keller-Osserman.  A
+    convergent probe against a divergent F is flagged as a numerical
+    contradiction worth investigating; nothing here can prove the implication.
     """
     expo1 = 1.0 / (spec.min_p - 1.0)
     anchored = replace(probe, r_start=spec.anchor)
     r1 = []
     r2 = []
     for j in range(spec.d):
-        def integrand1(s, j=j):
-            s = np.asarray(s, dtype=float)
+        f_j = spec.diagonal(j)
+
+        def integrand1(s, f_j=f_j):
             with np.errstate(divide="ignore"):
-                return np.power(spec.f_diagonal(j, s), -expo1)
+                return np.power(f_j(s), -expo1)
 
         r1.append(probe_divergence(integrand1, spec.anchor, anchored))
-        r2.append(_primitive_root_probe(
-            lambda s, j=j: spec.f_diagonal(j, np.asarray(s, float)), 1.0 / spec.min_p, anchored))
+        r2.append(_primitive_root_probe(f_j, 1.0 / spec.min_p, anchored))
 
     if c3_status != "holds":
         return RemarkReport(False, tuple(r1), tuple(r2), None,

@@ -16,11 +16,14 @@ Improper integrals over ``[start, inf)`` are probed on geometric horizons
 ``start * 2^k`` by ``probe_divergence``; ``probe_from_origin``, the one entry
 point for integrals over ``[0, inf)``, adds a dense head over ``[0, r_start]``.
 Divergence of an improper integral is not decidable numerically, so the
-verdict is three-valued with an explicit ``inconclusive`` outcome.
+verdict is three-valued with an explicit ``inconclusive`` outcome.  Probes
+with the same start and knobs share read-only octave node arrays, on which
+``SharedSamples`` evaluates a function probed several times only once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -40,6 +43,7 @@ __all__ = [
     "classify_tail",
     "octave_nodes",
     "CumulativeInterpolant",
+    "SharedSamples",
 ]
 
 
@@ -206,6 +210,17 @@ def _samples(integrand: Callable, xs: np.ndarray) -> tuple[np.ndarray | None, st
     return np.maximum(ys, 0.0), ""
 
 
+@functools.lru_cache(maxsize=4)
+def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple[np.ndarray, ...]:
+    """Read-only nodes of the octaves [start 2^(k-1), start 2^k], k = 1 .. horizon_count."""
+    edges = [start * 2.0 ** k for k in range(horizon_count + 1)]
+    octaves = tuple(np.linspace(left, right, nodes_per_octave + 1)
+                    for left, right in zip(edges, edges[1:]))
+    for xs in octaves:
+        xs.flags.writeable = False
+    return octaves
+
+
 def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
     """Probe ``integral of integrand over [start, inf)`` for divergence.
 
@@ -217,24 +232,21 @@ def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> Div
     ``I_K + delta_K * q / (1 - q)`` (q the last ratio); if the tail increments
     are nondecreasing the verdict is ``diverges``; anything else, or a domain
     error or non-finite integrand value at a probe point, is ``inconclusive``.
+    Each octave is sampled and checked on its own, on node arrays shared by probes.
     """
     if not start > 0:
         raise ValueError("start must be positive")
     partials: list[float] = []
     horizons: list[float] = []
     total = 0.0
-    left = start
-    for k in range(1, cfg.horizon_count + 1):
-        right = start * 2.0 ** k
-        xs = np.linspace(left, right, cfg.nodes_per_octave + 1)
+    for xs in _octaves(start, cfg.horizon_count, cfg.nodes_per_octave):
         ys, why = _samples(integrand, xs)
         if ys is None:
             return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
                                      partials=tuple(partials), note=why)
         total += float(np.trapezoid(ys, xs))
         partials.append(total)
-        horizons.append(right)
-        left = right
+        horizons.append(float(xs[-1]))
 
     deltas = np.diff(partials, prepend=0.0)
     verdict, extra, ratios = classify_tail(deltas, cfg.rho_conv)
@@ -342,3 +354,32 @@ class CumulativeInterpolant:
         f0, f1 = self.values[hi - 1], self.values[hi]
         s0, s1 = self.s[hi - 1], self.s[hi]
         return s0 + (ys - f0) * (s1 - s0) / (f1 - f0)
+
+
+class SharedSamples:
+    """``fn`` evaluated once per read-only array such as a probe octave: its
+    values, or the domain error it raised, are kept by array identity with the
+    array held so that its id stays unique; writeable arrays are not kept.
+    ``primitive(t_max)`` tabulates ``fn`` from 0 once per ``t_max``."""
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
+        self._fn, self._values, self._primitives = fn, {}, {}
+
+    def __call__(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.flags.writeable:
+            return self._fn(xs)
+        if self._values.get(id(xs), (None,))[0] is not xs:
+            try:
+                self._values[id(xs)] = xs, self._fn(xs)
+            except (ExprError, ArithmeticError) as err:
+                self._values[id(xs)] = xs, err.with_traceback(None)
+        out = self._values[id(xs)][1]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def primitive(self, t_max: float) -> CumulativeInterpolant:
+        if t_max not in self._primitives:
+            self._primitives[t_max] = CumulativeInterpolant(self._fn, t_max)
+        return self._primitives[t_max]

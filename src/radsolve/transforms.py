@@ -18,7 +18,9 @@ nonlinearities take d arguments; inside F they are evaluated on the diagonal
 ``f_j(s, ..., s)``.  F is a ``quadrature.CumulativeInterpolant`` from the
 anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
 ``invert_F`` extend it in place by whole octaves as queries need, so every
-query against one table reads the same tabulation.
+query against one table reads the same tabulation.  ``ProblemSpec.diagonal(j)``
+is f_j on the diagonal, one shared callable per spec, so the F tail probe and
+the classifier's diagonal probes sample it once.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j integrates it with f = 1,
@@ -28,7 +30,8 @@ the solver's operator with f at the iterate.  The ratio is a 0/0 at t = 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -41,6 +44,7 @@ from .quadrature import (
     GridFunction,
     ProbeConfig,
     RadialGrid,
+    SharedSamples,
     cumulative_trapezoid,
     octave_nodes,
     probe_divergence,
@@ -50,6 +54,7 @@ from .quadrature import (
 __all__ = [
     "ProblemSpec",
     "FInverseRangeError",
+    "NegativeCoefficientError",
     "TransformTables",
     "RadialKernel",
     "build_A",
@@ -74,6 +79,14 @@ class FInverseRangeError(Exception):
     """Requested value lies at or beyond the finite limit of F."""
 
 
+class NegativeCoefficientError(ValueError):
+    """Coefficient ``key`` (h[j] or a[j]) takes negative values on ``interval``."""
+
+    def __init__(self, key: str, interval: str):
+        self.key, self.detail = key, f"takes negative values on {interval}"
+        super().__init__(f"{key} {self.detail}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A full problem instance.
@@ -94,6 +107,7 @@ class ProblemSpec:
     a: tuple[Expr, ...]
     f: tuple[Expr, ...]
     anchor: float = 1.0
+    _diagonals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 3:
@@ -130,20 +144,24 @@ class ProblemSpec:
     def a_values(self, j: int, r: np.ndarray) -> np.ndarray:
         return evaluate_array(self.a[j], {"r": r})
 
-    def f_diagonal(self, j: int, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        env = {f"u{i}": s for i in range(1, self.d + 1)}
-        return evaluate_array(self.f[j], env)
+    def diagonal(self, j: int) -> SharedSamples:
+        """s -> f_j(s, .., s), one shared callable per component of this spec."""
+        if j not in self._diagonals:
+            names = [f"u{i}" for i in range(1, self.d + 1)]
+            self._diagonals[j] = SharedSamples(
+                lambda s, f=self.f[j]: evaluate_array(f, dict.fromkeys(names, s)))
+        return self._diagonals[j]
 
     def diagonal_integrand(self) -> Callable[[np.ndarray], np.ndarray]:
         """Integrand of F: (1 + sum_j f_j(s, .., s)) ** (1 / (1 - min_p))."""
         expo = 1.0 / (1.0 - self.min_p)
+        diagonals = [self.diagonal(j) for j in range(self.d)]
 
         def fn(s: np.ndarray) -> np.ndarray:
             s = np.asarray(s, dtype=float)
             total = np.zeros_like(s)
-            for j in range(self.d):
-                total = total + self.f_diagonal(j, s)
+            for f_j in diagonals:
+                total = total + f_j(s)
             return np.power(1.0 + total, expo)
 
         return fn
@@ -153,9 +171,10 @@ class RadialKernel:
     """H_j and the nested ratio of component ``j``, evaluated once on ``nodes``.
 
     ``h_cum`` is the running integral of h_j, ``H`` = r^(N-1) * exp(h_cum) and
-    ``weighted_a`` = exp(h_cum) * a_j.  A negative h_j or a_j, or a weight
-    that overflows, raises ``ValueError``.  ``inner`` integrates s^(N-1) * w
-    with w piecewise linear, taking the monomial moments of each interval
+    ``weighted_a`` = exp(h_cum) * a_j.  A negative h_j or a_j raises
+    ``NegativeCoefficientError``, a weight that overflows ``ValueError``.
+    ``inner`` integrates s^(N-1) * w with w piecewise linear, taking the
+    monomial moments of each interval
     exactly (second order even where s^(N-1) vanishes); the moments and the
     interval widths depend on the nodes only and are computed here once.
     """
@@ -165,10 +184,10 @@ class RadialKernel:
             raise ValueError(f"component index {j} out of range for d = {spec.d}")
         hv = spec.h_values(j, nodes)
         if np.any(hv < 0):
-            raise ValueError(f"h[{j}] takes negative values on [0, {nodes[-1]:g}]")
+            raise NegativeCoefficientError(f"h[{j}]", f"[0, {nodes[-1]:g}]")
         av = spec.a_values(j, nodes)
         if np.any(av < 0):
-            raise ValueError(f"a[{j}] takes negative values on [0, {nodes[-1]:g}]")
+            raise NegativeCoefficientError(f"a[{j}]", f"[0, {nodes[-1]:g}]")
         self.nodes = nodes
         self.power = spec.N - 1
         self.expo = 1.0 / (spec.p[j] - 1.0)
@@ -292,23 +311,30 @@ class TransformTables:
     """What verifying solutions on one working grid needs: A_j, F and F's tail
     estimate (the A_j tails are the classifier's, via ``estimate_A_inf``).
 
-    The fields are fixed once built.  The F table they hold grows in place as
-    ``eval_F`` and ``invert_F`` need, so every central value verified against
-    these tables shares one tabulation of F.
+    F and its tail estimate are made on first use (only the upper bound of a
+    uniform central value reads them); the F table then grows in place as
+    ``eval_F`` and ``invert_F`` need, shared by every central value verified.
     """
 
     grid: RadialGrid
     A: tuple[GridFunction, ...]
-    F: CumulativeInterpolant
-    F_inf: DivergenceVerdict
+    spec: ProblemSpec
+    probe: ProbeConfig
+
+    @functools.cached_property
+    def F(self) -> CumulativeInterpolant:
+        return build_F(self.spec)
+
+    @functools.cached_property
+    def F_inf(self) -> DivergenceVerdict:
+        return estimate_F_inf(self.spec, self.probe)
 
 
 def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,
                            probe: ProbeConfig = ProbeConfig()) -> TransformTables:
-    """Assemble A_j, the F table and the tail estimate of F."""
-    f_inf = estimate_F_inf(spec, probe)
+    """Assemble A_j; the F table and its tail estimate follow on first use."""
     A = tuple(build_A(spec, grid, j) for j in range(spec.d))
-    return TransformTables(grid, A, build_F(spec), f_inf)
+    return TransformTables(grid, A, spec, probe)
 
 
 def validate_hypotheses(spec: ProblemSpec, r_max: float, u_max: float,

@@ -15,7 +15,8 @@ from radsolve.cli import (
     read_solution_csv,
     write_solution_csv,
 )
-from radsolve.quadrature import RadialGrid
+from radsolve import quadrature, transforms
+from radsolve.quadrature import CumulativeInterpolant, RadialGrid
 
 
 def base_config(**overrides):
@@ -364,3 +365,102 @@ def test_report_config_echo_revalidates(tmp_path):
     echoed = parse_config(report["config"])
     assert echoed.grid.intervals == 64
     assert echoed.spec.d == 1
+
+
+def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
+    # d = 2 with F_anchor = probes.r_start: the F tail probe, Ye-Zhou and the
+    # reciprocal-power remark run on the same octave arrays and share the f_j
+    # samples; Keller-Osserman and the primitive-root remark share one table
+    doc = base_config()
+    doc["problem"].update(d=2, p=[2.0, 3.0], h=["0", "0.1"], a=["1", "1"],
+                          f=["u2 + 1", "u1^2"])
+    doc["beta"] = [1.0, 1.0]
+    doc["probes"] = {"K": 8, "nodes_per_octave": 256}
+    path = write_config(tmp_path, doc)
+
+    samples: dict = {}
+    evaluate = transforms.evaluate_array
+
+    def counting_evaluate(e, env):
+        arrays = list(env.values())
+        if len(env) == 2 and arrays[0] is arrays[1] and not arrays[0].flags.writeable:
+            key = (id(e), id(arrays[0]))
+            samples.setdefault(key, [arrays[0], 0])[1] += 1
+        return evaluate(e, env)
+
+    primitives = []
+    init = CumulativeInterpolant.__init__
+
+    def counting_init(self, fn, t_max, lo=0.0, intervals=1024):
+        if lo == 0.0:
+            primitives.append(t_max)
+        init(self, fn, t_max, lo, intervals)
+
+    monkeypatch.setattr(transforms, "evaluate_array", counting_evaluate)
+    monkeypatch.setattr(quadrature.CumulativeInterpolant, "__init__", counting_init)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 5)
+
+    assert max(count for _, count in samples.values()) == 1
+    assert len({id(xs) for xs, _ in samples.values()}) == 8  # one array per octave
+    assert len(samples) == 2 * 8
+    assert primitives == [2.0 ** 8] * 2  # one primitive table per component
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    remarks = report["auxiliary"]["remarks"]
+    assert len(remarks["reciprocal_power"]) == len(remarks["primitive_root"]) == 2
+    assert all(len(v["horizons"]) == 8 for v in report["auxiliary"]["ye_zhou"])
+
+
+def _negative_source_config(tmp_path, a="1-r"):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "sinh_oracle.json").read_text())
+    doc["problem"]["a"] = [a]
+    return write_config(tmp_path, doc)
+
+
+def test_solve_with_a_negative_coefficient_is_a_config_error(tmp_path, capsys):
+    path = _negative_source_config(tmp_path)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: problem.a[0]: takes negative values on [0, 5]" in err
+    doc = json.loads(path.read_text())
+    doc["problem"]["a"], doc["problem"]["h"] = ["1"], ["r-1"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: problem.h[0]: takes negative values on [0, 5]" in capsys.readouterr().err
+
+
+def test_verify_with_a_negative_coefficient_is_a_config_error(tmp_path, capsys):
+    good = _negative_source_config(tmp_path, a="1")
+    assert main(["solve", "--config", str(good), "--out", str(tmp_path / "solved")]) == 0
+    bad = _negative_source_config(tmp_path / "solved")
+    assert main(["verify", "--config", str(bad), "--out", str(tmp_path / "verify"),
+                 "--solution", str(tmp_path / "solved" / "solution_000.csv")]) == 2
+    assert "config error: problem.a[0]: takes negative values on [0, 5]" in capsys.readouterr().err
+
+
+def test_classify_with_a_negative_coefficient_stays_inconclusive(tmp_path):
+    path = _negative_source_config(tmp_path)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 5
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["classification"]["theorem"] == "inconclusive"
+    assert "a[0] takes negative values" in report["classification"]["A_inf"][0]["note"]
+
+
+@pytest.mark.parametrize("beta, probes", [([1.0, 2.0], 0), ([1.0, 1.0], 1)])
+def test_solve_probes_F_only_for_a_uniform_central_value(tmp_path, monkeypatch, beta, probes):
+    # only the upper bound of a uniform central value reads the F table and its
+    # tail estimate, so a solve without one builds neither
+    doc = base_config()
+    doc["problem"].update(d=2, p=[2.0, 2.0], h=["0", "0"], a=["1", "1"], f=["u2", "u1"])
+    doc["beta"] = beta
+    calls, builds = [], []
+    probe, build_F = transforms.probe_divergence, transforms.build_F
+    monkeypatch.setattr(transforms, "probe_divergence", lambda *a: calls.append(1) or probe(*a))
+    monkeypatch.setattr(transforms, "build_F", lambda *a: builds.append(1) or build_F(*a))
+    assert main(["solve", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == len(builds) == probes
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    upper = report["solutions"][0]["verification"]["upper_margins"]
+    assert (upper is not None) == (probes == 1)

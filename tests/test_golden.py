@@ -3,7 +3,8 @@
 The digests pin every ``report.json`` and solution CSV that ``classify`` (all
 three shipped configs), ``solve`` (``sinh_oracle`` and ``bounded_cubic``) and
 ``sweep`` (``coupled_sweep``) write, and the ``verify_report.json`` that
-``verify`` writes for the solved ``sinh_oracle`` CSV.  A refactor that is meant
+``verify`` writes for the solved ``sinh_oracle`` CSV, and the reports of two
+classify runs that probe the sharing of diagonal work.  A refactor that is meant
 to leave the numerics alone must leave these bytes alone; a change that is
 meant to move a number updates the digest and says why.
 """
@@ -11,6 +12,7 @@ meant to move a number updates the digest and says why.
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 from radsolve.cli import main
@@ -100,3 +102,49 @@ def test_verify_of_a_solved_csv_is_byte_identical(tmp_path, monkeypatch):
     report = Path("verify") / "verify_report.json"
     out["verify/verify_report.json"] = hashlib.sha256(report.read_bytes()).hexdigest()
     assert out == VERIFY_GOLDEN
+
+
+# Two classify runs that pin the sharing of diagonal work between probes: one
+# whose F anchor (2) differs from the probe start (1), so the F and remark
+# probes run on other octave arrays than Ye-Zhou and the Keller-Osserman
+# primitive is tabulated to another horizon than the remark one; and f =
+# exp(u1), whose F, Ye-Zhou and reciprocal-power probes overflow in the last
+# octave and whose primitives cannot be tabulated.
+SHARING_RUNS = {
+    "classify_anchor_apart": {
+        "problem": {"N": 3, "d": 2, "p": [1.6, 2.5], "h": ["0", "0.5/(1+r)"],
+                    "a": ["1", "exp(-r)"], "f": ["u2 + sqrt(u1)", "u1^2 + u2"],
+                    "F_anchor": 2.0},
+        "grid": {"R": 2.0, "M": 200},
+        "probes": {"K": 10, "r_start": 1.0},
+        "beta": [1.0, 1.0],
+    },
+    "classify_exp_overflow": {
+        "problem": {"N": 3, "d": 1, "p": [2.0], "h": ["0"], "a": ["1"],
+                    "f": ["exp(u1)"], "F_anchor": 1.0},
+        "grid": {"R": 1.0, "M": 200},
+        "beta": 1.0,
+    },
+}
+
+SHARING_GOLDEN = {
+    "classify_anchor_apart": 5,
+    "classify_anchor_apart/report.json":
+        "73bf6d0bb7653bee2a58b8a0fb57cdb6dae50832a399113eed781fad1236258d",
+    "classify_exp_overflow": 5,
+    "classify_exp_overflow/report.json":
+        "c92800e58b8e6060f4baa2771f6fcd32f50e360b8c875c3b8e546eaf268335dc",
+}
+
+
+def test_classify_with_shared_diagonal_work_is_byte_identical(tmp_path):
+    out: dict[str, object] = {}
+    for name, doc in SHARING_RUNS.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()):
+            out[name] = main(["classify", "--config", str(config),
+                              "--out", str(tmp_path / name)])
+        report = tmp_path / name / "report.json"
+        out[f"{name}/report.json"] = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert out == SHARING_GOLDEN

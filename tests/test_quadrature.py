@@ -12,9 +12,11 @@ from radsolve.quadrature import (
     classify_tail,
     cumulative_trapezoid,
     octave_nodes,
+    SharedSamples,
     probe_divergence,
     probe_from_origin,
 )
+from radsolve.exprlang import ExprError, evaluate_array, parse
 from radsolve.transforms import ProblemSpec, RadialKernel
 
 
@@ -276,3 +278,106 @@ def test_cumulative_interpolant_tracks_primitive():
         assert ci(t) == pytest.approx(t * t / 2.0, rel=1e-6)
     ci3 = CumulativeInterpolant(lambda t: np.asarray(t) ** 2, 32.0)
     assert ci3(8.0) == pytest.approx(8.0 ** 3 / 3.0, rel=1e-9)
+
+
+def _reference_probe(integrand, start, cfg):
+    """The per-octave probe loop with fresh ``np.linspace`` nodes and no shared
+    state: sample one octave, check it on its own scale, add its trapezoid."""
+    partials, horizons, total, left = [], [], 0.0, start
+    for k in range(1, cfg.horizon_count + 1):
+        right = start * 2.0 ** k
+        xs = np.linspace(left, right, cfg.nodes_per_octave + 1)
+        try:
+            ys = np.asarray(integrand(xs), dtype=float)
+        except (ExprError, ArithmeticError) as err:
+            return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
+                                     partials=tuple(partials),
+                                     note=f"integrand error on [{xs[0]:g},{xs[-1]:g}]: {err}")
+        if not np.all(np.isfinite(ys)):
+            bad = float(xs[int(np.argmax(~np.isfinite(ys)))])
+            return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
+                                     partials=tuple(partials),
+                                     note=f"integrand not finite near r = {bad:g}")
+        if ys.min() < -1e-12 * max(1.0, float(np.abs(ys).max())):
+            raise ValueError("integrand is negative")
+        total += float(np.trapezoid(np.maximum(ys, 0.0), xs))
+        partials.append(total)
+        horizons.append(right)
+        left = right
+    verdict, extra, ratios = classify_tail(np.diff(partials, prepend=0.0), cfg.rho_conv)
+    note = f"tail ratios: {', '.join(f'{q:.3g}' for q in ratios)}"
+    limit = partials[-1] + extra if verdict == "converges" else None
+    return DivergenceVerdict(verdict, limit=limit, horizons=tuple(horizons),
+                             partials=tuple(partials), note=note)
+
+
+def _radial(text):
+    expr = parse(text, "radial")
+    return lambda r: evaluate_array(expr, {"r": np.asarray(r, dtype=float)})
+
+
+@pytest.mark.parametrize("start", [1.0, 0.37, 3.3])
+@pytest.mark.parametrize("text", [
+    "1/(1+r)^2", "1/(1+r)", "exp(-r)", "sqrt(r)", "r^-1.5 + 0*r",
+    "1/(1+r) + 0.5*exp(-r)*r^2", "abs(r-2.5)/(1+r^3)",
+])
+@pytest.mark.parametrize("cfg", [ProbeConfig(), ProbeConfig(horizon_count=6, nodes_per_octave=100)])
+def test_probe_is_bit_equal_to_the_per_octave_reference(start, text, cfg):
+    integrand = _radial(text)
+    assert probe_divergence(integrand, start, cfg) == _reference_probe(integrand, start, cfg)
+    # a second probe on the now shared octave arrays reads the same bits
+    assert probe_divergence(integrand, start, cfg) == _reference_probe(integrand, start, cfg)
+
+
+@pytest.mark.parametrize("start", [1.0, 0.37, 3.3])
+def test_probe_domain_error_stops_at_its_octave_like_the_reference(start):
+    # sqrt(40 - r) is undefined past r = 40: the probe keeps the octaves before it
+    integrand = _radial("1/(1+r)^2 + sqrt(40 - r)*0")
+    got = probe_divergence(integrand, start, ProbeConfig())
+    want = _reference_probe(integrand, start, ProbeConfig())
+    assert got == want
+    assert got.verdict == "inconclusive" and got.note.startswith("integrand error on [")
+    assert 0 < len(got.horizons) < 10 and got.horizons[-1] <= 40.0
+
+
+def test_probe_negativity_scale_is_per_octave():
+    # a -1e-9 dip among first-octave values of at most 1 is clearly negative there,
+    # although it is tiny next to the 1e100-sized values of the last octave
+    def integrand(xs):
+        ys = (xs / 2.0) ** 40
+        if xs[0] == 1.0:
+            ys[len(ys) // 2] = -1e-9
+        return ys
+
+    with pytest.raises(ValueError, match="negative"):
+        probe_divergence(integrand, 1.0, ProbeConfig())
+    with pytest.raises(ValueError, match="negative"):
+        _reference_probe(integrand, 1.0, ProbeConfig())
+
+
+def test_shared_samples_evaluate_once_per_read_only_array():
+    calls = []
+
+    def fn(xs):
+        calls.append(xs)
+        if xs[-1] > 100:
+            raise ExprError("out of range")
+        return 2.0 * xs
+
+    shared = SharedSamples(fn)
+    nodes = np.linspace(0.0, 200.0, 11)
+    nodes.flags.writeable = False
+    first = shared(nodes[:6])  # a new view each call: not the same array object
+    kept = nodes[:6]
+    assert shared(kept) is shared(kept)
+    assert np.array_equal(first, shared(kept))
+    for _ in range(2):
+        with pytest.raises(ExprError, match="out of range"):
+            shared(nodes)
+    writeable = np.linspace(0.0, 1.0, 5)
+    shared(writeable)
+    shared(writeable)
+    assert len(calls) == 5  # first, kept, nodes once, the writeable array twice
+    assert shared.primitive(64.0) is shared.primitive(64.0)
+    assert shared.primitive(64.0) is not shared.primitive(32.0)
+    assert shared.primitive(32.0)(32.0) == pytest.approx(32.0 ** 2)
