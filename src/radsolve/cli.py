@@ -20,7 +20,9 @@ Exit codes: 0 success, 2 config or file error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ from .conditions import (
     match_lair_form,
 )
 from .exprlang import ExprError
-from .quadrature import DivergenceVerdict, GridFunction, ProbeConfig, RadialGrid
+from .quadrature import GridFunction, ProbeConfig, RadialGrid
 from .solver import CentralValues, SolutionBundle, VerificationReport, iterate, verify_solution
 from .transforms import (NegativeCoefficientError, ProblemSpec, build_transform_tables,
                          validate_hypotheses)
@@ -234,61 +236,60 @@ def load_config(path: str | Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _jsonify(obj: Any) -> Any:
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()]
+_json_string = json.encoder.encode_basestring  # type: ignore[attr-defined]
+
+
+def _to_json(obj: Any, indent: str) -> str:
+    """The canonical JSON of ``obj``, held at the line break and indentation ``indent``."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            return float.__repr__(x)
+        if isinstance(obj, np.floating):  # stays a number
+            return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+        return _json_string(repr(obj))
+    if isinstance(obj, str):
+        return _json_string(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    return obj
+        keyed = dict(zip(map(str, obj), obj.values()))  # of equal str(key)s the last wins
+        parts = [f"{_json_string(key)}: {_to_json(keyed[key], inner)}" for key in sorted(keyed)]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        parts = [_to_json(x, inner) for x in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if parts else "[]"
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(_jsonify(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def _verdict_dict(v: DivergenceVerdict) -> dict:
-    return {"verdict": v.verdict, "limit": v.limit, "horizons": list(v.horizons),
-            "partials": list(v.partials), "note": v.note}
+    """``obj`` as JSON with sorted keys and two-space indentation, in one pass: numpy
+    scalars and arrays as numbers and lists, dict keys as ``str(key)``, a non-finite
+    float as the string of its ``repr`` ("inf"), a non-finite numpy float as a number."""
+    return _to_json(obj, "\n") + "\n"
 
 
 def _classification_dict(c: Classification) -> dict:
     return {
         "theorem": c.theorem,
-        "conditions": {
-            name: {"status": cv.status, "evidence": cv.evidence, "note": cv.note}
-            for name, cv in c.conditions.items()
-        },
+        "conditions": {name: vars(cv) for name, cv in c.conditions.items()},
         "beta_window": list(c.beta_window) if c.beta_window else None,
-        "F_inf": _verdict_dict(c.f_inf),
-        "A_inf": [_verdict_dict(v) for v in c.a_inf],
+        "F_inf": vars(c.f_inf),
+        "A_inf": [vars(v) for v in c.a_inf],
         "notes": list(c.notes),
     }
 
 
+_VERIFICATION_KEYS = ("lower_margins", "upper_margins", "upper_reason", "integral_residuals",
+                      "ode_residuals", "ode_window", "bounds_tolerance", "integral_tolerance",
+                      "ode_tolerance", "bounds_pass", "residual_pass", "passed", "notes")
+
+
 def _verification_dict(rep: VerificationReport) -> dict:
-    return {
-        "lower_margins": list(rep.lower_margins) if rep.lower_margins else None,
-        "upper_margins": list(rep.upper_margins) if rep.upper_margins else None,
-        "upper_reason": rep.upper_reason,
-        "integral_residuals": list(rep.integral_residuals) if rep.integral_residuals else None,
-        "ode_residuals": list(rep.ode_residuals) if rep.ode_residuals else None,
-        "ode_window": list(rep.ode_window) if rep.ode_window else None,
-        "bounds_tolerance": rep.bounds_tolerance,
-        "integral_tolerance": rep.integral_tolerance,
-        "ode_tolerance": rep.ode_tolerance,
-        "bounds_pass": rep.bounds_pass,
-        "residual_pass": rep.residual_pass,
-        "passed": rep.passed,
-        "notes": list(rep.notes),
-    }
+    return {key: getattr(rep, key) for key in _VERIFICATION_KEYS}
 
 
 def _bundle_summary(bundle: SolutionBundle) -> dict:
@@ -332,11 +333,11 @@ def write_solution_csv(path: Path, grid: RadialGrid, u: list[np.ndarray],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_solution_csv(path: Path, d: int):
-    """Return (r, u list, lower list or None, upper or None) from a solution file.
+def read_solution_csv(path: Path, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Return (r, u list) from a solution file; the bound columns are not read.
 
-    A non-numeric cell, or a non-finite ``r``/``u_j`` cell, is a ``ConfigError``
-    naming the file, column and row (counted from 1 below the header)."""
+    A non-numeric or non-finite ``r``/``u_j`` cell is a ``ConfigError`` naming
+    the file, column and row (counted from 1 below the header)."""
     try:
         lines = path.read_text(encoding="utf-8").strip().split("\n")
     except FileNotFoundError:
@@ -348,7 +349,7 @@ def read_solution_csv(path: Path, d: int):
         raise ConfigError(str(path), "malformed CSV row")
     cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
 
-    def column(k: int, finite: bool = True) -> np.ndarray:
+    def column(k: int) -> np.ndarray:
         texts = cells[k::width]
         try:
             values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
@@ -360,18 +361,14 @@ def read_solution_csv(path: Path, d: int):
                     raise ConfigError(str(path), f"column {header[k]}, row {row + 1}: "
                                       f"not a number: {text!r}") from None
             raise
-        if finite and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             row = int(np.argmax(~np.isfinite(values)))
             raise ConfigError(str(path), f"column {header[k]}, row {row + 1}: "
                               f"not finite: {texts[row]!r}")
         return values
 
-    # the bounds are optional: a blank cell in any lb_j (in ub) leaves lower (upper) absent
     r, *u = [column(k) for k in range(1 + d)]
-    lb = range(1 + d, width - 1)
-    lower = [column(k, False) for k in lb] if all(all(cells[k::width]) for k in lb) else None
-    upper = column(width - 1, False) if all(cells[width - 1::width]) else None
-    return r, u, lower, upper
+    return r, u
 
 
 def _timing(label: str, started: float) -> None:
@@ -394,7 +391,8 @@ def _solve_all(cfg: RunConfig, out: Path):
     results = []
     for i, beta in enumerate(cfg.betas):
         t1 = time.perf_counter()
-        bundle = iterate(cfg.spec, cfg.grid, beta, tol=cfg.tol, max_iter=cfg.max_iter)
+        bundle = iterate(cfg.spec, cfg.grid, beta, tol=cfg.tol, max_iter=cfg.max_iter,
+                         kernels=tables.kernels)
         report = verify_solution(bundle, tables, cfg.spec)
         name = f"{cfg.stem}_{i:03d}.csv"
         write_solution_csv(out / name, cfg.grid, [g.values for g in bundle.u],
@@ -450,7 +448,7 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
         lair_doc = {
             "alpha": inst.alpha, "beta_exp": inst.beta_exp,
             "within_sublinear_range": inst.within_sublinear_range,
-            "first": _verdict_dict(v1), "second": _verdict_dict(v2),
+            "first": vars(v1), "second": vars(v2),
             "explosive_predicted": predicted,
         }
     doc = {
@@ -459,13 +457,13 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
         "config": cfg.raw,
         "classification": _classification_dict(classification),
         "auxiliary": {
-            "keller_osserman": [_verdict_dict(v) for v in ko],
-            "ye_zhou": [_verdict_dict(v) for v in yz],
+            "keller_osserman": [vars(v) for v in ko],
+            "ye_zhou": [vars(v) for v in yz],
             "remarks": {
                 "applicable": remarks.applicable,
                 "consistent": remarks.consistent,
-                "reciprocal_power": [_verdict_dict(v) for v in remarks.reciprocal_power],
-                "primitive_root": [_verdict_dict(v) for v in remarks.primitive_root],
+                "reciprocal_power": [vars(v) for v in remarks.reciprocal_power],
+                "primitive_root": [vars(v) for v in remarks.primitive_root],
                 "note": remarks.note,
             },
             "lair": lair_doc,
@@ -479,7 +477,7 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
 
 def cmd_verify(cfg: RunConfig, solution_path: str, out_override: str | None = None) -> int:
     out = _out_dir(cfg, out_override)
-    r, u, _, _ = read_solution_csv(Path(solution_path), cfg.spec.d)
+    r, u = read_solution_csv(Path(solution_path), cfg.spec.d)
     nodes = cfg.grid.nodes
     if len(r) != len(nodes) or not np.array_equal(r, nodes):
         raise ConfigError(str(solution_path),
@@ -519,18 +517,15 @@ def cmd_sweep(cfg: RunConfig, out_override: str | None = None) -> int:
 
     ordering_violations = []
     comparisons = []
-    for i in range(len(bundles)):
-        for k in range(len(bundles)):
-            if i == k:
-                continue
-            bi, bk = bundles[i], bundles[k]
-            if all(x <= y for x, y in zip(bi.central.values, bk.central.values)):
-                worst = max(float(np.max(ui.values - uk.values))
-                            for ui, uk in zip(bi.u, bk.u))
-                slack = 2.0 * cfg.tol
-                comparisons.append({"lower": i, "higher": k, "worst_excess": worst})
-                if worst > slack:
-                    ordering_violations.append((i, k, worst))
+    for i, k in itertools.permutations(range(len(bundles)), 2):
+        bi, bk = bundles[i], bundles[k]
+        if all(x <= y for x, y in zip(bi.central.values, bk.central.values)):
+            worst = max(float(np.max(ui.values - uk.values))
+                        for ui, uk in zip(bi.u, bk.u))
+            slack = 2.0 * cfg.tol
+            comparisons.append({"lower": i, "higher": k, "worst_excess": worst})
+            if worst > slack:
+                ordering_violations.append((i, k, worst))
 
     table_lines = ["index," + ",".join(f"beta_{j + 1}" for j in range(cfg.spec.d))
                    + "," + ",".join(f"u_{j + 1}_at_R" for j in range(cfg.spec.d))

@@ -254,14 +254,10 @@ def variables(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _bad_index(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
-
-
 def _check_finite(out: np.ndarray, e: Expr, inputs: tuple[np.ndarray, ...]) -> None:
     bad = ~np.isfinite(out)
     if np.any(bad):
-        i = _bad_index(bad)
+        i = int(np.argmax(bad))
         raise EvalError("overflow or undefined result", unparse(e),
                         tuple(float(x.flat[i]) for x in inputs), index=i)
 
@@ -295,7 +291,7 @@ def evaluate_array(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
             num, den = args
             zero = den == 0
             if np.any(zero):
-                i = _bad_index(zero)
+                i = int(np.argmax(zero))
                 raise EvalError("division by zero", unparse(e),
                                 (float(num.flat[i]), float(den.flat[i])), index=i)
             out = num / den
@@ -303,12 +299,12 @@ def evaluate_array(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
             base, expo = args
             neg_frac = (base < 0) & (expo != np.floor(expo))
             if np.any(neg_frac):
-                i = _bad_index(neg_frac)
+                i = int(np.argmax(neg_frac))
                 raise EvalError("negative base with non-integer exponent", unparse(e),
                                 (float(base.flat[i]), float(expo.flat[i])), index=i)
             zero_neg = (base == 0) & (expo < 0)
             if np.any(zero_neg):
-                i = _bad_index(zero_neg)
+                i = int(np.argmax(zero_neg))
                 raise EvalError("zero base with negative exponent", unparse(e),
                                 (float(base.flat[i]), float(expo.flat[i])), index=i)
             out = np.power(base, expo)
@@ -317,14 +313,14 @@ def evaluate_array(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
         elif e.kind == "log":
             nonpos = args[0] <= 0
             if np.any(nonpos):
-                i = _bad_index(nonpos)
+                i = int(np.argmax(nonpos))
                 raise EvalError("log of a non-positive number", unparse(e),
                                 (float(args[0].flat[i]),), index=i)
             out = np.log(args[0])
         elif e.kind == "sqrt":
             negative = args[0] < 0
             if np.any(negative):
-                i = _bad_index(negative)
+                i = int(np.argmax(negative))
                 raise EvalError("sqrt of a negative number", unparse(e),
                                 (float(args[0].flat[i]),), index=i)
             out = np.sqrt(args[0])

@@ -16,14 +16,17 @@ Improper integrals over ``[start, inf)`` are probed on geometric horizons
 ``start * 2^k`` by ``probe_divergence``; ``probe_from_origin``, the one entry
 point for integrals over ``[0, inf)``, adds a dense head over ``[0, r_start]``.
 Divergence of an improper integral is not decidable numerically, so the
-verdict is three-valued with an explicit ``inconclusive`` outcome.  Probes
-with the same start and knobs share read-only octave node arrays, on which
+verdict is three-valued with an explicit ``inconclusive`` outcome.  A probe
+calls its integrand once on a read-only block of all its octaves' nodes (octave
+by octave only if that call raises) and checks and integrates it per octave.
+Probes with the same start and knobs share the block, on which
 ``SharedSamples`` evaluates a function probed several times only once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -194,31 +197,53 @@ def _eval_segment(integrand: Callable, xs: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _samples(integrand: Callable, xs: np.ndarray) -> tuple[np.ndarray | None, str]:
-    """Integrand values on ``xs`` clipped at zero, or None and why they are unusable
-    (a domain error or a non-finite value); clearly negative values raise."""
+def _samples(integrand: Callable, nodes: np.ndarray,
+             rows: Sequence[np.ndarray]) -> tuple[np.ndarray, str]:
+    """Integrand values clipped at zero, one row per octave of ``rows`` (views of
+    ``nodes``), up to the first unusable octave, and why it is unusable ("" if
+    none is): a domain error or a non-finite value.  A clearly negative value
+    before it, on its octave's own scale, raises.  The integrand is called once
+    on ``nodes``, and if that raises, octave by octave up to the one that raises."""
+    failure: str | Exception = ""
     try:
-        ys = _eval_segment(integrand, xs)
-    except (ExprError, ArithmeticError) as err:
-        return None, f"integrand error on [{xs[0]:g},{xs[-1]:g}]: {err}"
-    if not np.all(np.isfinite(ys)):
-        bad = float(xs[int(np.argmax(~np.isfinite(ys)))])
-        return None, f"integrand not finite near r = {bad:g}"
-    low = float(ys.min())
-    if low < -1e-12 * max(1.0, float(np.abs(ys).max())):
-        raise ValueError(f"integrand is negative (min {low:g}); probe requires nonnegative data")
-    return np.maximum(ys, 0.0), ""
+        values = _eval_segment(integrand, nodes).reshape(len(rows), -1)
+    except Exception:  # noqa: BLE001 - found again below, octave by octave
+        done = []
+        for xs in rows:
+            try:
+                done.append(_eval_segment(integrand, xs))
+            except (ExprError, ArithmeticError) as err:
+                failure = f"integrand error on [{xs[0]:g},{xs[-1]:g}]: {err}"
+                break
+            except Exception as err:  # noqa: BLE001 - raised below unless an earlier octave stops
+                failure = err
+                break
+        values = np.array(done, dtype=float).reshape(len(done), len(rows[0]))
+    finite = np.isfinite(values)
+    usable = finite.all(axis=1)
+    stop = len(values) if usable.all() else int(np.argmin(usable))
+    ys = values[:stop]
+    low = ys.min(axis=1)
+    negative = low < -1e-12 * np.maximum(1.0, np.abs(ys).max(axis=1))
+    if negative.any():
+        raise ValueError(f"integrand is negative (min {float(low[np.argmax(negative)]):g}); "
+                         "probe requires nonnegative data")
+    if stop < len(values):
+        failure = f"integrand not finite near r = {float(rows[stop][np.argmin(finite[stop])]):g}"
+    elif isinstance(failure, Exception):
+        raise failure
+    return np.maximum(ys, 0.0), failure
 
 
 @functools.lru_cache(maxsize=4)
-def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple[np.ndarray, ...]:
-    """Read-only nodes of the octaves [start 2^(k-1), start 2^k], k = 1 .. horizon_count."""
+def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple:
+    """Read-only nodes of the octaves [start 2^(k-1), start 2^k], k = 1 ..
+    horizon_count, as one flat array and as one view of it per octave."""
     edges = [start * 2.0 ** k for k in range(horizon_count + 1)]
-    octaves = tuple(np.linspace(left, right, nodes_per_octave + 1)
-                    for left, right in zip(edges, edges[1:]))
-    for xs in octaves:
-        xs.flags.writeable = False
-    return octaves
+    nodes = np.concatenate([np.linspace(left, right, nodes_per_octave + 1)
+                            for left, right in zip(edges, edges[1:])])
+    nodes.flags.writeable = False
+    return nodes, tuple(nodes.reshape(horizon_count, -1))
 
 
 def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
@@ -231,31 +256,26 @@ def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> Div
     is at most ``cfg.rho_conv`` the verdict is ``converges`` with limit
     ``I_K + delta_K * q / (1 - q)`` (q the last ratio); if the tail increments
     are nondecreasing the verdict is ``diverges``; anything else, or a domain
-    error or non-finite integrand value at a probe point, is ``inconclusive``.
-    Each octave is sampled and checked on its own, on node arrays shared by probes.
+    error or non-finite integrand value at a probe point, is ``inconclusive``
+    with the octaves before that point as evidence.  The integrand is
+    evaluated once, on the read-only nodes of all octaves shared by probes
+    with the same start and knobs; each octave is checked on its own scale.
     """
     if not start > 0:
         raise ValueError("start must be positive")
-    partials: list[float] = []
-    horizons: list[float] = []
-    total = 0.0
-    for xs in _octaves(start, cfg.horizon_count, cfg.nodes_per_octave):
-        ys, why = _samples(integrand, xs)
-        if ys is None:
-            return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
-                                     partials=tuple(partials), note=why)
-        total += float(np.trapezoid(ys, xs))
-        partials.append(total)
-        horizons.append(float(xs[-1]))
+    nodes, rows = _octaves(start, cfg.horizon_count, cfg.nodes_per_octave)
+    ys, why = _samples(integrand, nodes, rows)
+    xs = nodes.reshape(len(rows), -1)[:len(ys)]
+    # summed one octave at a time from 0.0, as a loop over the octaves would
+    partials = tuple(itertools.accumulate(np.trapezoid(ys, xs, axis=1).tolist(), initial=0.0))[1:]
+    horizons = tuple(xs[:, -1].tolist())
+    if why:
+        return DivergenceVerdict("inconclusive", horizons=horizons, partials=partials, note=why)
 
-    deltas = np.diff(partials, prepend=0.0)
-    verdict, extra, ratios = classify_tail(deltas, cfg.rho_conv)
+    verdict, extra, ratios = classify_tail(np.diff(partials, prepend=0.0), cfg.rho_conv)
     note = f"tail ratios: {', '.join(f'{q:.3g}' for q in ratios)}"
-    if verdict == "converges":
-        return DivergenceVerdict("converges", limit=partials[-1] + extra,
-                                 horizons=tuple(horizons), partials=tuple(partials), note=note)
-    return DivergenceVerdict(verdict, horizons=tuple(horizons),
-                             partials=tuple(partials), note=note)
+    limit = partials[-1] + extra if verdict == "converges" else None
+    return DivergenceVerdict(verdict, limit, horizons, partials, note)
 
 
 def probe_from_origin(integrand: Callable, cfg: ProbeConfig) -> DivergenceVerdict:
@@ -266,13 +286,13 @@ def probe_from_origin(integrand: Callable, cfg: ProbeConfig) -> DivergenceVerdic
     convergent limit includes the head.
     """
     head_nodes = np.linspace(0.0, cfg.r_start, 4097)
-    head_values, why = _samples(integrand, head_nodes)
-    if head_values is None:
+    head_values, why = _samples(integrand, head_nodes, (head_nodes,))
+    if why:
         return DivergenceVerdict("inconclusive", note=why)
     verdict = probe_divergence(integrand, cfg.r_start, cfg)
     if verdict.verdict != "converges":
         return verdict
-    head = float(np.trapezoid(head_values, head_nodes))
+    head = float(np.trapezoid(head_values[0], head_nodes))
     return replace(verdict, limit=verdict.limit + head,
                    note=f"{verdict.note}; limit includes head over [0, {cfg.r_start:g}]")
 

@@ -106,8 +106,10 @@ def _apply(spec: ProblemSpec, kernels: Sequence[RadialKernel], u: Sequence[np.nd
 
 
 def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
-            tol: float = 1e-10, max_iter: int = 10_000) -> SolutionBundle:
-    """Run the monotone iteration until the sup-norm update is at most ``tol``.
+            tol: float = 1e-10, max_iter: int = 10_000,
+            kernels: Sequence[RadialKernel] | None = None) -> SolutionBundle:
+    """Run the monotone iteration until the sup-norm update is at most ``tol``,
+    on the components' ``kernels`` on ``grid`` (built here when not given).
 
     The iterates are nondecreasing in the iteration index by construction; a
     raw nodewise dip beyond rounding is reported as a RuntimeError since only
@@ -119,7 +121,7 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
         raise ValueError(f"expected {spec.d} central values, got {len(central)}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    kernels = [RadialKernel(spec, j, grid.nodes) for j in range(spec.d)]
+    kernels = kernels or [RadialKernel(spec, j, grid.nodes) for j in range(spec.d)]
     u = [np.full(len(grid), b) for b in central.values]
     iterations = 0
     update = np.inf
@@ -265,7 +267,8 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables, spec: Problem
 
 def residual(bundle: SolutionBundle, spec: ProblemSpec,
              ode_window_margin: float = 0.1,
-             ode_tol_factor: float = 10.0) -> VerificationReport:
+             ode_tol_factor: float = 10.0,
+             kernels: Sequence[RadialKernel] | None = None) -> VerificationReport:
     """Defect of the stored solution against the equations it should satisfy.
 
     The primary check recomputes the right side of the integral system from
@@ -274,9 +277,9 @@ def residual(bundle: SolutionBundle, spec: ProblemSpec,
     radial differential operator with centered differences, which is first
     order at best, and is judged only away from the endpoints (the kernel is
     not smooth at the origin for p < 2).  A non-converged bundle still gets a
-    report; the gap is simply carried as-is.
+    report; the gap is simply carried as-is.  ``kernels`` are as for ``iterate``.
     """
-    kernels = [RadialKernel(spec, j, bundle.grid.nodes) for j in range(spec.d)]
+    kernels = kernels or [RadialKernel(spec, j, bundle.grid.nodes) for j in range(spec.d)]
     u = [g.values for g in bundle.u]
     applied = _apply(spec, kernels, u, bundle.central)
     integral_residuals = tuple(float(np.max(np.abs(ui - ti))) for ui, ti in zip(u, applied))
@@ -315,7 +318,7 @@ def verify_solution(bundle: SolutionBundle, tables: TransformTables, spec: Probl
                     bounds_tolerance: float = 1e-6) -> VerificationReport:
     """Bounds and residual checks in one report."""
     bounds = verify_bounds(bundle, tables, spec, bounds_tolerance)
-    res = residual(bundle, spec)
+    res = residual(bundle, spec, kernels=tables.kernels)
     return replace(bounds, integral_residuals=res.integral_residuals,
                    ode_residuals=res.ode_residuals, ode_window=res.ode_window,
                    integral_tolerance=res.integral_tolerance,

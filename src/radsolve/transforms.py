@@ -138,12 +138,6 @@ class ProblemSpec:
     def min_p(self) -> float:
         return min(self.p)
 
-    def h_values(self, j: int, r: np.ndarray) -> np.ndarray:
-        return evaluate_array(self.h[j], {"r": r})
-
-    def a_values(self, j: int, r: np.ndarray) -> np.ndarray:
-        return evaluate_array(self.a[j], {"r": r})
-
     def diagonal(self, j: int) -> SharedSamples:
         """s -> f_j(s, .., s), one shared callable per component of this spec."""
         if j not in self._diagonals:
@@ -182,10 +176,10 @@ class RadialKernel:
     def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray):
         if not 0 <= j < spec.d:
             raise ValueError(f"component index {j} out of range for d = {spec.d}")
-        hv = spec.h_values(j, nodes)
+        hv = evaluate_array(spec.h[j], {"r": nodes})
         if np.any(hv < 0):
             raise NegativeCoefficientError(f"h[{j}]", f"[0, {nodes[-1]:g}]")
-        av = spec.a_values(j, nodes)
+        av = evaluate_array(spec.a[j], {"r": nodes})
         if np.any(av < 0):
             raise NegativeCoefficientError(f"a[{j}]", f"[0, {nodes[-1]:g}]")
         self.nodes = nodes
@@ -200,9 +194,10 @@ class RadialKernel:
         if not np.all(np.isfinite(self.weighted_a)):
             bad = float(nodes[int(np.argmax(~np.isfinite(self.weighted_a)))])
             raise ValueError(f"integrand not finite near t = {bad:g}")
-        q, x0, x1 = self.power, nodes[:-1], nodes[1:]
-        self._m0 = (x1 ** (q + 1) - x0 ** (q + 1)) / (q + 1)
-        self._m1 = (x1 ** (q + 2) - x0 ** (q + 2)) / (q + 2) - x0 * self._m0
+        q = self.power
+        pow1, pow2 = nodes ** (q + 1), nodes ** (q + 2)
+        self._m0 = (pow1[1:] - pow1[:-1]) / (q + 1)
+        self._m1 = (pow2[1:] - pow2[:-1]) / (q + 2) - nodes[:-1] * self._m0
         self._widths = np.diff(nodes)
 
     def inner(self, source: np.ndarray | None = None) -> np.ndarray:
@@ -224,10 +219,11 @@ class RadialKernel:
         return np.power(ratio, self.expo)
 
 
-def build_A(spec: ProblemSpec, grid: RadialGrid, j: int) -> GridFunction:
-    """Barrier A_j on the grid, the running integral of the kernel ratio with f = 1;
-    nondecreasing with A_j(0) = 0."""
-    kernel = RadialKernel(spec, j, grid.nodes)
+def build_A(spec: ProblemSpec, grid: RadialGrid, j: int,
+            kernel: RadialKernel | None = None) -> GridFunction:
+    """Barrier A_j on the grid, the running integral of the ratio of ``kernel`` (component
+    j's on the grid, built when not given) with f = 1; nondecreasing with A_j(0) = 0."""
+    kernel = kernel or RadialKernel(spec, j, grid.nodes)
     return GridFunction(grid, cumulative_trapezoid(grid.nodes, kernel.ratio()))
 
 
@@ -308,8 +304,9 @@ def estimate_A_inf(spec: ProblemSpec, j: int,
 
 @dataclass(frozen=True)
 class TransformTables:
-    """What verifying solutions on one working grid needs: A_j, F and F's tail
-    estimate (the A_j tails are the classifier's, via ``estimate_A_inf``).
+    """What solving and verifying on one working grid needs: the kernels (built
+    once, for every iteration and residual), A_j, F and F's tail estimate (the
+    A_j tails are the classifier's, via ``estimate_A_inf``).
 
     F and its tail estimate are made on first use (only the upper bound of a
     uniform central value reads them); the F table then grows in place as
@@ -318,6 +315,7 @@ class TransformTables:
 
     grid: RadialGrid
     A: tuple[GridFunction, ...]
+    kernels: tuple[RadialKernel, ...]
     spec: ProblemSpec
     probe: ProbeConfig
 
@@ -332,9 +330,10 @@ class TransformTables:
 
 def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,
                            probe: ProbeConfig = ProbeConfig()) -> TransformTables:
-    """Assemble A_j; the F table and its tail estimate follow on first use."""
-    A = tuple(build_A(spec, grid, j) for j in range(spec.d))
-    return TransformTables(grid, A, spec, probe)
+    """Assemble the kernels and A_j; the F table and its tail estimate follow on first use."""
+    kernels = tuple(RadialKernel(spec, j, grid.nodes) for j in range(spec.d))
+    A = tuple(build_A(spec, grid, j, kernel) for j, kernel in enumerate(kernels))
+    return TransformTables(grid, A, kernels, spec, probe)
 
 
 def validate_hypotheses(spec: ProblemSpec, r_max: float, u_max: float,

@@ -93,9 +93,11 @@ def test_solve_zero_nonlinearity_writes_constant_solution(tmp_path):
     path = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
-    r, u, lower, upper = read_solution_csv(out / "solution_000.csv", 1)
+    r, u = read_solution_csv(out / "solution_000.csv", 1)
     assert np.all(u[0] == 1.5)
-    assert np.all(lower[0] == 1.5)
+    rows = (out / "solution_000.csv").read_text().splitlines()
+    assert rows[0].split(",")[2] == "lb_1"
+    assert all(row.split(",")[2] == "1.5" for row in rows[1:])
     report = json.loads((out / "report.json").read_text())
     assert report["solutions"][0]["converged"] is True
     assert report["solutions"][0]["iterations"] == 1
@@ -130,6 +132,26 @@ def test_verify_round_trip_and_perturbation(tmp_path):
     assert code == 4
     report = json.loads((out / "verify_report.json").read_text())
     assert report["verification"]["integral_residuals"][0] >= 0.05
+
+
+def test_verify_reads_only_r_and_u(tmp_path):
+    # the bound columns are not parsed: a malformed bound cell leaves verify as it was
+    path = write_config(tmp_path, base_config(grid={"R": 3.0, "M": 200}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "clean"),
+                 "--solution", str(out / "solution_000.csv")]) == 0
+    lines = (out / "solution_000.csv").read_text().splitlines()
+    cells = lines[57].split(",")
+    cells[2:4] = ["abc", ""]  # lb_1 and ub
+    lines[57] = ",".join(cells)
+    odd = tmp_path / "odd_bounds.csv"
+    odd.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "odd"),
+                 "--solution", str(odd)]) == 0
+    clean = json.loads((tmp_path / "clean" / "verify_report.json").read_text())
+    report = json.loads((tmp_path / "odd" / "verify_report.json").read_text())
+    assert report["verification"] == clean["verification"]
 
 
 def test_verify_truncated_file_is_grid_mismatch(tmp_path):
@@ -208,17 +230,18 @@ def test_solution_csv_round_trip_is_bit_identical(tmp_path_factory, solution):
     path = tmp_path_factory.mktemp("csv") / "solution.csv"
     write_solution_csv(path, grid, u, lower, upper)
     assert path.read_text(encoding="utf-8") == _cell_by_cell_csv(grid, u, lower, upper)
-    r, u_read, lower_read, upper_read = read_solution_csv(path, len(u))
+    r, u_read = read_solution_csv(path, len(u))
     assert r.tobytes() == grid.nodes.tobytes()
     assert [x.tobytes() for x in u_read] == [x.tobytes() for x in u]
-    if lower is None:
-        assert lower_read is None
-    else:
-        assert [x.tobytes() for x in lower_read] == [x.tobytes() for x in lower]
-    if upper is None:
-        assert upper_read is None
-    else:
-        assert upper_read.tobytes() == upper.tobytes()
+    # the reader skips the bound columns: their written cells read back to the same bits
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    bounds = [*(lower if lower is not None else [None] * len(u)), upper]
+    for k, column in enumerate(bounds, start=1 + len(u)):
+        cells = [row[k] for row in rows]
+        if column is None:
+            assert cells == [""] * len(rows)
+        else:
+            assert np.array([float(c) for c in cells]).tobytes() == column.tobytes()
 
 
 def test_classify_command_reports_verdict(tmp_path):
@@ -316,8 +339,8 @@ def test_sweep_ordering_and_linear_scaling(tmp_path):
     path = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
-    _, u1, _, _ = read_solution_csv(out / "solution_000.csv", 1)
-    _, u2, _, _ = read_solution_csv(out / "solution_001.csv", 1)
+    _, u1 = read_solution_csv(out / "solution_000.csv", 1)
+    _, u2 = read_solution_csv(out / "solution_001.csv", 1)
     # the nonlinearity is linear, so doubling beta doubles the solution
     assert np.max(np.abs(u2[0] - 2.0 * u1[0])) < 1e-6
     assert np.all(u1[0] <= u2[0])
@@ -357,6 +380,49 @@ def test_canonical_json_is_stable():
     assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
 
 
+def _jsonify(obj):
+    """Reference: the walk that made a report JSON-ready before one ``json.dumps``."""
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonify(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(x) for x in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _reference_canonical_json(obj) -> str:
+    return json.dumps(_jsonify(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# floats on both sides of the points where ``repr`` switches to exponent notation
+_REPR_SWITCH = st.one_of(st.floats(1e-5, 1e-3), st.floats(1e15, 1e17))
+_LEAF = st.one_of(
+    st.floats(), _REPR_SWITCH, _REPR_SWITCH.map(lambda x: -x),
+    st.sampled_from([np.inf, -np.inf, np.nan, 1e-4, 1e16, -0.0]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(), st.none(), st.text(), st.sampled_from(['"', "\\", "\n", "\x00", "é", "\u2028"]),
+    st.lists(st.floats(), max_size=4).map(np.array),
+)
+_JSON_DOC = st.recursive(_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(), st.integers(-3, 3)), inner, max_size=4),
+), max_leaves=24)
+
+
+@given(_JSON_DOC)
+def test_canonical_json_writes_the_bytes_of_the_reference(doc):
+    assert canonical_json(doc) == _reference_canonical_json(doc)
+
+
 def test_report_config_echo_revalidates(tmp_path):
     path = write_config(tmp_path, base_config(grid={"R": 2.0, "M": 64}))
     out = tmp_path / "out"
@@ -369,8 +435,8 @@ def test_report_config_echo_revalidates(tmp_path):
 
 def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     # d = 2 with F_anchor = probes.r_start: the F tail probe, Ye-Zhou and the
-    # reciprocal-power remark run on the same octave arrays and share the f_j
-    # samples; Keller-Osserman and the primitive-root remark share one table
+    # reciprocal-power remark run on the same block of octave nodes and share
+    # the f_j samples; Keller-Osserman and the primitive-root remark share one table
     doc = base_config()
     doc["problem"].update(d=2, p=[2.0, 3.0], h=["0", "0.1"], a=["1", "1"],
                           f=["u2 + 1", "u1^2"])
@@ -401,8 +467,10 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 5)
 
     assert max(count for _, count in samples.values()) == 1
-    assert len({id(xs) for xs, _ in samples.values()}) == 8  # one array per octave
-    assert len(samples) == 2 * 8
+    blocks = {id(xs): xs for xs, _ in samples.values()}
+    assert len(blocks) == 1  # one block of all 8 octaves for the one probe start
+    assert [len(xs) for xs in blocks.values()] == [8 * 257]
+    assert len(samples) == 2 * 1
     assert primitives == [2.0 ** 8] * 2  # one primitive table per component
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     remarks = report["auxiliary"]["remarks"]
@@ -445,6 +513,29 @@ def test_classify_with_a_negative_coefficient_stays_inconclusive(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["classification"]["theorem"] == "inconclusive"
     assert "a[0] takes negative values" in report["classification"]["A_inf"][0]["note"]
+
+
+def test_solve_and_verify_build_each_kernel_once(tmp_path, monkeypatch):
+    # the iteration, the barriers A_j and the residual share one kernel per component
+    doc = base_config(grid={"R": 2.0, "M": 100}, beta=[1.0, 1.0, 1.0])
+    doc["problem"].update(d=3, p=[2.0, 2.5, 2.0], h=["0", "0.1", "0"], a=["1"] * 3,
+                          f=["u2", "u3", "u1"])
+    builds = []
+    init = transforms.RadialKernel.__init__
+    monkeypatch.setattr(transforms.RadialKernel, "__init__",
+                        lambda self, spec, j, nodes: builds.append(j) or init(self, spec, j, nodes))
+    path = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "solve")]) == 0
+    assert sorted(builds) == [0, 1, 2]
+    builds.clear()
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify"),
+                 "--solution", str(tmp_path / "solve" / "solution_000.csv")]) == 0
+    assert sorted(builds) == [0, 1, 2]
+    builds.clear()
+    doc["beta"] = [[1.0, 1.0, 1.0], [1.5, 1.5, 1.5]]
+    path = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+    assert sorted(builds) == [0, 1, 2]  # two central values, one build per component
 
 
 @pytest.mark.parametrize("beta, probes", [([1.0, 2.0], 0), ([1.0, 1.0], 1)])

@@ -3,8 +3,9 @@
 The digests pin every ``report.json`` and solution CSV that ``classify`` (all
 three shipped configs), ``solve`` (``sinh_oracle`` and ``bounded_cubic``) and
 ``sweep`` (``coupled_sweep``) write, and the ``verify_report.json`` that
-``verify`` writes for the solved ``sinh_oracle`` CSV, and the reports of two
-classify runs that probe the sharing of diagonal work.  A refactor that is meant
+``verify`` writes for the solved ``sinh_oracle`` CSV, the reports of two
+classify runs that probe the sharing of diagonal work, and the reports of two
+classify runs whose probes stop at a domain error in mid-horizon.  A refactor that is meant
 to leave the numerics alone must leave these bytes alone; a change that is
 meant to move a number updates the digest and says why.
 """
@@ -137,9 +138,10 @@ SHARING_GOLDEN = {
 }
 
 
-def test_classify_with_shared_diagonal_work_is_byte_identical(tmp_path):
+def classify_digests(tmp_path: Path, runs: dict[str, dict]) -> dict[str, object]:
+    """Exit code and report SHA-256 of a ``classify`` run per config document."""
     out: dict[str, object] = {}
-    for name, doc in SHARING_RUNS.items():
+    for name, doc in runs.items():
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
         with contextlib.redirect_stderr(io.StringIO()):
@@ -147,4 +149,45 @@ def test_classify_with_shared_diagonal_work_is_byte_identical(tmp_path):
                               "--out", str(tmp_path / name)])
         report = tmp_path / name / "report.json"
         out[f"{name}/report.json"] = hashlib.sha256(report.read_bytes()).hexdigest()
-    assert out == SHARING_GOLDEN
+    return out
+
+
+def test_classify_with_shared_diagonal_work_is_byte_identical(tmp_path):
+    assert classify_digests(tmp_path, SHARING_RUNS) == SHARING_GOLDEN
+
+
+# Two classify runs whose probes stop at a domain error in mid-horizon, the
+# octave [32, 64] that holds r = 40.  In the first, f_1 fails there on the
+# diagonal (the F, Ye-Zhou and reciprocal-power probes of component 1 keep
+# five octaves, and no primitive can be tabulated), and 1/f_2 is infinite at
+# s = 1 although f_2 fails only at 80 (those probes keep no octave).  In the
+# second, a Lair-form instance, a_1 fails at r = 40: the first nested probe
+# keeps five octaves, the second and the barrier A_1 cannot be built.
+FALLBACK_RUNS = {
+    "classify_expr_error_midway": {
+        "problem": {"N": 3, "d": 2, "p": [2.0, 3.0], "h": ["0", "1/(1+r)"],
+                    "a": ["1", "exp(-r)"],
+                    "f": ["u2 + sqrt(40 - u1)*0", "(u1 - 1)^2 + sqrt(80 - u2)*0"]},
+        "grid": {"R": 2.0, "M": 200},
+        "beta": [1.0, 1.0],
+    },
+    "classify_lair_expr_error_midway": {
+        "problem": {"N": 3, "d": 2, "p": [2.0, 2.0], "h": ["0", "0"],
+                    "a": ["1/(1+r)^3 + sqrt(40 - r)*0", "1"], "f": ["u2^0.5", "u1^0.5"]},
+        "grid": {"R": 2.0, "M": 200},
+        "beta": [1.0, 1.0],
+    },
+}
+
+FALLBACK_GOLDEN = {
+    "classify_expr_error_midway": 5,
+    "classify_expr_error_midway/report.json":
+        "5fe44f282b93a3be4ef9a5ea1c03cbc0ffc7e82221b10c0a786a800febbf391b",
+    "classify_lair_expr_error_midway": 5,
+    "classify_lair_expr_error_midway/report.json":
+        "4b079d49670e4e6a3629d4d80bfca3cd9b3e93363102bdee70c7845389386d93",
+}
+
+
+def test_classify_with_probes_stopped_midway_is_byte_identical(tmp_path):
+    assert classify_digests(tmp_path, FALLBACK_RUNS) == FALLBACK_GOLDEN

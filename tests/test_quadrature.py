@@ -299,7 +299,8 @@ def _reference_probe(integrand, start, cfg):
                                      partials=tuple(partials),
                                      note=f"integrand not finite near r = {bad:g}")
         if ys.min() < -1e-12 * max(1.0, float(np.abs(ys).max())):
-            raise ValueError("integrand is negative")
+            raise ValueError(f"integrand is negative (min {float(ys.min()):g}); "
+                             "probe requires nonnegative data")
         total += float(np.trapezoid(np.maximum(ys, 0.0), xs))
         partials.append(total)
         horizons.append(right)
@@ -342,17 +343,125 @@ def test_probe_domain_error_stops_at_its_octave_like_the_reference(start):
 
 def test_probe_negativity_scale_is_per_octave():
     # a -1e-9 dip among first-octave values of at most 1 is clearly negative there,
-    # although it is tiny next to the 1e100-sized values of the last octave
+    # although it is tiny next to the 1e100-sized values of the last octave; the
+    # dip sits at the node r = 1.5, whatever array of nodes the probe passes
     def integrand(xs):
         ys = (xs / 2.0) ** 40
-        if xs[0] == 1.0:
-            ys[len(ys) // 2] = -1e-9
+        ys[xs == 1.5] = -1e-9
         return ys
 
     with pytest.raises(ValueError, match="negative"):
         probe_divergence(integrand, 1.0, ProbeConfig())
     with pytest.raises(ValueError, match="negative"):
         _reference_probe(integrand, 1.0, ProbeConfig())
+
+
+def _probe_outcome(probe, integrand, start, cfg):
+    """The verdict of a probe, or the type and text of the exception it raised."""
+    try:
+        return probe(integrand, start, cfg)
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+
+
+def _bump(xs):
+    return 1.0 / (1.0 + xs) ** 2
+
+
+def _expr_error_past(edge):
+    def integrand(xs):
+        if np.max(xs) > edge:
+            raise ExprError(f"undefined past {edge}")
+        return _bump(xs)
+    return integrand
+
+
+# values are placed by node value, so that one octave holds them whatever array
+# of nodes the probe passes; each integrand raises an ExprError somewhere, so
+# the probe's call on all octaves at once fails and it goes octave by octave
+
+def _not_finite_then_expr_error(xs):
+    if np.max(xs) > 100.0:
+        raise ExprError("undefined past 100")
+    ys = _bump(xs)
+    ys[(xs > 6.0) & (xs < 6.1)] = np.inf
+    return ys
+
+
+def _dip_then_not_finite(xs):
+    ys = _expr_error_past(300.0)(xs)
+    ys[(xs > 1.2) & (xs < 1.21)] = -1e-3
+    ys[xs > 40.0] = np.nan
+    return ys
+
+
+def _not_finite_then_dip(xs):
+    ys = _expr_error_past(300.0)(xs)
+    ys[(xs > 6.0) & (xs < 6.1)] = np.inf
+    ys[(xs > 100.0) & (xs < 101.0)] = -1e-3
+    return ys
+
+
+def _scalar_only(x):
+    if not isinstance(x, float):
+        return 0.0  # an array gets a scalar back, so the probe loops over the nodes
+    if x > 50.0:
+        raise ExprError("undefined past 50")
+    return 1.0 / (1.0 + x) ** 2
+
+
+@pytest.mark.parametrize("start", [1.0, 0.37])
+@pytest.mark.parametrize("integrand, kind", [
+    (_expr_error_past(20.0), "inconclusive"),      # an ExprError in an octave past the first
+    (_expr_error_past(0.5), "inconclusive"),       # an ExprError in the first octave
+    (_not_finite_then_expr_error, "inconclusive"),  # a non-finite octave, an ExprError later
+    (_dip_then_not_finite, ValueError),            # a dip before a non-finite octave raises
+    (_not_finite_then_dip, "inconclusive"),        # a dip after one does not
+])
+def test_probe_fallback_is_bit_equal_to_the_reference(start, integrand, kind):
+    cfg = ProbeConfig(nodes_per_octave=256)
+    got = _probe_outcome(probe_divergence, integrand, start, cfg)
+    assert got == _probe_outcome(_reference_probe, integrand, start, cfg)
+    if kind is ValueError:
+        assert got[0] is ValueError and "negative" in got[1]
+    else:
+        assert got.verdict == kind and got.note.startswith(("integrand error", "integrand not"))
+
+
+def _scalar_reference_probe(integrand, start, cfg):
+    """``_reference_probe`` for a callable that takes one float at a time."""
+    def per_octave(xs):
+        return np.array([float(integrand(float(x))) for x in xs])
+    return _reference_probe(per_octave, start, cfg)
+
+
+@pytest.mark.parametrize("start", [1.0, 0.37])
+def test_probe_of_a_scalar_callable_is_bit_equal_to_the_reference(start):
+    cfg = ProbeConfig(nodes_per_octave=64)
+    got = probe_divergence(_scalar_only, start, cfg)
+    assert got == _scalar_reference_probe(_scalar_only, start, cfg)
+    assert got.verdict == "inconclusive" and "undefined past 50" in got.note
+    assert got.horizons[-1] <= 50.0 < 2.0 * got.horizons[-1]
+
+
+def test_probe_reraises_a_non_domain_error_unless_an_earlier_octave_stops_it():
+    def type_error_past_20(xs):
+        if np.max(xs) > 20.0:
+            raise TypeError("not an array function")
+        return _bump(xs)
+
+    def not_finite_then_type_error(xs):
+        ys = type_error_past_20(xs)
+        ys[(xs > 3.0) & (xs < 3.1)] = np.inf
+        return ys
+
+    for start in (1.0, 0.37):
+        for integrand in (type_error_past_20, not_finite_then_type_error):
+            got = _probe_outcome(probe_divergence, integrand, start, ProbeConfig())
+            assert got == _probe_outcome(_reference_probe, integrand, start, ProbeConfig())
+        assert _probe_outcome(probe_divergence, type_error_past_20, start, ProbeConfig()) == (
+            TypeError, "not an array function")
+        assert got.verdict == "inconclusive" and got.note.startswith("integrand not finite")
 
 
 def test_shared_samples_evaluate_once_per_read_only_array():
