@@ -207,7 +207,7 @@ def _samples(integrand: Callable, nodes: np.ndarray,
     failure: str | Exception = ""
     try:
         values = _eval_segment(integrand, nodes).reshape(len(rows), -1)
-    except Exception:  # noqa: BLE001 - found again below, octave by octave
+    except Exception:  # whatever it is, found again below octave by octave
         done = []
         for xs in rows:
             try:
@@ -215,7 +215,7 @@ def _samples(integrand: Callable, nodes: np.ndarray,
             except (ExprError, ArithmeticError) as err:
                 failure = f"integrand error on [{xs[0]:g},{xs[-1]:g}]: {err}"
                 break
-            except Exception as err:  # noqa: BLE001 - raised below unless an earlier octave stops
+            except Exception as err:  # raised below unless an earlier octave stops
                 failure = err
                 break
         values = np.array(done, dtype=float).reshape(len(done), len(rows[0]))
@@ -236,7 +236,7 @@ def _samples(integrand: Callable, nodes: np.ndarray,
 
 
 @functools.lru_cache(maxsize=4)
-def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple:
+def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple[np.ndarray, tuple]:
     """Read-only nodes of the octaves [start 2^(k-1), start 2^k], k = 1 ..
     horizon_count, as one flat array and as one view of it per octave."""
     edges = [start * 2.0 ** k for k in range(horizon_count + 1)]

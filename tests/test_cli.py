@@ -470,7 +470,7 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     blocks = {id(xs): xs for xs, _ in samples.values()}
     assert len(blocks) == 1  # one block of all 8 octaves for the one probe start
     assert [len(xs) for xs in blocks.values()] == [8 * 257]
-    assert len(samples) == 2 * 1
+    assert len(samples) == 2  # each f_j sampled on that block, once
     assert primitives == [2.0 ** 8] * 2  # one primitive table per component
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     remarks = report["auxiliary"]["remarks"]

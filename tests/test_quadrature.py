@@ -360,7 +360,7 @@ def _probe_outcome(probe, integrand, start, cfg):
     """The verdict of a probe, or the type and text of the exception it raised."""
     try:
         return probe(integrand, start, cfg)
-    except Exception as err:  # noqa: BLE001 - compared, not handled
+    except Exception as err:  # compared, not handled
         return type(err), str(err)
 
 
