@@ -37,8 +37,8 @@ def crosscheck(a1: str, a2: str, label: str) -> None:
     big = iterate(spec, RadialGrid(2 * R, 2 * M), central, tol=1e-10)
     for j in range(2):
         A = build_A(spec, big.grid, j)
-        floor = A.values[-1] - A.values[M]
-        actual = big.u[j].values[-1] - small.u[j].values[-1]
+        floor = A[-1] - A[M]
+        actual = big.u[j][-1] - small.u[j][-1]
         print(f"  component {j + 1}: growth over [R, 2R] = {actual:.4f}, "
               f"barrier increment = {floor:.4f}, witness "
               f"{'ok' if actual >= floor - 1e-6 else 'VIOLATED'}")

@@ -36,7 +36,7 @@ def main() -> None:
         bundle = iterate(spec, grid, CentralValues.uniform(1.0, 1), tol=args.tol)
         dt = time.perf_counter() - t0
         exact = closed_form(grid.nodes)
-        err = float(np.max(np.abs(bundle.u[0].values - exact) / exact))
+        err = float(np.max(np.abs(bundle.u[0] - exact) / exact))
         ratio = f"{prev / err:7.2f}" if prev else "      -"
         print(f"{M:>6} {bundle.iterations:>6} {dt:>8.3f} {err:>12.3e} {ratio}")
         prev = err

@@ -14,18 +14,20 @@ configs produce byte-identical artifacts and reading a CSV back yields the
 same bits.  Timings go to stderr only, never into the report.
 
 Exit codes: 0 success, 2 config or file error, 3 solver non-convergence,
-4 verification or consistency failure, 5 inconclusive classification.
+4 verification or consistency failure, 5 inconclusive classification.  An
+iterate that overflows (the solution outgrows the floating-point range before
+the horizon) is a config error on ``grid.R``, naming the sweep and the radius.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -33,7 +35,6 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
-    Classification,
     ClassifierConfig,
     check_keller_osserman,
     check_lair_proposition,
@@ -43,8 +44,9 @@ from .conditions import (
     match_lair_form,
 )
 from .exprlang import ExprError
-from .quadrature import GridFunction, ProbeConfig, RadialGrid
-from .solver import CentralValues, SolutionBundle, VerificationReport, iterate, verify_solution
+from .quadrature import ProbeConfig, RadialGrid
+from .solver import (CentralValues, IterateOverflowError, SolutionBundle, VerificationReport,
+                     iterate, verify_solution)
 from .transforms import (NegativeCoefficientError, ProblemSpec, build_transform_tables,
                          validate_hypotheses)
 
@@ -63,7 +65,7 @@ class ConfigError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     spec: ProblemSpec
     grid: RadialGrid
@@ -262,25 +264,17 @@ def _to_json(obj: Any, indent: str) -> str:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):  # by its fields
+        return _to_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj: Any) -> str:
     """``obj`` as JSON with sorted keys and two-space indentation, in one pass: numpy
-    scalars and arrays as numbers and lists, dict keys as ``str(key)``, a non-finite
-    float as the string of its ``repr`` ("inf"), a non-finite numpy float as a number."""
+    scalars and arrays as numbers and lists, dataclass instances as objects of their
+    fields, dict keys as ``str(key)``, a non-finite float as the string of its
+    ``repr`` ("inf"), a non-finite numpy float as a number."""
     return _to_json(obj, "\n") + "\n"
-
-
-def _classification_dict(c: Classification) -> dict:
-    return {
-        "theorem": c.theorem,
-        "conditions": {name: vars(cv) for name, cv in c.conditions.items()},
-        "beta_window": list(c.beta_window) if c.beta_window else None,
-        "F_inf": vars(c.f_inf),
-        "A_inf": [vars(v) for v in c.a_inf],
-        "notes": list(c.notes),
-    }
 
 
 _VERIFICATION_KEYS = ("lower_margins", "upper_margins", "upper_reason", "integral_residuals",
@@ -292,16 +286,19 @@ def _verification_dict(rep: VerificationReport) -> dict:
     return {key: getattr(rep, key) for key in _VERIFICATION_KEYS}
 
 
-def _bundle_summary(bundle: SolutionBundle) -> dict:
-    return {
-        "beta": list(bundle.central.values),
-        "converged": bundle.converged,
-        "iterations": bundle.iterations,
-        "final_update": bundle.final_update,
-        "monotone_iterates": bundle.monotone_iterates,
-        "L_estimate": bundle.L_estimate,
-        "u_at_R": [float(g.values[-1]) for g in bundle.u],
-    }
+def _solutions(results) -> list[dict]:
+    """The report entry of each (bundle, verification, CSV name) of ``_solve_all``."""
+    return [{
+        "beta": list(b.central.values),
+        "converged": b.converged,
+        "iterations": b.iterations,
+        "final_update": b.final_update,
+        "monotone_iterates": b.monotone_iterates,
+        "L_estimate": b.L_estimate,
+        "u_at_R": [float(x[-1]) for x in b.u],
+        "verification": _verification_dict(rep),
+        "csv": name,
+    } for b, rep, name in results]
 
 
 def _hypotheses_dict(spec: ProblemSpec, grid: RadialGrid, betas) -> dict:
@@ -395,7 +392,7 @@ def _solve_all(cfg: RunConfig, out: Path):
                          kernels=tables.kernels)
         report = verify_solution(bundle, tables, cfg.spec)
         name = f"{cfg.stem}_{i:03d}.csv"
-        write_solution_csv(out / name, cfg.grid, [g.values for g in bundle.u],
+        write_solution_csv(out / name, cfg.grid, list(bundle.u),
                            list(report.lower_curves) if report.lower_curves else None,
                            report.upper_curve)
         results.append((bundle, report, name))
@@ -411,10 +408,7 @@ def cmd_solve(cfg: RunConfig, out_override: str | None = None) -> int:
         "version": __version__,
         "config": cfg.raw,
         "hypotheses": _hypotheses_dict(cfg.spec, cfg.grid, cfg.betas),
-        "solutions": [
-            {**_bundle_summary(b), "verification": _verification_dict(rep), "csv": name}
-            for b, rep, name in results
-        ],
+        "solutions": _solutions(results),
     }
     if not all(h["passed"] for h in doc["hypotheses"].values()):
         doc["tag"] = "hypotheses unverified"
@@ -448,24 +442,25 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
         lair_doc = {
             "alpha": inst.alpha, "beta_exp": inst.beta_exp,
             "within_sublinear_range": inst.within_sublinear_range,
-            "first": vars(v1), "second": vars(v2),
+            "first": v1, "second": v2,
             "explosive_predicted": predicted,
         }
     doc = {
         "command": "classify",
         "version": __version__,
         "config": cfg.raw,
-        "classification": _classification_dict(classification),
+        "classification": {
+            "theorem": classification.theorem,
+            "conditions": classification.conditions,
+            "beta_window": classification.beta_window,
+            "F_inf": classification.f_inf,
+            "A_inf": classification.a_inf,
+            "notes": classification.notes,
+        },
         "auxiliary": {
-            "keller_osserman": [vars(v) for v in ko],
-            "ye_zhou": [vars(v) for v in yz],
-            "remarks": {
-                "applicable": remarks.applicable,
-                "consistent": remarks.consistent,
-                "reciprocal_power": [vars(v) for v in remarks.reciprocal_power],
-                "primitive_root": [vars(v) for v in remarks.primitive_root],
-                "note": remarks.note,
-            },
+            "keller_osserman": ko,
+            "ye_zhou": yz,
+            "remarks": remarks,
             "lair": lair_doc,
         },
     }
@@ -486,9 +481,9 @@ def cmd_verify(cfg: RunConfig, solution_path: str, out_override: str | None = No
     central = CentralValues(tuple(float(x[0]) for x in u))
     bundle = SolutionBundle(
         grid=cfg.grid, central=central,
-        u=tuple(GridFunction(cfg.grid, x) for x in u),
+        u=tuple(u),
         iterations=0, final_update=0.0, converged=True, tolerance=cfg.tol,
-        monotone_iterates=True, max_iterate_dip=0.0,
+        monotone_iterates=True,
         L_estimate=float(np.max(np.sum(u, axis=0))),
     )
     tables = build_transform_tables(cfg.spec, cfg.grid, cfg.classifier.probe)
@@ -520,8 +515,7 @@ def cmd_sweep(cfg: RunConfig, out_override: str | None = None) -> int:
     for i, k in itertools.permutations(range(len(bundles)), 2):
         bi, bk = bundles[i], bundles[k]
         if all(x <= y for x, y in zip(bi.central.values, bk.central.values)):
-            worst = max(float(np.max(ui.values - uk.values))
-                        for ui, uk in zip(bi.u, bk.u))
+            worst = max(float(np.max(ui - uk)) for ui, uk in zip(bi.u, bk.u))
             slack = 2.0 * cfg.tol
             comparisons.append({"lower": i, "higher": k, "worst_excess": worst})
             if worst > slack:
@@ -533,7 +527,7 @@ def cmd_sweep(cfg: RunConfig, out_override: str | None = None) -> int:
     for i, b in enumerate(bundles):
         cells = [str(i)]
         cells += [repr(v) for v in b.central.values]
-        cells += [repr(float(g.values[-1])) for g in b.u]
+        cells += [repr(float(x[-1])) for x in b.u]
         cells += [repr(b.L_estimate), str(b.iterations), str(b.converged).lower()]
         table_lines.append(",".join(cells))
     (out / "sweep_table.csv").write_text("\n".join(table_lines) + "\n", encoding="utf-8")
@@ -542,10 +536,7 @@ def cmd_sweep(cfg: RunConfig, out_override: str | None = None) -> int:
         "command": "sweep",
         "version": __version__,
         "config": cfg.raw,
-        "solutions": [
-            {**_bundle_summary(b), "verification": _verification_dict(rep), "csv": name}
-            for b, rep, name in results
-        ],
+        "solutions": _solutions(results),
         "ordering": {
             "comparable_pairs": comparisons,
             "violations": [{"lower": i, "higher": k, "worst_excess": w}
@@ -591,6 +582,9 @@ def main(argv: list[str] | None = None) -> int:
     except NegativeCoefficientError as err:  # a coefficient negative on the working grid
         print(f"[radsolve] config error: {ConfigError(f'problem.{err.key}', err.detail)}",
               file=sys.stderr)
+        return EXIT_CONFIG
+    except IterateOverflowError as err:  # the horizon lies beyond what the iterates reach
+        print(f"[radsolve] config error: {ConfigError('grid.R', str(err))}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as err:
         print(f"[radsolve] config error: {err}", file=sys.stderr)

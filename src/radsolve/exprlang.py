@@ -20,8 +20,8 @@ reported as :class:`EvalError` rather than silently producing NaN or inf.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "EvalError",
     "ValidationReport",
     "parse",
-    "evaluate",
     "evaluate_array",
     "unparse",
     "variables",
@@ -88,17 +87,6 @@ class Expr:
     value: float = 0.0
     name: str = ""
     args: tuple["Expr", ...] = ()
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return unparse(self)
-
-
-def _num(v: float) -> Expr:
-    return Expr("num", value=float(v))
-
-
-def _var(name: str) -> Expr:
-    return Expr("var", name=name)
 
 
 _TOKEN_RE = re.compile(
@@ -194,14 +182,14 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.take()
         if kind == "number":
-            return _num(float(text))
+            return Expr("num", value=float(text))
         if kind == "ident":
             if text in FUNCTIONS:
                 return self.call(text, pos)
             if text not in self.allowed:
                 allowed = ", ".join(sorted(self.allowed))
                 raise ParseError(f"unknown variable {text!r} (allowed: {allowed})", pos)
-            return _var(text)
+            return Expr("var", name=text)
         if kind == "op" and text == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -224,22 +212,17 @@ class _Parser:
         return Expr(name, args=tuple(args))
 
 
-def role_variables(role: str, d: int = 1) -> frozenset[str]:
-    """Variable set a role may reference: {'r'} or {'u1', ..., 'ud'}."""
-    if role == "radial":
-        return frozenset({"r"})
-    if role == "nonlinearity":
-        if d < 1:
-            raise ValueError("component count must be >= 1")
-        return frozenset({f"u{i}" for i in range(1, d + 1)})
-    raise ValueError(f"unknown role {role!r} (expected 'radial' or 'nonlinearity')")
-
-
 def parse(text: str, role: str, d: int = 1) -> Expr:
-    """Parse ``text`` as an expression with the variables allowed by ``role``."""
+    """Parse ``text`` as an expression in the variables ``role`` allows:
+    r for 'radial', u1 .. ud for 'nonlinearity'."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text, role_variables(role, d)).parse()
+    if role not in ("radial", "nonlinearity"):
+        raise ValueError(f"unknown role {role!r} (expected 'radial' or 'nonlinearity')")
+    if role == "nonlinearity" and d < 1:
+        raise ValueError("component count must be >= 1")
+    names = {"r"} if role == "radial" else {f"u{i}" for i in range(1, d + 1)}
+    return _Parser(text, frozenset(names)).parse()
 
 
 def variables(e: Expr) -> frozenset[str]:
@@ -254,12 +237,11 @@ def variables(e: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _check_finite(out: np.ndarray, e: Expr, inputs: tuple[np.ndarray, ...]) -> None:
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise EvalError("overflow or undefined result", unparse(e),
-                        tuple(float(x.flat[i]) for x in inputs), index=i)
+def _reject(mask: np.ndarray, message: str, e: Expr, args: tuple[np.ndarray, ...]) -> None:
+    """Raise ``EvalError`` at the first index where ``mask`` holds, with the inputs there."""
+    if np.any(mask):
+        i = int(np.argmax(mask))
+        raise EvalError(message, unparse(e), tuple(float(x.flat[i]) for x in args), index=i)
 
 
 def evaluate_array(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -289,40 +271,21 @@ def evaluate_array(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
             out = args[0] * args[1]
         elif e.kind == "div":
             num, den = args
-            zero = den == 0
-            if np.any(zero):
-                i = int(np.argmax(zero))
-                raise EvalError("division by zero", unparse(e),
-                                (float(num.flat[i]), float(den.flat[i])), index=i)
+            _reject(den == 0, "division by zero", e, args)
             out = num / den
         elif e.kind == "pow":
             base, expo = args
-            neg_frac = (base < 0) & (expo != np.floor(expo))
-            if np.any(neg_frac):
-                i = int(np.argmax(neg_frac))
-                raise EvalError("negative base with non-integer exponent", unparse(e),
-                                (float(base.flat[i]), float(expo.flat[i])), index=i)
-            zero_neg = (base == 0) & (expo < 0)
-            if np.any(zero_neg):
-                i = int(np.argmax(zero_neg))
-                raise EvalError("zero base with negative exponent", unparse(e),
-                                (float(base.flat[i]), float(expo.flat[i])), index=i)
+            _reject((base < 0) & (expo != np.floor(expo)),
+                    "negative base with non-integer exponent", e, args)
+            _reject((base == 0) & (expo < 0), "zero base with negative exponent", e, args)
             out = np.power(base, expo)
         elif e.kind == "exp":
             out = np.exp(args[0])
         elif e.kind == "log":
-            nonpos = args[0] <= 0
-            if np.any(nonpos):
-                i = int(np.argmax(nonpos))
-                raise EvalError("log of a non-positive number", unparse(e),
-                                (float(args[0].flat[i]),), index=i)
+            _reject(args[0] <= 0, "log of a non-positive number", e, args)
             out = np.log(args[0])
         elif e.kind == "sqrt":
-            negative = args[0] < 0
-            if np.any(negative):
-                i = int(np.argmax(negative))
-                raise EvalError("sqrt of a negative number", unparse(e),
-                                (float(args[0].flat[i]),), index=i)
+            _reject(args[0] < 0, "sqrt of a negative number", e, args)
             out = np.sqrt(args[0])
         elif e.kind == "abs":
             return np.abs(args[0])
@@ -334,43 +297,28 @@ def evaluate_array(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
             return out
         else:  # pragma: no cover - exhaustive kinds
             raise ExprError(f"unknown node kind {e.kind!r}")
-    _check_finite(out, e, args)
+    _reject(~np.isfinite(out), "overflow or undefined result", e, args)
     return out
-
-
-def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    """Scalar evaluation; same domain rules as :func:`evaluate_array`."""
-    arr_env = {k: np.asarray([float(v)]) for k, v in env.items()}
-    return float(np.asarray(evaluate_array(e, arr_env)).ravel()[0])
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-# syntactic classes, from loosest to tightest
+# syntactic classes, from loosest to tightest, and the class of each operator node
 _RANK = {"expr": 0, "term": 1, "factor": 2, "unary": 3, "atom": 4}
-
-
-def _class_of(e: Expr) -> str:
-    if e.kind in ("add", "sub"):
-        return "expr"
-    if e.kind in ("mul", "div"):
-        return "term"
-    if e.kind == "pow":
-        return "factor"
-    if e.kind == "neg":
-        return "unary"
-    return "atom"
+_CLASS = {"add": "expr", "sub": "expr", "mul": "term", "div": "term", "pow": "factor",
+          "neg": "unary"}
 
 
 def _fmt(e: Expr, need: str) -> str:
-    text = _emit(e)
-    if _RANK[_class_of(e)] < _RANK[need]:
+    text = unparse(e)
+    if _RANK[_CLASS.get(e.kind, "atom")] < _RANK[need]:
         return f"({text})"
     return text
 
 
-def _emit(e: Expr) -> str:
+def unparse(e: Expr) -> str:
+    """Render to grammar-valid text; reparsing gives a structurally equal tree."""
     if e.kind == "num":
         return repr(e.value)
     if e.kind == "var":
@@ -386,11 +334,6 @@ def _emit(e: Expr) -> str:
     if e.kind == "pow":
         return _fmt(e.args[0], "unary") + "^" + _fmt(e.args[1], "factor")
     return e.kind + "(" + ", ".join(_fmt(a, "expr") for a in e.args) + ")"
-
-
-def unparse(e: Expr) -> str:
-    """Render to grammar-valid text; reparsing gives a structurally equal tree."""
-    return _emit(e)
 
 
 # ---------------------------------------------------------------------------

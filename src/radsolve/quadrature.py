@@ -37,7 +37,6 @@ from .exprlang import ExprError
 
 __all__ = [
     "RadialGrid",
-    "GridFunction",
     "DivergenceVerdict",
     "ProbeConfig",
     "cumulative_trapezoid",
@@ -76,24 +75,6 @@ class RadialGrid:
 
     def __len__(self) -> int:
         return self.intervals + 1
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Scalar values on a radial grid, one per node, all finite."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.grid),):
-            raise ValueError(f"expected {len(self.grid)} values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid function values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
 
 def cumulative_trapezoid(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:

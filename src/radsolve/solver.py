@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .exprlang import evaluate_array
-from .quadrature import GridFunction, RadialGrid, cumulative_trapezoid
+from .quadrature import RadialGrid, cumulative_trapezoid
 from .transforms import (
     FInverseRangeError,
     ProblemSpec,
@@ -38,6 +38,7 @@ from .transforms import (
 
 __all__ = [
     "CentralValues",
+    "IterateOverflowError",
     "SolutionBundle",
     "VerificationReport",
     "iterate",
@@ -48,6 +49,14 @@ __all__ = [
 
 # raw nodewise dips beyond this relative size indicate a broken operator, not rounding
 _MONOTONE_SLACK = 1e-12
+# the ODE residual is judged on [margin, R - margin], to this multiple of h * (1 + sup |rhs|)
+_ODE_WINDOW_MARGIN = 0.1
+_ODE_TOL_FACTOR = 10.0
+
+
+class IterateOverflowError(ArithmeticError):
+    """An iterate left the floating-point range before the horizon: the solution
+    blows up, or outgrows the largest double, at or before the radius named."""
 
 
 @dataclass(frozen=True)
@@ -76,17 +85,17 @@ class CentralValues:
 
 @dataclass(frozen=True)
 class SolutionBundle:
-    """Converged (or flagged) iterates plus iteration diagnostics."""
+    """Converged (or flagged) iterates, u_j as an array over the grid nodes,
+    plus iteration diagnostics."""
 
     grid: RadialGrid
     central: CentralValues
-    u: tuple[GridFunction, ...]
+    u: tuple[np.ndarray, ...]
     iterations: int
     final_update: float
     converged: bool
     tolerance: float
     monotone_iterates: bool
-    max_iterate_dip: float
     L_estimate: float
 
 
@@ -113,9 +122,11 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
 
     The iterates are nondecreasing in the iteration index by construction; a
     raw nodewise dip beyond rounding is reported as a RuntimeError since only
-    a broken kernel can produce it.  Hitting ``max_iter`` returns a bundle
-    flagged as non-converged (no fixed point found at this tolerance), which
-    is a report outcome, not evidence of non-existence.
+    a broken kernel can produce it.  A sweep that leaves a value inf or NaN
+    raises ``IterateOverflowError`` naming the sweep and the first such node.
+    Hitting ``max_iter`` returns a bundle flagged as non-converged (no fixed
+    point found at this tolerance), which is a report outcome, not evidence
+    of non-existence.
     """
     if len(central) != spec.d:
         raise ValueError(f"expected {spec.d} central values, got {len(central)}")
@@ -128,7 +139,14 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
     worst_dip = 0.0
     while iterations < max_iter:
         iterations += 1
-        u_next = _apply(spec, kernels, u, central)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            u_next = _apply(spec, kernels, u, central)
+        bad = ~np.isfinite(u_next)
+        if bad.any():
+            r = float(grid.nodes[int(np.argmax(bad.any(axis=0)))])
+            raise IterateOverflowError(
+                f"iterate not finite at sweep {iterations} near r = {r:g}; "
+                "the solution leaves the floating-point range before the horizon")
         dip = min(float(np.min(nxt - cur)) for nxt, cur in zip(u_next, u))
         if dip < worst_dip:
             worst_dip = dip
@@ -147,13 +165,12 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
     return SolutionBundle(
         grid=grid,
         central=central,
-        u=tuple(GridFunction(grid, x) for x in u),
+        u=tuple(u),
         iterations=iterations,
         final_update=update,
         converged=converged,
         tolerance=tol,
         monotone_iterates=worst_dip >= -_MONOTONE_SLACK,
-        max_iterate_dip=worst_dip,
         L_estimate=float(np.max(total)),
     )
 
@@ -176,7 +193,7 @@ class VerificationReport:
     integral_residuals: tuple[float, ...] | None = None
     ode_residuals: tuple[float, ...] | None = None
     ode_window: tuple[float, float] | None = None
-    bounds_tolerance: float = 1e-6
+    bounds_tolerance: float = 1e-6  # a bound margin passes up to this violation
     integral_tolerance: float = np.nan
     ode_tolerance: float = np.nan
     converged: bool = True
@@ -206,8 +223,8 @@ class VerificationReport:
         return bool(parts) and all(parts) and self.converged
 
 
-def verify_bounds(bundle: SolutionBundle, tables: TransformTables, spec: ProblemSpec,
-                  tolerance: float = 1e-6) -> VerificationReport:
+def verify_bounds(bundle: SolutionBundle, tables: TransformTables,
+                  spec: ProblemSpec) -> VerificationReport:
     """Check the two-sided solution estimate at every grid node.
 
     Lower bound per component:  beta_j + f_j(beta)^(1/(p_j-1)) * A_j(r).
@@ -226,9 +243,9 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables, spec: Problem
         fbeta = float(evaluate_array(spec.f[j], env)[0])
         if fbeta < 0:
             raise ValueError(f"f[{j}] is negative at the central values")
-        lb = beta[j] + fbeta ** (1.0 / (spec.p[j] - 1.0)) * tables.A[j].values
+        lb = beta[j] + fbeta ** (1.0 / (spec.p[j] - 1.0)) * tables.A[j]
         lower_curves.append(lb)
-        lower_margins.append(float(np.max(lb - bundle.u[j].values)))
+        lower_margins.append(float(np.max(lb - bundle.u[j])))
 
     upper_margins = None
     upper_curve = None
@@ -241,10 +258,10 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables, spec: Problem
         else:
             try:
                 y0 = float(eval_F(tables.F, dbeta))
-                ys = y0 + np.sum([A.values for A in tables.A], axis=0)
+                ys = y0 + np.sum(tables.A, axis=0)
                 ub = invert_F(tables.F, ys, tables.F_inf)
                 upper_curve = ub
-                upper_margins = tuple(float(np.max(bundle.u[j].values - ub))
+                upper_margins = tuple(float(np.max(bundle.u[j] - ub))
                                       for j in range(spec.d))
             except FInverseRangeError as err:
                 upper_reason = f"upper bound not evaluable: {err}"
@@ -259,15 +276,12 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables, spec: Problem
         upper_reason=upper_reason,
         lower_curves=tuple(lower_curves),
         upper_curve=upper_curve,
-        bounds_tolerance=tolerance,
         converged=bundle.converged,
         notes=tuple(notes),
     )
 
 
 def residual(bundle: SolutionBundle, spec: ProblemSpec,
-             ode_window_margin: float = 0.1,
-             ode_tol_factor: float = 10.0,
              kernels: Sequence[RadialKernel] | None = None) -> VerificationReport:
     """Defect of the stored solution against the equations it should satisfy.
 
@@ -280,13 +294,13 @@ def residual(bundle: SolutionBundle, spec: ProblemSpec,
     report; the gap is simply carried as-is.  ``kernels`` are as for ``iterate``.
     """
     kernels = kernels or [RadialKernel(spec, j, bundle.grid.nodes) for j in range(spec.d)]
-    u = [g.values for g in bundle.u]
+    u = bundle.u
     applied = _apply(spec, kernels, u, bundle.central)
     integral_residuals = tuple(float(np.max(np.abs(ui - ti))) for ui, ti in zip(u, applied))
 
     r = bundle.grid.nodes
     hstep = bundle.grid.spacing
-    lo, hi = ode_window_margin, bundle.grid.horizon - ode_window_margin
+    lo, hi = _ODE_WINDOW_MARGIN, bundle.grid.horizon - _ODE_WINDOW_MARGIN
     window = (r >= lo) & (r <= hi) & (r > 0) & (r < bundle.grid.horizon)
     ode_residuals = []
     rhs_scale = 0.0
@@ -307,17 +321,17 @@ def residual(bundle: SolutionBundle, spec: ProblemSpec,
         ode_residuals=tuple(ode_residuals),
         ode_window=(lo, hi),
         integral_tolerance=10.0 * bundle.tolerance,
-        ode_tolerance=ode_tol_factor * hstep * (1.0 + rhs_scale),
+        ode_tolerance=_ODE_TOL_FACTOR * hstep * (1.0 + rhs_scale),
         converged=bundle.converged,
         notes=() if bundle.converged else
         ("bundle is not converged; residuals describe the gap, not a solution",),
     )
 
 
-def verify_solution(bundle: SolutionBundle, tables: TransformTables, spec: ProblemSpec,
-                    bounds_tolerance: float = 1e-6) -> VerificationReport:
+def verify_solution(bundle: SolutionBundle, tables: TransformTables,
+                    spec: ProblemSpec) -> VerificationReport:
     """Bounds and residual checks in one report."""
-    bounds = verify_bounds(bundle, tables, spec, bounds_tolerance)
+    bounds = verify_bounds(bundle, tables, spec)
     res = residual(bundle, spec, kernels=tables.kernels)
     return replace(bounds, integral_residuals=res.integral_residuals,
                    ode_residuals=res.ode_residuals, ode_window=res.ode_window,

@@ -41,7 +41,6 @@ from .exprlang import Expr, ExprError, ValidationReport, evaluate_array, validat
 from .quadrature import (
     CumulativeInterpolant,
     DivergenceVerdict,
-    GridFunction,
     ProbeConfig,
     RadialGrid,
     SharedSamples,
@@ -220,11 +219,12 @@ class RadialKernel:
 
 
 def build_A(spec: ProblemSpec, grid: RadialGrid, j: int,
-            kernel: RadialKernel | None = None) -> GridFunction:
-    """Barrier A_j on the grid, the running integral of the ratio of ``kernel`` (component
-    j's on the grid, built when not given) with f = 1; nondecreasing with A_j(0) = 0."""
+            kernel: RadialKernel | None = None) -> np.ndarray:
+    """Barrier A_j at the grid nodes as an array, the running integral of the ratio of
+    ``kernel`` (component j's on the grid, built when not given) with f = 1;
+    nondecreasing with A_j(0) = 0."""
     kernel = kernel or RadialKernel(spec, j, grid.nodes)
-    return GridFunction(grid, cumulative_trapezoid(grid.nodes, kernel.ratio()))
+    return cumulative_trapezoid(grid.nodes, kernel.ratio())
 
 
 def build_F(spec: ProblemSpec) -> CumulativeInterpolant:
@@ -305,8 +305,9 @@ def estimate_A_inf(spec: ProblemSpec, j: int,
 @dataclass(frozen=True)
 class TransformTables:
     """What solving and verifying on one working grid needs: the kernels (built
-    once, for every iteration and residual), A_j, F and F's tail estimate (the
-    A_j tails are the classifier's, via ``estimate_A_inf``).
+    once, for every iteration and residual), A_j as arrays over the grid nodes,
+    F and F's tail estimate (the A_j tails are the classifier's, via
+    ``estimate_A_inf``).
 
     F and its tail estimate are made on first use (only the upper bound of a
     uniform central value reads them); the F table then grows in place as
@@ -314,7 +315,7 @@ class TransformTables:
     """
 
     grid: RadialGrid
-    A: tuple[GridFunction, ...]
+    A: tuple[np.ndarray, ...]
     kernels: tuple[RadialKernel, ...]
     spec: ProblemSpec
     probe: ProbeConfig

@@ -423,6 +423,16 @@ def test_canonical_json_writes_the_bytes_of_the_reference(doc):
     assert canonical_json(doc) == _reference_canonical_json(doc)
 
 
+def test_canonical_json_writes_dataclasses_by_their_fields():
+    verdict = quadrature.DivergenceVerdict("converges", 2.0, (2.0, 4.0), (1.0, 1.5), "note")
+    doc = {"verdicts": (verdict,), "window": (1.0, np.inf)}
+    fields = {"verdict": "converges", "limit": 2.0, "horizons": [2.0, 4.0],
+              "partials": [1.0, 1.5], "note": "note"}
+    assert canonical_json(doc) == canonical_json({"verdicts": [fields], "window": [1.0, np.inf]})
+    with pytest.raises(TypeError):
+        canonical_json(quadrature.DivergenceVerdict)  # a dataclass type is not an instance
+
+
 def test_report_config_echo_revalidates(tmp_path):
     path = write_config(tmp_path, base_config(grid={"R": 2.0, "M": 64}))
     out = tmp_path / "out"
@@ -513,6 +523,18 @@ def test_classify_with_a_negative_coefficient_stays_inconclusive(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["classification"]["theorem"] == "inconclusive"
     assert "a[0] takes negative values" in report["classification"]["A_inf"][0]["note"]
+
+
+def test_solve_with_an_overflowing_iterate_is_a_config_error(tmp_path, capsys):
+    # the sinh oracle with its horizon at R = 800, where beta * sinh(r)/r has
+    # left the double range: the run stops at the first overflowing sweep and
+    # names the horizon as the key to change
+    path = write_config(tmp_path, base_config(grid={"R": 800.0, "M": 4000}))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert ("config error: grid.R: iterate not finite at sweep 223 near r = 799.4; "
+            "the solution leaves the floating-point range before the horizon") in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_solve_and_verify_build_each_kernel_once(tmp_path, monkeypatch):

@@ -9,13 +9,16 @@ from radsolve.exprlang import (
     EvalError,
     Expr,
     ParseError,
-    evaluate,
     evaluate_array,
     parse,
     unparse,
     validate_sampled,
     variables,
 )
+
+
+def evaluate(e, env):
+    return float(evaluate_array(e, {k: np.asarray([float(v)]) for k, v in env.items()}).ravel()[0])
 
 
 def test_parse_radial_product():

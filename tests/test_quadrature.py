@@ -6,7 +6,6 @@ from hypothesis import given
 from radsolve.quadrature import (
     CumulativeInterpolant,
     DivergenceVerdict,
-    GridFunction,
     ProbeConfig,
     RadialGrid,
     classify_tail,
@@ -31,14 +30,6 @@ def test_grid_basics():
 def test_grid_rejects_small_m():
     with pytest.raises(ValueError, match="M >= 8"):
         RadialGrid(1.0, 4)
-
-
-def test_grid_function_checks_shape_and_finiteness():
-    g = RadialGrid(1.0, 8)
-    with pytest.raises(ValueError):
-        GridFunction(g, np.zeros(5))
-    with pytest.raises(ValueError):
-        GridFunction(g, np.full(9, np.inf))
 
 
 def test_cumulative_zero_integrand():

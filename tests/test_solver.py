@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from radsolve.quadrature import ProbeConfig, RadialGrid
-from radsolve.solver import CentralValues, iterate, residual, verify_bounds, verify_solution
+from radsolve.solver import (CentralValues, IterateOverflowError, iterate, residual, verify_bounds,
+                             verify_solution)
 from radsolve.transforms import (
     ProblemSpec,
     build_A,
@@ -47,7 +48,7 @@ def test_zero_nonlinearity_converges_immediately():
     bundle = iterate(spec, grid, CentralValues.uniform(2.5, 1))
     assert bundle.converged
     assert bundle.iterations == 1
-    assert np.all(bundle.u[0].values == 2.5)
+    assert np.all(bundle.u[0] == 2.5)
 
 
 @pytest.mark.parametrize("p", [1.6, 2.0, 3.0])
@@ -59,8 +60,8 @@ def test_constant_nonlinearity_fixed_point_is_the_lower_sandwich_curve(p):
     grid = RadialGrid(2.0, 400)
     bundle = iterate(spec, grid, CentralValues.uniform(beta, 1), tol=1e-13)
     assert bundle.converged
-    lower = beta + c ** (1.0 / (p - 1.0)) * build_A(spec, grid, 0).values
-    assert np.max(np.abs(bundle.u[0].values - lower) / lower) < 1e-12
+    lower = beta + c ** (1.0 / (p - 1.0)) * build_A(spec, grid, 0)
+    assert np.max(np.abs(bundle.u[0] - lower) / lower) < 1e-12
     tables = build_transform_tables(spec, grid, ProbeConfig(horizon_count=6))
     report = verify_bounds(bundle, tables, spec)
     assert np.array_equal(report.lower_curves[0], lower)
@@ -71,9 +72,9 @@ def test_sinh_oracle_medium_grid():
     bundle = iterate(linear_spec(), grid, CentralValues.uniform(1.0, 1), tol=1e-10)
     assert bundle.converged
     exact = series_sinh_over_r(grid.nodes)
-    rel = np.max(np.abs(bundle.u[0].values - exact) / exact)
+    rel = np.max(np.abs(bundle.u[0] - exact) / exact)
     assert rel < 1e-4
-    assert bundle.u[0].values[0] == 1.0
+    assert bundle.u[0][0] == 1.0
 
 
 def test_symmetric_pair_reduces_to_the_scalar_oracle():
@@ -81,9 +82,9 @@ def test_symmetric_pair_reduces_to_the_scalar_oracle():
                                     ["u2", "u1"])
     grid = RadialGrid(5.0, 1000)
     bundle = iterate(spec, grid, CentralValues.uniform(1.0, 2), tol=1e-10)
-    assert np.array_equal(bundle.u[0].values, bundle.u[1].values)
+    assert np.array_equal(bundle.u[0], bundle.u[1])
     exact = series_sinh_over_r(grid.nodes)
-    assert np.max(np.abs(bundle.u[0].values - exact) / exact) < 1e-4
+    assert np.max(np.abs(bundle.u[0] - exact) / exact) < 1e-4
 
 
 def test_iterates_and_solution_are_monotone():
@@ -94,8 +95,8 @@ def test_iterates_and_solution_are_monotone():
     assert bundle.converged
     assert bundle.monotone_iterates
     for g in bundle.u:
-        assert np.all(np.diff(g.values) >= 0.0)
-        assert g.values[0] == 0.8
+        assert np.all(np.diff(g) >= 0.0)
+        assert g[0] == 0.8
 
 
 def test_non_convergence_is_flagged_not_raised():
@@ -106,6 +107,20 @@ def test_non_convergence_is_flagged_not_raised():
     assert bundle.iterations == 3
     rep = residual(bundle, linear_spec())
     assert any("not converged" in n for n in rep.notes)
+
+
+def test_an_overflowing_iterate_raises_at_its_first_non_finite_sweep():
+    # beta * sinh(r)/r leaves the double range beyond r = 717, inside R = 800:
+    # the iterates overflow on their way up, and iterate names the first sweep
+    # and node where one does instead of sweeping on over inf and NaN
+    grid = RadialGrid(800.0, 4000)
+    with pytest.raises(IterateOverflowError, match=r"at sweep 223 near r = 799\.4;") as info:
+        iterate(linear_spec(), grid, CentralValues.uniform(1.0, 1))
+    assert isinstance(info.value, ArithmeticError)
+    # every bundle that iterate returns holds finite values, one per grid node
+    bundle = iterate(linear_spec(), grid, CentralValues.uniform(1.0, 1), max_iter=222)
+    assert not bundle.converged
+    assert all(x.shape == (len(grid),) and np.all(np.isfinite(x)) for x in bundle.u)
 
 
 def test_central_values_validation():
@@ -120,7 +135,7 @@ def test_horizon_consistency():
     tol = 1e-10
     b1 = iterate(linear_spec(), RadialGrid(2.0, 256), CentralValues.uniform(1.0, 1), tol=tol)
     b2 = iterate(linear_spec(), RadialGrid(4.0, 512), CentralValues.uniform(1.0, 1), tol=tol)
-    assert np.max(np.abs(b2.u[0].values[:257] - b1.u[0].values)) <= 2 * tol
+    assert np.max(np.abs(b2.u[0][:257] - b1.u[0])) <= 2 * tol
 
 
 def test_lower_bound_and_upper_bound_margins():
@@ -143,9 +158,9 @@ def test_upper_chain_on_component_sum():
     tables = build_transform_tables(spec, grid)
     bundle = iterate(spec, grid, CentralValues.uniform(1.0, 2), tol=1e-10)
     dbeta = 2.0
-    ys = float(eval_F(tables.F, dbeta)) + np.sum([A.values for A in tables.A], axis=0)
+    ys = float(eval_F(tables.F, dbeta)) + np.sum(tables.A, axis=0)
     ub = invert_F(tables.F, ys, tables.F_inf)
-    total = np.sum([g.values for g in bundle.u], axis=0)
+    total = np.sum(bundle.u, axis=0)
     assert np.max(total - ub) <= 1e-6
 
 
@@ -227,5 +242,5 @@ def test_grid_refinement_is_second_order():
         grid = RadialGrid(5.0, M)
         bundle = iterate(linear_spec(), grid, CentralValues.uniform(1.0, 1), tol=1e-12)
         exact = series_sinh_over_r(grid.nodes)
-        errs[M] = np.max(np.abs(bundle.u[0].values - exact))
+        errs[M] = np.max(np.abs(bundle.u[0] - exact))
     assert errs[500] / errs[1000] >= 3.5

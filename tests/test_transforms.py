@@ -67,7 +67,7 @@ def test_kernel_ratio_with_unit_source_is_the_barrier_integrand():
     assert np.array_equal(kernel.ratio(), kernel.ratio(ones))
     assert np.array_equal(kernel.inner(), kernel.inner(ones))
     A = build_A(spec, grid, 0)
-    assert np.array_equal(A.values, cumulative_trapezoid(grid.nodes, kernel.ratio()))
+    assert np.array_equal(A, cumulative_trapezoid(grid.nodes, kernel.ratio()))
     # a source scales the inner integral linearly
     assert np.allclose(kernel.inner(3.0 * ones), 3.0 * kernel.inner(), rtol=1e-14)
 
@@ -85,22 +85,22 @@ def test_kernel_rejects_negative_coefficients_and_bad_index():
 def test_A_closed_form_quadratic():
     grid = RadialGrid(1.0, 2000)
     A = build_A(linear_spec(), grid, 0)
-    assert abs(A.values[-1] - 1.0 / 6.0) / (1.0 / 6.0) < 1e-6
-    assert A.values[0] == 0.0
+    assert abs(A[-1] - 1.0 / 6.0) / (1.0 / 6.0) < 1e-6
+    assert A[0] == 0.0
 
 
 def test_A_zero_source():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "0", "u1")
     grid = RadialGrid(1.0, 64)
     A = build_A(spec, grid, 0)
-    assert np.all(A.values == 0.0)
+    assert np.all(A == 0.0)
 
 
 def test_A_closed_form_p3():
     spec = ProblemSpec.from_strings(3, 1, 3.0, "0", "1", "u1")
     grid = RadialGrid(1.0, 2000)
     A = build_A(spec, grid, 0)
-    assert abs(A.values[-1] - TWO_OVER_THREE_ROOT_THREE) / TWO_OVER_THREE_ROOT_THREE < 1e-4
+    assert abs(A[-1] - TWO_OVER_THREE_ROOT_THREE) / TWO_OVER_THREE_ROOT_THREE < 1e-4
 
 
 def test_A_nondecreasing_with_zero_start():
@@ -109,8 +109,8 @@ def test_A_nondecreasing_with_zero_start():
     grid = RadialGrid(3.0, 200)
     for j in range(2):
         A = build_A(spec, grid, j)
-        assert A.values[0] == 0.0
-        assert np.all(np.diff(A.values) >= 0.0)
+        assert A[0] == 0.0
+        assert np.all(np.diff(A) >= 0.0)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0))
@@ -118,7 +118,7 @@ def test_A_scales_linearly_with_source_when_p_is_2(c):
     grid = RadialGrid(1.0, 128)
     base = build_A(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1"), grid, 0)
     scaled = build_A(ProblemSpec.from_strings(3, 1, 2.0, "0", repr(c), "u1"), grid, 0)
-    assert np.allclose(scaled.values, c * base.values, rtol=1e-12, atol=1e-300)
+    assert np.allclose(scaled, c * base, rtol=1e-12, atol=1e-300)
 
 
 def test_F_closed_form_log():
