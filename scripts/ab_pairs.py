@@ -5,11 +5,14 @@
         [--pairs 10] [--seed 1] [--seconds 30]
 
 Each pair runs ``radbench/run.py --workload NAME --seed S --seconds T --trace 0``
-once in each checkout, one after the other, with its working directory at
-the root of that checkout (so each side builds what it runs from its own
-sources).  The parent runs first on odd pairs and the change on even ones,
-so a slow drift of the host does not favour one side.  Pair i uses seed
-``seed + i - 1``.
+once for each checkout, one after the other.  Before each run the side's
+``src/``, ``radbench/`` and ``configs/`` are copied into one fixed staging
+directory, emptied first, and the run starts there.  So each side builds what
+it runs from its own sources, and both run from the same path: where a
+checkout lives cannot favour it.  The parent runs first on odd pairs and the
+change on even ones, so a slow drift of the host does not favour one side.
+Pair i uses seed ``seed + i - 1``.  Run one batch at a time: each run
+empties the staging directory.
 
 For every pair the script prints ``run_s``, ``setup_s`` and ``peak_rss_mb`` of
 both sides.  Then, per metric (all three are better when lower), it prints
@@ -29,13 +32,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+STAGING = Path(tempfile.gettempdir()) / "radsolve-ab-staging"
+STAGED = ("src", "radbench", "configs")
 
 
 def plan(pairs: int, seed: int) -> list[tuple[int, tuple[str, str]]]:
@@ -75,10 +82,19 @@ def result_line(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
+def stage(root: Path) -> Path:
+    """Empty ``STAGING`` and copy the ``STAGED`` directories of checkout ``root`` into it."""
+    shutil.rmtree(STAGING, ignore_errors=True)
+    for name in STAGED:
+        shutil.copytree(root / name, STAGING / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return STAGING
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "radbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=stage(root), capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
     return result_line(proc.stdout)

@@ -449,14 +449,7 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
         "command": "classify",
         "version": __version__,
         "config": cfg.raw,
-        "classification": {
-            "theorem": classification.theorem,
-            "conditions": classification.conditions,
-            "beta_window": classification.beta_window,
-            "F_inf": classification.f_inf,
-            "A_inf": classification.a_inf,
-            "notes": classification.notes,
-        },
+        "classification": classification,
         "auxiliary": {
             "keller_osserman": ko,
             "ye_zhou": yz,

@@ -45,6 +45,7 @@ from .transforms import (
     estimate_A_inf,
     estimate_F_inf,
     eval_F,
+    invert_F,
 )
 
 __all__ = [
@@ -107,8 +108,8 @@ class Classification:
     theorem: str
     conditions: dict[str, ConditionVerdict]
     beta_window: tuple[float, float] | None
-    f_inf: DivergenceVerdict
-    a_inf: tuple[DivergenceVerdict, ...]
+    F_inf: DivergenceVerdict
+    A_inf: tuple[DivergenceVerdict, ...]
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -215,8 +216,8 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
         conditions={"C3": c3, "C4": c4, "C5": c5, "C6": c6,
                     "sublinearity": sublin, "sup_bounded": supb},
         beta_window=beta_window,
-        f_inf=f_inf,
-        a_inf=a_inf,
+        F_inf=f_inf,
+        A_inf=a_inf,
         notes=tuple(notes),
     )
 
@@ -224,14 +225,16 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
 def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
              a_inf: tuple[DivergenceVerdict, ...],
              config: ClassifierConfig = ClassifierConfig()) -> tuple[ConditionVerdict, tuple[float, float] | None]:
-    """Feasible central-value search for the bounded-solution condition.
+    """Feasible central values for the bounded-solution condition.
 
     Requires convergent estimates for F and every barrier.  The condition,
     sum_j A_j(inf) < F(inf) - F(d*beta) for some beta > anchor/d, is monotone:
     F increases, so feasibility at any beta implies feasibility of everything
-    below it.  We test just above anchor/d and, when feasible, bisect for the
-    largest feasible beta; the returned window is the open interval between
-    anchor/d and that right end.
+    below it.  We test just above anchor/d and, when feasible, take the right
+    end from the F table's exact inverse at F(inf) - sum_j A_j(inf), growing
+    the table by octaves up to the probe horizon anchor * 2^K, where the end
+    is capped if F stays below that value.  The returned window is the open
+    interval between anchor/d and that right end.
     """
     if f_inf.verdict != "converges":
         raise ValueError("C6 requires a convergent F tail estimate")
@@ -242,60 +245,34 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     d, anchor = spec.d, spec.anchor
 
     table = build_F(spec)
-
-    def gap(beta: float) -> float:
-        return F_lim - float(eval_F(table, d * beta)) - total_A
-
     beta_lo = (anchor / d) * (1.0 + 1e-6)
-    g_lo = gap(beta_lo)
-    trace: list[tuple[float, float]] = [(beta_lo, g_lo)]
+    g_lo = F_lim - float(eval_F(table, d * beta_lo)) - total_A
     if g_lo <= 0.0:
         return (ConditionVerdict(
             "fails",
-            {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo, "trace": trace},
+            {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo},
             "the barrier tails already exceed the remaining F range just above anchor/d"),
             None)
 
-    cap = replace(config.probe, r_start=anchor).t_max / d
-    lo, g_prev = beta_lo, g_lo
-    hi = None
-    beta = beta_lo
-    while beta < cap:
-        beta = min(2.0 * beta, cap)
-        g = gap(beta)
-        trace.append((beta, g))
-        if g > g_prev + 1e-9 * (1.0 + abs(g_prev)):
-            raise RuntimeError("feasibility gap increased with beta; F table is inconsistent")
-        if g <= 0.0:
-            hi = beta
-            break
-        lo, g_prev = beta, g
-    if hi is None:
-        window = (anchor / d, cap)
+    target = F_lim - total_A
+    horizon = replace(config.probe, r_start=anchor).t_max
+    while table.values[-1] < target and table.t_max < horizon:
+        table.extend(2.0 * table.t_max)
+    if table.values[-1] < target:
+        cap = horizon / d
         return (ConditionVerdict(
             "holds",
             {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo,
-             "beta_max": cap, "capped": True, "trace": trace},
+             "beta_max": cap, "capped": True},
             "feasible everywhere probed; right end capped at the probe horizon"),
-            window)
+            (anchor / d, cap))
 
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        trace.append((mid, g))
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    beta_max = 0.5 * (lo + hi)
-    g_final = gap(beta_max)
+    beta_max = float(invert_F(table, [target], f_inf)[0]) / d
+    g_final = F_lim - float(eval_F(table, d * beta_max)) - total_A
     return (ConditionVerdict(
         "holds",
         {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo,
-         "beta_max": beta_max, "gap_at_beta_max": g_final, "capped": False,
-         "trace": trace},
+         "beta_max": beta_max, "gap_at_beta_max": g_final, "capped": False},
         ""),
         (anchor / d, beta_max))
 
@@ -396,6 +373,16 @@ def _primitive_root_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> 
     return probe_divergence(integrand, probe.r_start, probe)
 
 
+def _reciprocal_power_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
+    """Probe ds / f_diag(s)^expo from ``probe.r_start`` (inconclusive where f vanishes)."""
+
+    def integrand(s):
+        with np.errstate(divide="ignore"):
+            return np.power(np.asarray(f_diag(s), dtype=float), -expo)
+
+    return probe_divergence(integrand, probe.r_start, probe)
+
+
 def check_keller_osserman(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
     """Probe the inverse-square-root growth test on the primitive of f.
 
@@ -410,14 +397,7 @@ def check_keller_osserman(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) 
 def check_ye_zhou(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
     """Probe the reciprocal growth test on f itself (on the samples of the F
     probe when ``f_diag`` is ``spec.diagonal(j)`` and the anchor is r_start)."""
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            vals = np.asarray(f_diag(t), dtype=float)
-            return 1.0 / vals
-
-    return probe_divergence(integrand, probe.r_start, probe)
+    return _reciprocal_power_probe(f_diag, 1.0, probe)
 
 
 @dataclass(frozen=True)
@@ -448,12 +428,7 @@ def check_remark_implications(spec: ProblemSpec, c3_status: str,
     r2 = []
     for j in range(spec.d):
         f_j = spec.diagonal(j)
-
-        def integrand1(s, f_j=f_j):
-            with np.errstate(divide="ignore"):
-                return np.power(f_j(s), -expo1)
-
-        r1.append(probe_divergence(integrand1, spec.anchor, anchored))
+        r1.append(_reciprocal_power_probe(f_j, expo1, anchored))
         r2.append(_primitive_root_probe(f_j, 1.0 / spec.min_p, anchored))
 
     if c3_status != "holds":

@@ -12,11 +12,11 @@ The growth scale F maps s >= anchor to
 
     F(s) = integral_anchor^s (1 + sum_j f_j(t, ..., t))^(1/(1 - min_j p_j)) dt,
 
-a strictly increasing function whose tabulated inverse drives the upper
-solution bound and the feasibility search for bounded solutions.  The
-nonlinearities take d arguments; inside F they are evaluated on the diagonal
-``f_j(s, ..., s)``.  F is a ``quadrature.CumulativeInterpolant`` from the
-anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
+a strictly increasing function whose tabulated inverse gives the upper
+solution bound and the right end of the C6 window (``conditions.check_C6``).
+The nonlinearities take d arguments; inside F they are evaluated on the
+diagonal ``f_j(s, ..., s)``.  F is a ``quadrature.CumulativeInterpolant`` from
+the anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
 ``invert_F`` extend it in place by whole octaves as queries need, so every
 query against one table reads the same tabulation.  ``ProblemSpec.diagonal(j)``
 is f_j on the diagonal, one shared callable per spec, so the F tail probe and
@@ -314,7 +314,6 @@ class TransformTables:
     ``eval_F`` and ``invert_F`` need, shared by every central value verified.
     """
 
-    grid: RadialGrid
     A: tuple[np.ndarray, ...]
     kernels: tuple[RadialKernel, ...]
     spec: ProblemSpec
@@ -334,7 +333,7 @@ def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,
     """Assemble the kernels and A_j; the F table and its tail estimate follow on first use."""
     kernels = tuple(RadialKernel(spec, j, grid.nodes) for j in range(spec.d))
     A = tuple(build_A(spec, grid, j, kernel) for j, kernel in enumerate(kernels))
-    return TransformTables(grid, A, kernels, spec, probe)
+    return TransformTables(A, kernels, spec, probe)
 
 
 def validate_hypotheses(spec: ProblemSpec, r_max: float, u_max: float,

@@ -1,6 +1,7 @@
-"""The statistics and the run plan of ``scripts/ab_pairs.py`` on fixed numbers."""
+"""The statistics, the run plan and the staging of ``scripts/ab_pairs.py`` on fixed inputs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,32 @@ def test_result_line_is_the_last_json_line():
     assert ab_pairs.result_line(out) == {"correct": True, "failed": 0, "metrics": {}}
     with pytest.raises(ValueError):
         ab_pairs.result_line("\n")
+
+
+def _checkout(root, label):
+    for name in ab_pairs.STAGED:
+        (root / name).mkdir(parents=True)
+        (root / name / "side.txt").write_text(label)
+    return root
+
+
+def test_both_sides_run_from_one_staging_path_with_their_own_sources(tmp_path, monkeypatch):
+    monkeypatch.setattr(ab_pairs, "STAGING", tmp_path / "staging")
+    roots = {side: _checkout(tmp_path / f"{side}_checkout", side) for side in ab_pairs.SIDES}
+    seen = []
+
+    def fake_run(argv, cwd, **kwargs):
+        staged = {name: (Path(cwd) / name / "side.txt").read_text() for name in ab_pairs.STAGED}
+        seen.append((Path(cwd), staged))
+        doc = {"correct": True, "failed": 0,
+               "metrics": {m: {"value": 1.0} for m in ab_pairs.METRICS}}
+        return ab_pairs.subprocess.CompletedProcess(argv, 0, json.dumps(doc) + "\n", "")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    code = ab_pairs.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                          "--workload", "classify_gallery", "--pairs", "2"])
+    assert code == 0
+    assert {cwd for cwd, _ in seen} == {tmp_path / "staging"}
+    sides = [side for _, order in ab_pairs.plan(2, 1) for side in order]
+    assert [staged for _, staged in seen] == [dict.fromkeys(ab_pairs.STAGED, side)
+                                              for side in sides]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from radsolve import conditions
 from radsolve.conditions import (
     ClassifierConfig,
     LairInstance,
@@ -19,7 +20,8 @@ from radsolve.conditions import (
 )
 from radsolve.exprlang import parse
 from radsolve.quadrature import ProbeConfig
-from radsolve.transforms import ProblemSpec, estimate_A_inf, estimate_F_inf
+from radsolve.transforms import (ProblemSpec, build_F, estimate_A_inf, estimate_F_inf, eval_F,
+                                 invert_F)
 
 # oracle values from high-precision quadrature
 F_INF_CUBIC = 0.37355072789142418
@@ -154,7 +156,7 @@ def test_decide_theorem_monotone_in_evidence():
 # --- C6 ----------------------------------------------------------------------
 
 def test_check_C6_window_and_residual():
-    spec = spec_cubic_decaying()
+    spec = spec_cubic_decaying()  # configs/bounded_cubic.json
     f_inf = estimate_F_inf(spec)
     a_inf = (estimate_A_inf(spec, 0),)
     verdict, window = check_C6(spec, f_inf, a_inf)
@@ -162,11 +164,40 @@ def test_check_C6_window_and_residual():
     lo, hi = window
     assert lo == pytest.approx(1.0)
     assert hi == pytest.approx(BETA_MAX_CUBIC, rel=0.01)
-    assert abs(verdict.evidence["gap_at_beta_max"]) < 1e-8
-    # feasibility is antitone in beta: the recorded gap trace never increases
-    trace = sorted(verdict.evidence["trace"])
-    gaps = [g for _, g in trace]
-    assert all(g2 <= g1 + 1e-9 for g1, g2 in zip(gaps, gaps[1:]))
+    # the window end a 200-step bisection on the same F table found
+    assert hi == verdict.evidence["beta_max"] == pytest.approx(1.6643986174652152, rel=1e-12)
+    # the right end is the exact root of the tabulated gap, not a bracket of it
+    assert abs(verdict.evidence["gap_at_beta_max"]) <= 1e-14 * verdict.evidence["F_limit"]
+    assert "trace" not in verdict.evidence
+
+
+@pytest.mark.parametrize("a_expr, capped", [("(1+r)^(-4)", False), ("0", True)])
+def test_check_C6_queries_F_a_fixed_number_of_times_within_the_horizon(
+        monkeypatch, a_expr, capped):
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", a_expr, "u1^3")
+    f_inf, a_inf = estimate_F_inf(spec), (estimate_A_inf(spec, 0),)
+    calls, tables = {"eval_F": 0, "invert_F": 0}, []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def kept_build_F(spec):
+        tables.append(build_F(spec))
+        return tables[-1]
+
+    monkeypatch.setattr(conditions, "eval_F", counted("eval_F", eval_F))
+    monkeypatch.setattr(conditions, "invert_F", counted("invert_F", invert_F), raising=False)
+    monkeypatch.setattr(conditions, "build_F", kept_build_F)
+    verdict, _ = check_C6(spec, f_inf, a_inf)
+    assert verdict.status == "holds" and verdict.evidence["capped"] is capped
+    assert calls["eval_F"] <= 3 and calls["invert_F"] == (0 if capped else 1)
+    horizon = spec.anchor * 2.0 ** ClassifierConfig().probe.horizon_count
+    assert len(tables) == 1 and tables[0].t_max <= horizon
+    if capped:  # F stays below its target out to the horizon, and is probed there
+        assert tables[0].t_max == horizon
 
 
 def test_check_C6_zero_barrier_is_capped():

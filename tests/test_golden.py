@@ -35,7 +35,7 @@ GOLDEN = {
         "cd3684c7b1d6abd29a9c0e68b28a3b3600b5f93a767418ffee7c9b420c1aedb3",
     "classify_bounded_cubic": 0,
     "classify_bounded_cubic/report.json":
-        "482f2f7df767f03875809af4efddc85a789bb5efead5acdcce2906fd52281782",
+        "95a4ebf4e58171ca0893c73815474e27e3f051a702d889603001f852a49452d6",
     "classify_coupled_sweep": 0,
     "classify_coupled_sweep/report.json":
         "4432d6e8cd9bbae6d6c61a52d07f2cc9598c3b22566037c92320634d012012cc",
