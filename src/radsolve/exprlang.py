@@ -182,7 +182,9 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.take()
         if kind == "number":
-            return Expr("num", value=float(text))
+            if not np.isfinite(value := float(text)):  # 1e400 would print as 'inf'
+                raise ParseError("number out of range", pos)
+            return Expr("num", value=value)
         if kind == "ident":
             if text in FUNCTIONS:
                 return self.call(text, pos)
@@ -248,8 +250,16 @@ def evaluate_array(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
     """Vectorized evaluation over numpy arrays (all of one common shape).
 
     Raises :class:`EvalError` naming the offending subexpression and the first
-    offending input value; never returns NaN or inf.
+    offending input value; never returns NaN or inf.  One ``np.errstate`` covers
+    the whole evaluation, and each node checks its own result.
     """
+    if not e.args:  # a number or a variable: nothing computed, no errstate needed
+        return _evaluate(e, env)
+    with np.errstate(all="ignore"):
+        return _evaluate(e, env)
+
+
+def _evaluate(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
     if e.kind == "num":
         shape = next(iter(env.values())).shape if env else ()
         return np.full(shape, e.value, dtype=float)
@@ -259,45 +269,47 @@ def evaluate_array(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
         except KeyError:
             raise EvalError("unbound variable", e.name) from None
 
-    args = tuple(evaluate_array(a, env) for a in e.args)
-    with np.errstate(all="ignore"):
-        if e.kind == "neg":
-            return -args[0]
-        if e.kind == "add":
-            out = args[0] + args[1]
-        elif e.kind == "sub":
-            out = args[0] - args[1]
-        elif e.kind == "mul":
-            out = args[0] * args[1]
-        elif e.kind == "div":
-            num, den = args
-            _reject(den == 0, "division by zero", e, args)
-            out = num / den
-        elif e.kind == "pow":
-            base, expo = args
+    args = tuple(_evaluate(a, env) for a in e.args)
+    if e.kind == "neg":
+        return -args[0]
+    if e.kind == "add":
+        out = args[0] + args[1]
+    elif e.kind == "sub":
+        out = args[0] - args[1]
+    elif e.kind == "mul":
+        out = args[0] * args[1]
+    elif e.kind == "div":
+        num, den = args
+        _reject(den == 0, "division by zero", e, args)
+        out = num / den
+    elif e.kind == "pow":
+        base, expo = args
+        if (base <= 0).any():
             _reject((base < 0) & (expo != np.floor(expo)),
                     "negative base with non-integer exponent", e, args)
             _reject((base == 0) & (expo < 0), "zero base with negative exponent", e, args)
-            out = np.power(base, expo)
-        elif e.kind == "exp":
-            out = np.exp(args[0])
-        elif e.kind == "log":
-            _reject(args[0] <= 0, "log of a non-positive number", e, args)
-            out = np.log(args[0])
-        elif e.kind == "sqrt":
-            _reject(args[0] < 0, "sqrt of a negative number", e, args)
-            out = np.sqrt(args[0])
-        elif e.kind == "abs":
-            return np.abs(args[0])
-        elif e.kind in ("min", "max"):
-            reducer = np.minimum if e.kind == "min" else np.maximum
-            out = args[0]
-            for a in args[1:]:
-                out = reducer(out, a)
-            return out
-        else:  # pragma: no cover - exhaustive kinds
-            raise ExprError(f"unknown node kind {e.kind!r}")
-    _reject(~np.isfinite(out), "overflow or undefined result", e, args)
+        out = np.power(base, expo)
+    elif e.kind == "exp":
+        out = np.exp(args[0])
+    elif e.kind == "log":
+        _reject(args[0] <= 0, "log of a non-positive number", e, args)
+        out = np.log(args[0])
+    elif e.kind == "sqrt":
+        _reject(args[0] < 0, "sqrt of a negative number", e, args)
+        out = np.sqrt(args[0])
+    elif e.kind == "abs":
+        return np.abs(args[0])
+    elif e.kind in ("min", "max"):
+        reducer = np.minimum if e.kind == "min" else np.maximum
+        out = args[0]
+        for a in args[1:]:
+            out = reducer(out, a)
+        return out
+    else:  # pragma: no cover - exhaustive kinds
+        raise ExprError(f"unknown node kind {e.kind!r}")
+    # a finite sum means finite values; only a non-finite one needs the exact scan
+    if not np.isfinite(np.add.reduce(out, axis=None)):
+        _reject(~np.isfinite(out), "overflow or undefined result", e, args)
     return out
 
 

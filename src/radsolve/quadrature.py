@@ -19,8 +19,8 @@ Divergence of an improper integral is not decidable numerically, so the
 verdict is three-valued with an explicit ``inconclusive`` outcome.  A probe
 calls its integrand once on a read-only block of all its octaves' nodes (octave
 by octave only if that call raises) and checks and integrates it per octave.
-Probes with the same start and knobs share the block, on which
-``SharedSamples`` evaluates a function probed several times only once.
+Probes with the same start and knobs share the block and its interval widths,
+on which ``SharedSamples`` evaluates a function probed several times only once.
 """
 
 from __future__ import annotations
@@ -101,6 +101,9 @@ class ProbeConfig:
             raise ValueError("rho_conv must lie in (0, 1)")
         if self.nodes_per_octave < 8:
             raise ValueError("nodes_per_octave must be >= 8")
+        # 2.0 ** 1024 raises OverflowError rather than giving inf
+        if self.horizon_count >= 1024 or not math.isfinite(self.t_max):
+            raise ValueError("the outermost horizon r_start * 2^horizon_count must be finite")
 
     @property
     def t_max(self) -> float:
@@ -205,26 +208,30 @@ def _samples(integrand: Callable, nodes: np.ndarray,
     stop = len(values) if usable.all() else int(np.argmin(usable))
     ys = values[:stop]
     low = ys.min(axis=1)
-    negative = low < -1e-12 * np.maximum(1.0, np.abs(ys).max(axis=1))
-    if negative.any():
-        raise ValueError(f"integrand is negative (min {float(low[np.argmax(negative)]):g}); "
-                         "probe requires nonnegative data")
+    if (low < 0).any():  # only then is there anything to check or clip
+        negative = low < -1e-12 * np.maximum(1.0, np.abs(ys).max(axis=1))
+        if negative.any():
+            raise ValueError(f"integrand is negative (min {float(low[np.argmax(negative)]):g}); "
+                             "probe requires nonnegative data")
+        ys = np.maximum(ys, 0.0)
     if stop < len(values):
         failure = f"integrand not finite near r = {float(rows[stop][np.argmin(finite[stop])]):g}"
     elif isinstance(failure, Exception):
         raise failure
-    return np.maximum(ys, 0.0), failure
+    return ys, failure
 
 
 @functools.lru_cache(maxsize=4)
-def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple[np.ndarray, tuple]:
+def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple:
     """Read-only nodes of the octaves [start 2^(k-1), start 2^k], k = 1 ..
-    horizon_count, as one flat array and as one view of it per octave."""
+    horizon_count, as one flat array, as one view of it per octave, and the
+    interval widths of each octave (one row per octave)."""
     edges = [start * 2.0 ** k for k in range(horizon_count + 1)]
     nodes = np.concatenate([np.linspace(left, right, nodes_per_octave + 1)
                             for left, right in zip(edges, edges[1:])])
-    nodes.flags.writeable = False
-    return nodes, tuple(nodes.reshape(horizon_count, -1))
+    widths = np.diff(nodes.reshape(horizon_count, -1), axis=1)
+    nodes.flags.writeable = widths.flags.writeable = False
+    return nodes, tuple(nodes.reshape(horizon_count, -1)), widths
 
 
 def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
@@ -244,12 +251,12 @@ def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> Div
     """
     if not start > 0:
         raise ValueError("start must be positive")
-    nodes, rows = _octaves(start, cfg.horizon_count, cfg.nodes_per_octave)
+    nodes, rows, widths = _octaves(start, cfg.horizon_count, cfg.nodes_per_octave)
     ys, why = _samples(integrand, nodes, rows)
-    xs = nodes.reshape(len(rows), -1)[:len(ys)]
-    # summed one octave at a time from 0.0, as a loop over the octaves would
-    partials = tuple(itertools.accumulate(np.trapezoid(ys, xs, axis=1).tolist(), initial=0.0))[1:]
-    horizons = tuple(xs[:, -1].tolist())
+    # np.trapezoid's expression per octave, summed from 0.0 as an octave loop would
+    areas = (widths[:len(ys)] * (ys[:, 1:] + ys[:, :-1]) / 2.0).sum(1)
+    partials = tuple(itertools.accumulate(areas.tolist(), initial=0.0))[1:]
+    horizons = tuple(float(xs[-1]) for xs in rows[:len(ys)])
     if why:
         return DivergenceVerdict("inconclusive", horizons=horizons, partials=partials, note=why)
 
@@ -346,7 +353,7 @@ class CumulativeInterpolant:
         if np.any(t_arr < self.lo * (1 - 1e-12)) or np.any(t_arr > self.t_max * (1 + 1e-12)):
             raise ValueError(f"query outside [{self.lo:g}, {self.t_max:g}]")
         out = np.interp(t_arr, self.s, self.values)
-        return float(out) if np.isscalar(t) else out
+        return float(out) if t_arr.ndim == 0 else out
 
     def inverse(self, ys: np.ndarray) -> np.ndarray:
         """The node-linear inverse at ``ys`` in [0, values[-1]]; the table
@@ -361,7 +368,8 @@ class SharedSamples:
     """``fn`` evaluated once per read-only array such as a probe octave: its
     values, or the domain error it raised, are kept by array identity with the
     array held so that its id stays unique; writeable arrays are not kept.
-    ``primitive(t_max)`` tabulates ``fn`` from 0 once per ``t_max``."""
+    ``primitive(t_max)`` tabulates ``fn`` from 0 once per ``t_max``, itself
+    wrapped in ``SharedSamples``, so it is interpolated once per probe block."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self._fn, self._values, self._primitives = fn, {}, {}
@@ -380,7 +388,7 @@ class SharedSamples:
             raise out
         return out
 
-    def primitive(self, t_max: float) -> CumulativeInterpolant:
+    def primitive(self, t_max: float) -> "SharedSamples":
         if t_max not in self._primitives:
-            self._primitives[t_max] = CumulativeInterpolant(self._fn, t_max)
+            self._primitives[t_max] = SharedSamples(CumulativeInterpolant(self._fn, t_max))
         return self._primitives[t_max]

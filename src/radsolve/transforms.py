@@ -163,8 +163,9 @@ class ProblemSpec:
 class RadialKernel:
     """H_j and the nested ratio of component ``j``, evaluated once on ``nodes``.
 
-    ``h_cum`` is the running integral of h_j, ``H`` = r^(N-1) * exp(h_cum) and
-    ``weighted_a`` = exp(h_cum) * a_j.  A negative h_j or a_j raises
+    ``h_cum`` is the running integral of h_j, ``weighted_a`` = exp(h_cum) * a_j
+    and ``H`` = r^(N-1) * exp(h_cum), made on first use (the A_j tail probe
+    reads only ``inner``).  A negative h_j or a_j raises
     ``NegativeCoefficientError``, a weight that overflows ``ValueError``.
     ``inner`` integrates s^(N-1) * w with w piecewise linear, taking the
     monomial moments of each interval
@@ -187,9 +188,7 @@ class RadialKernel:
         self.a = av
         self.h_cum = cumulative_trapezoid(nodes, hv)
         with np.errstate(over="ignore"):
-            expfac = np.exp(self.h_cum)
-            self.H = nodes ** self.power * expfac
-            self.weighted_a = expfac * av
+            self.weighted_a = np.exp(self.h_cum) * av
         if not np.all(np.isfinite(self.weighted_a)):
             bad = float(nodes[int(np.argmax(~np.isfinite(self.weighted_a)))])
             raise ValueError(f"integrand not finite near t = {bad:g}")
@@ -198,6 +197,12 @@ class RadialKernel:
         self._m0 = (pow1[1:] - pow1[:-1]) / (q + 1)
         self._m1 = (pow2[1:] - pow2[:-1]) / (q + 2) - nodes[:-1] * self._m0
         self._widths = np.diff(nodes)
+
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """r^(N-1) * exp(h_cum) at the nodes, computed on first use."""
+        with np.errstate(over="ignore"):
+            return self.nodes ** self.power * np.exp(self.h_cum)
 
     def inner(self, source: np.ndarray | None = None) -> np.ndarray:
         """Running integral of H_j * a_j * source (source = 1 when omitted);
@@ -290,13 +295,12 @@ def estimate_A_inf(spec: ProblemSpec, j: int,
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        tp = t[pos]
-        with np.errstate(over="ignore"):
-            weight = tp ** kernel.power * np.exp(np.interp(tp, nodes, kernel.h_cum))
-        ratio = np.where(np.isfinite(weight), np.interp(tp, nodes, inner) / weight, 0.0)
-        out[pos] = np.power(np.maximum(ratio, 0.0), kernel.expo)
+        # evaluated on all of t, then the 0/0 of t = 0 set to its limit 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            weight = t ** kernel.power * np.exp(np.interp(t, nodes, kernel.h_cum))
+            ratio = np.where(np.isfinite(weight), np.interp(t, nodes, inner) / weight, 0.0)
+        out = np.power(np.maximum(ratio, 0.0), kernel.expo)
+        out[t == 0] = 0.0
         return out
 
     return probe_from_origin(integrand, probe)

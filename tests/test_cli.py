@@ -472,8 +472,17 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
             primitives.append(t_max)
         init(self, fn, t_max, lo, intervals)
 
+    queries: dict = {}  # (table, read-only query array) -> number of interpolations
+    call = CumulativeInterpolant.__call__
+
+    def counting_call(self, t):
+        if self.lo == 0.0 and isinstance(t, np.ndarray) and not t.flags.writeable:
+            queries.setdefault((id(self), id(t)), [t, 0])[1] += 1
+        return call(self, t)
+
     monkeypatch.setattr(transforms, "evaluate_array", counting_evaluate)
     monkeypatch.setattr(quadrature.CumulativeInterpolant, "__init__", counting_init)
+    monkeypatch.setattr(quadrature.CumulativeInterpolant, "__call__", counting_call)
     assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 5)
 
     assert max(count for _, count in samples.values()) == 1
@@ -482,10 +491,45 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     assert [len(xs) for xs in blocks.values()] == [8 * 257]
     assert len(samples) == 2  # each f_j sampled on that block, once
     assert primitives == [2.0 ** 8] * 2  # one primitive table per component
+    # Keller-Osserman and the primitive-root remark probe the same block, so
+    # each table is interpolated there once
+    assert sorted(count for _, count in queries.values()) == [1, 1]
+    assert {id(xs) for xs, _ in queries.values()} == set(blocks)
+    # a scalar query of the shared table still gets a float back
+    value = parse_config(doc).spec.diagonal(1).primitive(2.0 ** 8)(32.0)
+    assert isinstance(value, float) and value == pytest.approx(32.0 ** 3 / 3.0, rel=1e-9)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     remarks = report["auxiliary"]["remarks"]
     assert len(remarks["reciprocal_power"]) == len(remarks["primitive_root"]) == 2
     assert all(len(v["horizons"]) == 8 for v in report["auxiliary"]["ye_zhou"])
+
+
+@pytest.mark.parametrize("command", ["solve", "classify"])
+def test_an_overflowing_number_literal_is_a_config_error(tmp_path, capsys, command):
+    doc = base_config()
+    doc["problem"]["a"] = ["1e400"]
+    with pytest.raises(ConfigError, match="number out of range") as err:
+        parse_config(doc)
+    assert err.value.path == "problem"
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: problem: expression error: number out of range at position 0" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("probes", [{"K": 1100}, {"K": 1024}, {"K": 100, "r_start": 1e300}])
+def test_a_horizon_beyond_the_floats_is_a_probes_config_error(tmp_path, monkeypatch, probes):
+    def no_probe(*args):
+        raise AssertionError("no probe may run")
+
+    monkeypatch.setattr(quadrature, "_octaves", no_probe)
+    doc = base_config(probes=probes)
+    with pytest.raises(ConfigError, match="outermost horizon") as err:
+        parse_config(doc)
+    assert err.value.path == "probes"
+    path = write_config(tmp_path, doc)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert parse_config(base_config(probes={"K": 1023})).classifier.probe.t_max == 2.0 ** 1023
 
 
 def _negative_source_config(tmp_path, a="1-r"):

@@ -195,3 +195,48 @@ def test_validate_propagates_domain_error_with_point():
 def test_validate_requires_two_samples():
     with pytest.raises(ValueError):
         validate_sampled(parse("r", "radial"), "monotone", {"r": (0.0, 1.0)}, 1)
+
+
+@pytest.mark.parametrize("text, pos", [("1e400", 0), ("r + 2.5e999*r", 4), ("-1E+309", 1)])
+def test_number_literal_that_overflows_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError, match="number out of range") as err:
+        parse(text, "radial")
+    assert err.value.position == pos
+
+
+@pytest.mark.parametrize("text", ["1.7976931348623157e308*r", "1e-400 + r", "5e-324"])
+def test_extreme_finite_literals_round_trip(text):
+    e = parse(text, "radial")
+    assert parse(unparse(e), "radial") == e
+
+
+# the error of each evaluation below, as the per-node errstate evaluator raised it:
+# (message, subexpression, inputs, index)
+@pytest.mark.parametrize("text, r, want", [
+    ("1/exp(1000*r)", [0.0, 0.5, 1.0],  # masked by the division, caught at exp
+     ("overflow or undefined result", "exp(1000.0*r)", (1000.0,), 2)),
+    ("0*exp(800*r)", [0.0, 2.0, 1.0],
+     ("overflow or undefined result", "exp(800.0*r)", (1600.0,), 1)),
+    ("r/r", [2.0, 0.0, 1.0], ("division by zero", "r/r", (0.0, 0.0), 1)),
+    ("(r - 1)^0.5", [2.0, 0.5, 0.0],
+     ("negative base with non-integer exponent", "(r - 1.0)^0.5", (-0.5, 0.5), 1)),
+    ("r^(0 - 1)", [1.0, 0.0, 2.0],
+     ("zero base with negative exponent", "r^(0.0 - 1.0)", (0.0, -1.0), 1)),
+    ("(r - 1)^(r - 2)", [3.0, 1.0, 0.5],  # the negative-base test comes first
+     ("negative base with non-integer exponent", "(r - 1.0)^(r - 2.0)", (-0.5, -1.5), 2)),
+    ("r*1e308 + r*1e308", [0.5, 0.25, 1.0],
+     ("overflow or undefined result", "r*1e+308 + r*1e+308", (1e308, 1e308), 2)),
+    ("-r*1e308 - r*1e308", [0.5, 1.0, 0.25],
+     ("overflow or undefined result", "-r*1e+308 - r*1e+308", (-1e308, 1e308), 1)),
+])
+def test_eval_errors_keep_message_subexpression_and_index(text, r, want):
+    with pytest.raises(EvalError) as err:
+        evaluate_array(parse(text, "radial"), {"r": np.array(r)})
+    message, subexpr, inputs, index = want
+    assert str(err.value).startswith(f"{message} in '{subexpr}'")
+    assert (err.value.subexpr, err.value.inputs, err.value.index) == (subexpr, inputs, index)
+
+
+def test_eval_finite_values_whose_sum_overflows_do_not_raise():
+    out = evaluate_array(parse("1e308 + 0*r", "radial"), {"r": np.array([0.0, 1.0, 2.0])})
+    assert out.tolist() == [1e308] * 3

@@ -12,6 +12,7 @@ from radsolve.quadrature import (
     cumulative_trapezoid,
     octave_nodes,
     SharedSamples,
+    _octaves,
     probe_divergence,
     probe_from_origin,
 )
@@ -239,6 +240,21 @@ def test_octave_nodes_layout_from_origin():
     assert np.array_equal(octave_nodes(5.0), expected)
 
 
+@pytest.mark.parametrize("start, count, n", [(1.0, 10, 2048), (0.37, 6, 100), (3.3, 4, 8)])
+def test_octave_block_is_read_only_with_row_views_and_widths(start, count, n):
+    nodes, rows, widths = _octaves(start, count, n)
+    want = np.concatenate([np.linspace(start * 2.0 ** (k - 1), start * 2.0 ** k, n + 1)
+                           for k in range(1, count + 1)])
+    assert nodes.tobytes() == want.tobytes()
+    assert not nodes.flags.writeable and not widths.flags.writeable
+    assert len(rows) == count
+    for k, row in enumerate(rows):
+        assert not row.flags.writeable and np.shares_memory(row, nodes)
+        assert row.tobytes() == want[k * (n + 1):(k + 1) * (n + 1)].tobytes()
+        assert widths[k].tobytes() == np.diff(row).tobytes()
+    assert _octaves(start, count, n)[0] is nodes  # the same block for the next probe
+
+
 def test_cumulative_interpolant_samples_inside_and_extends_without_resampling():
     seen = []
 
@@ -312,13 +328,24 @@ def _radial(text):
 @pytest.mark.parametrize("text", [
     "1/(1+r)^2", "1/(1+r)", "exp(-r)", "sqrt(r)", "r^-1.5 + 0*r",
     "1/(1+r) + 0.5*exp(-r)*r^2", "abs(r-2.5)/(1+r^3)",
+    "exp(-r) - 1e-15",  # rounding-negative past r = 34.5, clipped to 0
+    "-0*r",  # -0.0 everywhere
 ])
 @pytest.mark.parametrize("cfg", [ProbeConfig(), ProbeConfig(horizon_count=6, nodes_per_octave=100)])
 def test_probe_is_bit_equal_to_the_per_octave_reference(start, text, cfg):
     integrand = _radial(text)
-    assert probe_divergence(integrand, start, cfg) == _reference_probe(integrand, start, cfg)
+    want = repr(_reference_probe(integrand, start, cfg))  # repr tells -0.0 from 0.0
+    assert repr(probe_divergence(integrand, start, cfg)) == want
     # a second probe on the now shared octave arrays reads the same bits
-    assert probe_divergence(integrand, start, cfg) == _reference_probe(integrand, start, cfg)
+    assert repr(probe_divergence(integrand, start, cfg)) == want
+
+
+# the second is negative in the last octave only
+@pytest.mark.parametrize("text", ["exp(-r) - 1e-9", "1/(1+r)^2 - 1e-6"])
+def test_probe_of_a_clearly_negative_integrand_still_raises(text):
+    for probe in (probe_divergence, _reference_probe):
+        with pytest.raises(ValueError, match="negative"):
+            probe(_radial(text), 1.0, ProbeConfig())
 
 
 @pytest.mark.parametrize("start", [1.0, 0.37, 3.3])

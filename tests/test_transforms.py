@@ -59,6 +59,16 @@ def test_H_with_constant_gradient_coefficient():
     assert np.allclose(H, grid.nodes ** 2 * np.exp(grid.nodes), rtol=1e-13)
 
 
+def test_H_is_made_on_first_use_with_the_bits_of_the_eager_formula():
+    spec = ProblemSpec.from_strings(4, 1, 2.5, "0.3/(1+r)", "1", "u1")
+    nodes = np.linspace(0.0, 7.0, 501)
+    kernel = RadialKernel(spec, 0, nodes)
+    assert "H" not in vars(kernel)  # the A_j tail probe never reads it
+    H = kernel.H
+    assert H.tobytes() == (nodes ** 3 * np.exp(kernel.h_cum)).tobytes()
+    assert kernel.H is H
+
+
 def test_kernel_ratio_with_unit_source_is_the_barrier_integrand():
     spec = ProblemSpec.from_strings(4, 1, 2.5, "0.3/(1+r)", "exp(-r)", "u1")
     grid = RadialGrid(3.0, 300)
