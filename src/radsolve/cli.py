@@ -99,7 +99,7 @@ def _number(value: Any, path: str, *, minimum: float | None = None,
     return v
 
 
-def _expr_list(raw: Any, d: int, role: str, path: str) -> list[str]:
+def _expr_list(raw: Any, d: int, path: str) -> list[str]:
     if isinstance(raw, str):
         raw = [raw] * d
     if not isinstance(raw, list) or len(raw) != d:
@@ -130,9 +130,9 @@ def parse_config(doc: dict) -> RunConfig:
         for i, x in enumerate(p_raw)
     ]
     anchor = _number(prob.get("F_anchor", 1.0), "problem.F_anchor", minimum=0.0, strict=True)
-    h = _expr_list(_require(prob, "h", "problem"), d, "radial", "problem.h")
-    a = _expr_list(_require(prob, "a", "problem"), d, "radial", "problem.a")
-    f = _expr_list(_require(prob, "f", "problem"), d, "nonlinearity", "problem.f")
+    h = _expr_list(_require(prob, "h", "problem"), d, "problem.h")
+    a = _expr_list(_require(prob, "a", "problem"), d, "problem.a")
+    f = _expr_list(_require(prob, "f", "problem"), d, "problem.f")
     try:
         spec = ProblemSpec.from_strings(N, d, p, h, a, f, anchor)
     except ExprError as err:
@@ -144,9 +144,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(grid_doc, dict):
         raise ConfigError("grid", "must be an object")
     R = _number(_require(grid_doc, "R", "grid"), "grid.R", minimum=0.0, strict=True)
-    M = int(_number(grid_doc.get("M", 2000), "grid.M", integer=True))
-    if M < 8:
-        raise ConfigError("grid.M", f"M >= 8 is required, got {M}")
+    M = int(_number(grid_doc.get("M", 2000), "grid.M", minimum=8, integer=True))
     grid = RadialGrid(R, M)
 
     sol = doc.get("solver", {})

@@ -174,10 +174,10 @@ def classify_tail(deltas: Sequence[float], rho_conv: float) -> tuple[str, float,
 
 
 def _eval_segment(integrand: Callable, xs: np.ndarray) -> np.ndarray:
-    out = integrand(xs)
-    arr = np.asarray(out, dtype=float)
-    if arr.shape != xs.shape:  # scalar callable: fall back to a loop
-        arr = np.array([float(integrand(float(x))) for x in xs])
+    arr = np.asarray(integrand(xs), dtype=float)
+    if arr.shape != xs.shape:
+        raise TypeError(f"integrand must return an array of shape {xs.shape}, "
+                        f"the shape of its input, not {arr.shape}")
     return arr
 
 

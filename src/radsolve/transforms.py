@@ -23,9 +23,9 @@ is f_j on the diagonal, one shared callable per spec, so the F tail probe and
 the classifier's diagonal probes sample it once.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
-((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j integrates it with f = 1,
-the solver's operator with f at the iterate.  The ratio is a 0/0 at t = 0
-(H_j vanishes there); its limit is 0, and the kernel defines it so.
+((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
+integrate it with f = 1, the solver's operator with f at the iterate.  The ratio
+is a 0/0 at t = 0 (H_j vanishes there); its limit is 0, and the kernel defines it so.
 """
 
 from __future__ import annotations
@@ -164,13 +164,11 @@ class RadialKernel:
     """H_j and the nested ratio of component ``j``, evaluated once on ``nodes``.
 
     ``h_cum`` is the running integral of h_j, ``weighted_a`` = exp(h_cum) * a_j
-    and ``H`` = r^(N-1) * exp(h_cum), made on first use (the A_j tail probe
-    reads only ``inner``).  A negative h_j or a_j raises
-    ``NegativeCoefficientError``, a weight that overflows ``ValueError``.
-    ``inner`` integrates s^(N-1) * w with w piecewise linear, taking the
-    monomial moments of each interval
-    exactly (second order even where s^(N-1) vanishes); the moments and the
-    interval widths depend on the nodes only and are computed here once.
+    and ``H`` = r^(N-1) * exp(h_cum), from one exp(h_cum).  A negative h_j or a_j
+    raises ``NegativeCoefficientError``, a weighted a_j that overflows
+    ``ValueError``.  ``inner`` integrates s^(N-1) * w with w piecewise linear,
+    taking the monomial moments of each interval exactly (second order even where
+    s^(N-1) vanishes); the moments and widths, node-only, are computed here once.
     """
 
     def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray):
@@ -183,26 +181,21 @@ class RadialKernel:
         if np.any(av < 0):
             raise NegativeCoefficientError(f"a[{j}]", f"[0, {nodes[-1]:g}]")
         self.nodes = nodes
-        self.power = spec.N - 1
         self.expo = 1.0 / (spec.p[j] - 1.0)
         self.a = av
         self.h_cum = cumulative_trapezoid(nodes, hv)
-        with np.errstate(over="ignore"):
-            self.weighted_a = np.exp(self.h_cum) * av
-        if not np.all(np.isfinite(self.weighted_a)):
-            bad = float(nodes[int(np.argmax(~np.isfinite(self.weighted_a)))])
-            raise ValueError(f"integrand not finite near t = {bad:g}")
-        q = self.power
+        q = spec.N - 1
         pow1, pow2 = nodes ** (q + 1), nodes ** (q + 2)
         self._m0 = (pow1[1:] - pow1[:-1]) / (q + 1)
         self._m1 = (pow2[1:] - pow2[:-1]) / (q + 2) - nodes[:-1] * self._m0
         self._widths = np.diff(nodes)
-
-    @functools.cached_property
-    def H(self) -> np.ndarray:
-        """r^(N-1) * exp(h_cum) at the nodes, computed on first use."""
         with np.errstate(over="ignore"):
-            return self.nodes ** self.power * np.exp(self.h_cum)
+            self.H = np.exp(self.h_cum)  # times r^(N-1) once weighted_a is taken
+            self.weighted_a = self.H * av
+            self.H *= nodes ** q
+        if not np.all(np.isfinite(self.weighted_a)):
+            bad = float(nodes[int(np.argmax(~np.isfinite(self.weighted_a)))])
+            raise ValueError(f"integrand not finite near t = {bad:g}")
 
     def inner(self, source: np.ndarray | None = None) -> np.ndarray:
         """Running integral of H_j * a_j * source (source = 1 when omitted);
@@ -217,7 +210,8 @@ class RadialKernel:
         """((1/H_j) * inner(source))^(1/(p_j-1)), taken as 0 at the origin."""
         inner = self.inner(source)
         ratio = np.zeros_like(self.nodes)
-        ratio[1:] = inner[1:] / self.H[1:]
+        with np.errstate(invalid="ignore"):  # inf / inf far out under a steep h_j
+            ratio[1:] = inner[1:] / self.H[1:]
         if np.any(ratio < 0):
             raise RuntimeError("negative inner kernel value; nonnegative inputs cannot produce this")
         return np.power(ratio, self.expo)
@@ -239,8 +233,13 @@ def build_F(spec: ProblemSpec) -> CumulativeInterpolant:
 
 
 def eval_F(table: CumulativeInterpolant, s) -> float | np.ndarray:
-    """F at ``s`` >= anchor, extending the table in place to cover ``s``."""
-    table.extend(float(np.max(s)))
+    """F at ``s`` >= anchor, extending the table in place to cover ``s``; an ``s``
+    beyond ``_F_OCTAVES`` octaves of the anchor, the reach of ``invert_F``, raises
+    ``FInverseRangeError``."""
+    s_max = float(np.max(s))
+    if s_max > table.lo * 2.0 ** _F_OCTAVES:
+        raise FInverseRangeError(f"F at {s_max:g} lies beyond {_F_OCTAVES} octaves of the anchor")
+    table.extend(s_max)
     return table(s)
 
 
@@ -279,10 +278,12 @@ def estimate_A_inf(spec: ProblemSpec, j: int,
                    probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
     """Tail probe of the barrier integral; a convergent limit estimates A_j(inf).
 
-    The kernel is tabulated on ``octave_nodes(probe.t_max)`` and probed from
-    the origin, so a convergent limit is the full A_j(inf).  A kernel that
-    cannot be built (negative h_j or a_j, overflow of the weight far out,
-    domain errors) yields an inconclusive verdict rather than an exception.
+    The kernel's ratio on ``octave_nodes(probe.t_max)`` is probed from the origin,
+    interpolated linearly, so each partial is the trapezoid ``build_A`` takes of the
+    same ratio and a convergent limit is the full A_j(inf).  (Interpolating the
+    running integral and H_j apart misreads the ratio near 0, where the integral
+    grows like t^N.)  A kernel that cannot be built (negative h_j or a_j, overflow
+    far out, domain errors) yields an inconclusive verdict, not an exception.
     """
     if not 0 <= j < spec.d:
         raise ValueError(f"component index {j} out of range for d = {spec.d}")
@@ -291,19 +292,8 @@ def estimate_A_inf(spec: ProblemSpec, j: int,
         kernel = RadialKernel(spec, j, nodes)
     except (ExprError, ValueError, FloatingPointError) as err:
         return DivergenceVerdict("inconclusive", note=f"barrier kernel not probeable: {err}")
-    inner = kernel.inner()
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        # evaluated on all of t, then the 0/0 of t = 0 set to its limit 0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            weight = t ** kernel.power * np.exp(np.interp(t, nodes, kernel.h_cum))
-            ratio = np.where(np.isfinite(weight), np.interp(t, nodes, inner) / weight, 0.0)
-        out = np.power(np.maximum(ratio, 0.0), kernel.expo)
-        out[t == 0] = 0.0
-        return out
-
-    return probe_from_origin(integrand, probe)
+    ratio = kernel.ratio()
+    return probe_from_origin(lambda t: np.interp(t, nodes, ratio), probe)
 
 
 @dataclass(frozen=True)

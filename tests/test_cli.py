@@ -334,6 +334,21 @@ def test_solve_reports_when_the_F_inverse_is_out_of_reach(tmp_path):
     assert code == (0 if verification["passed"] else 4)
 
 
+@pytest.mark.parametrize("anchor", [1e-300, 1e-321])
+def test_solve_reports_when_the_F_anchor_is_too_small_to_reach_beta(tmp_path, anchor):
+    # F(1) lies beyond 60 octaves of the anchor, the reach of the F inverse:
+    # the upper bound is reported not evaluable before any F table is grown
+    doc = base_config(grid={"R": 5.0, "M": 400})
+    doc["problem"]["F_anchor"] = anchor
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    verification = json.loads((out / "report.json").read_text())["solutions"][0]["verification"]
+    assert code == 0
+    assert verification["upper_margins"] is None
+    assert verification["upper_reason"] == (
+        "upper bound not evaluable: F at 1 lies beyond 60 octaves of the anchor")
+
+
 def test_sweep_ordering_and_linear_scaling(tmp_path):
     doc = base_config(grid={"R": 3.0, "M": 200}, beta=[1.0, 2.0])
     path = write_config(tmp_path, doc)

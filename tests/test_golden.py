@@ -32,13 +32,13 @@ RUNS = (
 GOLDEN = {
     "classify_sinh_oracle": 0,
     "classify_sinh_oracle/report.json":
-        "cd3684c7b1d6abd29a9c0e68b28a3b3600b5f93a767418ffee7c9b420c1aedb3",
+        "9f87a068eadcac082ec2e8de0fdc3f4e55556ad15d31d0a37ec4554e98209f78",
     "classify_bounded_cubic": 0,
     "classify_bounded_cubic/report.json":
-        "95a4ebf4e58171ca0893c73815474e27e3f051a702d889603001f852a49452d6",
+        "ece255841ae563a135346ffdb5b3f4fb026c412f45582ea5da95bf82311f9918",
     "classify_coupled_sweep": 0,
     "classify_coupled_sweep/report.json":
-        "4432d6e8cd9bbae6d6c61a52d07f2cc9598c3b22566037c92320634d012012cc",
+        "51f8c39850b12b650cba9408b05c3171745df51576a6176456c998b5ec838783",
     "solve_sinh_oracle": 0,
     "solve_sinh_oracle/report.json":
         "e8058708ae9afe901db1f0be73fe854405590cf9437726ea59050d48b4ecba51",
@@ -131,10 +131,10 @@ SHARING_RUNS = {
 SHARING_GOLDEN = {
     "classify_anchor_apart": 5,
     "classify_anchor_apart/report.json":
-        "73bf6d0bb7653bee2a58b8a0fb57cdb6dae50832a399113eed781fad1236258d",
+        "585b276a6d62741b9e2f35088df4f2b63bda3c9203c7463d8a0fd3514ee47ebd",
     "classify_exp_overflow": 5,
     "classify_exp_overflow/report.json":
-        "c92800e58b8e6060f4baa2771f6fcd32f50e360b8c875c3b8e546eaf268335dc",
+        "0384be52fd7ed982cc6622006df7e7f597077d7b1b9061748f07fe40ec163b6e",
 }
 
 
@@ -182,10 +182,10 @@ FALLBACK_RUNS = {
 FALLBACK_GOLDEN = {
     "classify_expr_error_midway": 5,
     "classify_expr_error_midway/report.json":
-        "5fe44f282b93a3be4ef9a5ea1c03cbc0ffc7e82221b10c0a786a800febbf391b",
+        "681ca127dff01aead67fbebac044da0af927a49dcbb60ce984eb36e5a9673028",
     "classify_lair_expr_error_midway": 5,
     "classify_lair_expr_error_midway/report.json":
-        "4b079d49670e4e6a3629d4d80bfca3cd9b3e93363102bdee70c7845389386d93",
+        "08a846858747f90af0e82bb32a49aa7ef3b48752aede8a440dfba432d0de5f2a",
 }
 
 

@@ -420,14 +420,6 @@ def _not_finite_then_dip(xs):
     return ys
 
 
-def _scalar_only(x):
-    if not isinstance(x, float):
-        return 0.0  # an array gets a scalar back, so the probe loops over the nodes
-    if x > 50.0:
-        raise ExprError("undefined past 50")
-    return 1.0 / (1.0 + x) ** 2
-
-
 @pytest.mark.parametrize("start", [1.0, 0.37])
 @pytest.mark.parametrize("integrand, kind", [
     (_expr_error_past(20.0), "inconclusive"),      # an ExprError in an octave past the first
@@ -446,20 +438,16 @@ def test_probe_fallback_is_bit_equal_to_the_reference(start, integrand, kind):
         assert got.verdict == kind and got.note.startswith(("integrand error", "integrand not"))
 
 
-def _scalar_reference_probe(integrand, start, cfg):
-    """``_reference_probe`` for a callable that takes one float at a time."""
-    def per_octave(xs):
-        return np.array([float(integrand(float(x))) for x in xs])
-    return _reference_probe(per_octave, start, cfg)
-
-
 @pytest.mark.parametrize("start", [1.0, 0.37])
-def test_probe_of_a_scalar_callable_is_bit_equal_to_the_reference(start):
-    cfg = ProbeConfig(nodes_per_octave=64)
-    got = probe_divergence(_scalar_only, start, cfg)
-    assert got == _scalar_reference_probe(_scalar_only, start, cfg)
-    assert got.verdict == "inconclusive" and "undefined past 50" in got.note
-    assert got.horizons[-1] <= 50.0 < 2.0 * got.horizons[-1]
+def test_a_scalar_callable_is_a_type_error_naming_the_shape(start):
+    # integrands take and return arrays; a scalar result is refused, not looped over
+    cfg = ProbeConfig(r_start=start, nodes_per_octave=64)
+    with pytest.raises(TypeError, match=r"array of shape \(65,\), the shape of its input, not \(\)"):
+        probe_divergence(lambda t: 1.0, start, cfg)
+    with pytest.raises(TypeError, match=r"array of shape \(4097,\)"):
+        probe_from_origin(lambda t: 1.0, cfg)
+    with pytest.raises(TypeError, match=r"array of shape \(2048,\)"):
+        CumulativeInterpolant(lambda t: 1.0, 2.0 * start, lo=start)
 
 
 def test_probe_reraises_a_non_domain_error_unless_an_earlier_octave_stops_it():

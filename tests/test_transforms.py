@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,6 +11,7 @@ from radsolve.quadrature import (
     ProbeConfig,
     RadialGrid,
     cumulative_trapezoid,
+    octave_nodes,
 )
 from radsolve.transforms import (
     FInverseRangeError,
@@ -28,7 +30,9 @@ from radsolve.transforms import (
 # independent oracle values (closed forms / high-precision quadrature)
 TWO_OVER_THREE_ROOT_THREE = 0.38490017945975050967  # (2/3) * (1/3)^(1/2)
 LN2 = 0.69314718055994530942
-A_INF_DECAYING = 0.16574309436736304  # barrier limit for a = (1+r)^-4, N = 3, p = 2
+# barrier limit for a = (1+r)^-4, N = 3, p = 2: swapping the order of
+# integration gives integral_0^inf s (1+s)^-4 ds = B(2, 2) = 1/6
+A_INF_DECAYING = 1.0 / 6.0
 
 
 def linear_spec():
@@ -59,14 +63,12 @@ def test_H_with_constant_gradient_coefficient():
     assert np.allclose(H, grid.nodes ** 2 * np.exp(grid.nodes), rtol=1e-13)
 
 
-def test_H_is_made_on_first_use_with_the_bits_of_the_eager_formula():
-    spec = ProblemSpec.from_strings(4, 1, 2.5, "0.3/(1+r)", "1", "u1")
+def test_H_and_the_weighted_source_share_the_bits_of_one_exp():
+    spec = ProblemSpec.from_strings(4, 1, 2.5, "0.3/(1+r)", "0.5+r", "u1")
     nodes = np.linspace(0.0, 7.0, 501)
     kernel = RadialKernel(spec, 0, nodes)
-    assert "H" not in vars(kernel)  # the A_j tail probe never reads it
-    H = kernel.H
-    assert H.tobytes() == (nodes ** 3 * np.exp(kernel.h_cum)).tobytes()
-    assert kernel.H is H
+    assert kernel.H.tobytes() == (nodes ** 3 * np.exp(kernel.h_cum)).tobytes()
+    assert kernel.weighted_a.tobytes() == (np.exp(kernel.h_cum) * (0.5 + nodes)).tobytes()
 
 
 def test_kernel_ratio_with_unit_source_is_the_barrier_integrand():
@@ -236,6 +238,16 @@ def test_estimate_A_inf_fixtures():
     assert converging.limit == pytest.approx(A_INF_DECAYING, rel=0.02)
 
 
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_estimate_A_inf_partials_match_the_closed_form(N):
+    # a = 1, h = 0, p = 2: the ratio is t/N, so the partial over [0, 2^k] is
+    # (4^k - 1) / (2N), and the trapezoid of the interpolated ratio is exact
+    v = estimate_A_inf(ProblemSpec.from_strings(N, 1, 2.0, "0", "1", "u1"), 0)
+    k = np.arange(1, len(v.partials) + 1)
+    assert v.horizons == tuple(2.0 ** k)
+    np.testing.assert_allclose(v.partials, (4.0 ** k - 1.0) / (2 * N), rtol=1e-13, atol=0.0)
+
+
 def test_estimate_A_inf_zero_source():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "0", "u1")
     v = estimate_A_inf(spec, 0)
@@ -250,6 +262,19 @@ def test_estimate_A_inf_overflowing_weight_is_inconclusive():
     v = estimate_A_inf(spec, 0)
     assert v.verdict == "inconclusive"
     assert v.note
+
+
+def test_a_ratio_of_two_overflows_is_not_finite_without_an_invalid_value_warning():
+    # inner and H both overflow near r = 988, so the ratio there is inf / inf
+    spec = ProblemSpec.from_strings(5, 1, 2.0, "0.69", "1", "u1")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow", RuntimeWarning)  # inner's, not the division's
+        warnings.filterwarnings("error", "invalid value", RuntimeWarning)
+        ratio = RadialKernel(spec, 0, octave_nodes(1024.0)).ratio()
+        v = estimate_A_inf(spec, 0)
+    assert np.isnan(ratio[-1])
+    assert v.verdict == "inconclusive"
+    assert v.note == "integrand not finite near r = 988.25"
 
 
 def test_estimate_A_inf_negative_coefficient_is_inconclusive():
