@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Traced memory of each stage of ``solve`` and then ``verify`` on one config.
+
+    python scripts/stage_memory.py --config PATH
+
+Runs ``radsolve solve`` on the config and then ``radsolve verify`` on the
+first solution CSV it wrote, in-process through ``radsolve.cli.main``, with
+every output in a temporary directory and ``tracemalloc`` on.  Each call the
+CLI makes to one of its stages is timed for memory:
+
+    tables        build_transform_tables  (the kernels and the barriers A_j)
+    iterate       iterate                 (one per central value)
+    verification  verify_solution         (bounds and residuals)
+    csv write     write_solution_csv
+    csv read      read_solution_csv
+
+and gets one line: the command, the stage, its peak (the highest traced
+memory during the call, above what was traced when it began) and what it
+holds (traced memory at its end, above its start: its result and anything it
+left behind).  Sizes are MB of 2^20 bytes, the unit of the benchmark's
+``peak_rss_mb``.  ``tracemalloc`` counts Python and numpy allocations, not
+the interpreter's or the allocator's own overhead, so these are not
+resident sizes.  A command that ends in a config error stops the script;
+other exit codes are outcomes and are measured.  Put the checkout's ``src/``
+on the path, e.g. ``PYTHONPATH=src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import io
+import sys
+import tempfile
+import tracemalloc
+
+from radsolve import cli
+
+STAGES = {
+    "build_transform_tables": "tables",
+    "iterate": "iterate",
+    "verify_solution": "verification",
+    "write_solution_csv": "csv write",
+    "read_solution_csv": "csv read",
+}
+_MB = 2.0 ** 20
+
+
+def _measured(fn, stage: str, rows: list):
+    """``fn`` recording (stage, peak MB, held MB) of each call into ``rows``."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            end, peak = tracemalloc.get_traced_memory()
+            rows.append((stage, (peak - start) / _MB, (end - start) / _MB))
+    return wrapper
+
+
+def stage_table(config: str) -> list[tuple[str, str, float, float]]:
+    """(command, stage, peak MB, held MB) of every stage call of solve, then verify."""
+    rows: list = []
+    table = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as undo:
+        for name, stage in STAGES.items():
+            original = getattr(cli, name)
+            setattr(cli, name, _measured(original, stage, rows))
+            undo.callback(setattr, cli, name, original)
+        commands = {
+            "solve": ["solve", "--config", config, "--out", f"{tmp}/solve"],
+            "verify": ["verify", "--config", config, "--out", f"{tmp}/verify",
+                       "--solution", f"{tmp}/solve/solution_000.csv"],
+        }
+        tracemalloc.start()
+        try:
+            for command, argv in commands.items():
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = cli.main(argv)
+                if code == cli.EXIT_CONFIG:  # a failed check or no convergence still measures
+                    raise SystemExit(f"{command} exited {code}: {err.getvalue().strip()}")
+                table += [(command, *row) for row in rows]
+                rows.clear()
+        finally:
+            tracemalloc.stop()
+    return table
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    args = parser.parse_args(argv)
+    print(f"{'command':<8} {'stage':<13} {'peak MB':>8} {'held MB':>8}")
+    for command, stage, peak, held in stage_table(args.config):
+        print(f"{command:<8} {stage:<13} {peak:8.2f} {held:8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

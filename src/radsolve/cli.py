@@ -8,15 +8,15 @@ central values, output location); the subcommands are
     verify    recheck a stored solution file against its config
     sweep     solve a family of central values and compare the solutions
 
-Reports are canonical JSON (sorted keys, fixed layout).  Solution CSVs are
-written a column at a time with ``repr`` round-trip formatting, so identical
-configs produce byte-identical artifacts and reading a CSV back yields the
-same bits.  Timings go to stderr only, never into the report.
+Reports are canonical JSON (sorted keys, fixed layout).  Solution CSVs, in ``repr``
+round-trip formatting, are written and read a block of rows at a time, so identical
+configs produce byte-identical artifacts, reading a CSV back yields the same bits and
+only one block's cells are strings at once.  Timings go to stderr, never the report.
 
 Exit codes: 0 success, 2 config or file error, 3 solver non-convergence,
 4 verification or consistency failure, 5 inconclusive classification.  An
-iterate that overflows (the solution outgrows the floating-point range before
-the horizon) is a config error on ``grid.R``, naming the sweep and the radius.
+iterate, kernel or barrier A_j that overflows before the horizon is a config
+error on ``grid.R`` naming the radius (and, for an iterate, the sweep).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -47,8 +48,8 @@ from .exprlang import ExprError
 from .quadrature import ProbeConfig, RadialGrid
 from .solver import (CentralValues, IterateOverflowError, SolutionBundle, VerificationReport,
                      iterate, verify_solution)
-from .transforms import (NegativeCoefficientError, ProblemSpec, build_transform_tables,
-                         validate_hypotheses)
+from .transforms import (KernelOverflowError, NegativeCoefficientError, ProblemSpec,
+                         build_transform_tables, validate_hypotheses)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -318,51 +319,63 @@ def _csv_header(d: int) -> list[str]:
             + [f"lb_{j + 1}" for j in range(d)] + ["ub"])
 
 
+_CSV_BLOCK = 1024  # rows written or parsed at a time; only one block's cells are strings
+
+
 def write_solution_csv(path: Path, grid: RadialGrid, u: list[np.ndarray],
                        lower: list[np.ndarray] | None,
                        upper: np.ndarray | None) -> None:
     columns = [grid.nodes, *u, *(lower if lower is not None else [None] * len(u)), upper]
-    cells = [[""] * len(grid) if col is None else map(repr, map(float, col))
+    cells = [itertools.repeat("", len(grid)) if col is None else map(repr, map(float, col))
              for col in columns]
-    lines = [",".join(_csv_header(len(u))), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = itertools.chain([",".join(_csv_header(len(u)))], map(",".join, zip(*cells)))
+    with path.open("w", encoding="utf-8") as out:
+        while block := list(itertools.islice(lines, _CSV_BLOCK)):
+            out.write("\n".join(block) + "\n")
 
 
 def read_solution_csv(path: Path, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Return (r, u list) from a solution file; the bound columns are not read.
 
-    A non-numeric or non-finite ``r``/``u_j`` cell is a ``ConfigError`` naming
-    the file, column and row (counted from 1 below the header)."""
+    The stripped text is split and parsed ``_CSV_BLOCK`` rows at a time into one
+    (1 + d, rows) array.  A row with the wrong number of cells, or a non-numeric or
+    non-finite ``r``/``u_j`` cell, is a ``ConfigError`` naming the file (and the cell's
+    column and row, counted from 1 below the header); the first block with a fault
+    reports it, a bad cell column by column."""
     try:
-        lines = path.read_text(encoding="utf-8").strip().split("\n")
+        text = path.read_text(encoding="utf-8").strip()
     except FileNotFoundError:
         raise ConfigError(str(path), "solution file not found") from None
-    header, width = lines[0].split(","), 2 * d + 2
+    # the header's line break and every _CSV_BLOCK-th one after it start a block
+    breaks = [m.start() for m in itertools.islice(re.finditer("\n", text), 0, None, _CSV_BLOCK)]
+    breaks.append(len(text))
+    header, width = text[:breaks[0]].split(","), 2 * d + 2
     if header != _csv_header(d):
         raise ConfigError(str(path), f"unexpected CSV header {header!r}")
-    if any(line.count(",") != width - 1 for line in lines[1:]):
-        raise ConfigError(str(path), "malformed CSV row")
-    cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
-
-    def column(k: int) -> np.ndarray:
-        texts = cells[k::width]
+    data, done = np.empty((1 + d, text.count("\n"))), 0
+    for lo, hi in zip(breaks, breaks[1:]):
+        lines = text[lo + 1:hi].split("\n")
+        if any(line.count(",") != width - 1 for line in lines):
+            raise ConfigError(str(path), "malformed CSV row")
+        cells = ",".join(lines).split(",")
+        texts = [cells[k::width] for k in range(1 + d)]
         try:
-            values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+            values = np.array(texts, dtype=float)  # float() of each cell
         except ValueError:
-            for row, text in enumerate(texts):  # find the cell that failed
-                try:
-                    float(text)
-                except ValueError:
-                    raise ConfigError(str(path), f"column {header[k]}, row {row + 1}: "
-                                      f"not a number: {text!r}") from None
-            raise
-        if not np.all(np.isfinite(values)):
-            row = int(np.argmax(~np.isfinite(values)))
-            raise ConfigError(str(path), f"column {header[k]}, row {row + 1}: "
-                              f"not finite: {texts[row]!r}")
-        return values
-
-    r, *u = [column(k) for k in range(1 + d)]
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
+            for k, column in enumerate(texts):  # find the cell that failed
+                for row, cell in enumerate(column, start=done + 1):
+                    try:
+                        fault = "" if math.isfinite(float(cell)) else "not finite"
+                    except ValueError:
+                        fault = "not a number"
+                    if fault:
+                        raise ConfigError(str(path), f"column {header[k]}, row {row}: "
+                                          f"{fault}: {cell!r}")
+        data[:, done:done + len(lines)] = values
+        done += len(lines)
+    r, *u = data
     return r, u
 
 
@@ -574,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[radsolve] config error: {ConfigError(f'problem.{err.key}', err.detail)}",
               file=sys.stderr)
         return EXIT_CONFIG
-    except IterateOverflowError as err:  # the horizon lies beyond what the iterates reach
+    except (IterateOverflowError, KernelOverflowError) as err:  # the horizon is out of reach
         print(f"[radsolve] config error: {ConfigError('grid.R', str(err))}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as err:

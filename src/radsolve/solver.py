@@ -141,22 +141,24 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
         iterations += 1
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
             u_next = _apply(spec, kernels, u, central)
-        bad = ~np.isfinite(u_next)
-        if bad.any():
+            # a finite sum means finite values; only a non-finite one needs the exact scan
+            scan = not all(np.isfinite(np.add.reduce(x, axis=None)) for x in u_next)
+        if scan and (bad := ~np.isfinite(u_next)).any():
             r = float(grid.nodes[int(np.argmax(bad.any(axis=0)))])
             raise IterateOverflowError(
                 f"iterate not finite at sweep {iterations} near r = {r:g}; "
                 "the solution leaves the floating-point range before the horizon")
-        dip = min(float(np.min(nxt - cur)) for nxt, cur in zip(u_next, u))
-        if dip < worst_dip:
-            worst_dip = dip
+        # one difference per component, held one at a time: its least and greatest step
+        lows, highs = zip(*((float(s.min()), float(s.max())) for s in map(np.subtract, u_next, u)))
+        dip = min(lows)
+        worst_dip = min(worst_dip, dip)
         scale = 1.0 + max(float(np.max(np.abs(x))) for x in u_next)
         if dip < -_MONOTONE_SLACK * scale:
             raise RuntimeError(
                 f"iterate decreased by {-dip:g} at some node; the monotone structure is broken")
         # keep the recorded sequence exactly nondecreasing (dips are rounding noise)
         u_next = [np.maximum(nxt, cur) for nxt, cur in zip(u_next, u)]
-        update = max(float(np.max(nxt - cur)) for nxt, cur in zip(u_next, u))
+        update = max(max(highs), 0.0)  # the greatest step of u_next over u
         u = u_next
         if update <= tol:
             break

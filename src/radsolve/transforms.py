@@ -54,6 +54,7 @@ __all__ = [
     "ProblemSpec",
     "FInverseRangeError",
     "NegativeCoefficientError",
+    "KernelOverflowError",
     "TransformTables",
     "RadialKernel",
     "build_A",
@@ -84,6 +85,10 @@ class NegativeCoefficientError(ValueError):
     def __init__(self, key: str, interval: str):
         self.key, self.detail = key, f"takes negative values on {interval}"
         super().__init__(f"{key} {self.detail}")
+
+
+class KernelOverflowError(ValueError):
+    """A kernel's weighted source, or its barrier A_j, overflows on the kernel's nodes."""
 
 
 @dataclass(frozen=True)
@@ -163,12 +168,12 @@ class ProblemSpec:
 class RadialKernel:
     """H_j and the nested ratio of component ``j``, evaluated once on ``nodes``.
 
-    ``h_cum`` is the running integral of h_j, ``weighted_a`` = exp(h_cum) * a_j
-    and ``H`` = r^(N-1) * exp(h_cum), from one exp(h_cum).  A negative h_j or a_j
+    With h_cum the running integral of h_j, ``weighted_a`` = exp(h_cum) * a_j and
+    ``H`` = r^(N-1) * exp(h_cum), from one exp(h_cum).  A negative h_j or a_j
     raises ``NegativeCoefficientError``, a weighted a_j that overflows
-    ``ValueError``.  ``inner`` integrates s^(N-1) * w with w piecewise linear,
-    taking the monomial moments of each interval exactly (second order even where
-    s^(N-1) vanishes); the moments and widths, node-only, are computed here once.
+    ``KernelOverflowError``.  ``inner`` integrates s^(N-1) * w with w piecewise
+    linear, taking the monomial moments of each interval exactly (second order even
+    where s^(N-1) vanishes); the moments and widths, node-only, are computed here once.
     """
 
     def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray):
@@ -183,28 +188,29 @@ class RadialKernel:
         self.nodes = nodes
         self.expo = 1.0 / (spec.p[j] - 1.0)
         self.a = av
-        self.h_cum = cumulative_trapezoid(nodes, hv)
+        h_cum = cumulative_trapezoid(nodes, hv)
         q = spec.N - 1
         pow1, pow2 = nodes ** (q + 1), nodes ** (q + 2)
         self._m0 = (pow1[1:] - pow1[:-1]) / (q + 1)
         self._m1 = (pow2[1:] - pow2[:-1]) / (q + 2) - nodes[:-1] * self._m0
         self._widths = np.diff(nodes)
         with np.errstate(over="ignore"):
-            self.H = np.exp(self.h_cum)  # times r^(N-1) once weighted_a is taken
+            self.H = np.exp(h_cum)  # times r^(N-1) once weighted_a is taken
             self.weighted_a = self.H * av
             self.H *= nodes ** q
         if not np.all(np.isfinite(self.weighted_a)):
             bad = float(nodes[int(np.argmax(~np.isfinite(self.weighted_a)))])
-            raise ValueError(f"integrand not finite near t = {bad:g}")
+            raise KernelOverflowError(f"integrand not finite near t = {bad:g}")
 
     def inner(self, source: np.ndarray | None = None) -> np.ndarray:
         """Running integral of H_j * a_j * source (source = 1 when omitted);
         rounding-negative intervals of a nonnegative integrand are clipped to 0."""
-        smooth = self.weighted_a if source is None else self.weighted_a * source
-        segs = smooth[:-1] * self._m0 + np.diff(smooth) / self._widths * self._m1
-        if np.all(smooth >= 0):
-            segs = np.maximum(segs, 0.0)
-        return np.concatenate([[0.0], np.cumsum(segs)])
+        with np.errstate(over="ignore"):  # far out under a steep h_j; ratio() then reads inf
+            smooth = self.weighted_a if source is None else self.weighted_a * source
+            segs = smooth[:-1] * self._m0 + np.diff(smooth) / self._widths * self._m1
+            if np.all(smooth >= 0):
+                segs = np.maximum(segs, 0.0)
+            return np.concatenate([[0.0], np.cumsum(segs)])
 
     def ratio(self, source: np.ndarray | None = None) -> np.ndarray:
         """((1/H_j) * inner(source))^(1/(p_j-1)), taken as 0 at the origin."""
@@ -221,9 +227,13 @@ def build_A(spec: ProblemSpec, grid: RadialGrid, j: int,
             kernel: RadialKernel | None = None) -> np.ndarray:
     """Barrier A_j at the grid nodes as an array, the running integral of the ratio of
     ``kernel`` (component j's on the grid, built when not given) with f = 1;
-    nondecreasing with A_j(0) = 0."""
+    nondecreasing with A_j(0) = 0; ``KernelOverflowError`` if it is not finite."""
     kernel = kernel or RadialKernel(spec, j, grid.nodes)
-    return cumulative_trapezoid(grid.nodes, kernel.ratio())
+    A = cumulative_trapezoid(grid.nodes, kernel.ratio())
+    if not np.isfinite(A[-1]):  # nondecreasing, so a finite end means finite values
+        bad = float(grid.nodes[int(np.argmax(~np.isfinite(A)))])
+        raise KernelOverflowError(f"barrier A[{j}] not finite near r = {bad:g}")
+    return A
 
 
 def build_F(spec: ProblemSpec) -> CumulativeInterpolant:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -15,7 +16,7 @@ from radsolve.cli import (
     read_solution_csv,
     write_solution_csv,
 )
-from radsolve import quadrature, transforms
+from radsolve import cli, quadrature, transforms
 from radsolve.quadrature import CumulativeInterpolant, RadialGrid
 
 
@@ -242,6 +243,95 @@ def test_solution_csv_round_trip_is_bit_identical(tmp_path_factory, solution):
             assert cells == [""] * len(rows)
         else:
             assert np.array([float(c) for c in cells]).tobytes() == column.tobytes()
+
+
+class _Nodes:
+    """A grid stand-in with any number of nodes; a ``RadialGrid`` has at least 9."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+
+    def __len__(self):
+        return len(self.nodes)
+
+
+def _random_solution(rows: int, d: int):
+    """Nodes, u and lower columns of every sign and magnitude, ``rows`` long."""
+    rng = np.random.default_rng(rows)
+    shape = (1 + 2 * d, rows)
+    columns = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    return _Nodes(np.sort(np.abs(columns[0]))), list(columns[1:1 + d]), list(columns[1 + d:])
+
+
+@pytest.mark.parametrize("rows", [1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
+                                  2 * cli._CSV_BLOCK + 1])
+def test_solution_csv_round_trip_is_bit_identical_across_blocks(tmp_path, rows):
+    grid, u, lower = _random_solution(rows, 2)
+    for bounds in ((lower, u[0]), (None, None)):
+        path = tmp_path / "solution.csv"
+        write_solution_csv(path, grid, u, *bounds)
+        assert path.read_text(encoding="utf-8") == _cell_by_cell_csv(grid, u, *bounds)
+        r, u_read = read_solution_csv(path, 2)
+        assert r.tobytes() == grid.nodes.tobytes()
+        assert [x.tobytes() for x in u_read] == [x.tobytes() for x in u]
+
+
+@pytest.mark.parametrize("row, column, cell, message", [
+    (cli._CSV_BLOCK + 5, 2, "abc", "column u_2, row {row}: not a number: 'abc'"),
+    (cli._CSV_BLOCK + 5, 0, "", "column r, row {row}: not a number: ''"),
+    (2 * cli._CSV_BLOCK + 1, 1, "-inf", "column u_1, row {row}: not finite: '-inf'"),
+    (2 * cli._CSV_BLOCK, 2, "1e400", "column u_2, row {row}: not finite: '1e400'"),
+    (cli._CSV_BLOCK + 1, None, None, "malformed CSV row"),
+])
+def test_a_bad_cell_or_row_in_a_later_block_names_its_row_in_the_file(tmp_path, row, column,
+                                                                     cell, message):
+    grid, u, lower = _random_solution(2 * cli._CSV_BLOCK + 1, 2)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, grid, u, lower, None)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[row].split(",")
+    if column is None:
+        cells.append("1.0")
+    else:
+        cells[column] = cell
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        read_solution_csv(path, 2)
+    assert str(err.value) == f"{path}: " + message.format(row=row)
+
+
+def test_solution_csv_cells_parse_as_float_does(tmp_path):
+    # underscores, other scripts' digits, padding and CRLF line ends, as float() reads them
+    path = tmp_path / "solution.csv"
+    path.write_bytes("r,u_1,lb_1,ub\r\n0,1_0,,\r\n 0.5 ,\u0661\u0662,x,\r\n1.0,2_5.0,,\r\n"
+                     .encode("utf-8"))
+    r, (u,) = read_solution_csv(path, 1)
+    assert r.tolist() == [0.0, 0.5, 1.0]
+    assert u.tolist() == [10.0, 12.0, 25.0]
+
+
+def test_solution_csv_functions_hold_one_block_of_strings(tmp_path):
+    # d = 3 on M = 20000, the benchmark's stress grid, without the bound columns,
+    # whose 60 000 more cells would take tracing past a second.  Joining the whole
+    # text peaked at 5.5 MB here, and splitting every cell into a string at 9.8 MB
+    grid = RadialGrid(20.0, 20000)
+    u = [b + np.sin(grid.nodes + b) ** 2 * grid.nodes ** 2 for b in (1.0, 1.5, 2.0)]
+    path = tmp_path / "solution.csv"
+    mb = 2.0 ** 20
+    tracemalloc.start()
+    try:
+        write_solution_csv(path, grid, u, None, None)
+        write_peak = tracemalloc.get_traced_memory()[1] / mb
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        r, u_read = read_solution_csv(path, 3)
+        read_peak = (tracemalloc.get_traced_memory()[1] - start) / mb
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= 1.0
+    assert read_peak <= 5.0
+    assert [x.tobytes() for x in u_read] == [x.tobytes() for x in u]
 
 
 def test_classify_command_reports_verdict(tmp_path):
@@ -593,6 +683,24 @@ def test_solve_with_an_overflowing_iterate_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("config error: grid.R: iterate not finite at sweep 223 near r = 799.4; "
             "the solution leaves the floating-point range before the horizon") in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_a_kernel_that_overflows_on_the_grid_is_a_config_error(tmp_path, capsys):
+    # exp(integral of h) = exp(100 r) leaves the double range near r = 7.1 < R = 10
+    doc = base_config(grid={"R": 10.0, "M": 200})
+    good = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(good), "--out", str(tmp_path / "solved")]) == 0
+    doc["problem"]["h"] = ["100"]
+    path = write_config(tmp_path / "solved", doc)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--solution", str(tmp_path / "solved" / "solution_000.csv")]) == 2
+    doc["beta"] = [[1.0], [2.0]]
+    path = write_config(tmp_path / "solved", doc)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: grid.R: integrand not finite near t = 7.1\n") == 3
     assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -15,6 +15,7 @@ from radsolve.quadrature import (
 )
 from radsolve.transforms import (
     FInverseRangeError,
+    KernelOverflowError,
     ProblemSpec,
     RadialKernel,
     build_A,
@@ -67,8 +68,9 @@ def test_H_and_the_weighted_source_share_the_bits_of_one_exp():
     spec = ProblemSpec.from_strings(4, 1, 2.5, "0.3/(1+r)", "0.5+r", "u1")
     nodes = np.linspace(0.0, 7.0, 501)
     kernel = RadialKernel(spec, 0, nodes)
-    assert kernel.H.tobytes() == (nodes ** 3 * np.exp(kernel.h_cum)).tobytes()
-    assert kernel.weighted_a.tobytes() == (np.exp(kernel.h_cum) * (0.5 + nodes)).tobytes()
+    h_cum = cumulative_trapezoid(nodes, 0.3 / (1 + nodes))
+    assert kernel.H.tobytes() == (nodes ** 3 * np.exp(h_cum)).tobytes()
+    assert kernel.weighted_a.tobytes() == (np.exp(h_cum) * (0.5 + nodes)).tobytes()
 
 
 def test_kernel_ratio_with_unit_source_is_the_barrier_integrand():
@@ -265,16 +267,30 @@ def test_estimate_A_inf_overflowing_weight_is_inconclusive():
 
 
 def test_a_ratio_of_two_overflows_is_not_finite_without_an_invalid_value_warning():
-    # inner and H both overflow near r = 988, so the ratio there is inf / inf
+    # inner and H both overflow near r = 988, so the ratio there is inf / inf; the
+    # probe reports that in its note, with no overflow or invalid-value warning
     spec = ProblemSpec.from_strings(5, 1, 2.0, "0.69", "1", "u1")
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "overflow", RuntimeWarning)  # inner's, not the division's
-        warnings.filterwarnings("error", "invalid value", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         ratio = RadialKernel(spec, 0, octave_nodes(1024.0)).ratio()
         v = estimate_A_inf(spec, 0)
     assert np.isnan(ratio[-1])
     assert v.verdict == "inconclusive"
     assert v.note == "integrand not finite near r = 988.25"
+
+
+def test_a_kernel_or_barrier_that_overflows_on_its_grid_is_a_kernel_overflow_error():
+    # exp(100 t) leaves the double range near t = 7.1
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "100", "1", "u1")
+    with pytest.raises(KernelOverflowError, match="^integrand not finite near t = 7.1$"):
+        RadialKernel(spec, 0, RadialGrid(10.0, 200).nodes)
+    # the weighted source stays finite out to r = 1000, the barrier does not past 988
+    spec = ProblemSpec.from_strings(5, 1, 2.0, "0.69", "1", "u1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(KernelOverflowError, match=r"^barrier A\[0\] not finite near r = 988.5$"):
+            build_A(spec, RadialGrid(1000.0, 2000), 0)
+        assert np.all(np.isfinite(build_A(spec, RadialGrid(980.0, 2000), 0)))
 
 
 def test_estimate_A_inf_negative_coefficient_is_inconclusive():
