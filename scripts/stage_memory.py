@@ -1,20 +1,32 @@
 #!/usr/bin/env python3
-"""Traced memory of each stage of ``solve`` and then ``verify`` on one config.
+"""Traced memory of each stage of ``solve`` and then ``verify``, or of
+``classify``, on one config.
 
-    python scripts/stage_memory.py --config PATH
+    python scripts/stage_memory.py --config PATH [--mode solve|classify]
 
-Runs ``radsolve solve`` on the config and then ``radsolve verify`` on the
-first solution CSV it wrote, in-process through ``radsolve.cli.main``, with
-every output in a temporary directory and ``tracemalloc`` on.  Each call the
-CLI makes to one of its stages is timed for memory:
+The ``solve`` mode (the default) runs ``radsolve solve`` on the config and then
+``radsolve verify`` on the first solution CSV it wrote; the ``classify`` mode
+runs ``radsolve classify``.  Each runs in-process through ``radsolve.cli.main``,
+with every output in a temporary directory and ``tracemalloc`` on.  Each call
+the command makes to one of its stages is measured:
 
-    tables        build_transform_tables  (the kernels and the barriers A_j)
-    iterate       iterate                 (one per central value)
-    verification  verify_solution         (bounds and residuals)
-    csv write     write_solution_csv
-    csv read      read_solution_csv
+    tables           build_transform_tables     (the kernels and the barriers A_j)
+    iterate          iterate                    (one per central value)
+    verification     verify_solution            (bounds and residuals)
+    csv write        write_solution_csv
+    csv read         read_solution_csv
 
-and gets one line: the command, the stage, its peak (the highest traced
+in ``solve`` and ``verify``, and in ``classify``
+
+    F probe          estimate_F_inf             (the tail of the F integral)
+    A_j probes       _probe_barriers            (every barrier tail, one call)
+    C6               check_C6                   (only when F and every A_j converge)
+    Keller-Osserman  check_keller_osserman      (one per component)
+    Ye-Zhou          check_ye_zhou              (one per component)
+    remarks          check_remark_implications
+    report           canonical_json             (the report text)
+
+Each call gets one line: the command, the stage, its peak (the highest traced
 memory during the call, above what was traced when it began) and what it
 holds (traced memory at its end, above its start: its result and anything it
 left behind).  Sizes are MB of 2^20 bytes, the unit of the benchmark's
@@ -35,7 +47,7 @@ import sys
 import tempfile
 import tracemalloc
 
-from radsolve import cli
+from radsolve import cli, conditions
 
 STAGES = {
     "build_transform_tables": "tables",
@@ -43,6 +55,16 @@ STAGES = {
     "verify_solution": "verification",
     "write_solution_csv": "csv write",
     "read_solution_csv": "csv read",
+}
+# patched where the command looks them up: in cli, else in conditions
+CLASSIFY_STAGES = {
+    "estimate_F_inf": "F probe",
+    "_probe_barriers": "A_j probes",
+    "check_C6": "C6",
+    "check_keller_osserman": "Keller-Osserman",
+    "check_ye_zhou": "Ye-Zhou",
+    "check_remark_implications": "remarks",
+    "canonical_json": "report",
 }
 _MB = 2.0 ** 20
 
@@ -61,20 +83,23 @@ def _measured(fn, stage: str, rows: list):
     return wrapper
 
 
-def stage_table(config: str) -> list[tuple[str, str, float, float]]:
-    """(command, stage, peak MB, held MB) of every stage call of solve, then verify."""
+def stage_table(config: str, mode: str = "solve") -> list[tuple[str, str, float, float]]:
+    """(command, stage, peak MB, held MB) of every stage call of solve, then verify,
+    or of classify."""
     rows: list = []
     table = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as undo:
-        for name, stage in STAGES.items():
-            original = getattr(cli, name)
-            setattr(cli, name, _measured(original, stage, rows))
-            undo.callback(setattr, cli, name, original)
+        for name, stage in (STAGES if mode == "solve" else CLASSIFY_STAGES).items():
+            module = cli if name in vars(cli) else conditions
+            original = getattr(module, name)
+            setattr(module, name, _measured(original, stage, rows))
+            undo.callback(setattr, module, name, original)
         commands = {
             "solve": ["solve", "--config", config, "--out", f"{tmp}/solve"],
             "verify": ["verify", "--config", config, "--out", f"{tmp}/verify",
                        "--solution", f"{tmp}/solve/solution_000.csv"],
-        }
+        } if mode == "solve" else {"classify": ["classify", "--config", config,
+                                                "--out", f"{tmp}/classify"]}
         tracemalloc.start()
         try:
             for command, argv in commands.items():
@@ -92,10 +117,12 @@ def stage_table(config: str) -> list[tuple[str, str, float, float]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--mode", choices=("solve", "classify"), default="solve",
+                        help="solve then verify (default), or classify")
     args = parser.parse_args(argv)
-    print(f"{'command':<8} {'stage':<13} {'peak MB':>8} {'held MB':>8}")
-    for command, stage, peak, held in stage_table(args.config):
-        print(f"{command:<8} {stage:<13} {peak:8.2f} {held:8.2f}")
+    print(f"{'command':<8} {'stage':<15} {'peak MB':>8} {'held MB':>8}")
+    for command, stage, peak, held in stage_table(args.config, args.mode):
+        print(f"{command:<8} {stage:<15} {peak:8.2f} {held:8.2f}")
     return 0
 
 

@@ -16,10 +16,10 @@ provide: an inconclusive sub-verdict on anything required forces an
 inconclusive overall verdict.
 
 The module also houses stand-alone checkers for two classical blow-up
-criteria (the inverse-square-root test on the primitive of f, and the
-reciprocal test on f itself), two implication cross-checks against the
-divergence of F, and the nested-integral criterion for the sublinear
-two-component Laplacian system (which the general solver can cross-check).
+criteria (the inverse-square-root test on the primitive of f, from the probe
+block's samples of f, and the reciprocal test on f itself), two implication
+cross-checks against the divergence of F, and the nested-integral criterion for
+the sublinear two-component Laplacian system (which the solver can cross-check).
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ from .quadrature import (
     ProbeConfig,
     SharedSamples,
     classify_tail,
+    octave_nodes,
     probe_divergence,
     probe_from_origin,
+    probe_samples,
 )
 from .transforms import (
     ProblemSpec,
@@ -46,6 +48,7 @@ from .transforms import (
     estimate_F_inf,
     eval_F,
     invert_F,
+    node_factors,
 )
 
 __all__ = [
@@ -140,6 +143,12 @@ def _barrier_tail_state(a_inf: tuple[DivergenceVerdict, ...]) -> str:
     return "mixed"
 
 
+def _probe_barriers(spec: ProblemSpec, probe: ProbeConfig) -> tuple[DivergenceVerdict, ...]:
+    """``estimate_A_inf`` of every component, on one set of probe nodes and kernel factors."""
+    factors = node_factors(octave_nodes(probe.t_max, head=probe.r_start), spec.N)
+    return tuple(estimate_A_inf(spec, j, probe, factors) for j in range(spec.d))
+
+
 def decide_theorem(*, uniform_beta: bool, c3: str, c4: str, c5: str, c6: str,
                    sublinearity: str, sup_bounded: str, barrier_tail: str) -> str:
     """Pure verdict table; every argument is a tri-state status string.
@@ -175,7 +184,7 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
     uniform = all(b == beta[0] for b in beta)
 
     f_inf = estimate_F_inf(spec, config.probe)
-    a_inf = tuple(estimate_A_inf(spec, j, config.probe) for j in range(spec.d))
+    a_inf = _probe_barriers(spec, config.probe)
     tail = _barrier_tail_state(a_inf)
 
     c3 = _tri_from_probe(f_inf, "diverges")
@@ -354,23 +363,12 @@ def check_sup_bounded(spec: ProblemSpec,
 
 def _primitive_root_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
     """Probe dt / P(t)^expo from ``probe.r_start``, P the primitive of ``f_diag`` from 0
-    (the shared table when ``f_diag`` is a ``SharedSamples``).
-
-    A primitive that cannot be tabulated out to ``probe.t_max`` (a domain
-    error or overflow of f) makes the verdict inconclusive.
-    """
+    on the probe block (``SharedSamples.primitive_rows``, once per block for
+    ``spec.diagonal(j)``); where f is unusable, the octaves before it are the evidence."""
     shared = f_diag if isinstance(f_diag, SharedSamples) else SharedSamples(f_diag)
-    try:
-        primitive = shared.primitive(probe.t_max)
-    except (ExprError, ValueError) as err:
-        return DivergenceVerdict("inconclusive", note=f"primitive not computable: {err}")
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.power(primitive(t), -expo)
-
-    return probe_divergence(integrand, probe.r_start, probe)
+    primitive, why = shared.primitive_rows(probe)
+    with np.errstate(divide="ignore"):
+        return probe_samples(np.power(primitive, -expo), why, probe)
 
 
 def _reciprocal_power_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
@@ -387,9 +385,9 @@ def check_keller_osserman(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) 
     """Probe the inverse-square-root growth test on the primitive of f.
 
     Divergence of the probed integral is the classical threshold allowing
-    blow-up solutions.  A vanishing primitive makes the integrand infinite,
-    and a primitive that cannot be computed leaves nothing to probe; the
-    verdict is inconclusive with a note in both cases.
+    blow-up solutions.  A vanishing primitive makes the integrand infinite, and
+    a primitive that cannot be computed stops the evidence; either way the
+    verdict is inconclusive with a note.
     """
     return _primitive_root_probe(f_diag, 0.5, probe)
 
@@ -415,12 +413,12 @@ def check_remark_implications(spec: ProblemSpec, c3_status: str,
                               probe: ProbeConfig = ProbeConfig()) -> RemarkReport:
     """When F diverges, two companion integrals must diverge as well.
 
-    Both are probed per component from the anchor:  ds over
-    f_j(s,..,s)^(1/(min_p - 1)), and dt over the min_p-th root of the
-    primitive of the diagonal, both through ``spec.diagonal(j)`` so that they
-    share its samples and primitive with the F probe and Keller-Osserman.  A
-    convergent probe against a divergent F is flagged as a numerical
-    contradiction worth investigating; nothing here can prove the implication.
+    Both are probed per component from the anchor: ds over f_j(s,..,s)^(1/(min_p
+    - 1)), and dt over the min_p-th root of the primitive of the diagonal, taken on
+    the probe block from the F probe's samples of ``spec.diagonal(j)`` (the same P
+    rows as Keller-Osserman's when the anchor is r_start).  A convergent probe
+    against a divergent F is flagged as a numerical contradiction worth
+    investigating; nothing here can prove the implication.
     """
     expo1 = 1.0 / (spec.min_p - 1.0)
     anchored = replace(probe, r_start=spec.anchor)

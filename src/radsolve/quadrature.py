@@ -13,20 +13,20 @@ which appends whole octaves without re-sampling what is already tabulated.
 It is the only mutable object here; everything else is pure.
 
 Improper integrals over ``[start, inf)`` are probed on geometric horizons
-``start * 2^k`` by ``probe_divergence``; ``probe_from_origin``, the one entry
-point for integrals over ``[0, inf)``, adds a dense head over ``[0, r_start]``.
-Divergence of an improper integral is not decidable numerically, so the
-verdict is three-valued with an explicit ``inconclusive`` outcome.  A probe
-calls its integrand once on a read-only block of all its octaves' nodes (octave
-by octave only if that call raises) and checks and integrates it per octave.
-Probes with the same start and knobs share the block and its interval widths,
-on which ``SharedSamples`` evaluates a function probed several times only once.
+``start * 2^k`` by ``probe_divergence`` (``probe_samples`` on given samples);
+``probe_from_origin`` adds a dense head over ``[0, r_start]``, and
+``probe_running`` reads a running integral already tabulated from 0; all share
+one tail verdict, three-valued with an explicit ``inconclusive`` outcome, since
+divergence is not decidable numerically.  A probe calls its integrand once on a
+read-only block of all its octaves' nodes (octave by octave only if that call
+raises) and checks and integrates it per octave.  Probes with the same start and
+knobs share the block, on which ``SharedSamples`` evaluates a function probed
+several times, and its primitive, only once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -42,6 +42,8 @@ __all__ = [
     "cumulative_trapezoid",
     "probe_divergence",
     "probe_from_origin",
+    "probe_running",
+    "probe_samples",
     "classify_tail",
     "octave_nodes",
     "CumulativeInterpolant",
@@ -79,8 +81,11 @@ class RadialGrid:
 
 def cumulative_trapezoid(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Composite trapezoid running integral; output[0] = 0."""
-    segs = (values[1:] + values[:-1]) / 2.0 * np.diff(nodes)
-    return np.concatenate([[0.0], np.cumsum(segs)])
+    return np.concatenate([[0.0], np.cumsum(_trapezoids(nodes, values))])
+
+
+def _trapezoids(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return (values[1:] + values[:-1]) / 2.0 * np.diff(nodes)
 
 
 @dataclass(frozen=True)
@@ -182,12 +187,10 @@ def _eval_segment(integrand: Callable, xs: np.ndarray) -> np.ndarray:
 
 
 def _samples(integrand: Callable, nodes: np.ndarray,
-             rows: Sequence[np.ndarray]) -> tuple[np.ndarray, str]:
-    """Integrand values clipped at zero, one row per octave of ``rows`` (views of
-    ``nodes``), up to the first unusable octave, and why it is unusable ("" if
-    none is): a domain error or a non-finite value.  A clearly negative value
-    before it, on its octave's own scale, raises.  The integrand is called once
-    on ``nodes``, and if that raises, octave by octave up to the one that raises."""
+             rows: Sequence[np.ndarray]) -> tuple[np.ndarray, str | Exception]:
+    """Integrand values, one row per octave of ``rows`` (views of ``nodes``), and
+    what stopped them short of ``rows`` ("" if nothing did): the integrand is called
+    once on ``nodes``, and if that raises, octave by octave up to the one that raises."""
     failure: str | Exception = ""
     try:
         values = _eval_segment(integrand, nodes).reshape(len(rows), -1)
@@ -203,6 +206,13 @@ def _samples(integrand: Callable, nodes: np.ndarray,
                 failure = err
                 break
         values = np.array(done, dtype=float).reshape(len(done), len(rows[0]))
+    return values, failure
+
+
+def _usable(values: np.ndarray, failure: str | Exception,
+            rows: Sequence[np.ndarray]) -> tuple[np.ndarray, str]:
+    """``values`` clipped at zero up to the first unusable octave, and why: a non-finite
+    value, else ``failure`` (raised if an exception).  A clearly negative value raises."""
     finite = np.isfinite(values)
     usable = finite.all(axis=1)
     stop = len(values) if usable.all() else int(np.argmin(usable))
@@ -251,19 +261,38 @@ def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> Div
     """
     if not start > 0:
         raise ValueError("start must be positive")
-    nodes, rows, widths = _octaves(start, cfg.horizon_count, cfg.nodes_per_octave)
-    ys, why = _samples(integrand, nodes, rows)
-    # np.trapezoid's expression per octave, summed from 0.0 as an octave loop would
-    areas = (widths[:len(ys)] * (ys[:, 1:] + ys[:, :-1]) / 2.0).sum(1)
-    partials = tuple(itertools.accumulate(areas.tolist(), initial=0.0))[1:]
-    horizons = tuple(float(xs[-1]) for xs in rows[:len(ys)])
+    nodes, rows, _ = _octaves(start, cfg.horizon_count, cfg.nodes_per_octave)
+    return probe_samples(*_samples(integrand, nodes, rows), cfg, start)
+
+
+def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig,
+                  start: float | None = None) -> DivergenceVerdict:
+    """``probe_divergence`` from ``start`` (``cfg.r_start`` if None) on integrand
+    ``values`` taken on its probe block already, up to the octave ``why`` stops at."""
+    _, rows, widths = _octaves(start or cfg.r_start, cfg.horizon_count, cfg.nodes_per_octave)
+    ys, why = _usable(values, why, rows)
+    areas = (widths[:len(ys)] * (ys[:, 1:] + ys[:, :-1]) / 2.0).sum(1)  # np.trapezoid's, per octave
+    return _tail_verdict(areas, tuple(float(xs[-1]) for xs in rows[:len(ys)]), why, cfg.rho_conv)
+
+
+def _tail_verdict(areas: np.ndarray, horizons: tuple[float, ...], why: str, rho_conv: float,
+                  at: np.ndarray | None = None) -> DivergenceVerdict:
+    """Verdict on octave ``areas`` up to ``horizons``, usable up to ``why``: increments
+    from the areas summed from 0.0, partials and limit from ``at`` [start, *horizons]."""
+    tail = np.cumsum(np.concatenate([[0.0], areas]))
+    at = tail if at is None else at
+    partials = tuple((at[1:] - at[:1]).tolist())
     if why:
         return DivergenceVerdict("inconclusive", horizons=horizons, partials=partials, note=why)
-
-    verdict, extra, ratios = classify_tail(np.diff(partials, prepend=0.0), cfg.rho_conv)
+    verdict, extra, ratios = classify_tail(np.diff(tail), rho_conv)
     note = f"tail ratios: {', '.join(f'{q:.3g}' for q in ratios)}"
-    limit = partials[-1] + extra if verdict == "converges" else None
+    limit = float(at[-1]) + extra if verdict == "converges" else None
     return DivergenceVerdict(verdict, limit, horizons, partials, note)
+
+
+def _with_head(v: DivergenceVerdict, r_start: float, head: float = 0.0) -> DivergenceVerdict:
+    return v if v.verdict != "converges" else replace(
+        v, limit=v.limit + head, note=f"{v.note}; limit includes head over [0, {r_start:g}]")
 
 
 def probe_from_origin(integrand: Callable, cfg: ProbeConfig) -> DivergenceVerdict:
@@ -274,26 +303,40 @@ def probe_from_origin(integrand: Callable, cfg: ProbeConfig) -> DivergenceVerdic
     convergent limit includes the head.
     """
     head_nodes = np.linspace(0.0, cfg.r_start, 4097)
-    head_values, why = _samples(integrand, head_nodes, (head_nodes,))
+    head_values, why = _usable(*_samples(integrand, head_nodes, (head_nodes,)), (head_nodes,))
     if why:
         return DivergenceVerdict("inconclusive", note=why)
-    verdict = probe_divergence(integrand, cfg.r_start, cfg)
-    if verdict.verdict != "converges":
-        return verdict
-    head = float(np.trapezoid(head_values[0], head_nodes))
-    return replace(verdict, limit=verdict.limit + head,
-                   note=f"{verdict.note}; limit includes head over [0, {cfg.r_start:g}]")
+    return _with_head(probe_divergence(integrand, cfg.r_start, cfg), cfg.r_start,
+                      float(np.trapezoid(head_values[0], head_nodes)))
 
 
-def octave_nodes(t_max: float, lo: float = 0.0, intervals: int = 1024) -> np.ndarray:
+def probe_running(nodes: np.ndarray, values: np.ndarray, cfg: ProbeConfig) -> DivergenceVerdict:
+    """Probe ``integral of values over [0, inf)`` off A = ``cumulative_trapezoid`` of
+    ``values`` on ``nodes = octave_nodes(cfg.t_max, intervals=n, head=cfg.r_start)``:
+    I_k = A(r_start 2^k) - A(r_start), increments the octave sums of A's trapezoids (so
+    a tail far below the head keeps its digits), evidence up to a non-finite value."""
+    intervals = (len(nodes) - 1) // (cfg.horizon_count + 2)  # per octave; twice over the head
+    segs = _trapezoids(nodes, values)
+    running = np.cumsum(segs)  # A at nodes[1:]
+    at, why = running[2 * intervals - 1::intervals], ""  # A(r_start 2^k), k = 0 .. horizon_count
+    if not np.isfinite(running[-1]):  # a running sum stays non-finite once it is
+        bad = nodes[1 + np.argmin(np.isfinite(running))]
+        at, why = at[np.isfinite(at)], f"integrand not finite near r = {bad:g}"
+    areas = segs[2 * intervals:].reshape(-1, intervals)[:max(len(at) - 1, 0)].sum(1)
+    horizons = tuple(nodes[2 * intervals::intervals][1:len(at)].tolist())
+    return _with_head(_tail_verdict(areas, horizons, why, cfg.rho_conv, at), cfg.r_start)
+
+
+def octave_nodes(t_max: float, lo: float = 0.0, intervals: int = 1024,
+                 head: float = 1.0) -> np.ndarray:
     """Nodes on [lo, t_max] in octaves [t, 2t] of ``intervals`` intervals each,
     the last one clipped at ``t_max``, so the relative resolution stays roughly
-    constant out to large ``t_max``.  From ``lo = 0`` the first piece is [0, 1]
-    with ``2 * intervals`` intervals."""
+    constant out to large ``t_max``.  From ``lo = 0`` the first piece is
+    [0, head] with ``2 * intervals`` intervals."""
     if not t_max > lo >= 0:
         raise ValueError("need 0 <= lo < t_max")
     if lo == 0.0:
-        pieces, left = [np.linspace(0.0, min(1.0, t_max), 2 * intervals + 1)], 1.0
+        pieces, left = [np.linspace(0.0, min(head, t_max), 2 * intervals + 1)], head
     else:
         pieces, left = [np.array([lo])], lo
     while left < t_max:
@@ -365,14 +408,12 @@ class CumulativeInterpolant:
 
 
 class SharedSamples:
-    """``fn`` evaluated once per read-only array such as a probe octave: its
-    values, or the domain error it raised, are kept by array identity with the
-    array held so that its id stays unique; writeable arrays are not kept.
-    ``primitive(t_max)`` tabulates ``fn`` from 0 once per ``t_max``, itself
-    wrapped in ``SharedSamples``, so it is interpolated once per probe block."""
+    """``fn`` evaluated once per read-only array such as a probe block, and its
+    ``primitive_rows`` once per block: kept by identity, with the array held so that
+    its id stays unique, as are domain errors; writeable arrays are not kept."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn, self._values, self._primitives = fn, {}, {}
+        self._fn, self._values = fn, {}
 
     def __call__(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -388,7 +429,19 @@ class SharedSamples:
             raise out
         return out
 
-    def primitive(self, t_max: float) -> "SharedSamples":
-        if t_max not in self._primitives:
-            self._primitives[t_max] = SharedSamples(CumulativeInterpolant(self._fn, t_max))
-        return self._primitives[t_max]
+    def primitive_rows(self, cfg: ProbeConfig) -> tuple[np.ndarray, str]:
+        """P(t) = integral of ``fn`` over [0, t] on the probe block from ``cfg.r_start``, up
+        to the first octave where ``fn`` is unusable, and why ("primitive not computable:
+        ..."; "" if none is): the Gauss rule of ``CumulativeInterpolant`` on [0, r_start],
+        which never evaluates ``fn`` at 0, plus the trapezoids of the block's samples."""
+        nodes, rows, _ = _octaves(cfg.r_start, cfg.horizon_count, cfg.nodes_per_octave)
+        if self._values.get(id(rows), (None,))[0] is not rows:
+            try:
+                head = CumulativeInterpolant(self, float(nodes[0])).values[-1]
+                ys, why = _usable(*_samples(self, nodes, rows), rows)
+            except (ExprError, ArithmeticError, ValueError) as err:
+                ys, why, head = np.empty((0, len(rows[0]))), str(err), 0.0
+            steps = _trapezoids(nodes[:ys.size], ys.ravel())  # 0 across repeated octave edges
+            P = np.cumsum(np.concatenate([[head], steps]))[:ys.size].reshape(ys.shape)
+            self._values[id(rows)] = rows, (P, why and f"primitive not computable: {why}")
+        return self._values[id(rows)][1]

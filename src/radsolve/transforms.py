@@ -24,8 +24,9 @@ the classifier's diagonal probes sample it once.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
-integrate it with f = 1, the solver's operator with f at the iterate.  The ratio
-is a 0/0 at t = 0 (H_j vanishes there); its limit is 0, and the kernel defines it so.
+integrate it with f = 1, the solver's operator with f at the iterate; the kernels
+on one node set share its ``node_factors``.  The ratio is a 0/0 at t = 0 (H_j
+vanishes there); its limit is 0, and the kernel defines it so.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .quadrature import (
     cumulative_trapezoid,
     octave_nodes,
     probe_divergence,
-    probe_from_origin,
+    probe_running,
 )
 
 __all__ = [
@@ -64,6 +65,7 @@ __all__ = [
     "estimate_A_inf",
     "estimate_F_inf",
     "build_transform_tables",
+    "node_factors",
     "validate_hypotheses",
 ]
 
@@ -165,6 +167,15 @@ class ProblemSpec:
         return fn
 
 
+def node_factors(nodes: np.ndarray, N: int) -> tuple[np.ndarray, ...]:
+    """``nodes`` and what ``RadialKernel`` takes from them alone in dimension N: the
+    monomial moments m0 and m1 of each interval, the widths and r^(N-1)."""
+    q = N - 1
+    pow1, pow2 = nodes ** (q + 1), nodes ** (q + 2)
+    m0 = (pow1[1:] - pow1[:-1]) / (q + 1)
+    return nodes, m0, (pow2[1:] - pow2[:-1]) / (q + 2) - nodes[:-1] * m0, np.diff(nodes), nodes ** q
+
+
 class RadialKernel:
     """H_j and the nested ratio of component ``j``, evaluated once on ``nodes``.
 
@@ -173,10 +184,12 @@ class RadialKernel:
     raises ``NegativeCoefficientError``, a weighted a_j that overflows
     ``KernelOverflowError``.  ``inner`` integrates s^(N-1) * w with w piecewise
     linear, taking the monomial moments of each interval exactly (second order even
-    where s^(N-1) vanishes); the moments and widths, node-only, are computed here once.
+    where s^(N-1) vanishes); ``nodes`` may be ``node_factors(nodes, spec.N)``, shared.
     """
 
-    def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray):
+    def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray | tuple[np.ndarray, ...]):
+        factors = nodes if isinstance(nodes, tuple) else node_factors(nodes, spec.N)
+        nodes = factors[0]
         if not 0 <= j < spec.d:
             raise ValueError(f"component index {j} out of range for d = {spec.d}")
         hv = evaluate_array(spec.h[j], {"r": nodes})
@@ -189,15 +202,11 @@ class RadialKernel:
         self.expo = 1.0 / (spec.p[j] - 1.0)
         self.a = av
         h_cum = cumulative_trapezoid(nodes, hv)
-        q = spec.N - 1
-        pow1, pow2 = nodes ** (q + 1), nodes ** (q + 2)
-        self._m0 = (pow1[1:] - pow1[:-1]) / (q + 1)
-        self._m1 = (pow2[1:] - pow2[:-1]) / (q + 2) - nodes[:-1] * self._m0
-        self._widths = np.diff(nodes)
+        _, self._m0, self._m1, self._widths, r_power = factors
         with np.errstate(over="ignore"):
             self.H = np.exp(h_cum)  # times r^(N-1) once weighted_a is taken
             self.weighted_a = self.H * av
-            self.H *= nodes ** q
+            self.H *= r_power
         if not np.all(np.isfinite(self.weighted_a)):
             bad = float(nodes[int(np.argmax(~np.isfinite(self.weighted_a)))])
             raise KernelOverflowError(f"integrand not finite near t = {bad:g}")
@@ -284,26 +293,23 @@ def estimate_F_inf(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> Div
     return probe_divergence(spec.diagonal_integrand(), spec.anchor, probe)
 
 
-def estimate_A_inf(spec: ProblemSpec, j: int,
-                   probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
+def estimate_A_inf(spec: ProblemSpec, j: int, probe: ProbeConfig = ProbeConfig(),
+                   factors: tuple[np.ndarray, ...] | None = None) -> DivergenceVerdict:
     """Tail probe of the barrier integral; a convergent limit estimates A_j(inf).
 
-    The kernel's ratio on ``octave_nodes(probe.t_max)`` is probed from the origin,
-    interpolated linearly, so each partial is the trapezoid ``build_A`` takes of the
-    same ratio and a convergent limit is the full A_j(inf).  (Interpolating the
-    running integral and H_j apart misreads the ratio near 0, where the integral
-    grows like t^N.)  A kernel that cannot be built (negative h_j or a_j, overflow
-    far out, domain errors) yields an inconclusive verdict, not an exception.
+    ``probe_running`` reads it off the trapezoid of the kernel's ratio that ``build_A``
+    takes, on ``octave_nodes(probe.t_max, head=probe.r_start)`` (or their shared
+    ``factors``): partial k is A_j(r_start 2^k) - A_j(r_start), a convergent limit the
+    full A_j(inf).  A kernel that cannot be built (negative h_j or a_j, overflow,
+    domain errors) is inconclusive, not an exception.
     """
     if not 0 <= j < spec.d:
         raise ValueError(f"component index {j} out of range for d = {spec.d}")
-    nodes = octave_nodes(probe.t_max)
     try:
-        kernel = RadialKernel(spec, j, nodes)
+        kernel = RadialKernel(spec, j, factors or octave_nodes(probe.t_max, head=probe.r_start))
     except (ExprError, ValueError, FloatingPointError) as err:
         return DivergenceVerdict("inconclusive", note=f"barrier kernel not probeable: {err}")
-    ratio = kernel.ratio()
-    return probe_from_origin(lambda t: np.interp(t, nodes, ratio), probe)
+    return probe_running(kernel.nodes, kernel.ratio(), probe)
 
 
 @dataclass(frozen=True)
@@ -335,7 +341,8 @@ class TransformTables:
 def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,
                            probe: ProbeConfig = ProbeConfig()) -> TransformTables:
     """Assemble the kernels and A_j; the F table and its tail estimate follow on first use."""
-    kernels = tuple(RadialKernel(spec, j, grid.nodes) for j in range(spec.d))
+    factors = node_factors(grid.nodes, spec.N)
+    kernels = tuple(RadialKernel(spec, j, factors) for j in range(spec.d))
     A = tuple(build_A(spec, grid, j, kernel) for j, kernel in enumerate(kernels))
     return TransformTables(A, kernels, spec, probe)
 

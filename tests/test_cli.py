@@ -551,7 +551,8 @@ def test_report_config_echo_revalidates(tmp_path):
 def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     # d = 2 with F_anchor = probes.r_start: the F tail probe, Ye-Zhou and the
     # reciprocal-power remark run on the same block of octave nodes and share
-    # the f_j samples; Keller-Osserman and the primitive-root remark share one table
+    # the f_j samples; Keller-Osserman and the primitive-root remark share one
+    # primitive on that block, made from those samples and one head table
     doc = base_config()
     doc["problem"].update(d=2, p=[2.0, 3.0], h=["0", "0.1"], a=["1", "1"],
                           f=["u2 + 1", "u1^2"])
@@ -569,20 +570,20 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
             samples.setdefault(key, [arrays[0], 0])[1] += 1
         return evaluate(e, env)
 
-    primitives = []
+    heads = []
     init = CumulativeInterpolant.__init__
 
     def counting_init(self, fn, t_max, lo=0.0, intervals=1024):
         if lo == 0.0:
-            primitives.append(t_max)
+            heads.append(t_max)
         init(self, fn, t_max, lo, intervals)
 
-    queries: dict = {}  # (table, read-only query array) -> number of interpolations
+    queries = []  # interpolations of a table from 0, such as a primitive
     call = CumulativeInterpolant.__call__
 
     def counting_call(self, t):
-        if self.lo == 0.0 and isinstance(t, np.ndarray) and not t.flags.writeable:
-            queries.setdefault((id(self), id(t)), [t, 0])[1] += 1
+        if self.lo == 0.0:
+            queries.append(t)
         return call(self, t)
 
     monkeypatch.setattr(transforms, "evaluate_array", counting_evaluate)
@@ -595,14 +596,14 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     assert len(blocks) == 1  # one block of all 8 octaves for the one probe start
     assert [len(xs) for xs in blocks.values()] == [8 * 257]
     assert len(samples) == 2  # each f_j sampled on that block, once
-    assert primitives == [2.0 ** 8] * 2  # one primitive table per component
-    # Keller-Osserman and the primitive-root remark probe the same block, so
-    # each table is interpolated there once
-    assert sorted(count for _, count in queries.values()) == [1, 1]
-    assert {id(xs) for xs, _ in queries.values()} == set(blocks)
-    # a scalar query of the shared table still gets a float back
-    value = parse_config(doc).spec.diagonal(1).primitive(2.0 ** 8)(32.0)
-    assert isinstance(value, float) and value == pytest.approx(32.0 ** 3 / 3.0, rel=1e-9)
+    assert heads == [1.0] * 2  # one head table over [0, r_start] per component
+    assert queries == []  # no primitive is interpolated
+    # the primitive on the block: P = t^3 / 3 for f_2 = u1^2 on the diagonal
+    cfg = parse_config(doc)
+    P, why = cfg.spec.diagonal(1).primitive_rows(cfg.classifier.probe)
+    assert why == "" and P.shape == (8, 257)
+    np.testing.assert_allclose(P, np.array(quadrature._octaves(1.0, 8, 256)[1]) ** 3 / 3.0,
+                               rtol=1e-5)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     remarks = report["auxiliary"]["remarks"]
     assert len(remarks["reciprocal_power"]) == len(remarks["primitive_root"]) == 2

@@ -259,6 +259,15 @@ def test_keller_osserman_and_ye_zhou_linear_diverge():
     assert check_ye_zhou(f).verdict == "diverges"
 
 
+def test_keller_osserman_partials_for_f_linear_match_the_closed_form():
+    # P = t^2 / 2 exactly (the Gauss head and the block trapezoid of t are exact),
+    # so the partial over [1, 2^k] of dt / sqrt(P) = sqrt(2) / t is sqrt(2) k ln 2
+    ko = check_keller_osserman(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1").diagonal(0))
+    k = np.arange(1, 11)
+    np.testing.assert_allclose(ko.partials, np.sqrt(2.0) * k * np.log(2.0), rtol=1e-7, atol=0.0)
+    assert ko.verdict == "diverges"
+
+
 def test_keller_osserman_and_ye_zhou_cubic_converge():
     f = lambda t: np.asarray(t, dtype=float) ** 3
     ko = check_keller_osserman(f)

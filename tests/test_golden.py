@@ -32,13 +32,13 @@ RUNS = (
 GOLDEN = {
     "classify_sinh_oracle": 0,
     "classify_sinh_oracle/report.json":
-        "9f87a068eadcac082ec2e8de0fdc3f4e55556ad15d31d0a37ec4554e98209f78",
+        "f834e35bbe76c34b2ede3183c11bf42b70e43ce0816488c76e7079ae86d48b4b",
     "classify_bounded_cubic": 0,
     "classify_bounded_cubic/report.json":
-        "ece255841ae563a135346ffdb5b3f4fb026c412f45582ea5da95bf82311f9918",
+        "b7b513ea21806a7dc77d9ad1a5f3a1d46da1166f2e4620978f67afcd4143e5da",
     "classify_coupled_sweep": 0,
     "classify_coupled_sweep/report.json":
-        "51f8c39850b12b650cba9408b05c3171745df51576a6176456c998b5ec838783",
+        "1230297ff30dbb270ddf76f9eea7632f0088fb02c122c3e7cd38c3e8350d6e89",
     "solve_sinh_oracle": 0,
     "solve_sinh_oracle/report.json":
         "e8058708ae9afe901db1f0be73fe854405590cf9437726ea59050d48b4ecba51",
@@ -108,9 +108,9 @@ def test_verify_of_a_solved_csv_is_byte_identical(tmp_path, monkeypatch):
 # Two classify runs that pin the sharing of diagonal work between probes: one
 # whose F anchor (2) differs from the probe start (1), so the F and remark
 # probes run on other octave arrays than Ye-Zhou and the Keller-Osserman
-# primitive is tabulated to another horizon than the remark one; and f =
-# exp(u1), whose F, Ye-Zhou and reciprocal-power probes overflow in the last
-# octave and whose primitives cannot be tabulated.
+# primitive is taken on another block than the remark one; and f = exp(u1),
+# whose F, Ye-Zhou, reciprocal-power and primitive probes all stop at the
+# overflow in the last octave.
 SHARING_RUNS = {
     "classify_anchor_apart": {
         "problem": {"N": 3, "d": 2, "p": [1.6, 2.5], "h": ["0", "0.5/(1+r)"],
@@ -131,10 +131,10 @@ SHARING_RUNS = {
 SHARING_GOLDEN = {
     "classify_anchor_apart": 5,
     "classify_anchor_apart/report.json":
-        "585b276a6d62741b9e2f35088df4f2b63bda3c9203c7463d8a0fd3514ee47ebd",
+        "80dc287c77bbeee054fb2d7aac12987b25e962f1ee7ef3e4a08d181a763c458a",
     "classify_exp_overflow": 5,
     "classify_exp_overflow/report.json":
-        "0384be52fd7ed982cc6622006df7e7f597077d7b1b9061748f07fe40ec163b6e",
+        "4132d9c818d42d58998baa06ec366cc27ddf504f538bf877bca146a418cdfecb",
 }
 
 
@@ -158,9 +158,9 @@ def test_classify_with_shared_diagonal_work_is_byte_identical(tmp_path):
 
 # Two classify runs whose probes stop at a domain error in mid-horizon, the
 # octave [32, 64] that holds r = 40.  In the first, f_1 fails there on the
-# diagonal (the F, Ye-Zhou and reciprocal-power probes of component 1 keep
-# five octaves, and no primitive can be tabulated), and 1/f_2 is infinite at
-# s = 1 although f_2 fails only at 80 (those probes keep no octave).  In the
+# diagonal (the F, Ye-Zhou, reciprocal-power and primitive probes of
+# component 1 keep five octaves), and 1/f_2 is infinite at s = 1 although f_2
+# fails only at 80 (those probes keep no octave, its primitive probes six).  In the
 # second, a Lair-form instance, a_1 fails at r = 40: the first nested probe
 # keeps five octaves, the second and the barrier A_1 cannot be built.
 FALLBACK_RUNS = {
@@ -182,10 +182,10 @@ FALLBACK_RUNS = {
 FALLBACK_GOLDEN = {
     "classify_expr_error_midway": 5,
     "classify_expr_error_midway/report.json":
-        "681ca127dff01aead67fbebac044da0af927a49dcbb60ce984eb36e5a9673028",
+        "d2e78c48cd6d9ac4d1fe432aac61c1853cb1394cf98e6675660371930b4e0394",
     "classify_lair_expr_error_midway": 5,
     "classify_lair_expr_error_midway/report.json":
-        "08a846858747f90af0e82bb32a49aa7ef3b48752aede8a440dfba432d0de5f2a",
+        "6e43ba539dc576385a3be147bd4afaaf3d3ea1cc1b9f72b172ad676da2f2f9e9",
 }
 
 

@@ -493,6 +493,49 @@ def test_shared_samples_evaluate_once_per_read_only_array():
     shared(writeable)
     shared(writeable)
     assert len(calls) == 5  # first, kept, nodes once, the writeable array twice
-    assert shared.primitive(64.0) is shared.primitive(64.0)
-    assert shared.primitive(64.0) is not shared.primitive(32.0)
-    assert shared.primitive(32.0)(32.0) == pytest.approx(32.0 ** 2)
+
+
+def test_primitive_rows_are_made_once_per_probe_block_from_its_own_samples():
+    calls = []
+
+    def fn(xs):
+        calls.append(xs)
+        return 2.0 * xs
+
+    shared = SharedSamples(fn)
+    cfg = ProbeConfig(horizon_count=5, nodes_per_octave=64)
+    nodes, rows, _ = _octaves(1.0, 5, 64)
+    P, why = shared.primitive_rows(cfg)
+    assert shared.primitive_rows(cfg)[0] is P and why == ""
+    # one Gauss head table on [0, 1] (writeable, so not kept) and the block, once
+    assert [xs.flags.writeable for xs in calls] == [True, False] and calls[1] is nodes
+    shared(nodes)  # the samples the block's other probes read
+    assert len(calls) == 2
+    # P = t^2, the trapezoid of 2t is exact, and a repeated octave edge adds nothing
+    np.testing.assert_allclose(P, np.array(rows) ** 2, rtol=1e-14)
+    other = shared.primitive_rows(ProbeConfig(horizon_count=5, nodes_per_octave=64, r_start=2.0))
+    assert other[0] is not P and other[0][0, 0] == pytest.approx(4.0, rel=1e-14)
+
+
+def test_primitive_rows_stop_at_the_octave_where_f_is_unusable_and_never_raise():
+    cfg = ProbeConfig(horizon_count=6, nodes_per_octave=64)
+
+    def overflowing(xs):  # finite up to r = 20
+        return np.where(xs < 20.0, 1.0, np.inf)
+
+    P, why = SharedSamples(overflowing).primitive_rows(cfg)
+    assert P.shape == (4, 65) and why == "primitive not computable: integrand not finite near r = 20"
+
+    def undefined(xs):  # a domain error from r = 40 on
+        if xs[-1] > 40.0:
+            raise ExprError("undefined")
+        return np.ones_like(xs)
+
+    P, why = SharedSamples(undefined).primitive_rows(cfg)
+    assert P.shape == (5, 65) and why == "primitive not computable: integrand error on [32,64]: undefined"
+
+    def undefined_at_the_head(xs):
+        raise ExprError("undefined")
+
+    P, why = SharedSamples(undefined_at_the_head).primitive_rows(cfg)
+    assert P.shape == (0, 65) and why == "primitive not computable: undefined"

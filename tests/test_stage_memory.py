@@ -4,7 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from radsolve import cli
+from radsolve import cli, conditions
 
 _ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("stage_memory",
@@ -29,3 +29,26 @@ def test_every_stage_of_solve_then_verify_is_measured_once_and_unwrapped_after(t
         ("verify", "csv read"), ("verify", "tables"), ("verify", "verification")]
     assert all(peak >= held and peak > 0 for _, _, peak, held in table)
     assert {name: getattr(cli, name) for name in stage_memory.STAGES} == originals
+
+
+def test_every_stage_of_classify_is_measured_in_order_and_unwrapped_after(tmp_path):
+    # F and both barriers converge for f = u^3 and a decaying a, so C6 runs too
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "problem": {"N": 3, "d": 2, "p": [2.0, 2.0], "h": ["0", "0"],
+                    "a": ["(1+r)^(-4)", "(1+r)^(-4)"], "f": ["u2^3", "u1^3"]},
+        "grid": {"R": 1.0, "M": 100},
+        "probes": {"K": 6, "nodes_per_octave": 256},
+        "beta": [1.0, 1.0],
+    }), encoding="utf-8")
+    names = stage_memory.CLASSIFY_STAGES
+    originals = {name: getattr(cli if name in vars(cli) else conditions, name) for name in names}
+    table = stage_memory.stage_table(str(config), "classify")
+    assert [(command, stage) for command, stage, _, _ in table] == [
+        ("classify", "F probe"), ("classify", "A_j probes"), ("classify", "C6"),
+        ("classify", "Keller-Osserman"), ("classify", "Keller-Osserman"),
+        ("classify", "Ye-Zhou"), ("classify", "Ye-Zhou"),
+        ("classify", "remarks"), ("classify", "report")]
+    assert all(peak >= held and peak > 0 for _, _, peak, held in table)
+    assert {name: getattr(cli if name in vars(cli) else conditions, name)
+            for name in names} == originals

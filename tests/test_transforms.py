@@ -242,8 +242,8 @@ def test_estimate_A_inf_fixtures():
 
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_estimate_A_inf_partials_match_the_closed_form(N):
-    # a = 1, h = 0, p = 2: the ratio is t/N, so the partial over [0, 2^k] is
-    # (4^k - 1) / (2N), and the trapezoid of the interpolated ratio is exact
+    # a = 1, h = 0, p = 2: the ratio is t/N, so the partial over [1, 2^k] is
+    # (4^k - 1) / (2N), and the trapezoid of the ratio is exact
     v = estimate_A_inf(ProblemSpec.from_strings(N, 1, 2.0, "0", "1", "u1"), 0)
     k = np.arange(1, len(v.partials) + 1)
     assert v.horizons == tuple(2.0 ** k)
@@ -276,7 +276,45 @@ def test_a_ratio_of_two_overflows_is_not_finite_without_an_invalid_value_warning
         v = estimate_A_inf(spec, 0)
     assert np.isnan(ratio[-1])
     assert v.verdict == "inconclusive"
-    assert v.note == "integrand not finite near r = 988.25"
+    assert v.note == "integrand not finite near r = 988.5"
+
+
+def test_a_ratio_that_stops_being_finite_far_out_leaves_the_octaves_before_it():
+    # the kernel's first non-finite node is 988.5, in the octave [512, 1024]
+    spec = ProblemSpec.from_strings(5, 1, 2.0, "0.69", "1", "u1")
+    nodes = octave_nodes(1024.0)
+    A = cumulative_trapezoid(nodes, RadialKernel(spec, 0, nodes).ratio())
+    v = estimate_A_inf(spec, 0)
+    assert v.horizons == tuple(2.0 ** np.arange(1, 10))
+    ends = A[np.searchsorted(nodes, (1.0,) + v.horizons)]
+    assert v.partials == tuple(ends[1:] - ends[0])
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_estimate_A_inf_partials_are_differences_of_the_barrier_trapezoid(N):
+    spec = ProblemSpec.from_strings(N, 1, 2.5, "0.3/(1+r)", "exp(-r)", "u1")
+    nodes = octave_nodes(1024.0)
+    A = cumulative_trapezoid(nodes, RadialKernel(spec, 0, nodes).ratio())
+    v = estimate_A_inf(spec, 0)
+    ends = A[np.searchsorted(nodes, 2.0 ** np.arange(11))]
+    assert v.horizons == tuple(2.0 ** np.arange(1, 11))
+    assert v.partials == tuple(ends[1:] - ends[0])  # bit for bit
+    assert v.verdict == "converges" and v.limit >= A[-1]
+
+
+@pytest.mark.parametrize("r_start", [0.5, 3.0])
+def test_estimate_A_inf_probes_from_its_start(r_start):
+    probe = ProbeConfig(r_start=r_start)
+    nodes = octave_nodes(probe.t_max, head=r_start)
+    assert len(nodes) == 2049 + 10 * 1024 and nodes[2048] == r_start
+    diverging = estimate_A_inf(linear_spec(), 0, probe)
+    assert diverging.verdict == "diverges"
+    assert diverging.horizons == tuple(r_start * 2.0 ** np.arange(1, 11))
+    converging = estimate_A_inf(ProblemSpec.from_strings(3, 1, 2.0, "0", "(1+r)^(-4)", "u1"), 0, probe)
+    assert converging.verdict == "converges"
+    assert converging.horizons == diverging.horizons
+    assert converging.limit == pytest.approx(A_INF_DECAYING, rel=0.02)
+    assert converging.note.endswith(f"; limit includes head over [0, {r_start:g}]")
 
 
 def test_a_kernel_or_barrier_that_overflows_on_its_grid_is_a_kernel_overflow_error():
