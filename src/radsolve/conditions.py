@@ -36,20 +36,15 @@ from .quadrature import (
     ProbeConfig,
     SharedSamples,
     classify_tail,
+    cumulative_trapezoid,
     octave_nodes,
+    probe_block,
     probe_divergence,
-    probe_from_origin,
+    probe_running,
     probe_samples,
+    sample_running,
 )
-from .transforms import (
-    ProblemSpec,
-    build_F,
-    estimate_A_inf,
-    estimate_F_inf,
-    eval_F,
-    invert_F,
-    node_factors,
-)
+from .transforms import ProblemSpec, estimate_A_inf, estimate_F_inf, node_factors
 
 __all__ = [
     "ConditionVerdict",
@@ -125,11 +120,8 @@ def _tri_from_probe(v: DivergenceVerdict, want: str) -> ConditionVerdict:
     other = "converges" if want == "diverges" else "diverges"
     evidence = {"verdict": v.verdict, "partials": list(v.partials),
                 "horizons": list(v.horizons), "limit": v.limit}
-    if v.verdict == want:
-        return ConditionVerdict("holds", evidence, v.note)
-    if v.verdict == other:
-        return ConditionVerdict("fails", evidence, v.note)
-    return ConditionVerdict("inconclusive", evidence, v.note)
+    return ConditionVerdict({want: "holds", other: "fails"}.get(v.verdict, "inconclusive"),
+                            evidence, v.note)
 
 
 def _barrier_tail_state(a_inf: tuple[DivergenceVerdict, ...]) -> str:
@@ -239,11 +231,12 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     Requires convergent estimates for F and every barrier.  The condition,
     sum_j A_j(inf) < F(inf) - F(d*beta) for some beta > anchor/d, is monotone:
     F increases, so feasibility at any beta implies feasibility of everything
-    below it.  We test just above anchor/d and, when feasible, take the right
-    end from the F table's exact inverse at F(inf) - sum_j A_j(inf), growing
-    the table by octaves up to the probe horizon anchor * 2^K, where the end
-    is capped if F stays below that value.  The returned window is the open
-    interval between anchor/d and that right end.
+    below it.  F(inf) is the F probe's limit and F the running trapezoid of its
+    integrand on that probe's block, anchor to anchor * 2^K (the f_j samples are
+    shared through ``spec.diagonal(j)``): one quadrature for both.  We test just
+    above anchor/d and, when feasible, invert that trapezoid's linear pieces at
+    F(inf) - sum_j A_j(inf) for the right end, capped at anchor * 2^K / d if F
+    stays below that value.  The window is the open interval between the two.
     """
     if f_inf.verdict != "converges":
         raise ValueError("C6 requires a convergent F tail estimate")
@@ -253,37 +246,27 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     total_A = float(sum(v.limit for v in a_inf))
     d, anchor = spec.d, spec.anchor
 
-    table = build_F(spec)
+    s = probe_block(anchor, config.probe)  # each inner octave edge twice, F flat across it
+    F = cumulative_trapezoid(s, spec.diagonal_integrand()(s))
     beta_lo = (anchor / d) * (1.0 + 1e-6)
-    g_lo = F_lim - float(eval_F(table, d * beta_lo)) - total_A
+    g_lo = F_lim - float(np.interp(d * beta_lo, s, F)) - total_A
+    evidence = {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo}
     if g_lo <= 0.0:
-        return (ConditionVerdict(
-            "fails",
-            {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo},
-            "the barrier tails already exceed the remaining F range just above anchor/d"),
-            None)
+        return (ConditionVerdict("fails", evidence, "the barrier tails already exceed the "
+                                 "remaining F range just above anchor/d"), None)
 
     target = F_lim - total_A
-    horizon = replace(config.probe, r_start=anchor).t_max
-    while table.values[-1] < target and table.t_max < horizon:
-        table.extend(2.0 * table.t_max)
-    if table.values[-1] < target:
-        cap = horizon / d
-        return (ConditionVerdict(
-            "holds",
-            {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo,
-             "beta_max": cap, "capped": True},
-            "feasible everywhere probed; right end capped at the probe horizon"),
-            (anchor / d, cap))
+    if F[-1] < target:
+        cap = float(s[-1]) / d
+        return (ConditionVerdict("holds", {**evidence, "beta_max": cap, "capped": True},
+                                 "feasible everywhere probed; right end capped at the "
+                                 "probe horizon"), (anchor / d, cap))
 
-    beta_max = float(invert_F(table, [target], f_inf)[0]) / d
-    g_final = F_lim - float(eval_F(table, d * beta_max)) - total_A
-    return (ConditionVerdict(
-        "holds",
-        {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo,
-         "beta_max": beta_max, "gap_at_beta_max": g_final, "capped": False},
-        ""),
-        (anchor / d, beta_max))
+    beta_max = float(np.interp(target, F, s)) / d
+    g_final = F_lim - float(np.interp(d * beta_max, s, F)) - total_A
+    return (ConditionVerdict("holds", {**evidence, "beta_max": beta_max,
+                                       "gap_at_beta_max": g_final, "capped": False}),
+            (anchor / d, beta_max))
 
 
 def _bracket_values(spec: ProblemSpec, s: np.ndarray) -> np.ndarray:
@@ -470,10 +453,13 @@ def check_lair_proposition(inst: LairInstance,
     explosive solution of the two-component system.
 
     Each integrand is t * a_out(t) * (t^(2-N) * nested(t))^exponent where
-    nested stacks two weighted primitives of the other coefficient.  Outside
-    the sublinear exponent range the probes still run, but the prediction is
-    not theorem-backed; callers should consult ``within_sublinear_range``.
+    nested stacks two weighted primitives of the other coefficient; ``probe_running``
+    reads its ``sample_running`` on ``octave_nodes`` from 0, up to a domain error or a
+    negative value (a negative coefficient), which makes that side inconclusive.
+    Outside the sublinear exponent range the probes still run, but the prediction
+    is not theorem-backed; callers should consult ``within_sublinear_range``.
     """
+    nodes = octave_nodes(probe.t_max, intervals=probe.nodes_per_octave, head=probe.r_start)
     def one_side(a_out: Expr, a_in: Expr, expo: float) -> DivergenceVerdict:
         try:
             inner = CumulativeInterpolant(
@@ -492,7 +478,7 @@ def check_lair_proposition(inst: LairInstance,
             out[pos] = tp * av * np.power(tp ** (2.0 - inst.N) * nested(tp), expo)
             return out
 
-        return probe_from_origin(integrand, probe)
+        return probe_running(nodes, *sample_running(integrand, nodes, probe), probe)
 
     return (one_side(inst.a1, inst.a2, inst.alpha),
             one_side(inst.a2, inst.a1, inst.beta_exp))

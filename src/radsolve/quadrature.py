@@ -13,14 +13,14 @@ which appends whole octaves without re-sampling what is already tabulated.
 It is the only mutable object here; everything else is pure.
 
 Improper integrals over ``[start, inf)`` are probed on geometric horizons
-``start * 2^k`` by ``probe_divergence`` (``probe_samples`` on given samples);
-``probe_from_origin`` adds a dense head over ``[0, r_start]``, and
-``probe_running`` reads a running integral already tabulated from 0; all share
-one tail verdict, three-valued with an explicit ``inconclusive`` outcome, since
-divergence is not decidable numerically.  A probe calls its integrand once on a
-read-only block of all its octaves' nodes (octave by octave only if that call
-raises) and checks and integrates it per octave.  Probes with the same start and
-knobs share the block, on which ``SharedSamples`` evaluates a function probed
+``start * 2^k`` by ``probe_divergence`` (``probe_samples`` on given samples), and
+integrals over ``[0, inf)`` by ``probe_running`` (on samples ``sample_running``
+takes), off the running trapezoid on ``octave_nodes`` with a dense head over
+``[0, r_start]``; all share one tail verdict, three-valued with an explicit
+``inconclusive`` outcome, since divergence is not decidable numerically.  A probe
+calls its integrand once on all its nodes (octave by octave only if that call
+raises).  Probes with the same start and knobs share one read-only block of
+nodes, ``probe_block``, on which ``SharedSamples`` evaluates a function probed
 several times, and its primitive, only once.
 """
 
@@ -40,10 +40,11 @@ __all__ = [
     "DivergenceVerdict",
     "ProbeConfig",
     "cumulative_trapezoid",
+    "probe_block",
     "probe_divergence",
-    "probe_from_origin",
     "probe_running",
     "probe_samples",
+    "sample_running",
     "classify_tail",
     "octave_nodes",
     "CumulativeInterpolant",
@@ -186,33 +187,32 @@ def _eval_segment(integrand: Callable, xs: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _samples(integrand: Callable, nodes: np.ndarray,
-             rows: Sequence[np.ndarray]) -> tuple[np.ndarray, str | Exception]:
-    """Integrand values, one row per octave of ``rows`` (views of ``nodes``), and
-    what stopped them short of ``rows`` ("" if nothing did): the integrand is called
-    once on ``nodes``, and if that raises, octave by octave up to the one that raises."""
-    failure: str | Exception = ""
+def _samples(integrand: Callable, nodes: np.ndarray, rows: Sequence[np.ndarray],
+             joint: int = 0) -> tuple[np.ndarray, str | Exception]:
+    """Integrand values on ``nodes`` as far as they go, and what stopped them ("" if nothing
+    did): one call on ``nodes``, and if that raises, one per row of ``rows`` (views covering
+    ``nodes`` in order, each repeating ``joint`` nodes of the one before) up to one that raises."""
     try:
-        values = _eval_segment(integrand, nodes).reshape(len(rows), -1)
+        return _eval_segment(integrand, nodes), ""
     except Exception:  # whatever it is, found again below octave by octave
-        done = []
+        done, failure = [], ""
         for xs in rows:
             try:
-                done.append(_eval_segment(integrand, xs))
+                done.append(_eval_segment(integrand, xs)[joint if done else 0:])
             except (ExprError, ArithmeticError) as err:
                 failure = f"integrand error on [{xs[0]:g},{xs[-1]:g}]: {err}"
                 break
             except Exception as err:  # raised below unless an earlier octave stops
                 failure = err
                 break
-        values = np.array(done, dtype=float).reshape(len(done), len(rows[0]))
-    return values, failure
+        return np.concatenate([np.empty(0), *done]), failure
 
 
 def _usable(values: np.ndarray, failure: str | Exception,
             rows: Sequence[np.ndarray]) -> tuple[np.ndarray, str]:
-    """``values`` clipped at zero up to the first unusable octave, and why: a non-finite
-    value, else ``failure`` (raised if an exception).  A clearly negative value raises."""
+    """``values`` as rows of ``rows``, clipped at zero up to the first unusable one, and why:
+    a non-finite value, else ``failure`` (raised if an exception).  Clear negatives raise."""
+    values = np.reshape(values, (-1, len(rows[0])))
     finite = np.isfinite(values)
     usable = finite.all(axis=1)
     stop = len(values) if usable.all() else int(np.argmin(usable))
@@ -244,6 +244,12 @@ def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple:
     return nodes, tuple(nodes.reshape(horizon_count, -1)), widths
 
 
+def probe_block(start: float, cfg: ProbeConfig) -> np.ndarray:
+    """The read-only nodes on which a probe from ``start`` samples its integrand: the
+    ``cfg.horizon_count`` octaves' nodes in order, each inner octave edge twice."""
+    return _octaves(start, cfg.horizon_count, cfg.nodes_per_octave)[0]
+
+
 def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
     """Probe ``integral of integrand over [start, inf)`` for divergence.
 
@@ -256,8 +262,8 @@ def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> Div
     are nondecreasing the verdict is ``diverges``; anything else, or a domain
     error or non-finite integrand value at a probe point, is ``inconclusive``
     with the octaves before that point as evidence.  The integrand is
-    evaluated once, on the read-only nodes of all octaves shared by probes
-    with the same start and knobs; each octave is checked on its own scale.
+    evaluated once, on the ``probe_block`` shared by probes with the same start
+    and knobs; each octave is checked on its own scale.
     """
     if not start > 0:
         raise ValueError("start must be positive")
@@ -290,41 +296,43 @@ def _tail_verdict(areas: np.ndarray, horizons: tuple[float, ...], why: str, rho_
     return DivergenceVerdict(verdict, limit, horizons, partials, note)
 
 
-def _with_head(v: DivergenceVerdict, r_start: float, head: float = 0.0) -> DivergenceVerdict:
-    return v if v.verdict != "converges" else replace(
-        v, limit=v.limit + head, note=f"{v.note}; limit includes head over [0, {r_start:g}]")
+def sample_running(integrand: Callable, nodes: np.ndarray,
+                   cfg: ProbeConfig) -> tuple[np.ndarray, str | Exception]:
+    """``integrand`` on ``probe_running``'s nodes (one call, else the head, then by octave)
+    up to what stops it, and why ("" if nothing did): an error, or, before any non-finite
+    value, one below -1e-12 of the largest so far (at least 1): "integrand negative near r = x"."""
+    n = (len(nodes) - 1) // (cfg.horizon_count + 2)  # per octave; twice over the head
+    rows = [nodes[:2 * n + 1]] + [nodes[i:i + n + 1] for i in range(2 * n, len(nodes) - 1, n)]
+    values, why = _samples(integrand, nodes, rows, joint=1)
+    ys = values[:np.argmin(np.isfinite(np.append(values, np.inf)))]  # up to a non-finite one
+    negative = np.flatnonzero(ys < -1e-12 * np.maximum(1.0, np.maximum.accumulate(np.abs(ys))))
+    if negative.size:  # the values end at the last octave edge before the first one
+        k = negative[0]
+        values = values[:2 * n + 1 + n * ((k - 2 * n - 1) // n) if k > 2 * n else 0]
+        why = f"integrand negative near r = {nodes[k]:g}"
+    return values, why
 
 
-def probe_from_origin(integrand: Callable, cfg: ProbeConfig) -> DivergenceVerdict:
-    """Probe ``integral of integrand over [0, inf)`` for divergence.
-
-    A trapezoid on 4097 nodes integrates the head ``[0, cfg.r_start]``, guarded
-    like the tail, and ``probe_divergence`` probes the tail from there; a
-    convergent limit includes the head.
-    """
-    head_nodes = np.linspace(0.0, cfg.r_start, 4097)
-    head_values, why = _usable(*_samples(integrand, head_nodes, (head_nodes,)), (head_nodes,))
-    if why:
-        return DivergenceVerdict("inconclusive", note=why)
-    return _with_head(probe_divergence(integrand, cfg.r_start, cfg), cfg.r_start,
-                      float(np.trapezoid(head_values[0], head_nodes)))
-
-
-def probe_running(nodes: np.ndarray, values: np.ndarray, cfg: ProbeConfig) -> DivergenceVerdict:
-    """Probe ``integral of values over [0, inf)`` off A = ``cumulative_trapezoid`` of
-    ``values`` on ``nodes = octave_nodes(cfg.t_max, intervals=n, head=cfg.r_start)``:
-    I_k = A(r_start 2^k) - A(r_start), increments the octave sums of A's trapezoids (so
-    a tail far below the head keeps its digits), evidence up to a non-finite value."""
-    intervals = (len(nodes) - 1) // (cfg.horizon_count + 2)  # per octave; twice over the head
-    segs = _trapezoids(nodes, values)
+def probe_running(nodes: np.ndarray, values: np.ndarray, why: str | Exception,
+                  cfg: ProbeConfig) -> DivergenceVerdict:
+    """Probe ``integral over [0, inf)`` off A = ``cumulative_trapezoid`` of ``values`` on
+    ``nodes = octave_nodes(cfg.t_max, intervals=n, head=cfg.r_start)`` (or up to the octave
+    edge where ``why`` stopped them): I_k = A(r_start 2^k) - A(r_start), increments the
+    octave sums of A's trapezoids (so a tail far below the head keeps its digits),
+    evidence up to a non-finite value or ``why``."""
+    n = (len(nodes) - 1) // (cfg.horizon_count + 2)  # per octave; twice over the head
+    segs = _trapezoids(nodes[:len(values)], values)
     running = np.cumsum(segs)  # A at nodes[1:]
-    at, why = running[2 * intervals - 1::intervals], ""  # A(r_start 2^k), k = 0 .. horizon_count
-    if not np.isfinite(running[-1]):  # a running sum stays non-finite once it is
+    at = running[2 * n - 1::n]  # A(r_start 2^k), k = 0 .. as far as the values go
+    if not np.isfinite(running[-1:]).all():  # a running sum stays non-finite once it is
         bad = nodes[1 + np.argmin(np.isfinite(running))]
         at, why = at[np.isfinite(at)], f"integrand not finite near r = {bad:g}"
-    areas = segs[2 * intervals:].reshape(-1, intervals)[:max(len(at) - 1, 0)].sum(1)
-    horizons = tuple(nodes[2 * intervals::intervals][1:len(at)].tolist())
-    return _with_head(_tail_verdict(areas, horizons, why, cfg.rho_conv, at), cfg.r_start)
+    elif isinstance(why, Exception):
+        raise why
+    areas = segs[2 * n:].reshape(-1, n)[:max(len(at) - 1, 0)].sum(1)
+    v = _tail_verdict(areas, tuple(nodes[2 * n::n][1:len(at)].tolist()), why, cfg.rho_conv, at)
+    return v if v.verdict != "converges" else replace(
+        v, note=f"{v.note}; limit includes head over [0, {cfg.r_start:g}]")
 
 
 def octave_nodes(t_max: float, lo: float = 0.0, intervals: int = 1024,

@@ -29,6 +29,7 @@ from .exprlang import evaluate_array
 from .quadrature import RadialGrid, cumulative_trapezoid
 from .transforms import (
     FInverseRangeError,
+    NegativeCoefficientError,
     ProblemSpec,
     RadialKernel,
     TransformTables,
@@ -101,10 +102,7 @@ class SolutionBundle:
 
 def _f_at(spec: ProblemSpec, u: Sequence[np.ndarray], j: int) -> np.ndarray:
     env = {f"u{i + 1}": u[i] for i in range(spec.d)}
-    fv = evaluate_array(spec.f[j], env)
-    if np.any(fv < 0):
-        raise ValueError(f"f[{j}] produced negative values; nonlinearities must be nonnegative")
-    return fv
+    return NegativeCoefficientError.check(evaluate_array(spec.f[j], env), f"f[{j}]", u)
 
 
 def _apply(spec: ProblemSpec, kernels: Sequence[RadialKernel], u: Sequence[np.ndarray],
@@ -242,9 +240,8 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables,
     lower_curves = []
     lower_margins = []
     for j in range(spec.d):
-        fbeta = float(evaluate_array(spec.f[j], env)[0])
-        if fbeta < 0:
-            raise ValueError(f"f[{j}] is negative at the central values")
+        fbeta = float(NegativeCoefficientError.check(evaluate_array(spec.f[j], env),
+                                                     f"f[{j}]", beta)[0])
         lb = beta[j] + fbeta ** (1.0 / (spec.p[j] - 1.0)) * tables.A[j]
         lower_curves.append(lb)
         lower_margins.append(float(np.max(lb - bundle.u[j])))

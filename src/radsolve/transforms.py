@@ -13,14 +13,15 @@ The growth scale F maps s >= anchor to
     F(s) = integral_anchor^s (1 + sum_j f_j(t, ..., t))^(1/(1 - min_j p_j)) dt,
 
 a strictly increasing function whose tabulated inverse gives the upper
-solution bound and the right end of the C6 window (``conditions.check_C6``).
+solution bound (``solver.verify_bounds``, its only reader); the C6 window reads
+F off the F tail probe's own trapezoid instead (``conditions.check_C6``).
 The nonlinearities take d arguments; inside F they are evaluated on the
-diagonal ``f_j(s, ..., s)``.  F is a ``quadrature.CumulativeInterpolant`` from
-the anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
+diagonal ``f_j(s, ..., s)``.  The F table is a ``quadrature.CumulativeInterpolant``
+from the anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
 ``invert_F`` extend it in place by whole octaves as queries need, so every
 query against one table reads the same tabulation.  ``ProblemSpec.diagonal(j)``
-is f_j on the diagonal, one shared callable per spec, so the F tail probe and
-the classifier's diagonal probes sample it once.
+is f_j on the diagonal, one shared callable per spec, so the F tail probe, C6
+and the classifier's diagonal probes sample it once.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
@@ -82,11 +83,19 @@ class FInverseRangeError(Exception):
 
 
 class NegativeCoefficientError(ValueError):
-    """Coefficient ``key`` (h[j] or a[j]) takes negative values on ``interval``."""
+    """Coefficient ``key`` (h[j], a[j] or f[j]) takes negative values for arguments
+    in ``interval``."""
 
     def __init__(self, key: str, interval: str):
         self.key, self.detail = key, f"takes negative values on {interval}"
         super().__init__(f"{key} {self.detail}")
+
+    @classmethod
+    def check(cls, values: np.ndarray, key: str, args) -> np.ndarray:
+        """``values`` of ``key`` at ``args``, raised over the range of ``args`` if one is < 0."""
+        if np.any(values < 0):
+            raise cls(key, f"[{np.min(args):g}, {np.max(args):g}]")
+        return values
 
 
 class KernelOverflowError(ValueError):
@@ -145,11 +154,13 @@ class ProblemSpec:
         return min(self.p)
 
     def diagonal(self, j: int) -> SharedSamples:
-        """s -> f_j(s, .., s), one shared callable per component of this spec."""
+        """s -> f_j(s, .., s), one shared callable per component of this spec; a negative
+        value raises ``NegativeCoefficientError`` before any caller takes a power of it."""
         if j not in self._diagonals:
             names = [f"u{i}" for i in range(1, self.d + 1)]
-            self._diagonals[j] = SharedSamples(
-                lambda s, f=self.f[j]: evaluate_array(f, dict.fromkeys(names, s)))
+            check = NegativeCoefficientError.check
+            self._diagonals[j] = SharedSamples(lambda s, f=self.f[j]: check(
+                evaluate_array(f, dict.fromkeys(names, s)), f"f[{j}]", s))
         return self._diagonals[j]
 
     def diagonal_integrand(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -192,12 +203,9 @@ class RadialKernel:
         nodes = factors[0]
         if not 0 <= j < spec.d:
             raise ValueError(f"component index {j} out of range for d = {spec.d}")
-        hv = evaluate_array(spec.h[j], {"r": nodes})
-        if np.any(hv < 0):
-            raise NegativeCoefficientError(f"h[{j}]", f"[0, {nodes[-1]:g}]")
-        av = evaluate_array(spec.a[j], {"r": nodes})
-        if np.any(av < 0):
-            raise NegativeCoefficientError(f"a[{j}]", f"[0, {nodes[-1]:g}]")
+        check = NegativeCoefficientError.check
+        hv = check(evaluate_array(spec.h[j], {"r": nodes}), f"h[{j}]", nodes)
+        av = check(evaluate_array(spec.a[j], {"r": nodes}), f"a[{j}]", nodes)
         self.nodes = nodes
         self.expo = 1.0 / (spec.p[j] - 1.0)
         self.a = av
@@ -309,7 +317,7 @@ def estimate_A_inf(spec: ProblemSpec, j: int, probe: ProbeConfig = ProbeConfig()
         kernel = RadialKernel(spec, j, factors or octave_nodes(probe.t_max, head=probe.r_start))
     except (ExprError, ValueError, FloatingPointError) as err:
         return DivergenceVerdict("inconclusive", note=f"barrier kernel not probeable: {err}")
-    return probe_running(kernel.nodes, kernel.ratio(), probe)
+    return probe_running(kernel.nodes, kernel.ratio(), "", probe)
 
 
 @dataclass(frozen=True)

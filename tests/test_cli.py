@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -410,6 +411,23 @@ def test_classify_reports_when_the_lair_head_is_undefined(tmp_path):
     assert lair["explosive_predicted"] is None
 
 
+def test_classify_makes_no_lair_prediction_off_a_negative_integrand(tmp_path):
+    # a negative a_1 = -(1+r)^-4 makes both integrands negative, with octave
+    # increments in a geometric ratio near 1/4: read as a tail, they would converge
+    doc = base_config(grid={"R": 1.0, "M": 64})
+    doc["problem"].update(d=2, p=[2.0, 2.0], h=["0", "0"], a=["0 - (1+r)^-4", "(1+r)^-4"],
+                          f=["u2", "u1"])
+    doc["beta"] = [1.0, 1.0]
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(path), "--out", str(out)]) == 5
+    lair = json.loads((out / "report.json").read_text())["auxiliary"]["lair"]
+    for side in ("first", "second"):
+        assert lair[side]["verdict"] == "inconclusive"
+        assert lair[side]["note"] == f"integrand negative near r = {2.0 ** -12:g}"
+    assert lair["explosive_predicted"] is None
+
+
 def test_solve_reports_when_the_F_inverse_is_out_of_reach(tmp_path):
     # F = ln((1+s)/2) reaches F(1) + A(16) = 42.7 only beyond s = 2^60, so the
     # upper bound is not evaluable; the report says so instead of crashing
@@ -536,6 +554,22 @@ def test_canonical_json_writes_dataclasses_by_their_fields():
     assert canonical_json(doc) == canonical_json({"verdicts": [fields], "window": [1.0, np.inf]})
     with pytest.raises(TypeError):
         canonical_json(quadrature.DivergenceVerdict)  # a dataclass type is not an instance
+
+
+@pytest.mark.parametrize("doc, text", [
+    ([], "[]"),
+    ([-0.0], "[\n  -0.0\n]"),
+    ([np.inf], '[\n  "inf"\n]'),
+    ([np.nan], '[\n  "nan"\n]'),
+    ([np.float64(1.5)], "[\n  1.5\n]"),
+    ([1.0, True], "[\n  1.0,\n  true\n]"),
+    ([1, 2.5], "[\n  1,\n  2.5\n]"),
+    ([1e308, 1e308], "[\n  1e+308,\n  1e+308\n]"),
+    (((1.0, 2.0), (-0.0, (3.5,)), ()),
+     "[\n  [\n    1.0,\n    2.0\n  ],\n  [\n    -0.0,\n    [\n      3.5\n    ]\n  ],\n  []\n]"),
+])
+def test_canonical_json_of_edge_lists(doc, text):
+    assert canonical_json(doc) == text + "\n" == _reference_canonical_json(doc)
 
 
 def test_report_config_echo_revalidates(tmp_path):
@@ -673,6 +707,38 @@ def test_classify_with_a_negative_coefficient_stays_inconclusive(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["classification"]["theorem"] == "inconclusive"
     assert "a[0] takes negative values" in report["classification"]["A_inf"][0]["note"]
+
+
+@pytest.mark.parametrize("command, where", [("classify", "[1, 2]"), ("solve", "[1, 1]")])
+def test_a_negative_nonlinearity_is_a_config_error_without_a_warning(tmp_path, capsys,
+                                                                     command, where):
+    # f = u1 - 5 is negative below 5 and 1 + f vanishes at 4: the F probe (on the
+    # diagonal's first octave [1, 2], after the block) and the first sweep (on the
+    # iterate u = 1) check the samples of f before any power of them is taken
+    doc = base_config(grid={"R": 1.0, "M": 64})
+    doc["problem"].update(a=["(1+r)^-4"], f=["u1 - 5"])
+    path = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: problem.f[0]: takes negative values on {where}\n" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_verify_with_a_nonlinearity_negative_at_the_central_values_is_a_config_error(
+        tmp_path, capsys):
+    good = _negative_source_config(tmp_path, a="1")
+    assert main(["solve", "--config", str(good), "--out", str(tmp_path / "solved")]) == 0
+    doc = json.loads(good.read_text())
+    doc["problem"]["f"] = ["u1 - 5"]
+    bad = write_config(tmp_path / "solved", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", str(bad), "--out", str(tmp_path / "verify"),
+                     "--solution", str(tmp_path / "solved" / "solution_000.csv")]) == 2
+    assert doc["beta"] == 1.0
+    assert "config error: problem.f[0]: takes negative values on [1, 1]" in capsys.readouterr().err
 
 
 def test_solve_with_an_overflowing_iterate_is_a_config_error(tmp_path, capsys):

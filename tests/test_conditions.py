@@ -1,11 +1,14 @@
+import contextlib
+import io
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radsolve import conditions
 from radsolve.conditions import (
-    ClassifierConfig,
     LairInstance,
     check_C6,
     check_keller_osserman,
@@ -20,8 +23,9 @@ from radsolve.conditions import (
 )
 from radsolve.exprlang import parse
 from radsolve.quadrature import ProbeConfig
-from radsolve.transforms import (ProblemSpec, build_F, estimate_A_inf, estimate_F_inf, eval_F,
-                                 invert_F)
+from radsolve import quadrature, transforms
+from radsolve.cli import main
+from radsolve.transforms import ProblemSpec, estimate_A_inf, estimate_F_inf
 
 # oracle values from high-precision quadrature
 F_INF_CUBIC = 0.37355072789142418
@@ -162,40 +166,60 @@ def test_check_C6_window_and_residual():
     assert verdict.status == "holds"
     lo, hi = window
     assert lo == pytest.approx(1.0)
-    assert hi == verdict.evidence["beta_max"] == pytest.approx(1.664399785577851, rel=1e-12)
+    assert hi == verdict.evidence["beta_max"] == pytest.approx(1.6643997587096482, rel=1e-12)
     assert hi == pytest.approx(BETA_MAX_CUBIC, rel=1e-5)
     # the right end is the exact root of the tabulated gap, not a bracket of it
     assert abs(verdict.evidence["gap_at_beta_max"]) <= 1e-14 * verdict.evidence["F_limit"]
     assert "trace" not in verdict.evidence
 
 
-@pytest.mark.parametrize("a_expr, capped", [("(1+r)^(-4)", False), ("0", True)])
-def test_check_C6_queries_F_a_fixed_number_of_times_within_the_horizon(
-        monkeypatch, a_expr, capped):
-    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", a_expr, "u1^3")
+def test_check_C6_window_end_below_a_tiny_barrier_sum_is_not_capped():
+    # f = u1^10, p = 2: the barrier sum 2.4e-10 is below the gap between two F
+    # quadratures (5e-8), so F(inf) and F(d beta) must come from the same one;
+    # the end is the root of F(inf) - F(s) = sum_j A_j(inf), from adaptive
+    # quadrature and bracketing on the exact integrands
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1e-8*(1+r)^(-8)", "u1^10")
+    verdict, window = check_C6(spec, estimate_F_inf(spec), (estimate_A_inf(spec, 0),))
+    assert verdict.status == "holds" and verdict.evidence["capped"] is False
+    assert window[1] == pytest.approx(9.18804138, rel=0.01)
+
+
+def test_classify_reads_F_off_its_probe_without_an_F_table(tmp_path, monkeypatch):
+    assert not {"build_F", "eval_F", "invert_F"} & set(vars(conditions))
+    calls, starts = [], []
+    eval_F = transforms.eval_F
+
+    def counted(*args):
+        calls.append(args)
+        return eval_F(*args)
+
+    monkeypatch.setattr(transforms, "eval_F", counted)
+    init = quadrature.CumulativeInterpolant.__init__
+
+    def counted_init(self, fn, t_max, lo=0.0, intervals=1024):
+        starts.append(lo)
+        init(self, fn, t_max, lo, intervals)
+
+    monkeypatch.setattr(quadrature.CumulativeInterpolant, "__init__", counted_init)
+    config = Path(__file__).resolve().parent.parent / "configs" / "bounded_cubic.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["classify", "--config", str(config), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["classification"]["conditions"]["C6"]["status"] == "holds"
+    assert calls == []
+    # an F table starts at the anchor; the primitive heads from 0 are all that is left
+    assert starts and all(lo == 0.0 for lo in starts)
+
+
+def test_check_C6_reuses_the_F_probes_samples_of_f(monkeypatch):
+    spec = spec_cubic_decaying()
     f_inf, a_inf = estimate_F_inf(spec), (estimate_A_inf(spec, 0),)
-    calls, tables = {"eval_F": 0, "invert_F": 0}, []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    def kept_build_F(spec):
-        tables.append(build_F(spec))
-        return tables[-1]
-
-    monkeypatch.setattr(conditions, "eval_F", counted("eval_F", eval_F))
-    monkeypatch.setattr(conditions, "invert_F", counted("invert_F", invert_F), raising=False)
-    monkeypatch.setattr(conditions, "build_F", kept_build_F)
-    verdict, _ = check_C6(spec, f_inf, a_inf)
-    assert verdict.status == "holds" and verdict.evidence["capped"] is capped
-    assert calls["eval_F"] <= 3 and calls["invert_F"] == (0 if capped else 1)
-    horizon = spec.anchor * 2.0 ** ClassifierConfig().probe.horizon_count
-    assert len(tables) == 1 and tables[0].t_max <= horizon
-    if capped:  # F stays below its target out to the horizon, and is probed there
-        assert tables[0].t_max == horizon
+    calls = []
+    evaluate = transforms.evaluate_array
+    monkeypatch.setattr(transforms, "evaluate_array",
+                        lambda e, env: calls.append(e) or evaluate(e, env))
+    check_C6(spec, f_inf, a_inf)
+    assert calls == []  # the block is the probe's, and spec.diagonal(0) kept its samples
 
 
 def test_check_C6_zero_barrier_is_capped():

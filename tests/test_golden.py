@@ -35,10 +35,10 @@ GOLDEN = {
         "f834e35bbe76c34b2ede3183c11bf42b70e43ce0816488c76e7079ae86d48b4b",
     "classify_bounded_cubic": 0,
     "classify_bounded_cubic/report.json":
-        "b7b513ea21806a7dc77d9ad1a5f3a1d46da1166f2e4620978f67afcd4143e5da",
+        "3804b118ab0880193d44e3e6dc5508474e3a5e537a4e17c37d9da4f299af9123",
     "classify_coupled_sweep": 0,
     "classify_coupled_sweep/report.json":
-        "1230297ff30dbb270ddf76f9eea7632f0088fb02c122c3e7cd38c3e8350d6e89",
+        "5344bda2dbfbf24736dcc1b77682bedbef4e6c8bb33e9dddf4397877a4e772a6",
     "solve_sinh_oracle": 0,
     "solve_sinh_oracle/report.json":
         "e8058708ae9afe901db1f0be73fe854405590cf9437726ea59050d48b4ecba51",
@@ -185,7 +185,7 @@ FALLBACK_GOLDEN = {
         "d2e78c48cd6d9ac4d1fe432aac61c1853cb1394cf98e6675660371930b4e0394",
     "classify_lair_expr_error_midway": 5,
     "classify_lair_expr_error_midway/report.json":
-        "6e43ba539dc576385a3be147bd4afaaf3d3ea1cc1b9f72b172ad676da2f2f9e9",
+        "3ea97ae2d45db0a0c6f507b22f2e438db883a4f59c9e635d1ed4ed807aa3348e",
 }
 
 

@@ -14,7 +14,8 @@ from radsolve.quadrature import (
     SharedSamples,
     _octaves,
     probe_divergence,
-    probe_from_origin,
+    probe_running,
+    sample_running,
 )
 from radsolve.exprlang import ExprError, evaluate_array, parse
 from radsolve.transforms import ProblemSpec, RadialKernel
@@ -186,38 +187,86 @@ def test_probe_config_t_max_is_last_horizon():
     assert v.horizons[-1] == cfg.t_max
 
 
-def test_probe_from_origin_includes_head():
+def _running_probe(integrand, cfg):
+    """``probe_running`` of ``integrand`` on the head and octaves from 0, as the Lair probe."""
+    nodes = octave_nodes(cfg.t_max, intervals=cfg.nodes_per_octave, head=cfg.r_start)
+    return probe_running(nodes, *sample_running(integrand, nodes, cfg), cfg)
+
+
+def test_probe_running_of_an_integrand_includes_the_head():
     # integral of (1+r)^-2 over [0, inf) is 1; the head over [0, 1] is 1/2
+    def integrand(r):
+        return 1.0 / (1.0 + r) ** 2
+
     cfg = ProbeConfig(horizon_count=8)
-    v = probe_from_origin(lambda r: 1.0 / (1.0 + r) ** 2, cfg)
-    tail = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, cfg)
+    v = _running_probe(integrand, cfg)
+    tail = probe_divergence(integrand, 1.0, cfg)
     assert v.verdict == "converges"
     assert v.limit == pytest.approx(tail.limit + 0.5, rel=1e-6)
     assert v.limit == pytest.approx(1.0, rel=0.05)
     assert "head over [0, 1]" in v.note
-    assert v.partials == tail.partials
+    # the octaves are the tail probe's nodes, so its octave areas and tail ratios
+    assert v.note.startswith(tail.note + ";")
+    # the partials are differences of the running trapezoid at r_start * 2^k
+    nodes = octave_nodes(cfg.t_max, intervals=cfg.nodes_per_octave)
+    A = cumulative_trapezoid(nodes, integrand(nodes))
+    ends = A[np.searchsorted(nodes, 2.0 ** np.arange(9))]
+    assert v.horizons == tail.horizons == tuple(2.0 ** np.arange(1, 9))
+    assert v.partials == tuple(ends[1:] - ends[0])  # bit for bit
 
 
-def test_probe_from_origin_passes_divergence_through():
-    v = probe_from_origin(lambda r: 1.0 / (1.0 + r), ProbeConfig(horizon_count=8))
+def test_probe_running_of_an_integrand_passes_divergence_through():
+    v = _running_probe(lambda r: 1.0 / (1.0 + r), ProbeConfig(horizon_count=8))
     assert v.verdict == "diverges"
     assert v.limit is None
 
 
-def test_probe_from_origin_guards_the_head():
+def test_probe_running_of_an_integrand_guards_the_head():
     def sqrt_shifted(r):
         r = np.asarray(r, dtype=float)
         if np.any(r < 0.5):
             raise ArithmeticError("sqrt of a negative number")
         return np.sqrt(r - 0.5)
 
-    v = probe_from_origin(sqrt_shifted, ProbeConfig())
-    assert v.verdict == "inconclusive"
-    assert "sqrt of a negative number" in v.note
+    v = _running_probe(sqrt_shifted, ProbeConfig())
+    assert v.verdict == "inconclusive" and v.partials == v.horizons == ()
+    assert v.note == "integrand error on [0,1]: sqrt of a negative number"
     with np.errstate(divide="ignore"):
-        v = probe_from_origin(lambda r: 1.0 / np.asarray(r, dtype=float), ProbeConfig())
+        v = _running_probe(lambda r: 1.0 / np.asarray(r, dtype=float), ProbeConfig())
+    assert v.verdict == "inconclusive" and v.partials == v.horizons == ()
+    # the running sum is infinite from its first interval [0, 2^-12] on
+    assert v.note == f"integrand not finite near r = {2.0 ** -12:g}"
+
+
+def test_probe_running_of_an_integrand_keeps_the_octaves_before_a_domain_error():
+    def undefined_past_40(xs):
+        if xs[-1] > 40.0:
+            raise ExprError("undefined")
+        return 1.0 / (1.0 + xs) ** 2
+
+    cfg = ProbeConfig()
+    v = _running_probe(undefined_past_40, cfg)
+    whole = _running_probe(lambda xs: 1.0 / (1.0 + xs) ** 2, cfg)
     assert v.verdict == "inconclusive"
-    assert "not finite near r = 0" in v.note
+    assert v.note == "integrand error on [32,64]: undefined"  # the octave's own edges
+    assert v.horizons == (2.0, 4.0, 8.0, 16.0, 32.0)
+    assert v.partials == whole.partials[:5]
+
+
+def test_probe_running_of_an_integrand_stops_before_a_negative_value():
+    # negative from r = 5 on: the octaves up to 4 are evidence, nothing is a limit
+    cfg = ProbeConfig()
+    v = _running_probe(lambda r: (5.0 - r) / (1.0 + r) ** 4, cfg)
+    whole = _running_probe(lambda r: 1.0 / (1.0 + r) ** 4, cfg)
+    assert v.verdict == "inconclusive" and v.limit is None
+    assert v.note == f"integrand negative near r = {5.0 + 2.0 ** -9:g}"
+    assert v.horizons == (2.0, 4.0) and len(v.partials) == 2
+    # negative in the head, and after a rounding-sized dip only
+    v = _running_probe(lambda r: -1.0 / (1.0 + r) ** 4, cfg)
+    assert v.verdict == "inconclusive" and v.partials == v.horizons == ()
+    assert v.note == "integrand negative near r = 0"
+    dip = _running_probe(lambda r: np.where(r == 3.0, -1e-14, 1.0 / (1.0 + r) ** 4), cfg)
+    assert dip.verdict == whole.verdict == "converges"
 
 
 def test_verdict_invariants():
@@ -444,8 +493,8 @@ def test_a_scalar_callable_is_a_type_error_naming_the_shape(start):
     cfg = ProbeConfig(r_start=start, nodes_per_octave=64)
     with pytest.raises(TypeError, match=r"array of shape \(65,\), the shape of its input, not \(\)"):
         probe_divergence(lambda t: 1.0, start, cfg)
-    with pytest.raises(TypeError, match=r"array of shape \(4097,\)"):
-        probe_from_origin(lambda t: 1.0, cfg)
+    with pytest.raises(TypeError, match=r"array of shape \(129,\)"):  # the head's 2 * 64 intervals
+        _running_probe(lambda t: 1.0, cfg)
     with pytest.raises(TypeError, match=r"array of shape \(2048,\)"):
         CumulativeInterpolant(lambda t: 1.0, 2.0 * start, lo=start)
 
