@@ -9,7 +9,10 @@ report, every ``*.csv`` solution file, and every file named ``exit_code``
 whatever drove the runs).  A file present in one tree only, a different exit
 code, or any non-numeric difference (a string, a boolean, null against a
 number, a changed key set, list length or CSV header) is printed and makes
-the script exit 1.
+the script exit 1.  Two strings that are equal once their numbers are masked
+(as the note "... window (1, 6.33822)" is when a window end moves) are not a
+non-numeric difference: their k-th numbers are compared on the field
+``<field>#<k>``.
 
 Numbers that moved are summarised per field, where a field is a JSON key path
 with list indices collapsed to ``[]`` (prefixed by the file name) or a CSV
@@ -23,6 +26,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +51,11 @@ class Comparison:
         entry[2] += 1
 
 
+# a number token as :g and repr print one, not inside a name such as u1 or f[0]
+_NUMBER = re.compile(r"(?<![\w.])(?<!\w\[)[-+]?"
+                     r"(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -66,6 +75,10 @@ def _walk(a, b, where: str, field: str, cmp: Comparison) -> None:
             _walk(x, y, f"{where}[{i}]", f"{field}[]", cmp)
     elif _is_number(a) and _is_number(b):
         cmp.number(field, where, float(a), float(b))
+    elif (isinstance(a, str) and isinstance(b, str) and a != b
+          and _NUMBER.sub("#", a) == _NUMBER.sub("#", b)):
+        for k, (x, y) in enumerate(zip(_NUMBER.findall(a), _NUMBER.findall(b))):
+            cmp.number(f"{field}#{k}", f"{where}#{k}", float(x), float(y))
     elif type(a) is not type(b) or a != b:
         cmp.mismatch(where, f"{a!r} -> {b!r}")
 

@@ -27,9 +27,13 @@ in ``solve`` and ``verify``, and in ``classify``
     report           canonical_json             (the report text)
 
 Each call gets one line: the command, the stage, its peak (the highest traced
-memory during the call, above what was traced when it began) and what it
-holds (traced memory at its end, above its start: its result and anything it
-left behind).  Sizes are MB of 2^20 bytes, the unit of the benchmark's
+memory during the call, above what was traced when it began), what it holds
+(traced memory at its end, above its start: its result and anything it left
+behind) and its peak above what was traced when the command began, which
+adds what earlier stages still hold.  A last line gives the run's traced peak,
+above the start of tracing, and the command it fell in; the stage with the
+greatest peak in that command is the one that sets it, unless the peak fell
+between stages.  Sizes are MB of 2^20 bytes, the unit of the benchmark's
 ``peak_rss_mb``.  ``tracemalloc`` counts Python and numpy allocations, not
 the interpreter's or the allocator's own overhead, so these are not
 resident sizes.  A command that ends in a config error stops the script;
@@ -70,24 +74,27 @@ _MB = 2.0 ** 20
 
 
 def _measured(fn, stage: str, rows: list):
-    """``fn`` recording (stage, peak MB, held MB) of each call into ``rows``."""
+    """``fn`` recording (stage, traced memory and peak before the call, traced memory
+    at its end, peak during it) of each call into ``rows``."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
         try:
             return fn(*args, **kwargs)
         finally:
-            end, peak = tracemalloc.get_traced_memory()
-            rows.append((stage, (peak - start) / _MB, (end - start) / _MB))
+            rows.append((stage, *before, *tracemalloc.get_traced_memory()))
     return wrapper
 
 
-def stage_table(config: str, mode: str = "solve") -> list[tuple[str, str, float, float]]:
-    """(command, stage, peak MB, held MB) of every stage call of solve, then verify,
-    or of classify."""
+def stage_table(config: str, mode: str = "solve"
+                ) -> tuple[list[tuple[str, str, float, float, float]], tuple[float, str]]:
+    """(command, stage, peak MB, held MB, peak MB above the command's start) of every
+    stage call of solve, then verify, or of classify; and the run's traced peak in MB
+    with the command it fell in."""
     rows: list = []
     table = []
+    top = (0.0, "")
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as undo:
         for name, stage in (STAGES if mode == "solve" else CLASSIFY_STAGES).items():
             module = cli if name in vars(cli) else conditions
@@ -103,15 +110,22 @@ def stage_table(config: str, mode: str = "solve") -> list[tuple[str, str, float,
         tracemalloc.start()
         try:
             for command, argv in commands.items():
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
                 with contextlib.redirect_stderr(io.StringIO()) as err:
                     code = cli.main(argv)
                 if code == cli.EXIT_CONFIG:  # a failed check or no convergence still measures
                     raise SystemExit(f"{command} exited {code}: {err.getvalue().strip()}")
-                table += [(command, *row) for row in rows]
+                # the peaks before each stage, during each and after the last cover the command
+                in_command = max([tracemalloc.get_traced_memory()[1],
+                                  *(p for row in rows for p in (row[2], row[4]))])
+                top = max(top, (in_command / _MB, command))
+                table += [(command, stage, (peak - start) / _MB, (end - start) / _MB,
+                           (peak - base) / _MB) for stage, start, _, end, peak in rows]
                 rows.clear()
         finally:
             tracemalloc.stop()
-    return table
+    return table, top
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,9 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode", choices=("solve", "classify"), default="solve",
                         help="solve then verify (default), or classify")
     args = parser.parse_args(argv)
-    print(f"{'command':<8} {'stage':<15} {'peak MB':>8} {'held MB':>8}")
-    for command, stage, peak, held in stage_table(args.config, args.mode):
-        print(f"{command:<8} {stage:<15} {peak:8.2f} {held:8.2f}")
+    table, (top, where) = stage_table(args.config, args.mode)
+    print(f"{'command':<8} {'stage':<15} {'peak MB':>8} {'held MB':>8} {'in cmd MB':>9}")
+    for command, stage, peak, held, in_command in table:
+        print(f"{command:<8} {stage:<15} {peak:8.2f} {held:8.2f} {in_command:9.2f}")
+    print(f"traced peak of the run: {top:.2f} MB, in {where}")
     return 0
 
 

@@ -9,12 +9,14 @@ central values, output location); the subcommands are
     sweep     solve a family of central values and compare the solutions
 
 Reports are canonical JSON (sorted keys, fixed layout).  Solution CSVs, in ``repr``
-round-trip formatting, are written and read a block of rows at a time, so identical
-configs produce byte-identical artifacts, reading a CSV back yields the same bits and
-only one block's cells are strings at once.  Timings go to stderr, never the report.
+round-trip formatting, are written and read a block of rows at a time, the reader
+streaming the file without holding it whole, so identical configs produce
+byte-identical artifacts, reading a CSV back yields the same bits and only one
+block's cells are strings at once.  Timings go to stderr, never the report.
 
 Exit codes: 0 success, 2 config or file error, 3 solver non-convergence,
-4 verification or consistency failure, 5 inconclusive classification.  An
+4 verification or consistency failure (among them an iterate that decreases, whose
+report carries the error and the hypotheses block), 5 inconclusive classification.  An
 iterate, kernel or barrier A_j that overflows before the horizon is a config
 error on ``grid.R`` naming the radius (and, for an iterate, the sweep).
 """
@@ -26,11 +28,10 @@ import dataclasses
 import itertools
 import json
 import math
-import re
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -46,8 +47,8 @@ from .conditions import (
 )
 from .exprlang import ExprError
 from .quadrature import ProbeConfig, RadialGrid
-from .solver import (CentralValues, IterateOverflowError, SolutionBundle, VerificationReport,
-                     iterate, verify_solution)
+from .solver import (CentralValues, IterateDecreaseError, IterateOverflowError, SolutionBundle,
+                     VerificationReport, iterate, verify_solution)
 from .transforms import (KernelOverflowError, NegativeCoefficientError, ProblemSpec,
                          build_transform_tables, validate_hypotheses)
 
@@ -334,47 +335,67 @@ def write_solution_csv(path: Path, grid: RadialGrid, u: list[np.ndarray],
             out.write("\n".join(block) + "\n")
 
 
+def _stripped_lines(file) -> Iterator[str]:
+    """The lines of ``file.read().strip()``, split at "\\n", read one line at a time;
+    whitespace-only lines come out empty (a malformed row either way), dropped at the ends."""
+    last, blank = None, 0
+    for line in file:
+        line = line.rstrip("\n")
+        if not line.strip():
+            blank += last is not None
+        elif last is None:
+            last = line.lstrip()
+        else:
+            yield last
+            yield from itertools.repeat("", blank)
+            last, blank = line, 0
+    if last is not None:
+        yield last.rstrip()
+
+
 def read_solution_csv(path: Path, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Return (r, u list) from a solution file; the bound columns are not read.
 
-    The stripped text is split and parsed ``_CSV_BLOCK`` rows at a time into one
-    (1 + d, rows) array.  A row with the wrong number of cells, or a non-numeric or
-    non-finite ``r``/``u_j`` cell, is a ``ConfigError`` naming the file (and the cell's
-    column and row, counted from 1 below the header); the first block with a fault
-    reports it, a bad cell column by column."""
+    The file is streamed, never held whole: its lines, read as by ``str.strip()`` of its
+    text (whitespace before the header and at the end is ignored, a whitespace-only line
+    before more data is a malformed row), are parsed ``_CSV_BLOCK`` rows at a time into
+    one (1 + d, rows) array, sized by a first pass that counts the commas.  A row with
+    the wrong number of cells, or a non-numeric or non-finite ``r``/``u_j`` cell, is a
+    ``ConfigError`` naming the file (and the cell's column and row, counted from 1 below
+    the header); the first block with a fault reports it, a bad cell column by column."""
     try:
-        text = path.read_text(encoding="utf-8").strip()
+        with path.open("rb") as raw:  # a row has 2 d + 1 commas, as the header has
+            commas = sum(chunk.count(b",") for chunk in iter(lambda: raw.read(1 << 16), b""))
     except FileNotFoundError:
         raise ConfigError(str(path), "solution file not found") from None
-    # the header's line break and every _CSV_BLOCK-th one after it start a block
-    breaks = [m.start() for m in itertools.islice(re.finditer("\n", text), 0, None, _CSV_BLOCK)]
-    breaks.append(len(text))
-    header, width = text[:breaks[0]].split(","), 2 * d + 2
-    if header != _csv_header(d):
-        raise ConfigError(str(path), f"unexpected CSV header {header!r}")
-    data, done = np.empty((1 + d, text.count("\n"))), 0
-    for lo, hi in zip(breaks, breaks[1:]):
-        lines = text[lo + 1:hi].split("\n")
-        if any(line.count(",") != width - 1 for line in lines):
-            raise ConfigError(str(path), "malformed CSV row")
-        cells = ",".join(lines).split(",")
-        texts = [cells[k::width] for k in range(1 + d)]
-        try:
-            values = np.array(texts, dtype=float)  # float() of each cell
-        except ValueError:
-            values = None
-        if values is None or not np.all(np.isfinite(values)):
-            for k, column in enumerate(texts):  # find the cell that failed
-                for row, cell in enumerate(column, start=done + 1):
-                    try:
-                        fault = "" if math.isfinite(float(cell)) else "not finite"
-                    except ValueError:
-                        fault = "not a number"
-                    if fault:
-                        raise ConfigError(str(path), f"column {header[k]}, row {row}: "
-                                          f"{fault}: {cell!r}")
-        data[:, done:done + len(lines)] = values
-        done += len(lines)
+    with path.open(encoding="utf-8") as file:
+        lines = _stripped_lines(file)
+        header, width = next(lines, "").split(","), 2 * d + 2
+        if header != _csv_header(d):
+            raise ConfigError(str(path), f"unexpected CSV header {header!r}")
+        data, done = np.empty((1 + d, commas // (width - 1) - 1)), 0
+        while block := list(itertools.islice(lines, _CSV_BLOCK)):
+            if any(line.count(",") != width - 1 for line in block):
+                raise ConfigError(str(path), "malformed CSV row")
+            cells = ",".join(block).split(",")
+            texts = [cells[k::width] for k in range(1 + d)]
+            del block, cells  # only the r and u_j cells stay strings
+            try:
+                values = np.array(texts, dtype=float)  # float() of each cell
+            except ValueError:
+                values = None
+            if values is None or not np.all(np.isfinite(values)):
+                for k, column in enumerate(texts):  # find the cell that failed
+                    for row, cell in enumerate(column, start=done + 1):
+                        try:
+                            fault = "" if math.isfinite(float(cell)) else "not finite"
+                        except ValueError:
+                            fault = "not a number"
+                        if fault:
+                            raise ConfigError(str(path), f"column {header[k]}, row {row}: "
+                                              f"{fault}: {cell!r}")
+            data[:, done:done + len(texts[0])] = values
+            done += len(texts[0])
     r, *u = data
     return r, u
 
@@ -411,18 +432,32 @@ def _solve_all(cfg: RunConfig, out: Path):
     return tables, results
 
 
+def _with_hypotheses(cfg: RunConfig, doc: dict) -> dict:
+    """``doc`` with the hypotheses block, tagged when a sampled hypothesis fails."""
+    doc["hypotheses"] = _hypotheses_dict(cfg.spec, cfg.grid, cfg.betas)
+    if not all(h["passed"] for h in doc["hypotheses"].values()):
+        doc["tag"] = "hypotheses unverified"
+    return doc
+
+
+def _decreasing_iterate(cfg: RunConfig, out: Path, command: str, err: IterateDecreaseError) -> int:
+    """The report of a run whose iterate decreased: the error and the hypotheses block,
+    whose witnesses show which f_j is not nondecreasing."""
+    doc = {"command": command, "version": __version__, "config": cfg.raw, "error": str(err)}
+    (out / "report.json").write_text(canonical_json(_with_hypotheses(cfg, doc)), encoding="utf-8")
+    print(f"[radsolve] monotone iteration failed: {err}; see report.json", file=sys.stderr)
+    return EXIT_VERIFICATION
+
+
 def cmd_solve(cfg: RunConfig, out_override: str | None = None) -> int:
     out = _out_dir(cfg, out_override)
     tables, results = _solve_all(cfg, out)
-    doc = {
+    doc = _with_hypotheses(cfg, {
         "command": "solve",
         "version": __version__,
         "config": cfg.raw,
-        "hypotheses": _hypotheses_dict(cfg.spec, cfg.grid, cfg.betas),
         "solutions": _solutions(results),
-    }
-    if not all(h["passed"] for h in doc["hypotheses"].values()):
-        doc["tag"] = "hypotheses unverified"
+    })
     (out / "report.json").write_text(canonical_json(doc), encoding="utf-8")
     if any(not b.converged for b, _, _ in results):
         print("[radsolve] solver did not converge within max_iter", file=sys.stderr)
@@ -443,6 +478,7 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
     ko = [check_keller_osserman(spec.diagonal(j), probe) for j in range(spec.d)]
     yz = [check_ye_zhou(spec.diagonal(j), probe) for j in range(spec.d)]
     remarks = check_remark_implications(spec, classification.conditions["C3"].status, probe)
+    spec.release_diagonals()  # the remarks read the diagonals last
     lair_doc = None
     inst = match_lair_form(spec)
     if inst is not None:
@@ -587,6 +623,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[radsolve] config error: {ConfigError(f'problem.{err.key}', err.detail)}",
               file=sys.stderr)
         return EXIT_CONFIG
+    except IterateDecreaseError as err:  # from solve or sweep: an f_j is not nondecreasing
+        return _decreasing_iterate(cfg, _out_dir(cfg, args.out), args.command, err)
     except (IterateOverflowError, KernelOverflowError) as err:  # the horizon is out of reach
         print(f"[radsolve] config error: {ConfigError('grid.R', str(err))}", file=sys.stderr)
         return EXIT_CONFIG

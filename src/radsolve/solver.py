@@ -39,6 +39,7 @@ from .transforms import (
 
 __all__ = [
     "CentralValues",
+    "IterateDecreaseError",
     "IterateOverflowError",
     "SolutionBundle",
     "VerificationReport",
@@ -58,6 +59,11 @@ _ODE_TOL_FACTOR = 10.0
 class IterateOverflowError(ArithmeticError):
     """An iterate left the floating-point range before the horizon: the solution
     blows up, or outgrows the largest double, at or before the radius named."""
+
+
+class IterateDecreaseError(RuntimeError):
+    """A sweep lowered the iterate beyond rounding: the operator is not monotone here,
+    as when an f_j decreases, so the iteration proves nothing."""
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,10 @@ def _f_at(spec: ProblemSpec, u: Sequence[np.ndarray], j: int) -> np.ndarray:
     return NegativeCoefficientError.check(evaluate_array(spec.f[j], env), f"f[{j}]", u)
 
 
-def _apply(spec: ProblemSpec, kernels: Sequence[RadialKernel], u: Sequence[np.ndarray],
-           central: CentralValues) -> list[np.ndarray]:
-    """One Jacobi sweep of the integral operator at the iterate ``u``."""
-    return [central.values[j] + cumulative_trapezoid(k.nodes, k.ratio(_f_at(spec, u, j)))
-            for j, k in enumerate(kernels)]
+def _operator(spec: ProblemSpec, kernel: RadialKernel, u: Sequence[np.ndarray],
+              central: CentralValues, j: int) -> np.ndarray:
+    """Component j of the integral operator at the iterate ``u``, on ``kernel``."""
+    return central.values[j] + cumulative_trapezoid(kernel.nodes, kernel.ratio(_f_at(spec, u, j)))
 
 
 def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
@@ -118,9 +123,9 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
     """Run the monotone iteration until the sup-norm update is at most ``tol``,
     on the components' ``kernels`` on ``grid`` (built here when not given).
 
-    The iterates are nondecreasing in the iteration index by construction; a
-    raw nodewise dip beyond rounding is reported as a RuntimeError since only
-    a broken kernel can produce it.  A sweep that leaves a value inf or NaN
+    The iterates are nondecreasing in the iteration index for a nondecreasing f; a
+    raw nodewise dip beyond rounding raises ``IterateDecreaseError`` (a decreasing
+    f_j, or a broken kernel).  A sweep that leaves a value inf or NaN
     raises ``IterateOverflowError`` naming the sweep and the first such node.
     Hitting ``max_iter`` returns a bundle flagged as non-converged (no fixed
     point found at this tolerance), which is a report outcome, not evidence
@@ -138,7 +143,7 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
     while iterations < max_iter:
         iterations += 1
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-            u_next = _apply(spec, kernels, u, central)
+            u_next = [_operator(spec, k, u, central, j) for j, k in enumerate(kernels)]
             # a finite sum means finite values; only a non-finite one needs the exact scan
             scan = not all(np.isfinite(np.add.reduce(x, axis=None)) for x in u_next)
         if scan and (bad := ~np.isfinite(u_next)).any():
@@ -152,7 +157,7 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
         worst_dip = min(worst_dip, dip)
         scale = 1.0 + max(float(np.max(np.abs(x))) for x in u_next)
         if dip < -_MONOTONE_SLACK * scale:
-            raise RuntimeError(
+            raise IterateDecreaseError(
                 f"iterate decreased by {-dip:g} at some node; the monotone structure is broken")
         # keep the recorded sequence exactly nondecreasing (dips are rounding noise)
         u_next = [np.maximum(nxt, cur) for nxt, cur in zip(u_next, u)]
@@ -291,28 +296,30 @@ def residual(bundle: SolutionBundle, spec: ProblemSpec,
     order at best, and is judged only away from the endpoints (the kernel is
     not smooth at the origin for p < 2).  A non-converged bundle still gets a
     report; the gap is simply carried as-is.  ``kernels`` are as for ``iterate``.
+    Both checks go one component at a time and drop each temporary once used, so
+    at most one component's operator value or ODE terms are held at once.
     """
     kernels = kernels or [RadialKernel(spec, j, bundle.grid.nodes) for j in range(spec.d)]
     u = bundle.u
-    applied = _apply(spec, kernels, u, bundle.central)
-    integral_residuals = tuple(float(np.max(np.abs(ui - ti))) for ui, ti in zip(u, applied))
+    integral_residuals = tuple(
+        float(np.max(np.abs(u[j] - _operator(spec, k, u, bundle.central, j))))
+        for j, k in enumerate(kernels))
 
     r = bundle.grid.nodes
     hstep = bundle.grid.spacing
     lo, hi = _ODE_WINDOW_MARGIN, bundle.grid.horizon - _ODE_WINDOW_MARGIN
-    window = (r >= lo) & (r <= hi) & (r > 0) & (r < bundle.grid.horizon)
+    window = (r >= lo) & (r <= hi) & (r > 0) & (r < bundle.grid.horizon)  # interior nodes
     ode_residuals = []
     rhs_scale = 0.0
-    for j in range(spec.d):
+    for j, kernel in enumerate(kernels):
         du = np.gradient(u[j], hstep)
-        flux = kernels[j].H * np.sign(du) * np.abs(du) ** (spec.p[j] - 1.0)
-        dflux = np.gradient(flux, hstep)
-        rhs = kernels[j].a * _f_at(spec, u, j)
+        flux = kernel.H * np.sign(du) * np.abs(du) ** (spec.p[j] - 1.0)
+        del du
+        dflux = np.gradient(flux, hstep)[window]
+        del flux
+        rhs = evaluate_array(spec.a[j], {"r": r}) * _f_at(spec, u, j)
         rhs_scale = max(rhs_scale, float(np.max(np.abs(rhs))))
-        defect = np.full_like(r, np.nan)
-        interior = slice(1, len(r) - 1)
-        defect[interior] = np.abs(dflux[interior] / kernels[j].H[interior] - rhs[interior])
-        inside = defect[window]
+        inside = np.abs(dflux / kernel.H[window] - rhs[window])
         ode_residuals.append(float(np.nanmax(inside)) if inside.size else 0.0)
 
     return VerificationReport(
@@ -329,9 +336,15 @@ def residual(bundle: SolutionBundle, spec: ProblemSpec,
 
 def verify_solution(bundle: SolutionBundle, tables: TransformTables,
                     spec: ProblemSpec) -> VerificationReport:
-    """Bounds and residual checks in one report."""
+    """Bounds and residual checks in one report.  The residual runs first, so its
+    temporaries are gone before the bound curves are built; an error of
+    ``verify_bounds`` still comes before one of the residual's."""
+    try:
+        res = residual(bundle, spec, kernels=tables.kernels)
+    except Exception:
+        verify_bounds(bundle, tables, spec)  # raises its own error first, if it has one
+        raise
     bounds = verify_bounds(bundle, tables, spec)
-    res = residual(bundle, spec, kernels=tables.kernels)
     return replace(bounds, integral_residuals=res.integral_residuals,
                    ode_residuals=res.ode_residuals, ode_window=res.ode_window,
                    integral_tolerance=res.integral_tolerance,

@@ -21,7 +21,8 @@ from the anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
 ``invert_F`` extend it in place by whole octaves as queries need, so every
 query against one table reads the same tabulation.  ``ProblemSpec.diagonal(j)``
 is f_j on the diagonal, one shared callable per spec, so the F tail probe, C6
-and the classifier's diagonal probes sample it once.
+and the classifier's diagonal probes sample it once; ``release_diagonals`` drops
+them and their samples after the last reader.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
@@ -163,6 +164,10 @@ class ProblemSpec:
                 evaluate_array(f, dict.fromkeys(names, s)), f"f[{j}]", s))
         return self._diagonals[j]
 
+    def release_diagonals(self) -> None:
+        """Drop every ``diagonal(j)`` and its samples; a later call builds a fresh one."""
+        self._diagonals.clear()
+
     def diagonal_integrand(self) -> Callable[[np.ndarray], np.ndarray]:
         """Integrand of F: (1 + sum_j f_j(s, .., s)) ** (1 / (1 - min_p))."""
         expo = 1.0 / (1.0 - self.min_p)
@@ -191,7 +196,8 @@ class RadialKernel:
     """H_j and the nested ratio of component ``j``, evaluated once on ``nodes``.
 
     With h_cum the running integral of h_j, ``weighted_a`` = exp(h_cum) * a_j and
-    ``H`` = r^(N-1) * exp(h_cum), from one exp(h_cum).  A negative h_j or a_j
+    ``H`` = r^(N-1) * exp(h_cum), from one exp(h_cum); a_j itself is not kept (the ODE
+    residual, its one other reader, evaluates it on the grid).  A negative h_j or a_j
     raises ``NegativeCoefficientError``, a weighted a_j that overflows
     ``KernelOverflowError``.  ``inner`` integrates s^(N-1) * w with w piecewise
     linear, taking the monomial moments of each interval exactly (second order even
@@ -208,7 +214,6 @@ class RadialKernel:
         av = check(evaluate_array(spec.a[j], {"r": nodes}), f"a[{j}]", nodes)
         self.nodes = nodes
         self.expo = 1.0 / (spec.p[j] - 1.0)
-        self.a = av
         h_cum = cumulative_trapezoid(nodes, hv)
         _, self._m0, self._m1, self._widths, r_power = factors
         with np.errstate(over="ignore"):

@@ -1,12 +1,16 @@
+import itertools
 import json
+import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from radsolve.cli import (
     ConfigError,
@@ -312,10 +316,102 @@ def test_solution_csv_cells_parse_as_float_does(tmp_path):
     assert u.tolist() == [10.0, 12.0, 25.0]
 
 
+def _whole_text_reader(path: Path, d: int):
+    """The reader as it was before it streamed: the file's stripped text, split and
+    parsed a block of rows at a time (the reference for the streaming reader)."""
+    try:
+        text = path.read_text(encoding="utf-8").strip()
+    except FileNotFoundError:
+        raise ConfigError(str(path), "solution file not found") from None
+    breaks = [m.start() for m in itertools.islice(re.finditer("\n", text), 0, None,
+                                                  cli._CSV_BLOCK)]
+    breaks.append(len(text))
+    header, width = text[:breaks[0]].split(","), 2 * d + 2
+    if header != cli._csv_header(d):
+        raise ConfigError(str(path), f"unexpected CSV header {header!r}")
+    data, done = np.empty((1 + d, text.count("\n"))), 0
+    for lo, hi in zip(breaks, breaks[1:]):
+        lines = text[lo + 1:hi].split("\n")
+        if any(line.count(",") != width - 1 for line in lines):
+            raise ConfigError(str(path), "malformed CSV row")
+        cells = ",".join(lines).split(",")
+        texts = [cells[k::width] for k in range(1 + d)]
+        try:
+            values = np.array(texts, dtype=float)
+        except ValueError:
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
+            for k, column in enumerate(texts):
+                for row, cell in enumerate(column, start=done + 1):
+                    try:
+                        fault = "" if math.isfinite(float(cell)) else "not finite"
+                    except ValueError:
+                        fault = "not a number"
+                    if fault:
+                        raise ConfigError(str(path), f"column {header[k]}, row {row}: "
+                                          f"{fault}: {cell!r}")
+        data[:, done:done + len(lines)] = values
+        done += len(lines)
+    r, *u = data
+    return r, u
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "\n", "\n\n", " \n\t\n ", "\r\n \r\n"])
+# a cell of the r or u_j columns: a number, or one of the faults the reader names
+_READ_CELL = st.one_of(st.floats(-1e3, 1e3).map(repr), st.integers(-9, 9).map(str),
+                       st.sampled_from(["abc", "", "inf", "-inf", "nan", "1e400", " 2 "]))
+
+
+@st.composite
+def _csv_text(draw):
+    """(d, text) of a solution file: rows of valid or faulty cells, blank, whitespace-only
+    or malformed lines anywhere, any line ends, whitespace around it, maybe no header."""
+    d = draw(st.integers(1, 2))
+    header = ",".join(cli._csv_header(d)) if draw(st.integers(0, 9)) else "r,u_1,ub"
+    lines = [header]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))  # blank line
+        elif kind == 1:
+            lines.append("1,2")  # too few cells
+        else:
+            cells = [draw(_READ_CELL if kind == 2 else st.floats(0, 9).map(repr))
+                     for _ in range(1 + d)]
+            lines.append(",".join(cells + ["0.5"] * d + [draw(st.sampled_from(["", "1"]))]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    final = end if draw(st.booleans()) else ""
+    return d, draw(_SPACE) + end.join(lines) + final + draw(_SPACE)
+
+
+@given(_csv_text())
+@example((1, "  \n r,u_1,lb_1,ub\n0,1,,\n1,2,,  \n \n\n"))  # whitespace at both ends
+@example((1, "r,u_1,lb_1,ub\r\n0,1,,\r\n\r\n1,2,,"))  # a blank line inside, CRLF
+@example((2, "r,u_1,u_2,lb_1,lb_2,ub\n"))  # a header only
+@example((1, "r,u_1,lb_1,ub\n0,x,,\n" + "1,1,,\n" * 8))  # a fault in the first block
+@example((1, "r,u_1,lb_1,ub\n" + "1,1,,\n" * 4 + "0,inf,,\n" + "1,1,,\n" * 4))  # middle
+@example((1, "r,u_1,lb_1,ub\n" + "1,1,,\n" * 7 + "0,1,,\n 1e400,1,,"))  # last block
+@example((1, "r,u_1,lb_1,ub\n" + "1,1,,\n" * 7 + "0,1\n"))  # malformed in the last block
+def test_streaming_csv_reader_matches_the_whole_text_reader(tmp_path_factory, case):
+    d, text = case
+    path = tmp_path_factory.mktemp("csv") / "solution.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    with mock.patch.object(cli, "_CSV_BLOCK", 3):  # several blocks from a few rows
+        for reader in (_whole_text_reader, read_solution_csv):
+            try:
+                r, u = reader(path, d)
+                outcomes.append([x.tobytes() for x in (r, *u)])
+            except ConfigError as err:
+                outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_solution_csv_functions_hold_one_block_of_strings(tmp_path):
     # d = 3 on M = 20000, the benchmark's stress grid, without the bound columns,
     # whose 60 000 more cells would take tracing past a second.  Joining the whole
-    # text peaked at 5.5 MB here, and splitting every cell into a string at 9.8 MB
+    # text peaked at 5.5 MB here, splitting every cell into a string at 9.8 MB, and
+    # reading the whole text (its bytes, the text, its strip()) at 2.7 MB
     grid = RadialGrid(20.0, 20000)
     u = [b + np.sin(grid.nodes + b) ** 2 * grid.nodes ** 2 for b in (1.0, 1.5, 2.0)]
     path = tmp_path / "solution.csv"
@@ -331,7 +427,7 @@ def test_solution_csv_functions_hold_one_block_of_strings(tmp_path):
     finally:
         tracemalloc.stop()
     assert write_peak <= 1.0
-    assert read_peak <= 5.0
+    assert read_peak <= 2.0
     assert [x.tobytes() for x in u_read] == [x.tobytes() for x in u]
 
 
@@ -811,3 +907,38 @@ def test_solve_probes_F_only_for_a_uniform_central_value(tmp_path, monkeypatch, 
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     upper = report["solutions"][0]["verification"]["upper_margins"]
     assert (upper is not None) == (probes == 1)
+
+
+@pytest.mark.parametrize("command, beta", [("solve", 1.0), ("sweep", [1.0, 2.0])])
+def test_a_decreasing_nonlinearity_ends_in_a_report_with_the_consistency_exit_code(
+        tmp_path, capsys, command, beta):
+    # f = 1/(1+u) decreases, so the operator is not monotone and a sweep lowers the
+    # iterate; the report names the sampled hypothesis that fails
+    doc = base_config(grid={"R": 2.0, "M": 200}, beta=beta)
+    doc["problem"]["f"] = ["1/(1+u1)"]
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["command"] == command and report["tag"] == "hypotheses unverified"
+    assert report["error"].startswith("iterate decreased by 0.0154605 at some node")
+    failed = [name for name, h in report["hypotheses"].items() if not h["passed"]]
+    assert failed == ["f[0] nondecreasing"]
+    assert report["hypotheses"]["f[0] nondecreasing"]["witness_point"] is not None
+    assert "monotone iteration failed: iterate decreased" in capsys.readouterr().err
+
+
+def test_classify_empties_the_diagonal_store_after_the_remarks_and_keeps_its_report(
+        tmp_path, monkeypatch):
+    # coupled_sweep has the Lair form, so the Lair probes run after the remarks
+    config = Path(__file__).resolve().parent.parent / "configs" / "coupled_sweep.json"
+    stores = []
+    match = cli.match_lair_form
+    monkeypatch.setattr(cli, "match_lair_form",
+                        lambda spec: stores.append(len(spec._diagonals)) or match(spec))
+    assert main(["classify", "--config", str(config), "--out", str(tmp_path / "released")]) == 0
+    monkeypatch.setattr(transforms.ProblemSpec, "release_diagonals", lambda self: None)
+    assert main(["classify", "--config", str(config), "--out", str(tmp_path / "kept")]) == 0
+    assert stores == [0, 2]  # empty once released; both components' diagonals otherwise
+    assert ((tmp_path / "released" / "report.json").read_bytes()
+            == (tmp_path / "kept" / "report.json").read_bytes())
+    assert json.loads((tmp_path / "kept" / "report.json").read_text())["auxiliary"]["lair"]

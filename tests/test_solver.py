@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from radsolve.quadrature import ProbeConfig, RadialGrid
-from radsolve.solver import (CentralValues, IterateOverflowError, iterate, residual, verify_bounds,
-                             verify_solution)
+from radsolve.solver import (CentralValues, IterateDecreaseError, IterateOverflowError,
+                             SolutionBundle, iterate, residual, verify_bounds, verify_solution)
 from radsolve.transforms import (
     ProblemSpec,
     build_A,
@@ -234,6 +236,36 @@ def test_verify_solution_end_to_end():
     bundle = iterate(spec, grid, CentralValues.uniform(1.0, 1), tol=1e-10)
     rep = verify_solution(bundle, tables, spec)
     assert rep.passed
+
+
+def test_verify_solution_on_the_stress_grid_peaks_at_a_few_grid_arrays():
+    # the benchmark's d = 3 stress instance on M = 20000 (one grid array is 0.15 MB),
+    # with a stand-in solution: the memory does not depend on the values.  Holding
+    # every component's operator value and the bound curves through the residual
+    # peaked at 2.31 MB; one component at a time, the curves after it, at 1.09 MB
+    spec = ProblemSpec.from_strings(3, 3, [2.0, 2.5, 1.6], ["0.5/(1+r)", "0.1", "0.2*exp(-r)"],
+                                    ["4", "4", "exp(-r)"],
+                                    ["u2 + sqrt(u3)", "0.5*u1 + sqrt(u3)", "0.2*u1 + sqrt(u2)"])
+    grid = RadialGrid(20.0, 20000)
+    central = CentralValues((1.0, 1.5, 2.0))
+    tables = build_transform_tables(spec, grid)
+    u = tuple(b + grid.nodes ** 2 for b in central.values)
+    bundle = SolutionBundle(grid, central, u, 1, 0.0, True, 1e-10, True, float(np.max(u[2])))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = verify_solution(bundle, tables, spec)
+        peak = (tracemalloc.get_traced_memory()[1] - start) / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6
+    assert len(report.lower_curves) == 3 and report.integral_residuals is not None
+
+
+def test_a_decreasing_nonlinearity_stops_the_iteration_with_a_typed_error():
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "1/(1+u1)")
+    with pytest.raises(IterateDecreaseError, match=r"^iterate decreased by 0\.0154605 at some"):
+        iterate(spec, RadialGrid(2.0, 200), CentralValues((1.0,)))
 
 
 def test_grid_refinement_is_second_order():

@@ -22,12 +22,14 @@ def test_every_stage_of_solve_then_verify_is_measured_once_and_unwrapped_after(t
         "beta": [1.0, 1.5],
     }), encoding="utf-8")
     originals = {name: getattr(cli, name) for name in stage_memory.STAGES}
-    table = stage_memory.stage_table(str(config))
-    assert [(command, stage) for command, stage, _, _ in table] == [
+    table, (top, where) = stage_memory.stage_table(str(config))
+    assert [(command, stage) for command, stage, *_ in table] == [
         ("solve", "tables"), ("solve", "iterate"), ("solve", "verification"),
         ("solve", "csv write"),
         ("verify", "csv read"), ("verify", "tables"), ("verify", "verification")]
-    assert all(peak >= held and peak > 0 for _, _, peak, held in table)
+    assert all(peak >= held and peak > 0 and in_command > 0 for *_, peak, held, in_command in table)
+    # the run's peak is at least every stage's peak above its command's start
+    assert top >= max(in_command for *_, in_command in table) and where in ("solve", "verify")
     assert {name: getattr(cli, name) for name in stage_memory.STAGES} == originals
 
 
@@ -43,12 +45,13 @@ def test_every_stage_of_classify_is_measured_in_order_and_unwrapped_after(tmp_pa
     }), encoding="utf-8")
     names = stage_memory.CLASSIFY_STAGES
     originals = {name: getattr(cli if name in vars(cli) else conditions, name) for name in names}
-    table = stage_memory.stage_table(str(config), "classify")
-    assert [(command, stage) for command, stage, _, _ in table] == [
+    table, (top, where) = stage_memory.stage_table(str(config), "classify")
+    assert [(command, stage) for command, stage, *_ in table] == [
         ("classify", "F probe"), ("classify", "A_j probes"), ("classify", "C6"),
         ("classify", "Keller-Osserman"), ("classify", "Keller-Osserman"),
         ("classify", "Ye-Zhou"), ("classify", "Ye-Zhou"),
         ("classify", "remarks"), ("classify", "report")]
-    assert all(peak >= held and peak > 0 for _, _, peak, held in table)
+    assert all(peak >= held and peak > 0 and in_command > 0 for *_, peak, held, in_command in table)
+    assert top >= max(in_command for *_, in_command in table) and where == "classify"
     assert {name: getattr(cli if name in vars(cli) else conditions, name)
             for name in names} == originals
