@@ -4,8 +4,9 @@ The digests pin every ``report.json`` and solution CSV that ``classify`` (all
 three shipped configs), ``solve`` (``sinh_oracle`` and ``bounded_cubic``) and
 ``sweep`` (``coupled_sweep``) write, and the ``verify_report.json`` that
 ``verify`` writes for the solved ``sinh_oracle`` CSV, the reports of two
-classify runs that probe the sharing of diagonal work, and the reports of two
-classify runs whose probes stop at a domain error in mid-horizon.  A refactor that is meant
+classify runs that probe the sharing of diagonal work, the reports of two
+classify runs whose probes stop at a domain error in mid-horizon, and the classify
+report of each instance of the randomized test suite.  A refactor that is meant
 to leave the numerics alone must leave these bytes alone; a change that is
 meant to move a number updates the digest and says why.
 """
@@ -17,6 +18,7 @@ import json
 from pathlib import Path
 
 from radsolve.cli import main
+from radsolve.exprlang import unparse
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -191,3 +193,49 @@ FALLBACK_GOLDEN = {
 
 def test_classify_with_probes_stopped_midway_is_byte_identical(tmp_path):
     assert classify_digests(tmp_path, FALLBACK_RUNS) == FALLBACK_GOLDEN
+
+
+# The full ``classify`` report (classification and the auxiliary Keller-Osserman,
+# Ye-Zhou, remark and Lair probes) of each instance of the randomized suite of
+# ``conftest.build_suite``, written from its expressions' ``unparse``.  The
+# verdict pin in test_conditions.py cannot tell a moved digit; these can.
+def _suite_config(spec, central, grid) -> dict:
+    return {"problem": {"N": spec.N, "d": spec.d, "p": list(spec.p),
+                        "h": [unparse(e) for e in spec.h], "a": [unparse(e) for e in spec.a],
+                        "f": [unparse(e) for e in spec.f], "F_anchor": spec.anchor},
+            "grid": {"R": grid.horizon, "M": grid.intervals},
+            "beta": list(central.values)}
+
+
+SUITE_REPORT_GOLDEN = [  # (exit code, report SHA-256)
+    (0, "6d8d559d1f5506cc1bd0cc05b91007121b41d5b755bfd574342ca0ece6b5ae32"),
+    (0, "62903209d191c159fbe9b92e5afb41612af1bcf4e4ca9a1778085f6658581b53"),
+    (0, "2fa3ffed57f0ca20ea63a3917635a4ef764ef2ca79bf71ee6663304ff4a18289"),
+    (0, "aac2e6efde17eaf247a709d44d3fcfb318e7351849616f44d628fb5da3b58560"),
+    (0, "2af36998e134c63368b99a7ffe32f9d03c114f5f9e3f7701201fcc4e26881cc8"),
+    (5, "de96c3fa8e74c354fa9c5f9dd9458a4d59abd0c3fc5c77b29ed01402766512d9"),
+    (0, "0b80b368e21a9e6aeb7ad51c3b01d0f41abe51ad067c30659980694cdd3cc95a"),
+    (5, "e30b5e5054624737f25677b203f7f46dc289e01840eb888392f028c9d6c2309b"),
+    (5, "3de0aab7d4987967a7071e9d77e8c1b04077d7fad7d041ff83a1177c04ca09a2"),
+    (5, "714cfcfc8dd4462d2a2e096c46549e685929c1e5d42ee1791abc3cf740964582"),
+    (0, "2fe04f57a7e0c43ca9d1813192998404c5372ea4c00fb9925d684a4c92137eee"),
+    (5, "9d32b8a0a0bd776a46a7b39cc51e1254698c71f1edc12ee837fdbd433c91b196"),
+    (0, "9fdfe440c9ae0c83a431c05d79bdc5bd3f2ec10a1b82425943a9295ca3d412e1"),
+    (0, "00f50b04fe44736255513a24b8c2acc7eaf76500272b50d6c8706792f9af5918"),
+    (0, "e6e73b9a052e5c947075cf20679833c4f4ab25d3fd19f7cdba83d3c9b38a119c"),
+    (5, "d1fa09be5150b02a9c449d604e4fff69e67562c093b43a75b4d2fb5257544400"),
+    (5, "faf0b058f74609e349e02b87d7f6549508fb1380efcc471052b2a4376b001a11"),
+    (0, "621d87eca201b02240eedf59accd5ed2cf36802151a42781e2dd52db36bf5c13"),
+    (0, "7dc44f61da0773e22fdd9f17b87469ac9a6a94c1d54ab359f9b407890b607f60"),
+    (0, "0794449d7d3e4434bf8967d12ab6dc097429aeeac99b4a1ad44729bdf89fde5e"),
+    (0, "103cbd703504ab70440791b77fbe45dda8aed434f292508451f15762d0eb07c1"),
+    (5, "29119fe2246ab86f9f08018880adb7d69c5c9519683339afbcb863daa707320a"),
+    (5, "b32cade33ba2a4a04baabb889fa3d121bbe3368aecc6ee388863f50a6e81d0e6"),
+    (5, "74ae16c9e7a4c4ead5eb6e2506bb93e5d3cf8cdbd3c59dde07de7a3d474c5f80"),
+]
+
+
+def test_classify_reports_on_the_random_suite_are_byte_identical(tmp_path, random_suite):
+    runs = {f"suite_{i:02d}": _suite_config(*case) for i, case in enumerate(random_suite)}
+    got = classify_digests(tmp_path, runs)
+    assert [(got[name], got[f"{name}/report.json"]) for name in runs] == SUITE_REPORT_GOLDEN
