@@ -232,6 +232,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(path), "config file not found") from None
     except json.JSONDecodeError as err:
         raise ConfigError(str(path), f"invalid JSON: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(str(path), f"not UTF-8 text: {err}") from None
     return parse_config(doc)
 
 
@@ -337,18 +339,22 @@ def write_solution_csv(path: Path, grid: RadialGrid, u: list[np.ndarray],
 
 def _stripped_lines(file) -> Iterator[str]:
     """The lines of ``file.read().strip()``, split at "\\n", read one line at a time;
-    whitespace-only lines come out empty (a malformed row either way), dropped at the ends."""
+    whitespace-only lines come out empty (a malformed row either way), dropped at the ends.
+    Text that is not UTF-8 is a ``ConfigError`` naming the file, raised where it is met."""
     last, blank = None, 0
-    for line in file:
-        line = line.rstrip("\n")
-        if not line.strip():
-            blank += last is not None
-        elif last is None:
-            last = line.lstrip()
-        else:
-            yield last
-            yield from itertools.repeat("", blank)
-            last, blank = line, 0
+    try:
+        for line in file:
+            line = line.rstrip("\n")
+            if not line.strip():
+                blank += last is not None
+            elif last is None:
+                last = line.lstrip()
+            else:
+                yield last
+                yield from itertools.repeat("", blank)
+                last, blank = line, 0
+    except UnicodeDecodeError as err:  # its position counts from the decoder's last chunk
+        raise ConfigError(file.name, f"not UTF-8 text: {err.reason}") from None
     if last is not None:
         yield last.rstrip()
 

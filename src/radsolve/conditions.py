@@ -20,6 +20,10 @@ criteria (the inverse-square-root test on the primitive of f, from the probe
 block's samples of f, and the reciprocal test on f itself), two implication
 cross-checks against the divergence of F, and the nested-integral criterion for
 the sublinear two-component Laplacian system (which the solver can cross-check).
+
+Every probe here (F, the barriers, the primitive root, the Lair integrals) is read by
+``quadrature.probe_samples`` on a shared ``probe_block``; a domain error, a non-finite or
+a clearly negative value makes it inconclusive, with the octaves before as evidence.
 """
 
 from __future__ import annotations
@@ -37,14 +41,12 @@ from .quadrature import (
     SharedSamples,
     classify_tail,
     cumulative_trapezoid,
-    octave_nodes,
     probe_block,
     probe_divergence,
-    probe_running,
     probe_samples,
-    sample_running,
+    sample_block,
 )
-from .transforms import ProblemSpec, estimate_A_inf, estimate_F_inf, node_factors
+from .transforms import A_INTERVALS, ProblemSpec, estimate_A_inf, estimate_F_inf, node_factors
 
 __all__ = [
     "ConditionVerdict",
@@ -137,7 +139,7 @@ def _barrier_tail_state(a_inf: tuple[DivergenceVerdict, ...]) -> str:
 
 def _probe_barriers(spec: ProblemSpec, probe: ProbeConfig) -> tuple[DivergenceVerdict, ...]:
     """``estimate_A_inf`` of every component, on one set of probe nodes and kernel factors."""
-    factors = node_factors(octave_nodes(probe.t_max, head=probe.r_start), spec.N)
+    factors = node_factors(probe_block(0.0, probe, A_INTERVALS), spec.N)
     return tuple(estimate_A_inf(spec, j, probe, factors) for j in range(spec.d))
 
 
@@ -246,7 +248,7 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     total_A = float(sum(v.limit for v in a_inf))
     d, anchor = spec.d, spec.anchor
 
-    s = probe_block(anchor, config.probe)  # each inner octave edge twice, F flat across it
+    s = probe_block(anchor, config.probe)  # the F probe's nodes, sampled already
     F = cumulative_trapezoid(s, spec.diagonal_integrand()(s))
     beta_lo = (anchor / d) * (1.0 + 1e-6)
     g_lo = F_lim - float(np.interp(d * beta_lo, s, F)) - total_A
@@ -346,12 +348,12 @@ def check_sup_bounded(spec: ProblemSpec,
 
 def _primitive_root_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
     """Probe dt / P(t)^expo from ``probe.r_start``, P the primitive of ``f_diag`` from 0
-    on the probe block (``SharedSamples.primitive_rows``, once per block for
+    on the probe block (``SharedSamples.primitive``, once per block for
     ``spec.diagonal(j)``); where f is unusable, the octaves before it are the evidence."""
     shared = f_diag if isinstance(f_diag, SharedSamples) else SharedSamples(f_diag)
-    primitive, why = shared.primitive_rows(probe)
+    primitive, why = shared.primitive(probe)
     with np.errstate(divide="ignore"):
-        return probe_samples(np.power(primitive, -expo), why, probe)
+        return probe_samples(np.power(primitive, -expo), why, probe, probe.r_start)
 
 
 def _reciprocal_power_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
@@ -399,7 +401,7 @@ def check_remark_implications(spec: ProblemSpec, c3_status: str,
     Both are probed per component from the anchor: ds over f_j(s,..,s)^(1/(min_p
     - 1)), and dt over the min_p-th root of the primitive of the diagonal, taken on
     the probe block from the F probe's samples of ``spec.diagonal(j)`` (the same P
-    rows as Keller-Osserman's when the anchor is r_start).  A convergent probe
+    as Keller-Osserman's when the anchor is r_start).  A convergent probe
     against a divergent F is flagged as a numerical contradiction worth
     investigating; nothing here can prove the implication.
     """
@@ -453,13 +455,12 @@ def check_lair_proposition(inst: LairInstance,
     explosive solution of the two-component system.
 
     Each integrand is t * a_out(t) * (t^(2-N) * nested(t))^exponent where
-    nested stacks two weighted primitives of the other coefficient; ``probe_running``
-    reads its ``sample_running`` on ``octave_nodes`` from 0, up to a domain error or a
-    negative value (a negative coefficient), which makes that side inconclusive.
+    nested stacks two weighted primitives of the other coefficient; ``probe_samples``
+    reads its ``sample_block`` from 0, up to a domain error or a negative value (a
+    negative coefficient), which makes that side inconclusive.
     Outside the sublinear exponent range the probes still run, but the prediction
     is not theorem-backed; callers should consult ``within_sublinear_range``.
     """
-    nodes = octave_nodes(probe.t_max, intervals=probe.nodes_per_octave, head=probe.r_start)
     def one_side(a_out: Expr, a_in: Expr, expo: float) -> DivergenceVerdict:
         try:
             inner = CumulativeInterpolant(
@@ -478,7 +479,7 @@ def check_lair_proposition(inst: LairInstance,
             out[pos] = tp * av * np.power(tp ** (2.0 - inst.N) * nested(tp), expo)
             return out
 
-        return probe_running(nodes, *sample_running(integrand, nodes, probe), probe)
+        return probe_samples(*sample_block(integrand, 0.0, probe), probe, 0.0)
 
     return (one_side(inst.a1, inst.a2, inst.alpha),
             one_side(inst.a2, inst.a1, inst.beta_exp))

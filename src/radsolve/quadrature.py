@@ -12,23 +12,25 @@ between nodes, an exact inverse on the same linear pieces, and ``extend``,
 which appends whole octaves without re-sampling what is already tabulated.
 It is the only mutable object here; everything else is pure.
 
-Improper integrals over ``[start, inf)`` are probed on geometric horizons
-``start * 2^k`` by ``probe_divergence`` (``probe_samples`` on given samples), and
-integrals over ``[0, inf)`` by ``probe_running`` (on samples ``sample_running``
-takes), off the running trapezoid on ``octave_nodes`` with a dense head over
-``[0, r_start]``; all share one tail verdict, three-valued with an explicit
-``inconclusive`` outcome, since divergence is not decidable numerically.  A probe
-calls its integrand once on all its nodes (octave by octave only if that call
-raises).  Probes with the same start and knobs share one read-only block of
-nodes, ``probe_block``, on which ``SharedSamples`` evaluates a function probed
-several times, and its primitive, only once.
+Improper integrals are probed on geometric horizons ``start * 2^k``, all on one
+layout: ``probe_block``, the contiguous ``octave_nodes`` of the probe's octaves (from
+``start``, or from 0 with a head of 2n intervals over ``[0, r_start]``), read-only and
+shared by the probes with the same start and knobs.  ``sample_block`` is the one sampler
+(one call on the block, octave by octave only if that call raises), ``probe_samples`` the
+one reader (octave sums of the block's trapezoids, and from 0 the running trapezoid), and
+``probe_divergence`` samples and reads an integrand over ``[start, inf)``.  Every probe
+ends its evidence at the last octave edge before an unusable value (a domain error, a
+non-finite value or a clearly negative one), and all share one tail verdict, three-valued
+with an explicit ``inconclusive`` outcome, since divergence is not decidable numerically.
+``SharedSamples`` evaluates a function probed several times, and its primitive on a
+block, only once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,9 +44,8 @@ __all__ = [
     "cumulative_trapezoid",
     "probe_block",
     "probe_divergence",
-    "probe_running",
     "probe_samples",
-    "sample_running",
+    "sample_block",
     "classify_tail",
     "octave_nodes",
     "CumulativeInterpolant",
@@ -91,7 +92,8 @@ def _trapezoids(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Knobs for improper-integral probing."""
+    """Knobs for improper-integral probing.  The barrier probe (``transforms.estimate_A_inf``)
+    keeps 1024 intervals per octave, whatever ``nodes_per_octave`` is."""
 
     horizon_count: int = 10
     r_start: float = 1.0
@@ -187,67 +189,73 @@ def _eval_segment(integrand: Callable, xs: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _samples(integrand: Callable, nodes: np.ndarray, rows: Sequence[np.ndarray],
-             joint: int = 0) -> tuple[np.ndarray, str | Exception]:
-    """Integrand values on ``nodes`` as far as they go, and what stopped them ("" if nothing
-    did): one call on ``nodes``, and if that raises, one per row of ``rows`` (views covering
-    ``nodes`` in order, each repeating ``joint`` nodes of the one before) up to one that raises."""
+def _block(start: float, cfg: ProbeConfig, intervals: int | None) -> tuple:
+    """``_octaves`` of a probe from ``start`` (from 0: with the head over [0, cfg.r_start]) with
+    ``intervals`` per octave (None: ``cfg.nodes_per_octave``)."""
+    return _octaves(start, start or cfg.r_start, cfg.horizon_count,
+                    intervals or cfg.nodes_per_octave)
+
+
+@functools.lru_cache(maxsize=4)
+def _octaves(start: float, first: float, horizon_count: int, intervals: int) -> tuple:
+    """Read-only ``octave_nodes`` from ``start`` to ``first * 2^horizon_count`` (``first`` is
+    ``start``, or, from 0, the head's end), their read-only interval widths, the intervals
+    per octave and those of the head (0 from ``start`` > 0)."""
+    nodes = octave_nodes(first * 2.0 ** horizon_count, start, intervals, head=first)
+    widths = np.diff(nodes)
+    nodes.flags.writeable = widths.flags.writeable = False
+    return nodes, widths, intervals, 0 if start else 2 * intervals
+
+
+def probe_block(start: float, cfg: ProbeConfig, intervals: int | None = None) -> np.ndarray:
+    """The read-only nodes on which a probe from ``start`` samples its integrand, shared by
+    the probes with the same start and knobs: the ``cfg.horizon_count`` octaves from ``start``,
+    ``intervals`` each (``cfg.nodes_per_octave`` if None), and from 0 the head before them."""
+    return _block(start, cfg, intervals)[0]
+
+
+def sample_block(integrand: Callable, start: float, cfg: ProbeConfig,
+                 intervals: int | None = None) -> tuple[np.ndarray, str | Exception]:
+    """``integrand`` on ``probe_block(start, cfg, intervals)`` as far as it goes, and what
+    stopped it ("" if nothing did): one call on the block, and if that raises, one per octave
+    (the head is one) up to one that raises, whose domain error is a note and whose other
+    exceptions ``probe_samples`` raises unless an earlier value ends the evidence."""
+    nodes, _, n, head = _block(start, cfg, intervals)
     try:
         return _eval_segment(integrand, nodes), ""
     except Exception:  # whatever it is, found again below octave by octave
-        done, failure = [], ""
-        for xs in rows:
+        done, failure, edges = [], "", [0, *range(head or n, len(nodes), n)]
+        for lo, hi in zip(edges, edges[1:]):
+            xs = nodes[lo:hi + 1]
             try:
-                done.append(_eval_segment(integrand, xs)[joint if done else 0:])
+                done.append(_eval_segment(integrand, xs)[1 if done else 0:])
             except (ExprError, ArithmeticError) as err:
                 failure = f"integrand error on [{xs[0]:g},{xs[-1]:g}]: {err}"
                 break
-            except Exception as err:  # raised below unless an earlier octave stops
+            except Exception as err:  # raised later unless an earlier value stops the probe
                 failure = err
                 break
         return np.concatenate([np.empty(0), *done]), failure
 
 
-def _usable(values: np.ndarray, failure: str | Exception,
-            rows: Sequence[np.ndarray]) -> tuple[np.ndarray, str]:
-    """``values`` as rows of ``rows``, clipped at zero up to the first unusable one, and why:
-    a non-finite value, else ``failure`` (raised if an exception).  Clear negatives raise."""
-    values = np.reshape(values, (-1, len(rows[0])))
+def _usable(values: np.ndarray, why: str | Exception, block: tuple) -> tuple[np.ndarray, str]:
+    """``values`` on ``block`` up to the last octave edge before the first unusable one, and
+    why they end: that value (non-finite, or below -1e-12 of the largest |value| before it,
+    at least 1), else ``why`` (raised if an exception).  Rounding negatives are clipped to 0."""
+    nodes, _, n, head = block
     finite = np.isfinite(values)
-    usable = finite.all(axis=1)
-    stop = len(values) if usable.all() else int(np.argmin(usable))
-    ys = values[:stop]
-    low = ys.min(axis=1)
-    if (low < 0).any():  # only then is there anything to check or clip
-        negative = low < -1e-12 * np.maximum(1.0, np.abs(ys).max(axis=1))
-        if negative.any():
-            raise ValueError(f"integrand is negative (min {float(low[np.argmax(negative)]):g}); "
-                             "probe requires nonnegative data")
-        ys = np.maximum(ys, 0.0)
-    if stop < len(values):
-        failure = f"integrand not finite near r = {float(rows[stop][np.argmin(finite[stop])]):g}"
-    elif isinstance(failure, Exception):
-        raise failure
-    return ys, failure
-
-
-@functools.lru_cache(maxsize=4)
-def _octaves(start: float, horizon_count: int, nodes_per_octave: int) -> tuple:
-    """Read-only nodes of the octaves [start 2^(k-1), start 2^k], k = 1 ..
-    horizon_count, as one flat array, as one view of it per octave, and the
-    interval widths of each octave (one row per octave)."""
-    edges = [start * 2.0 ** k for k in range(horizon_count + 1)]
-    nodes = np.concatenate([np.linspace(left, right, nodes_per_octave + 1)
-                            for left, right in zip(edges, edges[1:])])
-    widths = np.diff(nodes.reshape(horizon_count, -1), axis=1)
-    nodes.flags.writeable = widths.flags.writeable = False
-    return nodes, tuple(nodes.reshape(horizon_count, -1)), widths
-
-
-def probe_block(start: float, cfg: ProbeConfig) -> np.ndarray:
-    """The read-only nodes on which a probe from ``start`` samples its integrand: the
-    ``cfg.horizon_count`` octaves' nodes in order, each inner octave edge twice."""
-    return _octaves(start, cfg.horizon_count, cfg.nodes_per_octave)[0]
+    k = len(values) if finite.all() else int(np.argmin(finite))
+    clip = k > 0 and values[:k].min() < 0  # only then is there anything to check or clip
+    if clip:
+        low = values[:k] < -1e-12 * np.maximum(1.0, np.maximum.accumulate(np.abs(values[:k])))
+        k = int(np.argmax(low)) if low.any() else k
+    if k < len(values):
+        why = f"integrand {'negative' if finite[k] else 'not finite'} near r = {nodes[k]:g}"
+        first = head or n  # intervals of the first octave
+        values = values[:0 if k <= first else k - (k - 1 - first) % n]
+    elif isinstance(why, Exception):
+        raise why
+    return np.maximum(values, 0.0) if clip else values, why
 
 
 def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
@@ -260,79 +268,40 @@ def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> Div
     is at most ``cfg.rho_conv`` the verdict is ``converges`` with limit
     ``I_K + delta_K * q / (1 - q)`` (q the last ratio); if the tail increments
     are nondecreasing the verdict is ``diverges``; anything else, or a domain
-    error or non-finite integrand value at a probe point, is ``inconclusive``
-    with the octaves before that point as evidence.  The integrand is
-    evaluated once, on the ``probe_block`` shared by probes with the same start
-    and knobs; each octave is checked on its own scale.
+    error, a non-finite or a clearly negative integrand value at a probe point,
+    is ``inconclusive`` with the octaves before that point as evidence.  The
+    integrand is evaluated once, on the ``probe_block`` shared by probes with the
+    same start and knobs.
     """
     if not start > 0:
         raise ValueError("start must be positive")
-    nodes, rows, _ = _octaves(start, cfg.horizon_count, cfg.nodes_per_octave)
-    return probe_samples(*_samples(integrand, nodes, rows), cfg, start)
+    return probe_samples(*sample_block(integrand, start, cfg), cfg, start)
 
 
-def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig,
-                  start: float | None = None) -> DivergenceVerdict:
-    """``probe_divergence`` from ``start`` (``cfg.r_start`` if None) on integrand
-    ``values`` taken on its probe block already, up to the octave ``why`` stops at."""
-    _, rows, widths = _octaves(start or cfg.r_start, cfg.horizon_count, cfg.nodes_per_octave)
-    ys, why = _usable(values, why, rows)
-    areas = (widths[:len(ys)] * (ys[:, 1:] + ys[:, :-1]) / 2.0).sum(1)  # np.trapezoid's, per octave
-    return _tail_verdict(areas, tuple(float(xs[-1]) for xs in rows[:len(ys)]), why, cfg.rho_conv)
-
-
-def _tail_verdict(areas: np.ndarray, horizons: tuple[float, ...], why: str, rho_conv: float,
-                  at: np.ndarray | None = None) -> DivergenceVerdict:
-    """Verdict on octave ``areas`` up to ``horizons``, usable up to ``why``: increments
-    from the areas summed from 0.0, partials and limit from ``at`` [start, *horizons]."""
+def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig, start: float,
+                  intervals: int | None = None) -> DivergenceVerdict:
+    """The probe from ``start`` of an integrand given by its ``values`` on ``probe_block(start,
+    cfg, intervals)`` and ``why`` they stop, as ``sample_block`` returns them.  The increments
+    are the octave sums of the block's trapezoids (so a tail far below a head keeps its digits)
+    and the partials their running sum; from 0 (``nodes[0] == 0``) partial k is A(r_start 2^k)
+    - A(r_start), A the running trapezoid, and a convergent limit includes the head."""
+    block = _block(start, cfg, intervals)
+    nodes, widths, n, head = block
+    ys, why = _usable(values, why, block)
+    segs = widths[:max(len(ys) - 1, 0)] * (ys[1:] + ys[:-1]) / 2.0  # np.trapezoid's
+    areas = segs[head:].reshape(-1, n).sum(1)
     tail = np.cumsum(np.concatenate([[0.0], areas]))
-    at = tail if at is None else at
+    at = np.cumsum(segs)[head - 1::n] if head else tail  # at start, then at each horizon
+    horizons = tuple(nodes[head + n::n][:len(areas)].tolist())
     partials = tuple((at[1:] - at[:1]).tolist())
     if why:
         return DivergenceVerdict("inconclusive", horizons=horizons, partials=partials, note=why)
-    verdict, extra, ratios = classify_tail(np.diff(tail), rho_conv)
+    verdict, extra, ratios = classify_tail(np.diff(tail), cfg.rho_conv)
     note = f"tail ratios: {', '.join(f'{q:.3g}' for q in ratios)}"
     limit = float(at[-1]) + extra if verdict == "converges" else None
+    if head and limit is not None:
+        note += f"; limit includes head over [0, {cfg.r_start:g}]"
     return DivergenceVerdict(verdict, limit, horizons, partials, note)
-
-
-def sample_running(integrand: Callable, nodes: np.ndarray,
-                   cfg: ProbeConfig) -> tuple[np.ndarray, str | Exception]:
-    """``integrand`` on ``probe_running``'s nodes (one call, else the head, then by octave)
-    up to what stops it, and why ("" if nothing did): an error, or, before any non-finite
-    value, one below -1e-12 of the largest so far (at least 1): "integrand negative near r = x"."""
-    n = (len(nodes) - 1) // (cfg.horizon_count + 2)  # per octave; twice over the head
-    rows = [nodes[:2 * n + 1]] + [nodes[i:i + n + 1] for i in range(2 * n, len(nodes) - 1, n)]
-    values, why = _samples(integrand, nodes, rows, joint=1)
-    ys = values[:np.argmin(np.isfinite(np.append(values, np.inf)))]  # up to a non-finite one
-    negative = np.flatnonzero(ys < -1e-12 * np.maximum(1.0, np.maximum.accumulate(np.abs(ys))))
-    if negative.size:  # the values end at the last octave edge before the first one
-        k = negative[0]
-        values = values[:2 * n + 1 + n * ((k - 2 * n - 1) // n) if k > 2 * n else 0]
-        why = f"integrand negative near r = {nodes[k]:g}"
-    return values, why
-
-
-def probe_running(nodes: np.ndarray, values: np.ndarray, why: str | Exception,
-                  cfg: ProbeConfig) -> DivergenceVerdict:
-    """Probe ``integral over [0, inf)`` off A = ``cumulative_trapezoid`` of ``values`` on
-    ``nodes = octave_nodes(cfg.t_max, intervals=n, head=cfg.r_start)`` (or up to the octave
-    edge where ``why`` stopped them): I_k = A(r_start 2^k) - A(r_start), increments the
-    octave sums of A's trapezoids (so a tail far below the head keeps its digits),
-    evidence up to a non-finite value or ``why``."""
-    n = (len(nodes) - 1) // (cfg.horizon_count + 2)  # per octave; twice over the head
-    segs = _trapezoids(nodes[:len(values)], values)
-    running = np.cumsum(segs)  # A at nodes[1:]
-    at = running[2 * n - 1::n]  # A(r_start 2^k), k = 0 .. as far as the values go
-    if not np.isfinite(running[-1:]).all():  # a running sum stays non-finite once it is
-        bad = nodes[1 + np.argmin(np.isfinite(running))]
-        at, why = at[np.isfinite(at)], f"integrand not finite near r = {bad:g}"
-    elif isinstance(why, Exception):
-        raise why
-    areas = segs[2 * n:].reshape(-1, n)[:max(len(at) - 1, 0)].sum(1)
-    v = _tail_verdict(areas, tuple(nodes[2 * n::n][1:len(at)].tolist()), why, cfg.rho_conv, at)
-    return v if v.verdict != "converges" else replace(
-        v, note=f"{v.note}; limit includes head over [0, {cfg.r_start:g}]")
 
 
 def octave_nodes(t_max: float, lo: float = 0.0, intervals: int = 1024,
@@ -417,7 +386,7 @@ class CumulativeInterpolant:
 
 class SharedSamples:
     """``fn`` evaluated once per read-only array such as a probe block, and its
-    ``primitive_rows`` once per block: kept by identity, with the array held so that
+    ``primitive`` once per block: kept by identity, with the array held so that
     its id stays unique, as are domain errors; writeable arrays are not kept."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
@@ -437,19 +406,19 @@ class SharedSamples:
             raise out
         return out
 
-    def primitive_rows(self, cfg: ProbeConfig) -> tuple[np.ndarray, str]:
-        """P(t) = integral of ``fn`` over [0, t] on the probe block from ``cfg.r_start``, up
-        to the first octave where ``fn`` is unusable, and why ("primitive not computable:
-        ..."; "" if none is): the Gauss rule of ``CumulativeInterpolant`` on [0, r_start],
-        which never evaluates ``fn`` at 0, plus the trapezoids of the block's samples."""
-        nodes, rows, _ = _octaves(cfg.r_start, cfg.horizon_count, cfg.nodes_per_octave)
-        if self._values.get(id(rows), (None,))[0] is not rows:
+    def primitive(self, cfg: ProbeConfig) -> tuple[np.ndarray, str]:
+        """P(t) = integral of ``fn`` over [0, t] on ``probe_block(cfg.r_start, cfg)``, up to the
+        last octave edge before ``fn`` is unusable, and why ("primitive not computable: ...";
+        "" if it is usable throughout): the Gauss rule of ``CumulativeInterpolant`` on [0,
+        r_start], which never evaluates ``fn`` at 0, plus the trapezoids of the block's samples."""
+        block = _block(cfg.r_start, cfg, None)
+        nodes, key = block[0], ("primitive", id(block[0]))
+        if self._values.get(key, (None,))[0] is not nodes:
             try:
                 head = CumulativeInterpolant(self, float(nodes[0])).values[-1]
-                ys, why = _usable(*_samples(self, nodes, rows), rows)
+                ys, why = _usable(*sample_block(self, cfg.r_start, cfg), block)
             except (ExprError, ArithmeticError, ValueError) as err:
-                ys, why, head = np.empty((0, len(rows[0]))), str(err), 0.0
-            steps = _trapezoids(nodes[:ys.size], ys.ravel())  # 0 across repeated octave edges
-            P = np.cumsum(np.concatenate([[head], steps]))[:ys.size].reshape(ys.shape)
-            self._values[id(rows)] = rows, (P, why and f"primitive not computable: {why}")
-        return self._values[id(rows)][1]
+                ys, why, head = np.empty(0), str(err), 0.0
+            P = np.cumsum(np.concatenate([[head], _trapezoids(nodes[:len(ys)], ys)]))[:len(ys)]
+            self._values[key] = nodes, (P, why and f"primitive not computable: {why}")
+        return self._values[key][1]

@@ -22,7 +22,8 @@ from the anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
 query against one table reads the same tabulation.  ``ProblemSpec.diagonal(j)``
 is f_j on the diagonal, one shared callable per spec, so the F tail probe, C6
 and the classifier's diagonal probes sample it once; ``release_diagonals`` drops
-them and their samples after the last reader.
+them and their samples after the last reader.  The barrier tail probe reads the
+kernel's ratio on the probe block from 0, ``A_INTERVALS`` intervals per octave.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
@@ -48,9 +49,9 @@ from .quadrature import (
     RadialGrid,
     SharedSamples,
     cumulative_trapezoid,
-    octave_nodes,
+    probe_block,
     probe_divergence,
-    probe_running,
+    probe_samples,
 )
 
 __all__ = [
@@ -77,6 +78,8 @@ __all__ = [
 _F_INTERVALS = 4096
 # how far past the anchor the inverse looks for a value before giving up
 _F_OCTAVES = 60
+# intervals per octave of the barrier tail probe, whatever ProbeConfig.nodes_per_octave is
+A_INTERVALS = 1024
 
 
 class FInverseRangeError(Exception):
@@ -310,19 +313,19 @@ def estimate_A_inf(spec: ProblemSpec, j: int, probe: ProbeConfig = ProbeConfig()
                    factors: tuple[np.ndarray, ...] | None = None) -> DivergenceVerdict:
     """Tail probe of the barrier integral; a convergent limit estimates A_j(inf).
 
-    ``probe_running`` reads it off the trapezoid of the kernel's ratio that ``build_A``
-    takes, on ``octave_nodes(probe.t_max, head=probe.r_start)`` (or their shared
-    ``factors``): partial k is A_j(r_start 2^k) - A_j(r_start), a convergent limit the
-    full A_j(inf).  A kernel that cannot be built (negative h_j or a_j, overflow,
-    domain errors) is inconclusive, not an exception.
+    ``probe_samples`` reads it off the trapezoid of the kernel's ratio that ``build_A``
+    takes, on ``probe_block(0, probe, A_INTERVALS)`` (or its ``node_factors``, shared):
+    partial k is A_j(r_start 2^k) - A_j(r_start), a convergent limit the full A_j(inf).
+    A kernel that cannot be built (negative h_j or a_j, overflow, domain errors) is
+    inconclusive, not an exception.
     """
     if not 0 <= j < spec.d:
         raise ValueError(f"component index {j} out of range for d = {spec.d}")
     try:
-        kernel = RadialKernel(spec, j, factors or octave_nodes(probe.t_max, head=probe.r_start))
+        kernel = RadialKernel(spec, j, factors or probe_block(0.0, probe, A_INTERVALS))
     except (ExprError, ValueError, FloatingPointError) as err:
         return DivergenceVerdict("inconclusive", note=f"barrier kernel not probeable: {err}")
-    return probe_running(kernel.nodes, kernel.ratio(), "", probe)
+    return probe_samples(kernel.ratio(), "", probe, 0.0, A_INTERVALS)
 
 
 @dataclass(frozen=True)

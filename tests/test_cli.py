@@ -172,6 +172,39 @@ def test_verify_truncated_file_is_grid_mismatch(tmp_path):
                  "--out", str(out)]) == 2
 
 
+def test_classify_on_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(base_config()).encode().replace(b'"out"', b'"out\xff"'))
+    with pytest.raises(ConfigError, match="not UTF-8 text") as err:
+        load_config(path)
+    assert err.value.path == str(path)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_of_a_csv_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # 0xff in a bound cell of a row past the first decoded chunk: the reader does not
+    # parse the bound columns, but it cannot read the line without decoding it
+    path = write_config(tmp_path, base_config(grid={"R": 3.0, "M": 2000}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "solution_000.csv").read_bytes().split(b"\n")
+    cells = lines[1500].split(b",")
+    cells[-1] = b"\xff"  # ub
+    lines[1500] = b",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(path), "--solution", str(bad),
+                 "--out", str(tmp_path / "verify")]) == 2
+    assert f"config error: {bad}: not UTF-8 text: invalid start byte\n" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="not UTF-8 text") as err:
+        read_solution_csv(bad, 1)
+    assert err.value.path == str(bad)
+
+
 @pytest.mark.parametrize("column, cell", [
     ("u_1", "abc"),
     ("r", ""),
@@ -724,15 +757,15 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     assert max(count for _, count in samples.values()) == 1
     blocks = {id(xs): xs for xs, _ in samples.values()}
     assert len(blocks) == 1  # one block of all 8 octaves for the one probe start
-    assert [len(xs) for xs in blocks.values()] == [8 * 257]
+    assert [len(xs) for xs in blocks.values()] == [8 * 256 + 1]
     assert len(samples) == 2  # each f_j sampled on that block, once
     assert heads == [1.0] * 2  # one head table over [0, r_start] per component
     assert queries == []  # no primitive is interpolated
     # the primitive on the block: P = t^3 / 3 for f_2 = u1^2 on the diagonal
     cfg = parse_config(doc)
-    P, why = cfg.spec.diagonal(1).primitive_rows(cfg.classifier.probe)
-    assert why == "" and P.shape == (8, 257)
-    np.testing.assert_allclose(P, np.array(quadrature._octaves(1.0, 8, 256)[1]) ** 3 / 3.0,
+    P, why = cfg.spec.diagonal(1).primitive(cfg.classifier.probe)
+    assert why == "" and P.shape == (8 * 256 + 1,)
+    np.testing.assert_allclose(P, quadrature.probe_block(1.0, cfg.classifier.probe) ** 3 / 3.0,
                                rtol=1e-5)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     remarks = report["auxiliary"]["remarks"]

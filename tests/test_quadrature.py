@@ -13,9 +13,10 @@ from radsolve.quadrature import (
     octave_nodes,
     SharedSamples,
     _octaves,
+    probe_block,
     probe_divergence,
-    probe_running,
-    sample_running,
+    probe_samples,
+    sample_block,
 )
 from radsolve.exprlang import ExprError, evaluate_array, parse
 from radsolve.transforms import ProblemSpec, RadialKernel
@@ -156,8 +157,10 @@ def test_probe_nonfinite_integrand_is_inconclusive():
 
 
 def test_probe_rejects_negative_integrand():
-    with pytest.raises(ValueError, match="nonnegative"):
-        probe_divergence(lambda r: -np.ones_like(np.asarray(r)), 1.0, ProbeConfig(horizon_count=5))
+    # a clearly negative value ends the evidence at the octave edge before it, here the start
+    v = probe_divergence(lambda r: -np.ones_like(np.asarray(r)), 1.0, ProbeConfig(horizon_count=5))
+    assert v.verdict == "inconclusive" and v.partials == v.horizons == ()
+    assert v.note == "integrand negative near r = 1"
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
@@ -188,9 +191,8 @@ def test_probe_config_t_max_is_last_horizon():
 
 
 def _running_probe(integrand, cfg):
-    """``probe_running`` of ``integrand`` on the head and octaves from 0, as the Lair probe."""
-    nodes = octave_nodes(cfg.t_max, intervals=cfg.nodes_per_octave, head=cfg.r_start)
-    return probe_running(nodes, *sample_running(integrand, nodes, cfg), cfg)
+    """The probe of ``integrand`` on the head and octaves from 0, as the Lair probe."""
+    return probe_samples(*sample_block(integrand, 0.0, cfg), cfg, 0.0)
 
 
 def test_probe_running_of_an_integrand_includes_the_head():
@@ -234,8 +236,8 @@ def test_probe_running_of_an_integrand_guards_the_head():
     with np.errstate(divide="ignore"):
         v = _running_probe(lambda r: 1.0 / np.asarray(r, dtype=float), ProbeConfig())
     assert v.verdict == "inconclusive" and v.partials == v.horizons == ()
-    # the running sum is infinite from its first interval [0, 2^-12] on
-    assert v.note == f"integrand not finite near r = {2.0 ** -12:g}"
+    # the first value that is not finite is 1/r at the head's first node
+    assert v.note == "integrand not finite near r = 0"
 
 
 def test_probe_running_of_an_integrand_keeps_the_octaves_before_a_domain_error():
@@ -291,17 +293,23 @@ def test_octave_nodes_layout_from_origin():
 
 @pytest.mark.parametrize("start, count, n", [(1.0, 10, 2048), (0.37, 6, 100), (3.3, 4, 8)])
 def test_octave_block_is_read_only_with_row_views_and_widths(start, count, n):
-    nodes, rows, widths = _octaves(start, count, n)
-    want = np.concatenate([np.linspace(start * 2.0 ** (k - 1), start * 2.0 ** k, n + 1)
-                           for k in range(1, count + 1)])
-    assert nodes.tobytes() == want.tobytes()
+    cfg = ProbeConfig(horizon_count=count, nodes_per_octave=n, r_start=start)
+    nodes, widths, per_octave, head = _octaves(start, start, count, n)
+    octaves = [np.linspace(start * 2.0 ** (k - 1), start * 2.0 ** k, n + 1)
+               for k in range(1, count + 1)]
+    assert len(nodes) == count * n + 1 and (per_octave, head) == (n, 0)
     assert not nodes.flags.writeable and not widths.flags.writeable
-    assert len(rows) == count
-    for k, row in enumerate(rows):
+    for k, octave in enumerate(octaves):  # each octave a view of the block, edges shared
+        row = nodes[k * n:(k + 1) * n + 1]
         assert not row.flags.writeable and np.shares_memory(row, nodes)
-        assert row.tobytes() == want[k * (n + 1):(k + 1) * (n + 1)].tobytes()
-        assert widths[k].tobytes() == np.diff(row).tobytes()
-    assert _octaves(start, count, n)[0] is nodes  # the same block for the next probe
+        assert row.tobytes() == octave.tobytes()
+        assert widths[k * n:(k + 1) * n].tobytes() == np.diff(octave).tobytes()
+    assert _octaves(start, start, count, n)[0] is nodes  # the same block for the next probe
+    assert probe_block(start, cfg) is nodes
+    # from 0 the block is octave_nodes with the head over [0, r_start], read-only too
+    origin = probe_block(0.0, cfg)
+    assert origin.tobytes() == octave_nodes(cfg.t_max, intervals=n, head=start).tobytes()
+    assert not origin.flags.writeable and probe_block(0.0, cfg) is origin
 
 
 def test_cumulative_interpolant_samples_inside_and_extends_without_resampling():
@@ -338,8 +346,8 @@ def test_cumulative_interpolant_tracks_primitive():
 
 def _reference_probe(integrand, start, cfg):
     """The per-octave probe loop with fresh ``np.linspace`` nodes and no shared
-    state: sample one octave, check it on its own scale, add its trapezoid."""
-    partials, horizons, total, left = [], [], 0.0, start
+    state: sample one octave, check it, add its trapezoid."""
+    partials, horizons, total, left, peak = [], [], 0.0, start, 1.0
     for k in range(1, cfg.horizon_count + 1):
         right = start * 2.0 ** k
         xs = np.linspace(left, right, cfg.nodes_per_octave + 1)
@@ -349,14 +357,19 @@ def _reference_probe(integrand, start, cfg):
             return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
                                      partials=tuple(partials),
                                      note=f"integrand error on [{xs[0]:g},{xs[-1]:g}]: {err}")
+        # below -1e-12 of the largest |value| before it (at least 1), and before any
+        # value that is not finite: after one the running maximum is inf or nan
+        low = ys < -1e-12 * np.maximum(peak, np.maximum.accumulate(np.abs(ys)))
+        if low.any():
+            return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
+                                     partials=tuple(partials),
+                                     note=f"integrand negative near r = {xs[np.argmax(low)]:g}")
         if not np.all(np.isfinite(ys)):
             bad = float(xs[int(np.argmax(~np.isfinite(ys)))])
             return DivergenceVerdict("inconclusive", horizons=tuple(horizons),
                                      partials=tuple(partials),
                                      note=f"integrand not finite near r = {bad:g}")
-        if ys.min() < -1e-12 * max(1.0, float(np.abs(ys).max())):
-            raise ValueError(f"integrand is negative (min {float(ys.min()):g}); "
-                             "probe requires nonnegative data")
+        peak = max(peak, float(np.abs(ys).max()))
         total += float(np.trapezoid(np.maximum(ys, 0.0), xs))
         partials.append(total)
         horizons.append(right)
@@ -373,28 +386,30 @@ def _radial(text):
     return lambda r: evaluate_array(expr, {"r": np.asarray(r, dtype=float)})
 
 
+# clearly negative past r = 20.7, and past r = 999 (for the default probe from 1, in its
+# last octave only): the probe stops at the last octave edge before, as the reference does
+NEGATIVE_PAST = {"exp(-r) - 1e-9": 20.7, "1/(1+r)^2 - 1e-6": 999.0}
+
+
 @pytest.mark.parametrize("start", [1.0, 0.37, 3.3])
 @pytest.mark.parametrize("text", [
     "1/(1+r)^2", "1/(1+r)", "exp(-r)", "sqrt(r)", "r^-1.5 + 0*r",
     "1/(1+r) + 0.5*exp(-r)*r^2", "abs(r-2.5)/(1+r^3)",
     "exp(-r) - 1e-15",  # rounding-negative past r = 34.5, clipped to 0
     "-0*r",  # -0.0 everywhere
+    *NEGATIVE_PAST,
 ])
 @pytest.mark.parametrize("cfg", [ProbeConfig(), ProbeConfig(horizon_count=6, nodes_per_octave=100)])
 def test_probe_is_bit_equal_to_the_per_octave_reference(start, text, cfg):
     integrand = _radial(text)
     want = repr(_reference_probe(integrand, start, cfg))  # repr tells -0.0 from 0.0
-    assert repr(probe_divergence(integrand, start, cfg)) == want
+    got = probe_divergence(integrand, start, cfg)
+    assert repr(got) == want
     # a second probe on the now shared octave arrays reads the same bits
     assert repr(probe_divergence(integrand, start, cfg)) == want
-
-
-# the second is negative in the last octave only
-@pytest.mark.parametrize("text", ["exp(-r) - 1e-9", "1/(1+r)^2 - 1e-6"])
-def test_probe_of_a_clearly_negative_integrand_still_raises(text):
-    for probe in (probe_divergence, _reference_probe):
-        with pytest.raises(ValueError, match="negative"):
-            probe(_radial(text), 1.0, ProbeConfig())
+    if start * 2.0 ** cfg.horizon_count > NEGATIVE_PAST.get(text, np.inf):
+        assert got.verdict == "inconclusive" and got.note.startswith("integrand negative near")
+        assert all(r < NEGATIVE_PAST[text] for r in got.horizons)
 
 
 @pytest.mark.parametrize("start", [1.0, 0.37, 3.3])
@@ -410,17 +425,18 @@ def test_probe_domain_error_stops_at_its_octave_like_the_reference(start):
 
 def test_probe_negativity_scale_is_per_octave():
     # a -1e-9 dip among first-octave values of at most 1 is clearly negative there,
-    # although it is tiny next to the 1e100-sized values of the last octave; the
-    # dip sits at the node r = 1.5, whatever array of nodes the probe passes
+    # although it is tiny next to the 1e100-sized values of the last octave: the scale
+    # is the values before the dip, which sits at the node r = 1.5, whatever array of
+    # nodes the probe passes
     def integrand(xs):
         ys = (xs / 2.0) ** 40
         ys[xs == 1.5] = -1e-9
         return ys
 
-    with pytest.raises(ValueError, match="negative"):
-        probe_divergence(integrand, 1.0, ProbeConfig())
-    with pytest.raises(ValueError, match="negative"):
-        _reference_probe(integrand, 1.0, ProbeConfig())
+    got = probe_divergence(integrand, 1.0, ProbeConfig())
+    assert got == _reference_probe(integrand, 1.0, ProbeConfig())
+    assert got.verdict == "inconclusive" and got.partials == ()
+    assert got.note == "integrand negative near r = 1.5"
 
 
 def _probe_outcome(probe, integrand, start, cfg):
@@ -474,17 +490,15 @@ def _not_finite_then_dip(xs):
     (_expr_error_past(20.0), "inconclusive"),      # an ExprError in an octave past the first
     (_expr_error_past(0.5), "inconclusive"),       # an ExprError in the first octave
     (_not_finite_then_expr_error, "inconclusive"),  # a non-finite octave, an ExprError later
-    (_dip_then_not_finite, ValueError),            # a dip before a non-finite octave raises
+    (_dip_then_not_finite, "inconclusive"),        # a dip before a non-finite octave stops it
     (_not_finite_then_dip, "inconclusive"),        # a dip after one does not
 ])
 def test_probe_fallback_is_bit_equal_to_the_reference(start, integrand, kind):
     cfg = ProbeConfig(nodes_per_octave=256)
     got = _probe_outcome(probe_divergence, integrand, start, cfg)
     assert got == _probe_outcome(_reference_probe, integrand, start, cfg)
-    if kind is ValueError:
-        assert got[0] is ValueError and "negative" in got[1]
-    else:
-        assert got.verdict == kind and got.note.startswith(("integrand error", "integrand not"))
+    assert got.verdict == kind
+    assert got.note.startswith(("integrand error", "integrand not", "integrand negative"))
 
 
 @pytest.mark.parametrize("start", [1.0, 0.37])
@@ -553,17 +567,18 @@ def test_primitive_rows_are_made_once_per_probe_block_from_its_own_samples():
 
     shared = SharedSamples(fn)
     cfg = ProbeConfig(horizon_count=5, nodes_per_octave=64)
-    nodes, rows, _ = _octaves(1.0, 5, 64)
-    P, why = shared.primitive_rows(cfg)
-    assert shared.primitive_rows(cfg)[0] is P and why == ""
+    nodes = probe_block(1.0, cfg)
+    P, why = shared.primitive(cfg)
+    assert shared.primitive(cfg)[0] is P and why == ""
     # one Gauss head table on [0, 1] (writeable, so not kept) and the block, once
     assert [xs.flags.writeable for xs in calls] == [True, False] and calls[1] is nodes
     shared(nodes)  # the samples the block's other probes read
     assert len(calls) == 2
-    # P = t^2, the trapezoid of 2t is exact, and a repeated octave edge adds nothing
-    np.testing.assert_allclose(P, np.array(rows) ** 2, rtol=1e-14)
-    other = shared.primitive_rows(ProbeConfig(horizon_count=5, nodes_per_octave=64, r_start=2.0))
-    assert other[0] is not P and other[0][0, 0] == pytest.approx(4.0, rel=1e-14)
+    # P = t^2 on the block's nodes: the trapezoid of 2t is exact
+    assert P.shape == nodes.shape
+    np.testing.assert_allclose(P, nodes ** 2, rtol=1e-14)
+    other = shared.primitive(ProbeConfig(horizon_count=5, nodes_per_octave=64, r_start=2.0))
+    assert other[0] is not P and other[0][0] == pytest.approx(4.0, rel=1e-14)
 
 
 def test_primitive_rows_stop_at_the_octave_where_f_is_unusable_and_never_raise():
@@ -572,19 +587,19 @@ def test_primitive_rows_stop_at_the_octave_where_f_is_unusable_and_never_raise()
     def overflowing(xs):  # finite up to r = 20
         return np.where(xs < 20.0, 1.0, np.inf)
 
-    P, why = SharedSamples(overflowing).primitive_rows(cfg)
-    assert P.shape == (4, 65) and why == "primitive not computable: integrand not finite near r = 20"
+    P, why = SharedSamples(overflowing).primitive(cfg)  # four octaves, up to r = 16
+    assert P.shape == (4 * 64 + 1,) and why == "primitive not computable: integrand not finite near r = 20"
 
     def undefined(xs):  # a domain error from r = 40 on
         if xs[-1] > 40.0:
             raise ExprError("undefined")
         return np.ones_like(xs)
 
-    P, why = SharedSamples(undefined).primitive_rows(cfg)
-    assert P.shape == (5, 65) and why == "primitive not computable: integrand error on [32,64]: undefined"
+    P, why = SharedSamples(undefined).primitive(cfg)
+    assert P.shape == (5 * 64 + 1,) and why == "primitive not computable: integrand error on [32,64]: undefined"
 
     def undefined_at_the_head(xs):
         raise ExprError("undefined")
 
-    P, why = SharedSamples(undefined_at_the_head).primitive_rows(cfg)
-    assert P.shape == (0, 65) and why == "primitive not computable: undefined"
+    P, why = SharedSamples(undefined_at_the_head).primitive(cfg)
+    assert P.shape == (0,) and why == "primitive not computable: undefined"
