@@ -12,18 +12,16 @@ between nodes, an exact inverse on the same linear pieces, and ``extend``,
 which appends whole octaves without re-sampling what is already tabulated.
 It is the only mutable object here; everything else is pure.
 
-Improper integrals are probed on geometric horizons ``start * 2^k``, all on one
-layout: ``probe_block``, the contiguous ``octave_nodes`` of the probe's octaves (from
-``start``, or from 0 with a head of 2n intervals over ``[0, r_start]``), read-only and
-shared by the probes with the same start and knobs.  ``sample_block`` is the one sampler
-(one call on the block, octave by octave only if that call raises), ``probe_samples`` the
-one reader (octave sums of the block's trapezoids, and from 0 the running trapezoid), and
-``probe_divergence`` samples and reads an integrand over ``[start, inf)``.  Every probe
-ends its evidence at the last octave edge before an unusable value (a domain error, a
-non-finite value or a clearly negative one), and all share one tail verdict, three-valued
-with an explicit ``inconclusive`` outcome, since divergence is not decidable numerically.
-``SharedSamples`` evaluates a function probed several times, and its primitive on a
-block, only once.
+Improper integrals are probed on geometric horizons ``start * 2^k`` on one layout,
+``probe_block``: the contiguous ``octave_nodes`` of the probe's octaves (from ``start``,
+or from 0 with a head of 2n intervals over ``[0, r_start]``), read-only and shared by the
+probes with the same start and knobs.  ``sample_block`` is the one sampler (one call on
+the block, octave by octave only if that call raises), ``probe_samples`` the one reader,
+and ``probe_divergence`` both over ``[start, inf)``.  A probe's evidence ends at the last
+octave edge before a domain error, a non-finite or a clearly negative value; its verdict
+is three-valued with an explicit ``inconclusive`` outcome, since divergence is not
+decidable numerically.  ``SharedSamples`` evaluates a function probed several times, and
+its primitive on a block, only once.
 """
 
 from __future__ import annotations
@@ -285,10 +283,11 @@ def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig, st
     are the octave sums of the block's trapezoids (so a tail far below a head keeps its digits)
     and the partials their running sum; from 0 (``nodes[0] == 0``) partial k is A(r_start 2^k)
     - A(r_start), A the running trapezoid, and a convergent limit includes the head."""
-    block = _block(start, cfg, intervals)
-    nodes, widths, n, head = block
+    nodes, widths, n, head = block = _block(start, cfg, intervals)
     ys, why = _usable(values, why, block)
-    segs = widths[:max(len(ys) - 1, 0)] * (ys[1:] + ys[:-1]) / 2.0  # np.trapezoid's
+    segs = ys[1:] + ys[:-1]  # times the widths, halved: np.trapezoid's, in one array
+    segs *= widths[:len(segs)]
+    segs /= 2.0
     areas = segs[head:].reshape(-1, n).sum(1)
     tail = np.cumsum(np.concatenate([[0.0], areas]))
     at = np.cumsum(segs)[head - 1::n] if head else tail  # at start, then at each horizon
