@@ -426,8 +426,8 @@ def test_probe_domain_error_stops_at_its_octave_like_the_reference(start):
 def test_probe_negativity_scale_is_per_octave():
     # a -1e-9 dip among first-octave values of at most 1 is clearly negative there,
     # although it is tiny next to the 1e100-sized values of the last octave: the scale
-    # is the values before the dip, which sits at the node r = 1.5, whatever array of
-    # nodes the probe passes
+    # is the largest value before the dip (at least 1); the dip sits at the node r = 1.5,
+    # whatever array of nodes the probe passes
     def integrand(xs):
         ys = (xs / 2.0) ** 40
         ys[xs == 1.5] = -1e-9
@@ -524,6 +524,11 @@ def test_probe_reraises_a_non_domain_error_unless_an_earlier_octave_stops_it():
         ys[(xs > 3.0) & (xs < 3.1)] = np.inf
         return ys
 
+    def negative_then_type_error(xs):
+        ys = type_error_past_20(xs)
+        ys[(xs > 3.0) & (xs < 3.1)] = -1.0
+        return ys
+
     for start in (1.0, 0.37):
         for integrand in (type_error_past_20, not_finite_then_type_error):
             got = _probe_outcome(probe_divergence, integrand, start, ProbeConfig())
@@ -531,6 +536,10 @@ def test_probe_reraises_a_non_domain_error_unless_an_earlier_octave_stops_it():
         assert _probe_outcome(probe_divergence, type_error_past_20, start, ProbeConfig()) == (
             TypeError, "not an array function")
         assert got.verdict == "inconclusive" and got.note.startswith("integrand not finite")
+        # a clearly negative value is an earlier stop too
+        got = _probe_outcome(probe_divergence, negative_then_type_error, start, ProbeConfig())
+        assert got == _probe_outcome(_reference_probe, negative_then_type_error, start, ProbeConfig())
+        assert got.verdict == "inconclusive" and got.note.startswith("integrand negative near r = 3")
 
 
 def test_shared_samples_evaluate_once_per_read_only_array():
@@ -597,6 +606,12 @@ def test_primitive_rows_stop_at_the_octave_where_f_is_unusable_and_never_raise()
 
     P, why = SharedSamples(undefined).primitive(cfg)
     assert P.shape == (5 * 64 + 1,) and why == "primitive not computable: integrand error on [32,64]: undefined"
+
+    def negative(xs):  # clearly negative past r = 10, in the octave [8, 16]
+        return np.where(xs <= 10.0, 1.0, -1.0)
+
+    P, why = SharedSamples(negative).primitive(cfg)
+    assert P.shape == (3 * 64 + 1,) and why == "primitive not computable: integrand negative near r = 10.125"
 
     def undefined_at_the_head(xs):
         raise ExprError("undefined")
