@@ -12,7 +12,7 @@ Reports are canonical JSON (sorted keys, fixed layout).  Solution CSVs, in ``rep
 round-trip formatting, are written and read a block of rows at a time, the reader
 streaming the file without holding it whole, so identical configs produce
 byte-identical artifacts, reading a CSV back yields the same bits and only one
-block's cells are strings at once.  Timings go to stderr, never the report.
+block's cells are text at once.  Timings go to stderr, never the report.
 
 Exit codes: 0 success, 2 config or file error, 3 solver non-convergence,
 4 verification or consistency failure (among them an iterate that decreases, whose
@@ -322,19 +322,197 @@ def _csv_header(d: int) -> list[str]:
             + [f"lb_{j + 1}" for j in range(d)] + ["ub"])
 
 
-_CSV_BLOCK = 1024  # rows written or parsed at a time; only one block's cells are strings
+_CSV_BLOCK = 1024  # rows at a time: the writer lays out a block's cells, the reader parses them
+
+# The writer lays a cell out in one-byte slots and keeps some of them: a sign, "0.000"
+# (the lead of 0.0ddd), 17 digits for before the point, the point, the 2nd to 17th digits
+# again for after it, "e+123" and the column's separator.
+_SIGN, _LEAD, _HEAD, _POINT, _TAIL, _EXP, _SEP = 0, 1, 6, 23, 24, 40, 45
+
+
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """10^k as floats hi + lo, hi rounded to nearest and lo the rest, and hi split into
+    halves of 26 bits (Veltkamp), from exact integers."""
+    if k >= 0:
+        hi, lo = float(10 ** k), float(10 ** k - int(float(10 ** k)))
+    else:
+        num, den = (hi := 1 / 10 ** -k).as_integer_ratio()
+        lo = (den - num * 10 ** -k) / (den * 10 ** -k)
+    top = hi * 134217729.0 - (hi * 134217729.0 - hi)  # 2^27 + 1
+    return hi, lo, top, hi - top
+
+
+def _scaled(a: np.ndarray, e10: np.ndarray, powers: np.ndarray):
+    """floor(V), V − floor(V) and ulp(a)·10^k / 2, for V = a·10^k with k = 16 − e10 and
+    10^k = hi + lo, within 1e-14: a·hi is summed exactly from products of halves (Dekker
+    1971), and a·lo added.  ``powers`` holds ``_pow10(k)`` in column 300 + k, filled as
+    it is met.  The ``del``s, here and in the callers, keep few block-sized arrays alive."""
+    k = 316 - e10
+    for j in set(k[np.isnan(powers[0, k])].tolist()):
+        powers[:, j] = _pow10(j - 300)
+    hi, t, top, bottom = (row[k] for row in powers)
+    del k
+    t *= a
+    p = a * hi
+    gap = (a.view(np.int64) & (0x7FF << 52)).view(np.float64) * hi  # 2^e ≤ a, scaled
+    gap *= 2.0 ** -53  # half of ulp(a) = 2^(e - 52)
+    del hi
+    high = (a.view(np.int64) & -(1 << 27)).view(np.float64)  # a's first 26 bits
+    low = a - high
+    err = high * top
+    err -= p
+    high *= bottom
+    err += high
+    top *= low
+    err += top
+    bottom *= low
+    err += bottom
+    t += err
+    del err, high, low, top, bottom
+    floor = np.floor(t)
+    t -= floor
+    p = p.astype(np.int64)
+    p += floor.astype(np.int64)
+    return p, t, gap
+
+
+def _repr_digits(x: np.ndarray, powers: np.ndarray):
+    """For each float of ``x``: whether its ``float.__repr__`` digits are certified, the
+    digits as a 17-digit integer N (zeros after the significant ones), their count (15
+    stands for 15 or fewer) and the exponent E of the first.  Scaled to V = |x|·10^(16−E)
+    ∈ [1e16, 1e17), the rounding interval of |x| holds integers; of the multiples of the
+    greatest power of ten among them, N is the one nearest V.  Not certified: 0, inf,
+    nan, |x| outside [1e-280, 1e280], a power-of-two significand (its interval is
+    lopsided), and an interval end or a tie within 1e-9 of an integer."""
+    a = np.abs(x)
+    ok = (a >= 1e-280) & (a <= 1e280) & (a.view(np.int64) & ((1 << 52) - 1) != 0)
+    a[~ok] = 1.5
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    v, frac, gap = _scaled(a, e10, powers)
+    off = (v >= 10 ** 17).astype(np.int64) - (v < 10 ** 16)  # log10 was one off
+    if (fix := np.flatnonzero(off)).size:
+        e10[fix] += off[fix]
+        v[fix], frac[fix], gap[fix] = _scaled(a[fix], e10[fix], powers)
+    del a
+    low, high = frac - gap, frac + gap
+    del gap
+    ok &= (np.abs(low - np.rint(low)) > 1e-9) & (np.abs(high - np.rint(high)) > 1e-9)
+    last = v + np.ceil(high).astype(np.int64) - 1  # the last and first integer inside
+    spread = last - v - np.floor(low).astype(np.int64) - 1
+    del low, high
+    r10, r100 = last % 10, last % 100
+    tens, hundreds = r10 <= spread, r100 <= spread  # a multiple of 10, of 100 inside
+    down = tens & (r10 + 10 <= spread)  # two multiples of 10: the nearer one is taken
+    del spread
+    last -= r10  # the last multiple of 10 inside, and of 100 at last − r100
+    r100 -= r10
+    del r10
+    mid = (last - 5 - v) - frac  # > 0: V is nearer the multiple of 10 below
+    ok &= (np.abs(frac - 0.5) > 1e-9) & (~down | (np.abs(mid) > 1e-9))
+    n = v
+    n += frac > 0.5  # the nearest integer
+    del v, frac
+    np.copyto(n, last - 10 * (down & (mid > 0)), where=tens)
+    np.copyto(n, last - r100, where=hundreds)  # the one multiple of 10^m, m ≥ 2
+    del last, r100, mid
+    top = n == 10 ** 17
+    n[top], e10[top] = 10 ** 16, e10[top] + 1
+    return ok, n, 17 - tens.astype(np.int64) - hundreds, e10  # 15: zeros to strip
+
+
+class _CsvRows:
+    """The bytes of solution CSV rows, a block at a time, each cell as ``float.__repr__``
+    writes it: the layout of the cells of one call, and the tables it builds for them."""
+
+    def __init__(self, seps: list[bytes], rows: int):
+        """``seps``: the text after each given column's cells; ``rows``: the block size."""
+        self.kinds = sorted(set(seps))
+        self.sep_kind = np.array([self.kinds.index(sep) for sep in seps])
+        self.masks = self._slot_masks(self.kinds)
+        self.powers = np.full((4, 600), np.nan)
+        pairs = (np.arange(100) % 10 + 48) * 256 + np.arange(100) // 10 + 48
+        self.quads = (pairs[:, None] + (pairs << 16)).astype("<u4").ravel()  # "0123" at 123
+        self.chars = np.empty((rows, len(seps), self.masks.shape[1]), np.uint8)
+        self.chars[..., :_HEAD] = np.frombuffer(b"-0.000", np.uint8)
+        self.chars[..., _EXP] = ord("e")
+        for k, sep in enumerate(seps):
+            self.chars[:, k, _SEP:_SEP + len(sep)] = np.frombuffer(sep, np.uint8)
+        self.keep = np.empty((self.chars[..., 0].size, self.masks.shape[1]), bool)
+
+    @staticmethod
+    def _slot_masks(seps: list[bytes]) -> np.ndarray:
+        """The kept slots of a cell whose digit count is nd, exponent code c and separator
+        seps[s], at row (c·18 + nd)·len(seps) + s; the sign slot is set per cell.  The code
+        is E + 4 for repr's positional range −4 ≤ E < 16, else 20 for |E| < 100, 21 beyond."""
+        code, nd, s = (k.reshape(-1, 1) for k in np.indices((22, 18, len(seps))))
+        e, fixed, small = code - 4, code < 20, code < 4
+        head = np.where(fixed & ~small, e + 1, np.where(small, nd, 1))  # digits before "."
+        end = np.where(fixed & ~small, np.maximum(nd, e + 2), nd)  # 100.0: to E + 2
+        keep = np.zeros((code.size, _SEP + max(map(len, seps))), bool)
+        keep[:, _LEAD:_HEAD] = np.arange(5) < np.where(small, 1 - e, 0)
+        keep[:, _HEAD:_POINT] = np.arange(17) < head
+        keep[:, _POINT] = (fixed & ~small | ~fixed & (nd > 1))[:, 0]
+        keep[:, _TAIL:_EXP] = (np.arange(1, 17) >= head) & (np.arange(1, 17) < end) & ~small
+        keep[:, _EXP:_SEP] = ~fixed & ((np.arange(5) != 2) | (code == 21))
+        keep[:, _SEP:] = np.arange(keep.shape[1] - _SEP) < np.array(list(map(len, seps)))[s]
+        return keep
+
+    def block(self, x: np.ndarray) -> np.ndarray:
+        """The bytes of the rows of ``x``, (rows, given columns), as uint8."""
+        ok, n, count, e10 = _repr_digits(x.ravel(), self.powers)
+        chars = self.chars[:len(x)].reshape(x.size, -1)
+        head = chars[:, _HEAD - 3:_POINT].view("<u4")  # "000" of the lead, then the digits
+        tail = chars[:, _TAIL:_EXP].view("<u4")
+        for k in range(4, 0, -1):
+            q = n // 10000
+            head[:, k] = tail[:, k - 1] = self.quads[n - q * 10000]
+            n = q
+        head[:, 0] = self.quads[n]
+        chars[:, _POINT] = ord(".")
+        if (many := np.flatnonzero(count == 15)).size:  # strip the zeros
+            count[many] = 17 - np.argmin(chars[many, _HEAD:_POINT][:, ::-1] == 48, axis=1)
+        code = np.where((e10 >= -4) & (e10 < 16), e10 + 4, 20 + (np.abs(e10) >= 100))
+        if (code >= 20).any():
+            exp = self.quads[np.abs(e10)].view(np.uint8).reshape(-1, 4)
+            exp[:, 0] = np.where(e10 < 0, ord("-"), ord("+"))
+            chars[:, _EXP + 1:_SEP] = exp
+        del n, q, e10
+        code *= 18
+        code += count
+        code *= len(self.kinds)
+        code.reshape(len(x), -1)[:] += self.sep_kind
+        keep = np.take(self.masks, code, axis=0, out=self.keep[:x.size])
+        del code, count
+        keep[:, _SIGN] = np.signbit(x.ravel())
+        if (slow := np.flatnonzero(~ok)).size:
+            text = np.array(list(map(float.__repr__, x.ravel()[slow].tolist())), "S24")
+            chars[slow, _HEAD:_HEAD + 24] = text = text.view(np.uint8).reshape(-1, 24)
+            keep[slow, :_SEP] = False
+            keep[slow, _HEAD:_HEAD + 24] = text != 0
+        return chars[keep]
 
 
 def write_solution_csv(path: Path, grid: RadialGrid, u: list[np.ndarray],
                        lower: list[np.ndarray] | None,
                        upper: np.ndarray | None) -> None:
+    """Write the columns r, u_j, lb_j and ub, one row per node, each cell as
+    ``float.__repr__`` writes it and an absent bound column as empty cells, ``_CSV_BLOCK``
+    rows at a time.  A cell's digits are the shortest decimal strictly inside its
+    rounding interval, the nearest of them if several, found with the interval scaled in
+    double-double arithmetic (``_repr_digits``); they are exact because every decision
+    keeps a margin of 1e-9 against an error below 1e-14.  ``float.__repr__`` itself writes
+    only the cells outside that rule: 0, inf, nan, |x| outside [1e-280, 1e280], a
+    power-of-two significand, and an interval end or a tie within 1e-9 of an integer."""
     columns = [grid.nodes, *u, *(lower if lower is not None else [None] * len(u)), upper]
-    cells = [itertools.repeat("", len(grid)) if col is None else map(repr, map(float, col))
-             for col in columns]
-    lines = itertools.chain([",".join(_csv_header(len(u)))], map(",".join, zip(*cells)))
-    with path.open("w", encoding="utf-8") as out:
-        while block := list(itertools.islice(lines, _CSV_BLOCK)):
-            out.write("\n".join(block) + "\n")
+    given = [k for k, col in enumerate(columns) if col is not None]
+    seps = [b"," * (b - a - 1) + (b"," if b < len(columns) else b"\n")
+            for a, b in zip(given, given[1:] + [len(columns)])]
+    cells = [np.asarray(columns[k], dtype=float) for k in given]
+    rows = _CsvRows(seps, min(_CSV_BLOCK, len(grid)))
+    with path.open("wb") as out:
+        out.write(",".join(_csv_header(len(u))).encode() + b"\n")
+        for lo in range(0, len(grid), _CSV_BLOCK):
+            out.write(rows.block(np.stack([col[lo:lo + _CSV_BLOCK] for col in cells], axis=1)))
 
 
 def _stripped_lines(file) -> Iterator[str]:

@@ -245,11 +245,17 @@ def _cell_by_cell_csv(grid, u, lower, upper) -> str:
     return "\n".join(lines) + "\n"
 
 
-# finite floats of every magnitude, plus values on both sides of the points
-# where ``repr`` switches between positional and exponent notation
+# finite floats of every magnitude, values on both sides of the points where
+# ``repr`` switches between positional and exponent notation, and the cells the
+# writer leaves to ``float.__repr__``: zeros, subnormals, powers of two, the
+# largest float; a bound cell may also be inf or nan, as the reader skips bounds
 _SWITCH = st.one_of(st.floats(1e-5, 1e-3), st.floats(1e15, 1e17))
-_CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                  _SWITCH, _SWITCH.map(lambda x: -x))
+_REPR_ONLY = st.one_of(st.sampled_from([0.0, 5e-324, 1.7976931348623157e308]),
+                       st.floats(0.0, 2.2250738585072014e-308),
+                       st.integers(-1074, 1023).map(lambda k: 2.0 ** k))
+_CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SWITCH, _REPR_ONLY,
+                  _SWITCH.map(lambda x: -x), _REPR_ONLY.map(lambda x: -x))
+_BOUND = st.one_of(_CELL, st.sampled_from([math.inf, -math.inf, math.nan]))
 
 
 @st.composite
@@ -257,13 +263,22 @@ def _solution(draw):
     grid = RadialGrid(draw(st.floats(1e-3, 1e6)), draw(st.integers(8, 24)))
     d = draw(st.integers(1, 3))
     column = st.lists(_CELL, min_size=len(grid), max_size=len(grid)).map(np.array)
+    bound = st.lists(_BOUND, min_size=len(grid), max_size=len(grid)).map(np.array)
     u = [draw(column) for _ in range(d)]
-    lower = [draw(column) for _ in range(d)] if draw(st.booleans()) else None
-    upper = draw(column) if draw(st.booleans()) else None
+    lower = [draw(bound) for _ in range(d)] if draw(st.booleans()) else None
+    upper = draw(bound) if draw(st.booleans()) else None
     return grid, u, lower, upper
 
 
+_EDGES = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.5, -1024.0,
+                   1.7976931348623157e308, 1e-280, 1e280])
+_NON_FINITE = np.array([math.inf, -math.inf, math.nan, 1e16, 1e-4, 9999999999999998.0,
+                        1e-5, 0.1, 1e23])
+
+
 @given(_solution())
+@example((RadialGrid(1.0, 8), [_EDGES], [_NON_FINITE], _EDGES[::-1]))
+@example((RadialGrid(1e-3, 8), [_EDGES[::-1], -_EDGES], None, _NON_FINITE[::-1]))
 def test_solution_csv_round_trip_is_bit_identical(tmp_path_factory, solution):
     grid, u, lower, upper = solution
     path = tmp_path_factory.mktemp("csv") / "solution.csv"
@@ -299,6 +314,20 @@ def _random_solution(rows: int, d: int):
     shape = (1 + 2 * d, rows)
     columns = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     return _Nodes(np.sort(np.abs(columns[0]))), list(columns[1:1 + d]), list(columns[1 + d:])
+
+
+def test_the_writer_formats_every_float_as_float_repr_does(tmp_path):
+    # random bit patterns (both signs, every exponent, subnormals, inf and nan) and the
+    # floats next to 1e16 and 1e-4, where repr switches notation, beside the reference
+    rng = np.random.default_rng(18)
+    bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    near = (np.array([1e16, -1e16, 1e-4, -1e-4]).view(np.int64)[:, None]
+            + np.arange(-500, 501)).view(np.float64).ravel()
+    cells = np.concatenate([bits, near])
+    grid, u = _Nodes(cells), [cells[::-1].copy()]
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, grid, u, None, None)
+    assert path.read_text(encoding="utf-8") == _cell_by_cell_csv(grid, u, None, None)
 
 
 @pytest.mark.parametrize("rows", [1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
