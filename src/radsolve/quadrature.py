@@ -198,11 +198,14 @@ def _block(start: float, cfg: ProbeConfig, intervals: int | None) -> tuple:
 def _octaves(start: float, first: float, horizon_count: int, intervals: int) -> tuple:
     """Read-only ``octave_nodes`` from ``start`` to ``first * 2^horizon_count`` (``first`` is
     ``start``, or, from 0, the head's end), their read-only interval widths, the intervals
-    per octave and those of the head (0 from ``start`` > 0)."""
+    per octave, those of the head (0 from ``start`` > 0) and a view of the nodes of each
+    octave with both its edges (the head is one), the same views on every call."""
     nodes = octave_nodes(first * 2.0 ** horizon_count, start, intervals, head=first)
     widths = np.diff(nodes)
     nodes.flags.writeable = widths.flags.writeable = False
-    return nodes, widths, intervals, 0 if start else 2 * intervals
+    head = 0 if start else 2 * intervals
+    edges = [0, *range(head or intervals, len(nodes), intervals)]
+    return nodes, widths, intervals, head, tuple(nodes[a:b + 1] for a, b in zip(edges, edges[1:]))
 
 
 def probe_block(start: float, cfg: ProbeConfig, intervals: int | None = None) -> np.ndarray:
@@ -218,13 +221,12 @@ def sample_block(integrand: Callable, start: float, cfg: ProbeConfig,
     stopped it ("" if nothing did): one call on the block, and if that raises, one per octave
     (the head is one) up to one that raises, whose domain error is a note and whose other
     exceptions ``probe_samples`` raises unless an earlier value ends the evidence."""
-    nodes, _, n, head = _block(start, cfg, intervals)
+    nodes, *_, octaves = _block(start, cfg, intervals)
     try:
         return _eval_segment(integrand, nodes), ""
     except Exception:  # whatever it is, found again below octave by octave
-        done, failure, edges = [], "", [0, *range(head or n, len(nodes), n)]
-        for lo, hi in zip(edges, edges[1:]):
-            xs = nodes[lo:hi + 1]
+        done, failure = [], ""
+        for xs in octaves:
             try:
                 done.append(_eval_segment(integrand, xs)[1 if done else 0:])
             except (ExprError, ArithmeticError) as err:
@@ -240,7 +242,7 @@ def _usable(values: np.ndarray, why: str | Exception, block: tuple) -> tuple[np.
     """``values`` on ``block`` up to the last octave edge before the first unusable one, and
     why they end: that value (non-finite, or below -1e-12 of the largest |value| before it,
     at least 1), else ``why`` (raised if an exception).  Rounding negatives are clipped to 0."""
-    nodes, _, n, head = block
+    nodes, _, n, head, _ = block
     finite = np.isfinite(values)
     k = len(values) if finite.all() else int(np.argmin(finite))
     clip = k > 0 and values[:k].min() < 0  # only then is there anything to check or clip
@@ -283,7 +285,7 @@ def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig, st
     are the octave sums of the block's trapezoids (so a tail far below a head keeps its digits)
     and the partials their running sum; from 0 (``nodes[0] == 0``) partial k is A(r_start 2^k)
     - A(r_start), A the running trapezoid, and a convergent limit includes the head."""
-    nodes, widths, n, head = block = _block(start, cfg, intervals)
+    nodes, widths, n, head, _ = block = _block(start, cfg, intervals)
     ys, why = _usable(values, why, block)
     segs = ys[1:] + ys[:-1]  # times the widths, halved: np.trapezoid's, in one array
     segs *= widths[:len(segs)]

@@ -17,8 +17,11 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
+
+from radsolve import transforms
 from radsolve.cli import main
-from radsolve.exprlang import unparse
+from radsolve.exprlang import evaluate_array, unparse
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -156,6 +159,25 @@ def classify_digests(tmp_path: Path, runs: dict[str, dict]) -> dict[str, object]
 
 def test_classify_with_shared_diagonal_work_is_byte_identical(tmp_path):
     assert classify_digests(tmp_path, SHARING_RUNS) == SHARING_GOLDEN
+
+
+def test_probes_stopped_by_an_overflow_share_their_octave_samples(tmp_path, monkeypatch):
+    # f = exp(u1) overflows in the last octave, so every diagonal probe samples f
+    # octave by octave; the octaves are the same read-only views for each probe, and
+    # f is evaluated once per octave and once on the whole block that failed
+    sizes = []
+
+    def counting(e, env):
+        s = env.get("u1")
+        if isinstance(s, np.ndarray) and not s.flags.writeable:  # a probe's nodes
+            sizes.append(s.size)
+        return evaluate_array(e, env)
+
+    monkeypatch.setattr(transforms, "evaluate_array", counting)
+    runs = {"classify_exp_overflow": SHARING_RUNS["classify_exp_overflow"]}
+    assert classify_digests(tmp_path, runs) == {
+        key: value for key, value in SHARING_GOLDEN.items() if "exp_overflow" in key}
+    assert len(sizes) <= 11
 
 
 # Two classify runs whose probes stop at a domain error in mid-horizon, the

@@ -294,17 +294,18 @@ def test_octave_nodes_layout_from_origin():
 @pytest.mark.parametrize("start, count, n", [(1.0, 10, 2048), (0.37, 6, 100), (3.3, 4, 8)])
 def test_octave_block_is_read_only_with_row_views_and_widths(start, count, n):
     cfg = ProbeConfig(horizon_count=count, nodes_per_octave=n, r_start=start)
-    nodes, widths, per_octave, head = _octaves(start, start, count, n)
+    nodes, widths, per_octave, head, rows = _octaves(start, start, count, n)
     octaves = [np.linspace(start * 2.0 ** (k - 1), start * 2.0 ** k, n + 1)
                for k in range(1, count + 1)]
     assert len(nodes) == count * n + 1 and (per_octave, head) == (n, 0)
     assert not nodes.flags.writeable and not widths.flags.writeable
-    for k, octave in enumerate(octaves):  # each octave a view of the block, edges shared
-        row = nodes[k * n:(k + 1) * n + 1]
-        assert not row.flags.writeable and np.shares_memory(row, nodes)
-        assert row.tobytes() == octave.tobytes()
+    assert len(rows) == count
+    for k, (row, octave) in enumerate(zip(rows, octaves)):  # views of the block, edges shared
+        assert row.base is nodes and not row.flags.writeable
+        assert row.tobytes() == nodes[k * n:(k + 1) * n + 1].tobytes() == octave.tobytes()
         assert widths[k * n:(k + 1) * n].tobytes() == np.diff(octave).tobytes()
-    assert _octaves(start, start, count, n)[0] is nodes  # the same block for the next probe
+    again = _octaves(start, start, count, n)  # the same block and views for the next probe
+    assert again[0] is nodes and all(a is b for a, b in zip(again[4], rows))
     assert probe_block(start, cfg) is nodes
     # from 0 the block is octave_nodes with the head over [0, r_start], read-only too
     origin = probe_block(0.0, cfg)
