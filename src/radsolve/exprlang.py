@@ -6,8 +6,7 @@ arithmetic one:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := unary ('^' factor)?          # '^' is right-associative
-    unary  := '-'? atom
+    factor := '-' factor | atom ('^' factor)?   # as Python: -a^b is -(a^b), a^-b works
     atom   := number | ident | func '(' expr (',' expr)* ')' | '(' expr ')'
     func   in {exp, log, sqrt, abs, min, max}
 
@@ -166,18 +165,15 @@ class _Parser:
         return left
 
     def factor(self) -> Expr:
-        base = self.unary()
+        if self.at_op("-"):
+            self.take()
+            return Expr("neg", args=(self.factor(),))
+        base = self.atom()
         if self.at_op("^"):
             self.take()
             exponent = self.factor()  # right-associative
             return Expr("pow", args=(base, exponent))
         return base
-
-    def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.take()
-            return Expr("neg", args=(self.atom(),))
-        return self.atom()
 
     def atom(self) -> Expr:
         kind, text, pos = self.take()
@@ -317,9 +313,9 @@ def _evaluate(e: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
 # printing
 
 # syntactic classes, from loosest to tightest, and the class of each operator node
-_RANK = {"expr": 0, "term": 1, "factor": 2, "unary": 3, "atom": 4}
+_RANK = {"expr": 0, "term": 1, "factor": 2, "atom": 3}
 _CLASS = {"add": "expr", "sub": "expr", "mul": "term", "div": "term", "pow": "factor",
-          "neg": "unary"}
+          "neg": "factor"}
 
 
 def _fmt(e: Expr, need: str) -> str:
@@ -336,7 +332,7 @@ def unparse(e: Expr) -> str:
     if e.kind == "var":
         return e.name
     if e.kind == "neg":
-        return "-" + _fmt(e.args[0], "atom")
+        return "-" + _fmt(e.args[0], "factor")
     if e.kind in ("add", "sub"):
         op = " + " if e.kind == "add" else " - "
         return _fmt(e.args[0], "expr") + op + _fmt(e.args[1], "term")
@@ -344,7 +340,7 @@ def unparse(e: Expr) -> str:
         op = "*" if e.kind == "mul" else "/"
         return _fmt(e.args[0], "term") + op + _fmt(e.args[1], "factor")
     if e.kind == "pow":
-        return _fmt(e.args[0], "unary") + "^" + _fmt(e.args[1], "factor")
+        return _fmt(e.args[0], "atom") + "^" + _fmt(e.args[1], "factor")
     return e.kind + "(" + ", ".join(_fmt(a, "expr") for a in e.args) + ")"
 
 

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import hypothesis.strategies as st
@@ -65,10 +66,14 @@ def test_power_is_right_associative():
     assert evaluate(e, {}) == 512.0
 
 
-def test_unary_minus_binds_to_the_atom():
-    # the base of a power includes its sign: -2^2 is (-2)^2
-    assert evaluate(parse("-2^2", "radial"), {}) == 4.0
+def test_unary_minus_binds_looser_than_a_power():
+    # as Python reads -2**2: the sign applies to the power, and an exponent may carry one
+    assert evaluate(parse("-2^2", "radial"), {}) == -4.0
     assert evaluate(parse("2^-2", "radial"), {}) == 0.25
+    assert evaluate(parse("-r^2", "radial"), {"r": 3.0}) == -9.0
+    assert evaluate(parse("2*-r^2", "radial"), {"r": 3.0}) == -18.0
+    assert evaluate(parse("(-r)^2", "radial"), {"r": 3.0}) == 9.0
+    assert evaluate(parse("--r^-1", "radial"), {"r": 4.0}) == 0.25
 
 
 def test_eval_simple_values():
@@ -151,6 +156,36 @@ def _extend(children):
 @given(st.recursive(_leaf(), _extend, max_leaves=16))
 def test_unparse_parse_round_trip(e):
     assert parse(unparse(e), "radial") == e
+
+
+_PYTHON_OPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
+
+
+def _python_reading(node) -> Expr:
+    """The tree of Python's parse (``ast``) of an arithmetic text."""
+    if isinstance(node, ast.BinOp):
+        return Expr(_PYTHON_OPS[type(node.op)],
+                    args=(_python_reading(node.left), _python_reading(node.right)))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Expr("neg", args=(_python_reading(node.operand),))
+    if isinstance(node, ast.Name):
+        return Expr("var", name=node.id)
+    return Expr("num", value=node.value)
+
+
+def _arithmetic(children):
+    return st.one_of(st.builds(lambda a: Expr("neg", args=(a,)), children),
+                     st.builds(lambda k, a, b: Expr(k, args=(a, b)),
+                               st.sampled_from(["add", "sub", "mul", "div", "pow"]),
+                               children, children))
+
+
+@given(st.recursive(_leaf(), _arithmetic, max_leaves=8))
+def test_unparsed_text_reads_as_python_reads_it(e):
+    # signs, the four operations and powers, with ^ written as Python's **
+    text = unparse(e)
+    assert parse(text, "radial") == e
+    assert _python_reading(ast.parse(text.replace("^", "**"), mode="eval").body) == e
 
 
 @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
