@@ -322,7 +322,7 @@ def _csv_header(d: int) -> list[str]:
             + [f"lb_{j + 1}" for j in range(d)] + ["ub"])
 
 
-_CSV_BLOCK = 1024  # rows at a time: the writer lays out a block's cells, the reader parses them
+_CSV_BLOCK = 1024  # rows parsed, or twice the rows laid out, at a time; the cells of one are text
 
 # The writer lays a cell out in one-byte slots and keeps some of them: a sign, "0.000"
 # (the lead of 0.0ddd), 17 digits for before the point, the point, the 2nd to 17th digits
@@ -400,7 +400,7 @@ def _repr_digits(x: np.ndarray, powers: np.ndarray):
     last = v + np.ceil(high).astype(np.int64) - 1  # the last and first integer inside
     spread = last - v - np.floor(low).astype(np.int64) - 1
     del low, high
-    r10, r100 = last % 10, last % 100
+    r10, r100 = last - last // 10 * 10, last - last // 100 * 100
     tens, hundreds = r10 <= spread, r100 <= spread  # a multiple of 10, of 100 inside
     down = tens & (r10 + 10 <= spread)  # two multiples of 10: the nearer one is taken
     del spread
@@ -496,23 +496,26 @@ def write_solution_csv(path: Path, grid: RadialGrid, u: list[np.ndarray],
                        lower: list[np.ndarray] | None,
                        upper: np.ndarray | None) -> None:
     """Write the columns r, u_j, lb_j and ub, one row per node, each cell as
-    ``float.__repr__`` writes it and an absent bound column as empty cells, ``_CSV_BLOCK``
-    rows at a time.  A cell's digits are the shortest decimal strictly inside its
-    rounding interval, the nearest of them if several, found with the interval scaled in
-    double-double arithmetic (``_repr_digits``); they are exact because every decision
-    keeps a margin of 1e-9 against an error below 1e-14.  ``float.__repr__`` itself writes
-    only the cells outside that rule: 0, inf, nan, |x| outside [1e-280, 1e280], a
-    power-of-two significand, and an interval end or a tie within 1e-9 of an integer."""
+    ``float.__repr__`` writes it and an absent bound column as empty cells, half of
+    ``_CSV_BLOCK`` rows at a time (a cell takes some 190 bytes of temporaries: with 7
+    columns those of a half block stay below the reader's).  A cell's digits are the
+    shortest decimal strictly inside its rounding interval, the nearest of them if
+    several, found with the interval scaled in double-double arithmetic
+    (``_repr_digits``); they are exact because every decision keeps a margin of 1e-9
+    against an error below 1e-14.  ``float.__repr__`` itself writes only the cells
+    outside that rule: 0, inf, nan, |x| outside [1e-280, 1e280], a power-of-two
+    significand, and an interval end or a tie within 1e-9 of an integer."""
     columns = [grid.nodes, *u, *(lower if lower is not None else [None] * len(u)), upper]
     given = [k for k, col in enumerate(columns) if col is not None]
     seps = [b"," * (b - a - 1) + (b"," if b < len(columns) else b"\n")
             for a, b in zip(given, given[1:] + [len(columns)])]
     cells = [np.asarray(columns[k], dtype=float) for k in given]
-    rows = _CsvRows(seps, min(_CSV_BLOCK, len(grid)))
+    step = _CSV_BLOCK // 2
+    rows = _CsvRows(seps, min(step, len(grid)))
     with path.open("wb") as out:
         out.write(",".join(_csv_header(len(u))).encode() + b"\n")
-        for lo in range(0, len(grid), _CSV_BLOCK):
-            out.write(rows.block(np.stack([col[lo:lo + _CSV_BLOCK] for col in cells], axis=1)))
+        for lo in range(0, len(grid), step):
+            out.write(rows.block(np.stack([col[lo:lo + step] for col in cells], axis=1)))
 
 
 def _stripped_lines(file) -> Iterator[str]:
