@@ -397,8 +397,8 @@ def _repr_digits(x: np.ndarray, powers: np.ndarray):
     low, high = frac - gap, frac + gap
     del gap
     ok &= (np.abs(low - np.rint(low)) > 1e-9) & (np.abs(high - np.rint(high)) > 1e-9)
-    last = v + np.ceil(high).astype(np.int64) - 1  # the last and first integer inside
-    spread = last - v - np.floor(low).astype(np.int64) - 1
+    last = v + np.ceil(high).astype(np.int64) - 1  # the last integer strictly inside
+    spread = last - v - np.floor(low).astype(np.int64) - 1  # last − the first one
     del low, high
     r10, r100 = last - last // 10 * 10, last - last // 100 * 100
     tens, hundreds = r10 <= spread, r100 <= spread  # a multiple of 10, of 100 inside
@@ -437,7 +437,7 @@ class _CsvRows:
         self.chars[..., _EXP] = ord("e")
         for k, sep in enumerate(seps):
             self.chars[:, k, _SEP:_SEP + len(sep)] = np.frombuffer(sep, np.uint8)
-        self.keep = np.empty((self.chars[..., 0].size, self.masks.shape[1]), bool)
+        self.keep = np.empty((rows * len(seps), self.masks.shape[1]), bool)
 
     @staticmethod
     def _slot_masks(seps: list[bytes]) -> np.ndarray:
