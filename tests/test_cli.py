@@ -270,15 +270,17 @@ def _solution(draw):
     return grid, u, lower, upper
 
 
+# cells left to float.__repr__, the ends of the certified range, and for a bound
+# column inf, nan and values at the notation switches
 _EDGES = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.5, -1024.0,
                    1.7976931348623157e308, 1e-280, 1e280])
-_NON_FINITE = np.array([math.inf, -math.inf, math.nan, 1e16, 1e-4, 9999999999999998.0,
+_BOUND_EDGES = np.array([math.inf, -math.inf, math.nan, 1e16, 1e-4, 9999999999999998.0,
                         1e-5, 0.1, 1e23])
 
 
 @given(_solution())
-@example((RadialGrid(1.0, 8), [_EDGES], [_NON_FINITE], _EDGES[::-1]))
-@example((RadialGrid(1e-3, 8), [_EDGES[::-1], -_EDGES], None, _NON_FINITE[::-1]))
+@example((RadialGrid(1.0, 8), [_EDGES], [_BOUND_EDGES], _EDGES[::-1]))
+@example((RadialGrid(1e-3, 8), [_EDGES[::-1], -_EDGES], None, _BOUND_EDGES[::-1]))
 def test_solution_csv_round_trip_is_bit_identical(tmp_path_factory, solution):
     grid, u, lower, upper = solution
     path = tmp_path_factory.mktemp("csv") / "solution.csv"
