@@ -29,7 +29,8 @@ def main() -> None:
         print(f"{name:35s} -> {c.theorem}{window}")
         conds = ", ".join(f"{k}={v.status}" for k, v in c.conditions.items())
         print(f"{'':35s}    {conds}")
-        ko, yz = check_keller_osserman(spec.diagonal(0)), check_ye_zhou(spec.diagonal(0))
+        ko, yz = (check_keller_osserman(spec.diagonal(0), spec.p[0]),
+                  check_ye_zhou(spec.diagonal(0), spec.p[0]))
         print(f"{'':35s}    blow-up tests: primitive-root {ko.verdict}, "
               f"reciprocal {yz.verdict}")
         print()

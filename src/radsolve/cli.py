@@ -662,9 +662,10 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
     spec = cfg.spec
     classification = classify(spec, cfg.betas[0].values, cfg.classifier)
     probe = cfg.classifier.probe
-    ko = [check_keller_osserman(spec.diagonal(j), probe) for j in range(spec.d)]
-    yz = [check_ye_zhou(spec.diagonal(j), probe) for j in range(spec.d)]
-    remarks = check_remark_implications(spec, classification.conditions["C3"].status, probe)
+    ko = [check_keller_osserman(spec.diagonal(j), p, probe) for j, p in enumerate(spec.p)]
+    yz = [check_ye_zhou(spec.diagonal(j), p, probe) for j, p in enumerate(spec.p)]
+    remarks = check_remark_implications(spec, classification.conditions["C3"].status, probe,
+                                        (ko, yz))
     spec.release_diagonals()  # the remarks read the diagonals last
     lair_doc = None
     inst = match_lair_form(spec)

@@ -16,12 +16,14 @@ provide: an inconclusive sub-verdict on anything required forces an
 inconclusive overall verdict.
 
 The module also houses stand-alone checkers for two classical blow-up
-criteria (the inverse-square-root test on the primitive of f, from the probe
-block's samples of f, and the reciprocal test on f itself), two implication
-cross-checks against the divergence of F, and the nested-integral criterion for
-the sublinear two-component Laplacian system (which the solver can cross-check).
+criteria of the p-Laplacian, each at a component's own p (the Keller-Osserman
+test, the integral of P^(-1/p) with P the primitive of f, from the probe block's
+samples of f, and the reciprocal test, the integral of f^(-1/(p-1))), two
+implication cross-checks against the divergence of F, which are the same tests at
+min_p from the anchor, and the nested-integral criterion for the sublinear
+two-component Laplacian system (which the solver can cross-check).
 
-Every probe here (F, the barriers, the primitive root, the Lair integrals) is read by
+Every probe here (F, the barriers, the growth tests, the Lair integrals) is read by
 ``quadrature.probe_samples`` on a shared ``probe_block``; a domain error, a non-finite or
 a clearly negative value makes it inconclusive, with the octaves before as evidence.
 """
@@ -29,7 +31,7 @@ a clearly negative value makes it inconclusive, with the octaves before as evide
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -204,6 +206,16 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
         uniform_beta=uniform, c3=c3.status, c4=c4.status, c5=c5.status,
         c6=c6.status, sublinearity=sublin.status, sup_bounded=supb.status,
         barrier_tail=tail)
+    block = probe_block(spec.anchor, config.probe)  # where the F probe sampled every f_j
+    for j in range(spec.d):
+        try:
+            f = spec.diagonal(j)(block)
+        except (ExprError, ArithmeticError):  # the F probe's evidence says why
+            continue
+        if (drop := np.flatnonzero(np.diff(f) < -1e-12 * np.maximum(1.0, np.abs(f[:-1])))).size:
+            theorem = "inconclusive"  # f_j nondecreasing in each argument is so on the diagonal
+            notes.append(f"f[{j}] decreases on the diagonal near s = {block[drop[0]]:g}, "
+                         "against the monotonicity every theorem assumes")
     if theorem == "inconclusive" and c3.status == "holds" and tail == "mixed":
         notes.append("existence is supported (F diverges) but the barrier tails are mixed, "
                      "so neither the bounded nor the large verdict applies")
@@ -346,41 +358,30 @@ def check_sup_bounded(spec: ProblemSpec,
     return ConditionVerdict("inconclusive", evidence)
 
 
-def _primitive_root_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
-    """Probe dt / P(t)^expo from ``probe.r_start``, P the primitive of ``f_diag`` from 0
-    on the probe block (``SharedSamples.primitive``, once per block for
-    ``spec.diagonal(j)``); where f is unusable, the octaves before it are the evidence."""
+def check_keller_osserman(f_diag: Callable, p: float,
+                          probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
+    """Probe the Keller-Osserman test of Delta_p u = f(u) (Keller 1957, Osserman 1957), dt /
+    P(t)^(1/p) from ``probe.r_start``, P the primitive of f from 0 on the probe block
+    (``SharedSamples.primitive``, once per block for ``spec.diagonal(j)``): its divergence
+    allows blow-up solutions.  A primitive that vanishes or cannot be computed makes the
+    verdict inconclusive with a note."""
     shared = f_diag if isinstance(f_diag, SharedSamples) else SharedSamples(f_diag)
     primitive, why = shared.primitive(probe)
     with np.errstate(divide="ignore"):
-        return probe_samples(np.power(primitive, -expo), why, probe, probe.r_start)
+        return probe_samples(np.power(primitive, -1.0 / p), why, probe, probe.r_start)
 
 
-def _reciprocal_power_probe(f_diag: Callable, expo: float, probe: ProbeConfig) -> DivergenceVerdict:
-    """Probe ds / f_diag(s)^expo from ``probe.r_start`` (inconclusive where f vanishes)."""
+def check_ye_zhou(f_diag: Callable, p: float,
+                  probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
+    """Probe the reciprocal test of Delta_p u = f(u), ds / f(s)^(1/(p - 1)) from
+    ``probe.r_start`` (inconclusive where f vanishes), on the samples of the F probe
+    when ``f_diag`` is ``spec.diagonal(j)`` and the anchor is r_start."""
 
     def integrand(s):
         with np.errstate(divide="ignore"):
-            return np.power(np.asarray(f_diag(s), dtype=float), -expo)
+            return np.power(np.asarray(f_diag(s), dtype=float), -1.0 / (p - 1.0))
 
     return probe_divergence(integrand, probe.r_start, probe)
-
-
-def check_keller_osserman(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
-    """Probe the inverse-square-root growth test on the primitive of f.
-
-    Divergence of the probed integral is the classical threshold allowing
-    blow-up solutions.  A vanishing primitive makes the integrand infinite, and
-    a primitive that cannot be computed stops the evidence; either way the
-    verdict is inconclusive with a note.
-    """
-    return _primitive_root_probe(f_diag, 0.5, probe)
-
-
-def check_ye_zhou(f_diag: Callable, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
-    """Probe the reciprocal growth test on f itself (on the samples of the F
-    probe when ``f_diag`` is ``spec.diagonal(j)`` and the anchor is r_start)."""
-    return _reciprocal_power_probe(f_diag, 1.0, probe)
 
 
 @dataclass(frozen=True)
@@ -395,37 +396,35 @@ class RemarkReport:
 
 
 def check_remark_implications(spec: ProblemSpec, c3_status: str,
-                              probe: ProbeConfig = ProbeConfig()) -> RemarkReport:
+                              probe: ProbeConfig = ProbeConfig(),
+                              known: tuple[Sequence, Sequence] | None = None) -> RemarkReport:
     """When F diverges, two companion integrals must diverge as well.
 
-    Both are probed per component from the anchor: ds over f_j(s,..,s)^(1/(min_p
-    - 1)), and dt over the min_p-th root of the primitive of the diagonal, taken on
-    the probe block from the F probe's samples of ``spec.diagonal(j)`` (the same P
-    as Keller-Osserman's when the anchor is r_start).  A convergent probe
-    against a divergent F is flagged as a numerical contradiction worth
-    investigating; nothing here can prove the implication.
+    Both are the growth tests at min_p from the anchor, per component: Ye-Zhou's ds over
+    f_j(s,..,s)^(1/(min_p - 1)) and Keller-Osserman's.  ``known`` holds both verdicts of
+    every component at its own p from ``probe.r_start``, the same integrals for p_j = min_p
+    when the anchor is r_start, which then reuse them.  A convergent probe against a
+    divergent F is flagged as a numerical contradiction worth investigating; nothing here
+    can prove the implication.
     """
-    expo1 = 1.0 / (spec.min_p - 1.0)
     anchored = replace(probe, r_start=spec.anchor)
-    r1 = []
-    r2 = []
-    for j in range(spec.d):
-        f_j = spec.diagonal(j)
-        r1.append(_reciprocal_power_probe(f_j, expo1, anchored))
-        r2.append(_primitive_root_probe(f_j, 1.0 / spec.min_p, anchored))
+    reuse = known is not None and spec.anchor == probe.r_start
+    r1, r2 = zip(*[(known[1][j], known[0][j]) if reuse and spec.p[j] == spec.min_p
+                   else (check_ye_zhou(spec.diagonal(j), spec.min_p, anchored),
+                         check_keller_osserman(spec.diagonal(j), spec.min_p, anchored))
+                   for j in range(spec.d)])
 
     if c3_status != "holds":
-        return RemarkReport(False, tuple(r1), tuple(r2), None,
+        return RemarkReport(False, r1, r2, None,
                             "not applicable: F divergence is not established")
-    statuses = [v.verdict for v in r1]
-    if any(s == "converges" for s in statuses):
-        return RemarkReport(True, tuple(r1), tuple(r2), False,
+    if any(v.verdict == "converges" for v in r1):
+        return RemarkReport(True, r1, r2, False,
                             "numerical contradiction: F diverges but a reciprocal-power "
                             "integral converges; investigate probe horizons")
-    if any(s == "inconclusive" for s in statuses):
-        return RemarkReport(True, tuple(r1), tuple(r2), None,
+    if any(v.verdict == "inconclusive" for v in r1):
+        return RemarkReport(True, r1, r2, None,
                             "implication undecided: some probes are inconclusive")
-    return RemarkReport(True, tuple(r1), tuple(r2), True, "")
+    return RemarkReport(True, r1, r2, True, "")
 
 
 @dataclass(frozen=True)

@@ -203,12 +203,12 @@ def test_criterion_8_probe_correctness():
     f_lin = lambda t: np.asarray(t, dtype=float)
     f_cub = lambda t: np.asarray(t, dtype=float) ** 3
 
-    results.append(("KO f=t", check_keller_osserman(f_lin).verdict == "diverges"))
-    v = check_keller_osserman(f_cub)
+    results.append(("KO f=t", check_keller_osserman(f_lin, 2.0).verdict == "diverges"))
+    v = check_keller_osserman(f_cub, 2.0)
     results.append(("KO f=t^3", v.verdict == "converges"
                     and abs(v.limit - 2.0) / 2.0 <= 0.05))
-    results.append(("YZ f=t", check_ye_zhou(f_lin).verdict == "diverges"))
-    v = check_ye_zhou(f_cub)
+    results.append(("YZ f=t", check_ye_zhou(f_lin, 2.0).verdict == "diverges"))
+    v = check_ye_zhou(f_cub, 2.0)
     results.append(("YZ f=t^3", v.verdict == "converges"
                     and abs(v.limit - 0.5) / 0.5 <= 0.05))
 

@@ -21,7 +21,7 @@ from radsolve.cli import (
     read_solution_csv,
     write_solution_csv,
 )
-from radsolve import cli, quadrature, transforms
+from radsolve import cli, conditions, quadrature, transforms
 from radsolve.quadrature import CumulativeInterpolant, RadialGrid
 
 
@@ -802,6 +802,66 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     remarks = report["auxiliary"]["remarks"]
     assert len(remarks["reciprocal_power"]) == len(remarks["primitive_root"]) == 2
     assert all(len(v["horizons"]) == 8 for v in report["auxiliary"]["ye_zhou"])
+
+
+def test_classify_growth_tests_at_p_3_read_as_the_remark_does(tmp_path):
+    # p = 3, f = u1^1.5: the Keller-Osserman integrand P^(-1/3) ~ s^(-5/6) and the
+    # reciprocal one f^(-1/2) = s^(-3/4) both diverge (at the Laplacian's exponents
+    # 1/2 and 1 both would converge); with d = 1 and F_anchor = r_start the remark's
+    # entries are the same probes
+    doc = base_config()
+    doc["problem"].update(p=[3.0], a=["(1+r)^(-4)"], f=["u1^1.5"])
+    path = write_config(tmp_path, doc)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["classification"]["theorem"] == "Thm1-large"
+    aux = report["auxiliary"]
+    assert [v["verdict"] for v in aux["keller_osserman"] + aux["ye_zhou"]] == ["diverges"] * 2
+    assert aux["keller_osserman"] == aux["remarks"]["primitive_root"]
+    assert aux["ye_zhou"] == aux["remarks"]["reciprocal_power"]
+
+
+def test_classify_probes_each_growth_integral_once(tmp_path, monkeypatch):
+    # d = 2, p = (2, 3), F_anchor = r_start: Keller-Osserman and Ye-Zhou probe each
+    # component at its own p (4 probes), and the remark reuses component 1's, whose p is
+    # min_p, and probes only component 2 at min_p (2 more): 6 auxiliary probes, not 8
+    doc = base_config()
+    doc["problem"].update(d=2, p=[2.0, 3.0], h=["0", "0.1"], a=["1", "1"],
+                          f=["u2 + 1", "u1^2"])
+    doc["beta"] = [1.0, 1.0]
+    doc["probes"] = {"K": 8, "nodes_per_octave": 256}
+    path = write_config(tmp_path, doc)
+    calls = []
+    probe_samples = quadrature.probe_samples
+    counting = lambda *args, **kw: calls.append(1) or probe_samples(*args, **kw)
+    for module in (quadrature, transforms, conditions):
+        monkeypatch.setattr(module, "probe_samples", counting)
+    in_classify = []
+    classify = cli.classify
+
+    def counting_classify(*args):
+        before = len(calls)
+        out = classify(*args)
+        in_classify.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(cli, "classify", counting_classify)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 5)
+    assert in_classify == [3]  # F and one barrier per component
+    assert len(calls) - in_classify[0] == 6
+
+
+def test_classify_of_a_decreasing_nonlinearity_is_inconclusive(tmp_path):
+    # f = 1/(1+u1) decreases, against the theorems' monotonicity hypothesis; the F
+    # probe's samples of f on its block show it
+    doc = base_config()
+    doc["problem"]["f"] = ["1/(1+u1)"]
+    path = write_config(tmp_path, doc)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 5
+    classification = json.loads((tmp_path / "out" / "report.json").read_text())["classification"]
+    assert classification["theorem"] == "inconclusive"
+    assert ("f[0] decreases on the diagonal near s = 1, against the monotonicity every "
+            "theorem assumes") in classification["notes"]
 
 
 @pytest.mark.parametrize("command", ["solve", "classify"])

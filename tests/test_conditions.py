@@ -279,14 +279,15 @@ def test_sup_bounded_fixtures():
 
 def test_keller_osserman_and_ye_zhou_linear_diverge():
     f = lambda t: np.asarray(t, dtype=float)
-    assert check_keller_osserman(f).verdict == "diverges"
-    assert check_ye_zhou(f).verdict == "diverges"
+    assert check_keller_osserman(f, 2.0).verdict == "diverges"
+    assert check_ye_zhou(f, 2.0).verdict == "diverges"
 
 
 def test_keller_osserman_partials_for_f_linear_match_the_closed_form():
     # P = t^2 / 2 exactly (the Gauss head and the block trapezoid of t are exact),
     # so the partial over [1, 2^k] of dt / sqrt(P) = sqrt(2) / t is sqrt(2) k ln 2
-    ko = check_keller_osserman(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1").diagonal(0))
+    ko = check_keller_osserman(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1").diagonal(0),
+                               2.0)
     k = np.arange(1, 11)
     np.testing.assert_allclose(ko.partials, np.sqrt(2.0) * k * np.log(2.0), rtol=1e-7, atol=0.0)
     assert ko.verdict == "diverges"
@@ -294,8 +295,8 @@ def test_keller_osserman_partials_for_f_linear_match_the_closed_form():
 
 def test_keller_osserman_and_ye_zhou_cubic_converge():
     f = lambda t: np.asarray(t, dtype=float) ** 3
-    ko = check_keller_osserman(f)
-    yz = check_ye_zhou(f)
+    ko = check_keller_osserman(f, 2.0)
+    yz = check_ye_zhou(f, 2.0)
     assert ko.verdict == "converges"
     assert ko.limit == pytest.approx(2.0, rel=0.05)
     assert yz.verdict == "converges"
@@ -304,16 +305,46 @@ def test_keller_osserman_and_ye_zhou_cubic_converge():
 
 def test_ye_zhou_log_squared_converges_ko_reported_independently():
     f = lambda t: np.asarray(t, dtype=float) * np.log1p(np.asarray(t, dtype=float)) ** 2
-    yz = check_ye_zhou(f)
+    yz = check_ye_zhou(f, 2.0)
     assert yz.verdict == "converges"
-    ko = check_keller_osserman(f)
+    ko = check_keller_osserman(f, 2.0)
     assert ko.verdict in ("converges", "diverges", "inconclusive")
 
 
 def test_zero_nonlinearity_probes_are_inconclusive():
     f = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    assert check_ye_zhou(f).verdict == "inconclusive"
-    assert check_keller_osserman(f).verdict == "inconclusive"
+    assert check_ye_zhou(f, 2.0).verdict == "inconclusive"
+    assert check_keller_osserman(f, 2.0).verdict == "inconclusive"
+
+
+def _octave_ratios(v):
+    increments = np.diff(np.concatenate([[0.0], v.partials]))
+    return increments[1:] / increments[:-1]
+
+
+@pytest.mark.parametrize("q, p", [(1.5, 3.0), (1.5, 2.0), (3.0, 3.0), (3.0, 4.5), (1.0, 1.5),
+                                  (2.0, 2.5)])
+def test_growth_tests_at_p_follow_the_closed_form_of_a_power(q, p):
+    # f = s^q on the diagonal, P = s^(q+1) / (q+1): the Keller-Osserman integrand
+    # P^(-1/p) ~ s^(-(q+1)/p) and the reciprocal one f^(-1/(p-1)) = s^(-q/(p-1)), so
+    # each octave increment is the one before times 2^(1 - exponent), and each integral
+    # converges iff its exponent exceeds 1
+    f = ProblemSpec.from_strings(3, 1, p, "0", "1", f"u1^{q}").diagonal(0)
+    for v, expo in ((check_keller_osserman(f, p), (q + 1.0) / p),
+                    (check_ye_zhou(f, p), q / (p - 1.0))):
+        assert v.verdict == ("converges" if expo > 1.0 else "diverges")
+        np.testing.assert_allclose(_octave_ratios(v), 2.0 ** (1.0 - expo), rtol=1e-8)
+
+
+@pytest.mark.parametrize("p, ko_ratio, yz_ratio, verdict", [
+    (3.0, 2.0 ** (1 / 6), 2.0 ** (1 / 4), "diverges"),
+    (2.0, 2.0 ** (-1 / 4), 2.0 ** (-1 / 2), "converges")])
+def test_growth_tests_of_u_to_the_1_5_read_their_own_p(p, ko_ratio, yz_ratio, verdict):
+    f = ProblemSpec.from_strings(3, 1, p, "0", "1", "u1^1.5").diagonal(0)
+    for v, ratio in ((check_keller_osserman(f, p), ko_ratio), (check_ye_zhou(f, p), yz_ratio)):
+        assert v.verdict == verdict
+        noted = [float(x) for x in v.note.split(": ")[1].split("; ")[0].split(", ")]
+        np.testing.assert_allclose(noted, ratio, rtol=5e-3)  # the note keeps 3 digits
 
 
 # --- implication cross-checks ---------------------------------------------------

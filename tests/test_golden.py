@@ -136,7 +136,7 @@ SHARING_RUNS = {
 SHARING_GOLDEN = {
     "classify_anchor_apart": 5,
     "classify_anchor_apart/report.json":
-        "80dc287c77bbeee054fb2d7aac12987b25e962f1ee7ef3e4a08d181a763c458a",
+        "39ad5ee890bbd9b60d2632d983e9472b7245f17e9c7c352516a5af0e7a770cba",
     "classify_exp_overflow": 5,
     "classify_exp_overflow/report.json":
         "4132d9c818d42d58998baa06ec366cc27ddf504f538bf877bca146a418cdfecb",
@@ -206,7 +206,7 @@ FALLBACK_RUNS = {
 FALLBACK_GOLDEN = {
     "classify_expr_error_midway": 5,
     "classify_expr_error_midway/report.json":
-        "d2e78c48cd6d9ac4d1fe432aac61c1853cb1394cf98e6675660371930b4e0394",
+        "9e63de9dc9f4c3d0bef1e2d9bfa9c37baa1bed48a79df04a18ee8f0d66a66cba",
     "classify_lair_expr_error_midway": 5,
     "classify_lair_expr_error_midway/report.json":
         "3ea97ae2d45db0a0c6f507b22f2e438db883a4f59c9e635d1ed4ed807aa3348e",
@@ -233,27 +233,27 @@ SUITE_REPORT_GOLDEN = [  # (exit code, report SHA-256)
     (0, "6d8d559d1f5506cc1bd0cc05b91007121b41d5b755bfd574342ca0ece6b5ae32"),
     (0, "62903209d191c159fbe9b92e5afb41612af1bcf4e4ca9a1778085f6658581b53"),
     (0, "2fa3ffed57f0ca20ea63a3917635a4ef764ef2ca79bf71ee6663304ff4a18289"),
-    (0, "aac2e6efde17eaf247a709d44d3fcfb318e7351849616f44d628fb5da3b58560"),
-    (0, "2af36998e134c63368b99a7ffe32f9d03c114f5f9e3f7701201fcc4e26881cc8"),
-    (5, "de96c3fa8e74c354fa9c5f9dd9458a4d59abd0c3fc5c77b29ed01402766512d9"),
-    (0, "0b80b368e21a9e6aeb7ad51c3b01d0f41abe51ad067c30659980694cdd3cc95a"),
-    (5, "e30b5e5054624737f25677b203f7f46dc289e01840eb888392f028c9d6c2309b"),
-    (5, "3de0aab7d4987967a7071e9d77e8c1b04077d7fad7d041ff83a1177c04ca09a2"),
-    (5, "714cfcfc8dd4462d2a2e096c46549e685929c1e5d42ee1791abc3cf740964582"),
-    (0, "2fe04f57a7e0c43ca9d1813192998404c5372ea4c00fb9925d684a4c92137eee"),
-    (5, "9d32b8a0a0bd776a46a7b39cc51e1254698c71f1edc12ee837fdbd433c91b196"),
-    (0, "9fdfe440c9ae0c83a431c05d79bdc5bd3f2ec10a1b82425943a9295ca3d412e1"),
-    (0, "00f50b04fe44736255513a24b8c2acc7eaf76500272b50d6c8706792f9af5918"),
-    (0, "e6e73b9a052e5c947075cf20679833c4f4ab25d3fd19f7cdba83d3c9b38a119c"),
-    (5, "d1fa09be5150b02a9c449d604e4fff69e67562c093b43a75b4d2fb5257544400"),
-    (5, "faf0b058f74609e349e02b87d7f6549508fb1380efcc471052b2a4376b001a11"),
-    (0, "621d87eca201b02240eedf59accd5ed2cf36802151a42781e2dd52db36bf5c13"),
-    (0, "7dc44f61da0773e22fdd9f17b87469ac9a6a94c1d54ab359f9b407890b607f60"),
-    (0, "0794449d7d3e4434bf8967d12ab6dc097429aeeac99b4a1ad44729bdf89fde5e"),
+    (0, "bf811212630e9f1e556e95b35723e9da1b1a1732192255db4ea9bf539cbbda8a"),
+    (0, "cf41cfefc8eed545d024750c484ef94f6235794d62a20d990e640ee51841a328"),
+    (5, "84e06f2f8ab1150deb3f8948e4e9ae58de4454d6753b720428c7e527be3c964b"),
+    (0, "d6bdfe5c402e4d19689745052473e92e638304ea67535697da1142f626767df1"),
+    (5, "fbbc7293e19ea45b314836e2a064257ab7dee5bfda0ec5dc4e2144070d0369d2"),
+    (5, "816e01aefbc3e739dd0a3a2d7f4955617377663f038753423ab4801ff5786a2a"),
+    (5, "0881aad7a3b92c8e13daba88b38c7920bbee24c80d3a8fa06f698fb25cb11fd6"),
+    (0, "9a6bd4762985d06be8d64b9d5b5f1beb54ca885d984cf425d1050a99a58ec8cc"),
+    (5, "3a18d99e29504dd9963568f1de10d311f37c07a8315be955b539ee8195f49508"),
+    (0, "ef2a0ac5a156eeb6efefbbd831d5ece4caa20e3795ef040d2814dfaf1cabe64b"),
+    (0, "ac91954bf4d25fd8308463db7e84d551933935a37d5d164cd119de1d23b5afd7"),
+    (0, "ccf7ed2efdeac8c8a1d47e55f3058da8c64f3676b355d182c1f7f2fb9180d83c"),
+    (5, "ebb88b1724998a921f19b0e34cf5283d96c3d496296b38d94a5dcfe32cba70b9"),
+    (5, "8faecee2528e16518e5b898d17d3d4c8762c95f34222f5c645ce8d072988abbf"),
+    (0, "ebe2e0660f239f35c6ef6dd3d02370a51cf71b7cbde0f86515fe9e4b7bfe17b2"),
+    (0, "5cef0b33b71c02d7c61181cc8e50b788bddf90215d6bb9f84c1d40d2b0e19906"),
+    (0, "5bf8afb82463b32a0838720dbc7c26495843e772a9b0958507336d12d5db650a"),
     (0, "103cbd703504ab70440791b77fbe45dda8aed434f292508451f15762d0eb07c1"),
-    (5, "29119fe2246ab86f9f08018880adb7d69c5c9519683339afbcb863daa707320a"),
-    (5, "b32cade33ba2a4a04baabb889fa3d121bbe3368aecc6ee388863f50a6e81d0e6"),
-    (5, "74ae16c9e7a4c4ead5eb6e2506bb93e5d3cf8cdbd3c59dde07de7a3d474c5f80"),
+    (5, "4ea4938b792840281641dccd0d16693a789c877dff2bd79ed1e42242231b94c1"),
+    (5, "58aa94acc4b5805cacb9fbf91636059293bcc5f8c2b2a8f25e15100e9b83ac41"),
+    (5, "83e078e238acce93ac9e9ba5b1df53613fc4a0b4d192e4f5b01670a4b4da16f0"),
 ]
 
 
