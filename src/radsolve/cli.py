@@ -37,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
-    ClassifierConfig,
     check_keller_osserman,
     check_lair_proposition,
     check_remark_implications,
@@ -73,7 +72,7 @@ class RunConfig:
     grid: RadialGrid
     tol: float
     max_iter: int
-    classifier: ClassifierConfig
+    probe: ProbeConfig
     betas: tuple[CentralValues, ...]
     out_dir: str
     stem: str
@@ -167,18 +166,6 @@ def parse_config(doc: dict) -> RunConfig:
             nodes_per_octave=int(_number(pr.get("nodes_per_octave", 2048),
                                          "probes.nodes_per_octave", minimum=8, integer=True)),
         )
-        classifier = ClassifierConfig(
-            probe=probe,
-            seq_start=_number(pr.get("seq_start", 10.0), "probes.seq_start",
-                              minimum=0.0, strict=True),
-            seq_factor=_number(pr.get("seq_factor", 4.0), "probes.seq_factor",
-                               minimum=1.0, strict=True),
-            seq_count=int(_number(pr.get("seq_count", 10), "probes.seq_count",
-                                  minimum=6, integer=True)),
-            sublinearity_threshold=_number(pr.get("sublinearity_threshold", 1e-2),
-                                           "probes.sublinearity_threshold",
-                                           minimum=0.0, strict=True),
-        )
     except ValueError as err:
         raise ConfigError("probes", str(err)) from None
 
@@ -193,7 +180,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("output", "dir and stem must be strings")
 
     return RunConfig(spec=spec, grid=grid, tol=tol, max_iter=max_iter,
-                     classifier=classifier, betas=betas, out_dir=out_dir,
+                     probe=probe, betas=betas, out_dir=out_dir,
                      stem=stem, raw=doc)
 
 
@@ -602,7 +589,7 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
 
 def _solve_all(cfg: RunConfig, out: Path):
     t0 = time.perf_counter()
-    tables = build_transform_tables(cfg.spec, cfg.grid, cfg.classifier.probe)
+    tables = build_transform_tables(cfg.spec, cfg.grid, cfg.probe)
     _timing("transform tables built", t0)
     results = []
     for i, beta in enumerate(cfg.betas):
@@ -659,9 +646,8 @@ def cmd_solve(cfg: RunConfig, out_override: str | None = None) -> int:
 def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
     out = _out_dir(cfg, out_override)
     t0 = time.perf_counter()
-    spec = cfg.spec
-    classification = classify(spec, cfg.betas[0].values, cfg.classifier)
-    probe = cfg.classifier.probe
+    spec, probe = cfg.spec, cfg.probe
+    classification = classify(spec, cfg.betas[0].values, probe)
     ko = [check_keller_osserman(spec.diagonal(j), p, probe) for j, p in enumerate(spec.p)]
     yz = [check_ye_zhou(spec.diagonal(j), p, probe) for j, p in enumerate(spec.p)]
     remarks = check_remark_implications(spec, classification.conditions["C3"].status, probe,
@@ -714,7 +700,7 @@ def cmd_verify(cfg: RunConfig, solution_path: str, out_override: str | None = No
         monotone_iterates=True,
         L_estimate=float(np.max(np.sum(u, axis=0))),
     )
-    tables = build_transform_tables(cfg.spec, cfg.grid, cfg.classifier.probe)
+    tables = build_transform_tables(cfg.spec, cfg.grid, cfg.probe)
     report = verify_solution(bundle, tables, cfg.spec)
     doc = {
         "command": "verify",

@@ -26,6 +26,9 @@ two-component Laplacian system (which the solver can cross-check).
 Every probe here (F, the barriers, the growth tests, the Lair integrals) is read by
 ``quadrature.probe_samples`` on a shared ``probe_block``; a domain error, a non-finite or
 a clearly negative value makes it inconclusive, with the octaves before as evidence.
+Theorem 3's diagonal bracket is read at the K + 1 octave edges r_start * 2^k of
+``probe_block(r_start)``, from the samples of f_j the growth tests (and the F probe, when
+the anchor is r_start) take there, so its checks see f only up to r_start * 2^K.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .transforms import A_INTERVALS, ProblemSpec, estimate_A_inf, estimate_F_inf
 __all__ = [
     "ConditionVerdict",
     "Classification",
-    "ClassifierConfig",
     "LairInstance",
     "RemarkReport",
     "classify",
@@ -81,28 +83,6 @@ class ConditionVerdict:
     def __post_init__(self):
         if self.status not in ("holds", "fails", "inconclusive"):
             raise ValueError(f"bad status {self.status!r}")
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Probe horizons plus the diagonal-sequence knobs for the growth checks."""
-
-    probe: ProbeConfig = ProbeConfig()
-    seq_start: float = 10.0
-    seq_factor: float = 4.0
-    seq_count: int = 10
-    sublinearity_threshold: float = 1e-2
-
-    def __post_init__(self):
-        if self.seq_count < 6:
-            raise ValueError("seq_count must be >= 6")
-        if self.seq_factor <= 1:
-            raise ValueError("seq_factor must exceed 1")
-        if self.seq_start <= 0:
-            raise ValueError("seq_start must be positive")
-
-    def sequence(self) -> np.ndarray:
-        return self.seq_start * self.seq_factor ** np.arange(self.seq_count)
 
 
 @dataclass(frozen=True)
@@ -172,15 +152,15 @@ def decide_theorem(*, uniform_beta: bool, c3: str, c4: str, c5: str, c6: str,
 
 
 def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
-             config: ClassifierConfig = ClassifierConfig()) -> Classification:
+             probe: ProbeConfig = ProbeConfig()) -> Classification:
     """Probe all conditions and map them to the applicable theorem verdict."""
     beta = central_values if central_values is not None else (1.0,) * spec.d
     if len(beta) != spec.d:
         raise ValueError(f"expected {spec.d} central values")
     uniform = all(b == beta[0] for b in beta)
 
-    f_inf = estimate_F_inf(spec, config.probe)
-    a_inf = _probe_barriers(spec, config.probe)
+    f_inf = estimate_F_inf(spec, probe)
+    a_inf = _probe_barriers(spec, probe)
     tail = _barrier_tail_state(a_inf)
 
     c3 = _tri_from_probe(f_inf, "diverges")
@@ -194,19 +174,19 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
     beta_window = None
     notes: list[str] = []
     if c4.status == "holds" and c5.status == "holds":
-        c6, beta_window = check_C6(spec, f_inf, a_inf, config)
+        c6, beta_window = check_C6(spec, f_inf, a_inf, probe)
     else:
         c6 = ConditionVerdict("inconclusive", {},
                               "not applicable: requires convergent F and barrier tails")
 
-    sublin = check_sublinearity(spec, config)
-    supb = check_sup_bounded(spec, config)
+    sublin = check_sublinearity(spec, probe)
+    supb = check_sup_bounded(spec, probe)
 
     theorem = decide_theorem(
         uniform_beta=uniform, c3=c3.status, c4=c4.status, c5=c5.status,
         c6=c6.status, sublinearity=sublin.status, sup_bounded=supb.status,
         barrier_tail=tail)
-    block = probe_block(spec.anchor, config.probe)  # where the F probe sampled every f_j
+    block = probe_block(spec.anchor, probe)  # where the F probe sampled every f_j
     for j in range(spec.d):
         try:
             f = spec.diagonal(j)(block)
@@ -239,7 +219,7 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
 
 def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
              a_inf: tuple[DivergenceVerdict, ...],
-             config: ClassifierConfig = ClassifierConfig()) -> tuple[ConditionVerdict, tuple[float, float] | None]:
+             probe: ProbeConfig = ProbeConfig()) -> tuple[ConditionVerdict, tuple[float, float] | None]:
     """Feasible central values for the bounded-solution condition.
 
     Requires convergent estimates for F and every barrier.  The condition,
@@ -260,7 +240,7 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     total_A = float(sum(v.limit for v in a_inf))
     d, anchor = spec.d, spec.anchor
 
-    s = probe_block(anchor, config.probe)  # the F probe's nodes, sampled already
+    s = probe_block(anchor, probe)  # the F probe's nodes, sampled already
     F = cumulative_trapezoid(s, spec.diagonal_integrand()(s))
     beta_lo = (anchor / d) * (1.0 + 1e-6)
     g_lo = F_lim - float(np.interp(d * beta_lo, s, F)) - total_A
@@ -283,72 +263,54 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
             (anchor / d, beta_max))
 
 
-def _bracket_values(spec: ProblemSpec, s: np.ndarray) -> np.ndarray:
-    """sum_i (1 + f_i(s, .., s)) ** (1 / (min_p - 1)) along the diagonal."""
+def _bracket_at_edges(spec: ProblemSpec, probe: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The octave edges r_start * 2^k, k = 0 .. K, of ``probe_block(probe.r_start, probe)`` and
+    the diagonal bracket sum_i (1 + f_i(s, .., s)) ** (1 / (min_p - 1)) there, read off the
+    block's samples of ``spec.diagonal(i)`` (the F probe's when the anchor is r_start)."""
+    block = probe_block(probe.r_start, probe)
+    edges = slice(None, None, probe.nodes_per_octave)
     expo = 1.0 / (spec.min_p - 1.0)
-    total = np.zeros_like(s)
-    for i in range(spec.d):
-        total = total + np.power(1.0 + spec.diagonal(i)(s), expo)
-    return total
+    return block[edges], sum(np.power(1.0 + spec.diagonal(i)(block)[edges], expo)
+                             for i in range(spec.d))
 
 
-def check_sublinearity(spec: ProblemSpec,
-                       config: ClassifierConfig = ClassifierConfig()) -> ConditionVerdict:
+def check_sublinearity(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> ConditionVerdict:
     """Does the diagonal bracket grow slower than s?
 
-    Evaluates bracket(s)/s along the geometric sequence; holds when the tail
-    decreases and its last value sits below the threshold, fails when the tail
-    is nondecreasing (positive values bounded away from zero), inconclusive
-    otherwise.
+    Classifies bracket(s)/s at the probe block's octave edges like the increments of a tail
+    probe: holds when its tail shrinks geometrically (so it tends to 0), fails when the tail
+    is nondecreasing (bounded away from zero), inconclusive otherwise or on a domain error.
     """
-    s = config.sequence()
     try:
-        ratios = _bracket_values(spec, s) / s
-    except ExprError as err:
+        s, bracket = _bracket_at_edges(spec, probe)
+    except (ExprError, ArithmeticError) as err:
         return ConditionVerdict("inconclusive", {"error": str(err)},
-                                "bracket not evaluable along the sequence")
-    tail_len = max(2, len(ratios) // 2)
-    tail = ratios[-tail_len:]
-    diffs = np.diff(tail)
-    eps = 1e-9 * np.maximum(tail[:-1], 1e-300)
-    evidence = {"s": s.tolist(), "ratios": ratios.tolist(),
-                "threshold": config.sublinearity_threshold}
-    if np.all(diffs < -eps) and tail[-1] < config.sublinearity_threshold:
+                                "bracket not evaluable on the probe block")
+    ratios = bracket / s
+    verdict, _, tail = classify_tail(ratios, probe.rho_conv)
+    evidence = {"s": s.tolist(), "ratios": ratios.tolist(), "tail_ratios": list(tail)}
+    if verdict == "converges":
         return ConditionVerdict("holds", evidence)
-    if np.all(diffs >= -eps):
+    if verdict == "diverges":
         return ConditionVerdict("fails", evidence,
                                 "tail ratios are nondecreasing, hence bounded away from zero")
-    if np.all(diffs < 0.0):
-        # decreasing but not yet small: extrapolate the decrements; a clearly
-        # positive limit means the ratio is bounded away from zero
-        decs = np.maximum(-np.diff(ratios), 0.0)
-        verdict, extra, _ = classify_tail(decs, config.probe.rho_conv)
-        if verdict == "converges":
-            limit = float(ratios[-1] - extra)
-            evidence["extrapolated_limit"] = limit
-            if limit >= config.sublinearity_threshold:
-                return ConditionVerdict("fails", evidence,
-                                        "tail ratios level off above the threshold")
     return ConditionVerdict("inconclusive", evidence)
 
 
-def check_sup_bounded(spec: ProblemSpec,
-                      config: ClassifierConfig = ClassifierConfig()) -> ConditionVerdict:
+def check_sup_bounded(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> ConditionVerdict:
     """Does the diagonal bracket stay bounded as s grows?
 
-    The bracket is nondecreasing for monotone nonlinearities, so its
-    increments along the geometric sequence are classified exactly like the
-    partial integrals of a tail probe: geometrically shrinking increments mean
-    a finite plateau (holds), nondecreasing increments mean growth (fails).
+    The bracket is nondecreasing for monotone nonlinearities, so its increments between
+    the probe block's octave edges are classified exactly like the partial integrals of a
+    tail probe: geometrically shrinking increments mean a finite plateau (holds),
+    nondecreasing increments mean growth (fails); a domain error is inconclusive.
     """
-    s = np.concatenate([[0.0], config.sequence()])
     try:
-        vals = _bracket_values(spec, s)
-    except ExprError as err:
+        s, vals = _bracket_at_edges(spec, probe)
+    except (ExprError, ArithmeticError) as err:
         return ConditionVerdict("inconclusive", {"error": str(err)},
-                                "bracket not evaluable along the sequence")
-    incs = np.maximum(np.diff(vals), 0.0)
-    verdict, extra, ratios = classify_tail(incs, config.probe.rho_conv)
+                                "bracket not evaluable on the probe block")
+    verdict, extra, ratios = classify_tail(np.maximum(np.diff(vals), 0.0), probe.rho_conv)
     evidence = {"s": s.tolist(), "bracket": vals.tolist(), "tail_ratios": list(ratios)}
     if verdict == "converges":
         evidence["plateau"] = float(vals[-1] + extra)

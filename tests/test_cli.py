@@ -794,9 +794,9 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     assert queries == []  # no primitive is interpolated
     # the primitive on the block: P = t^3 / 3 for f_2 = u1^2 on the diagonal
     cfg = parse_config(doc)
-    P, why = cfg.spec.diagonal(1).primitive(cfg.classifier.probe)
+    P, why = cfg.spec.diagonal(1).primitive(cfg.probe)
     assert why == "" and P.shape == (8 * 256 + 1,)
-    np.testing.assert_allclose(P, quadrature.probe_block(1.0, cfg.classifier.probe) ** 3 / 3.0,
+    np.testing.assert_allclose(P, quadrature.probe_block(1.0, cfg.probe) ** 3 / 3.0,
                                rtol=1e-5)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     remarks = report["auxiliary"]["remarks"]
@@ -808,13 +808,14 @@ def test_classify_growth_tests_at_p_3_read_as_the_remark_does(tmp_path):
     # p = 3, f = u1^1.5: the Keller-Osserman integrand P^(-1/3) ~ s^(-5/6) and the
     # reciprocal one f^(-1/2) = s^(-3/4) both diverge (at the Laplacian's exponents
     # 1/2 and 1 both would converge); with d = 1 and F_anchor = r_start the remark's
-    # entries are the same probes
+    # entries are the same probes.  The bracket 1 + s^1.5 under the root is ~ s^0.75,
+    # sublinear, so Theorem 3's large facet applies
     doc = base_config()
     doc["problem"].update(p=[3.0], a=["(1+r)^(-4)"], f=["u1^1.5"])
     path = write_config(tmp_path, doc)
     assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["classification"]["theorem"] == "Thm1-large"
+    assert report["classification"]["theorem"] == "Thm3-large"
     aux = report["auxiliary"]
     assert [v["verdict"] for v in aux["keller_osserman"] + aux["ye_zhou"]] == ["diverges"] * 2
     assert aux["keller_osserman"] == aux["remarks"]["primitive_root"]
@@ -864,6 +865,18 @@ def test_classify_of_a_decreasing_nonlinearity_is_inconclusive(tmp_path):
             "theorem assumes") in classification["notes"]
 
 
+def test_classify_checks_f_only_up_to_the_probe_horizon(tmp_path):
+    # f = u1 * (2e6 - u1) turns negative only past 2e6, beyond the block's 1024 = 2^K, so
+    # nothing sees it: F diverges (f ~ 2e6 s on the block) and A converges
+    doc = base_config()
+    doc["problem"].update(a=["(1+r)^(-4)"], f=["u1*(2e6-u1)"])
+    doc["probes"] = {}
+    path = write_config(tmp_path, doc)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["classification"]["theorem"] == "Thm1-bounded"
+
+
 @pytest.mark.parametrize("command", ["solve", "classify"])
 def test_an_overflowing_number_literal_is_a_config_error(tmp_path, capsys, command):
     doc = base_config()
@@ -889,7 +902,7 @@ def test_a_horizon_beyond_the_floats_is_a_probes_config_error(tmp_path, monkeypa
     assert err.value.path == "probes"
     path = write_config(tmp_path, doc)
     assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert parse_config(base_config(probes={"K": 1023})).classifier.probe.t_max == 2.0 ** 1023
+    assert parse_config(base_config(probes={"K": 1023})).probe.t_max == 2.0 ** 1023
 
 
 def _negative_source_config(tmp_path, a="1-r"):

@@ -18,9 +18,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from radsolve import transforms
-from radsolve.cli import main
+from radsolve.cli import load_config, main, parse_config
+from radsolve.conditions import classify
 from radsolve.exprlang import evaluate_array, unparse
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -37,13 +39,13 @@ RUNS = (
 GOLDEN = {
     "classify_sinh_oracle": 0,
     "classify_sinh_oracle/report.json":
-        "f834e35bbe76c34b2ede3183c11bf42b70e43ce0816488c76e7079ae86d48b4b",
+        "d3e6bfe8e0dced204026f10e6f0ba696b219f01bcd46d5d022a21deae188f03a",
     "classify_bounded_cubic": 0,
     "classify_bounded_cubic/report.json":
-        "3804b118ab0880193d44e3e6dc5508474e3a5e537a4e17c37d9da4f299af9123",
+        "7223569d92ff6adc38c7d37fc4d93bf0ee47ae8a359cbc605f203ca3b7e18a2b",
     "classify_coupled_sweep": 0,
     "classify_coupled_sweep/report.json":
-        "5344bda2dbfbf24736dcc1b77682bedbef4e6c8bb33e9dddf4397877a4e772a6",
+        "0b3f407ced183eae36d903254c39a82cbe145756b08fa91206a3402c34224a75",
     "solve_sinh_oracle": 0,
     "solve_sinh_oracle/report.json":
         "e8058708ae9afe901db1f0be73fe854405590cf9437726ea59050d48b4ecba51",
@@ -136,10 +138,10 @@ SHARING_RUNS = {
 SHARING_GOLDEN = {
     "classify_anchor_apart": 5,
     "classify_anchor_apart/report.json":
-        "39ad5ee890bbd9b60d2632d983e9472b7245f17e9c7c352516a5af0e7a770cba",
+        "5569202eb0175d571f7b462d8b55ffaab8160568bed11d403d0d12ed68af92e7",
     "classify_exp_overflow": 5,
     "classify_exp_overflow/report.json":
-        "4132d9c818d42d58998baa06ec366cc27ddf504f538bf877bca146a418cdfecb",
+        "23ee757055e49c32002d1140c92d53ca63af9b9b5e938b4e6d4024387ae036c8",
 }
 
 
@@ -180,6 +182,35 @@ def test_probes_stopped_by_an_overflow_share_their_octave_samples(tmp_path, monk
     assert len(sizes) <= 11
 
 
+@pytest.mark.parametrize("stem, evaluations", [("bounded_cubic", 1), ("coupled_sweep", 2)])
+def test_classify_evaluates_each_f_on_the_diagonal_once(monkeypatch, stem, evaluations):
+    # with F_anchor = r_start the F probe, the monotonicity check, C6 and both bracket
+    # checks read f_j off the samples of spec.diagonal(j) on the one probe block
+    cfg = load_config(CONFIGS / f"{stem}.json")
+    writeable = []
+
+    def counting(e, env):
+        if "u1" in env:
+            writeable.append(env["u1"].flags.writeable)
+        return evaluate_array(e, env)
+
+    monkeypatch.setattr(transforms, "evaluate_array", counting)
+    classify(cfg.spec, cfg.betas[0].values, cfg.probe)
+    assert writeable == [False] * evaluations
+
+
+def test_the_bracket_checks_do_not_depend_on_the_F_anchor():
+    # B depends on f alone and is read on the block from r_start, whatever the anchor;
+    # the theorem at anchor 1e-20 is not asserted, as the F probe mislabels F there
+    doc = json.loads((CONFIGS / "bounded_cubic.json").read_text(encoding="utf-8"))
+    shipped = parse_config(doc)
+    doc["problem"]["F_anchor"] = 1e-20
+    shipped, moved = (classify(c.spec, c.betas[0].values, c.probe)
+                      for c in (shipped, parse_config(doc)))
+    for name in ("sublinearity", "sup_bounded"):
+        assert moved.conditions[name] == shipped.conditions[name]
+
+
 # Two classify runs whose probes stop at a domain error in mid-horizon, the
 # octave [32, 64] that holds r = 40.  In the first, f_1 fails there on the
 # diagonal (the F, Ye-Zhou, reciprocal-power and primitive probes of
@@ -206,10 +237,10 @@ FALLBACK_RUNS = {
 FALLBACK_GOLDEN = {
     "classify_expr_error_midway": 5,
     "classify_expr_error_midway/report.json":
-        "9e63de9dc9f4c3d0bef1e2d9bfa9c37baa1bed48a79df04a18ee8f0d66a66cba",
+        "d01a915be5301107d916a035153baf44663db48a858f524d506c9f801ab41cba",
     "classify_lair_expr_error_midway": 5,
     "classify_lair_expr_error_midway/report.json":
-        "3ea97ae2d45db0a0c6f507b22f2e438db883a4f59c9e635d1ed4ed807aa3348e",
+        "b55f3a9b5aa12bc53cffedfddd13bb8ffb5472ac16797f6843867d7789439d9b",
 }
 
 
@@ -230,30 +261,30 @@ def _suite_config(spec, central, grid) -> dict:
 
 
 SUITE_REPORT_GOLDEN = [  # (exit code, report SHA-256)
-    (0, "6d8d559d1f5506cc1bd0cc05b91007121b41d5b755bfd574342ca0ece6b5ae32"),
-    (0, "62903209d191c159fbe9b92e5afb41612af1bcf4e4ca9a1778085f6658581b53"),
-    (0, "2fa3ffed57f0ca20ea63a3917635a4ef764ef2ca79bf71ee6663304ff4a18289"),
-    (0, "bf811212630e9f1e556e95b35723e9da1b1a1732192255db4ea9bf539cbbda8a"),
-    (0, "cf41cfefc8eed545d024750c484ef94f6235794d62a20d990e640ee51841a328"),
-    (5, "84e06f2f8ab1150deb3f8948e4e9ae58de4454d6753b720428c7e527be3c964b"),
-    (0, "d6bdfe5c402e4d19689745052473e92e638304ea67535697da1142f626767df1"),
-    (5, "fbbc7293e19ea45b314836e2a064257ab7dee5bfda0ec5dc4e2144070d0369d2"),
-    (5, "816e01aefbc3e739dd0a3a2d7f4955617377663f038753423ab4801ff5786a2a"),
-    (5, "0881aad7a3b92c8e13daba88b38c7920bbee24c80d3a8fa06f698fb25cb11fd6"),
-    (0, "9a6bd4762985d06be8d64b9d5b5f1beb54ca885d984cf425d1050a99a58ec8cc"),
-    (5, "3a18d99e29504dd9963568f1de10d311f37c07a8315be955b539ee8195f49508"),
-    (0, "ef2a0ac5a156eeb6efefbbd831d5ece4caa20e3795ef040d2814dfaf1cabe64b"),
-    (0, "ac91954bf4d25fd8308463db7e84d551933935a37d5d164cd119de1d23b5afd7"),
-    (0, "ccf7ed2efdeac8c8a1d47e55f3058da8c64f3676b355d182c1f7f2fb9180d83c"),
-    (5, "ebb88b1724998a921f19b0e34cf5283d96c3d496296b38d94a5dcfe32cba70b9"),
-    (5, "8faecee2528e16518e5b898d17d3d4c8762c95f34222f5c645ce8d072988abbf"),
-    (0, "ebe2e0660f239f35c6ef6dd3d02370a51cf71b7cbde0f86515fe9e4b7bfe17b2"),
-    (0, "5cef0b33b71c02d7c61181cc8e50b788bddf90215d6bb9f84c1d40d2b0e19906"),
-    (0, "5bf8afb82463b32a0838720dbc7c26495843e772a9b0958507336d12d5db650a"),
-    (0, "103cbd703504ab70440791b77fbe45dda8aed434f292508451f15762d0eb07c1"),
-    (5, "4ea4938b792840281641dccd0d16693a789c877dff2bd79ed1e42242231b94c1"),
-    (5, "58aa94acc4b5805cacb9fbf91636059293bcc5f8c2b2a8f25e15100e9b83ac41"),
-    (5, "83e078e238acce93ac9e9ba5b1df53613fc4a0b4d192e4f5b01670a4b4da16f0"),
+    (0, "bd7c6159449949630134f9d15cca9dec9721b2e26c034427622c1410d0faec0b"),
+    (0, "5e4eb789d6eeee509114f149e2600983f3468a8a3db04f9f36a3d8bc56262beb"),
+    (0, "b157cc67ac19e5397620db049a5fa11e492159ca0823bc60eae6f7aab2c5ce79"),
+    (0, "ee1997072e0022851ef209d719d92d5f1f6664315699fe7ffeddfbd5d018e866"),
+    (0, "1b9c15a7191abc1f44dd5eb7ecada9abec3679a2269c125b2786f9905a9c4b7c"),
+    (5, "10496681746ca47d6040fb453de40983561aeaa36e8c2b27430af4a68bc4f6e7"),
+    (0, "5e4ed53794e54c9d23addc6c9c0f6ccb366cd701140b24d8c686ec16d5f23729"),
+    (5, "cb141a59c836c03484cc2ae8289441980001c90c83307718d23309cdb83c13c2"),
+    (5, "feb884a86899151e5f8f027ac097a70a65261a6dc400687619c7b126964d79fc"),
+    (5, "00628562284d0ec6d79168fa3f7325db71689dfcb03b809b16c14f356edae570"),
+    (0, "a11dd4e8986ba8d832db385f3c960054759ce5c784cbe736382ef418c260b3ef"),
+    (5, "000e506265c3c634ade659a931f4628e5bdb0e72dd83ae119f227aa685c87fc7"),
+    (0, "4d8abd7a9f81d6fd8c371bb309bfa85069f19b9dce4a9917c893ad0b33b1dc00"),
+    (0, "d98734885bc37de13f6fae1f21f2685b783b2c12f2eaa88305efb1abff837df8"),
+    (0, "c6a0486f1476573339c2c99408cd1c81a5b698051a4f83ea4bdd107c6da79a9f"),
+    (5, "0f85aecb2da1eda65135bb8c02afd0736becf4f1f57f232b3e3dc21231a8793f"),
+    (5, "736fdbe695bb2ee99e1d6fc866f528e64837ac7d45ffc5cce5051e484c34b8de"),
+    (0, "fb130890a907d26e449b53c2c3a25755fd10590009ecdcf0070a7737134fb6d9"),
+    (0, "b119b22bbf34b513bf15205deada3deeaed114b1e8c501671841ba927ce0ae7a"),
+    (0, "88d98304b6b2587b2d43bf045b260899f88ca012cec1c0fffc69535573d75118"),
+    (0, "56ea15fee7893e4758d0ec7b46a745d95e90c81042106c3678a3ededc140d34b"),
+    (5, "fb71f1441758c6033c66bfecddf2e3530eda776e1deeed72473ed96505952038"),
+    (5, "f8f2e60c5a60ffad708238192a26cdeb06bfd37c525fd41babc12edeb4431d80"),
+    (5, "aa00496bfbfda92f25d72daf5fcbadcfd7d268e2a4780f4cbd06ea5d00c98d52"),
 ]
 
 
