@@ -90,6 +90,8 @@ def _number(value: Any, path: str, *, minimum: float | None = None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):  # JSON text such as Infinity, NaN or 1e400
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     if integer and v != int(v):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None:
@@ -130,12 +132,11 @@ def parse_config(doc: dict) -> RunConfig:
         _number(x, f"problem.p[{i}]", minimum=1.0, strict=True)
         for i, x in enumerate(p_raw)
     ]
-    anchor = _number(prob.get("F_anchor", 1.0), "problem.F_anchor", minimum=0.0, strict=True)
     h = _expr_list(_require(prob, "h", "problem"), d, "problem.h")
     a = _expr_list(_require(prob, "a", "problem"), d, "problem.a")
     f = _expr_list(_require(prob, "f", "problem"), d, "problem.f")
     try:
-        spec = ProblemSpec.from_strings(N, d, p, h, a, f, anchor)
+        spec = ProblemSpec.from_strings(N, d, p, h, a, f)
     except ExprError as err:
         raise ConfigError("problem", f"expression error: {err}") from None
     except ValueError as err:
@@ -807,6 +808,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ExprError as err:
         print(f"[radsolve] expression error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:  # an output path that is a file, a solution path that is a directory
+        print(f"[radsolve] file error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

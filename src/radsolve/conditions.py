@@ -20,20 +20,20 @@ criteria of the p-Laplacian, each at a component's own p (the Keller-Osserman
 test, the integral of P^(-1/p) with P the primitive of f, from the probe block's
 samples of f, and the reciprocal test, the integral of f^(-1/(p-1))), two
 implication cross-checks against the divergence of F, which are the same tests at
-min_p from the anchor, and the nested-integral criterion for the sublinear
-two-component Laplacian system (which the solver can cross-check).
+min_p, and the nested-integral criterion for the sublinear two-component Laplacian
+system (which the solver can cross-check).
 
 Every probe here (F, the barriers, the growth tests, the Lair integrals) is read by
 ``quadrature.probe_samples`` on a shared ``probe_block``; a domain error, a non-finite or
 a clearly negative value makes it inconclusive, with the octaves before as evidence.
-Theorem 3's diagonal bracket is read at the K + 1 octave edges r_start * 2^k of
-``probe_block(r_start)``, from the samples of f_j the growth tests (and the F probe, when
-the anchor is r_start) take there, so its checks see f only up to r_start * 2^K.
+The F probe, the growth tests, C6 and the monotonicity check read f_j off the same samples
+of ``probe_block(r_start)``; Theorem 3's diagonal bracket is read at its K + 1 octave
+edges r_start * 2^k, so its checks see f only up to r_start * 2^K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,7 +186,7 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
         uniform_beta=uniform, c3=c3.status, c4=c4.status, c5=c5.status,
         c6=c6.status, sublinearity=sublin.status, sup_bounded=supb.status,
         barrier_tail=tail)
-    block = probe_block(spec.anchor, probe)  # where the F probe sampled every f_j
+    block = probe_block(probe.r_start, probe)  # where the F probe sampled every f_j
     for j in range(spec.d):
         try:
             f = spec.diagonal(j)(block)
@@ -223,13 +223,13 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     """Feasible central values for the bounded-solution condition.
 
     Requires convergent estimates for F and every barrier.  The condition,
-    sum_j A_j(inf) < F(inf) - F(d*beta) for some beta > anchor/d, is monotone:
+    sum_j A_j(inf) < F(inf) - F(d*beta) for some beta > r_start/d, is monotone:
     F increases, so feasibility at any beta implies feasibility of everything
     below it.  F(inf) is the F probe's limit and F the running trapezoid of its
-    integrand on that probe's block, anchor to anchor * 2^K (the f_j samples are
+    integrand on that probe's block, r_start to r_start * 2^K (the f_j samples are
     shared through ``spec.diagonal(j)``): one quadrature for both.  We test just
-    above anchor/d and, when feasible, invert that trapezoid's linear pieces at
-    F(inf) - sum_j A_j(inf) for the right end, capped at anchor * 2^K / d if F
+    above r_start/d and, when feasible, invert that trapezoid's linear pieces at
+    F(inf) - sum_j A_j(inf) for the right end, capped at r_start * 2^K / d if F
     stays below that value.  The window is the open interval between the two.
     """
     if f_inf.verdict != "converges":
@@ -238,7 +238,7 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
         raise ValueError("C6 requires convergent barrier tail estimates")
     F_lim = float(f_inf.limit)
     total_A = float(sum(v.limit for v in a_inf))
-    d, anchor = spec.d, spec.anchor
+    d, anchor = spec.d, probe.r_start
 
     s = probe_block(anchor, probe)  # the F probe's nodes, sampled already
     F = cumulative_trapezoid(s, spec.diagonal_integrand()(s))
@@ -266,7 +266,7 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
 def _bracket_at_edges(spec: ProblemSpec, probe: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
     """The octave edges r_start * 2^k, k = 0 .. K, of ``probe_block(probe.r_start, probe)`` and
     the diagonal bracket sum_i (1 + f_i(s, .., s)) ** (1 / (min_p - 1)) there, read off the
-    block's samples of ``spec.diagonal(i)`` (the F probe's when the anchor is r_start)."""
+    block's samples of ``spec.diagonal(i)``, the F probe's."""
     block = probe_block(probe.r_start, probe)
     edges = slice(None, None, probe.nodes_per_octave)
     expo = 1.0 / (spec.min_p - 1.0)
@@ -337,7 +337,7 @@ def check_ye_zhou(f_diag: Callable, p: float,
                   probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
     """Probe the reciprocal test of Delta_p u = f(u), ds / f(s)^(1/(p - 1)) from
     ``probe.r_start`` (inconclusive where f vanishes), on the samples of the F probe
-    when ``f_diag`` is ``spec.diagonal(j)`` and the anchor is r_start."""
+    when ``f_diag`` is ``spec.diagonal(j)``."""
 
     def integrand(s):
         with np.errstate(divide="ignore"):
@@ -362,18 +362,15 @@ def check_remark_implications(spec: ProblemSpec, c3_status: str,
                               known: tuple[Sequence, Sequence] | None = None) -> RemarkReport:
     """When F diverges, two companion integrals must diverge as well.
 
-    Both are the growth tests at min_p from the anchor, per component: Ye-Zhou's ds over
+    Both are the growth tests at min_p, per component: Ye-Zhou's ds over
     f_j(s,..,s)^(1/(min_p - 1)) and Keller-Osserman's.  ``known`` holds both verdicts of
-    every component at its own p from ``probe.r_start``, the same integrals for p_j = min_p
-    when the anchor is r_start, which then reuse them.  A convergent probe against a
-    divergent F is flagged as a numerical contradiction worth investigating; nothing here
-    can prove the implication.
+    every component at its own p, the same integrals for p_j = min_p, which then reuse
+    them.  A convergent probe against a divergent F is flagged as a numerical
+    contradiction worth investigating; nothing here can prove the implication.
     """
-    anchored = replace(probe, r_start=spec.anchor)
-    reuse = known is not None and spec.anchor == probe.r_start
-    r1, r2 = zip(*[(known[1][j], known[0][j]) if reuse and spec.p[j] == spec.min_p
-                   else (check_ye_zhou(spec.diagonal(j), spec.min_p, anchored),
-                         check_keller_osserman(spec.diagonal(j), spec.min_p, anchored))
+    r1, r2 = zip(*[(known[1][j], known[0][j]) if known is not None and spec.p[j] == spec.min_p
+                   else (check_ye_zhou(spec.diagonal(j), spec.min_p, probe),
+                         check_keller_osserman(spec.diagonal(j), spec.min_p, probe))
                    for j in range(spec.d)])
 
     if c3_status != "holds":

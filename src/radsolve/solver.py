@@ -234,10 +234,10 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables,
 
     Lower bound per component:  beta_j + f_j(beta)^(1/(p_j-1)) * A_j(r).
     Upper bound (uniform central values only):  the F-inverse of
-    F(d*beta) + sum_j A_j(r).  A central value with d*beta below the anchor,
-    or an inverse query beyond a finite F limit, leaves the upper bound
-    unevaluated with the reason recorded; that is exactly the feasibility
-    boundary of the bounded-solution regime.
+    F(d*beta) + sum_j A_j(r).  A central value with d*beta below the F anchor
+    ``tables.probe.r_start``, or an inverse query beyond a finite F limit, leaves
+    the upper bound unevaluated with the reason recorded; that is exactly the
+    feasibility boundary of the bounded-solution regime.
     """
     beta = bundle.central.values
     env = {f"u{i + 1}": np.asarray([beta[i]]) for i in range(spec.d)}
@@ -256,8 +256,8 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables,
     upper_reason = ""
     if bundle.central.is_uniform:
         dbeta = spec.d * beta[0]
-        if dbeta < spec.anchor:
-            upper_reason = (f"d*beta = {dbeta:g} is below the F anchor {spec.anchor:g}; "
+        if dbeta < (anchor := tables.probe.r_start):
+            upper_reason = (f"d*beta = {dbeta:g} is below the F anchor {anchor:g}; "
                             "upper bound not evaluable")
         else:
             try:

@@ -8,16 +8,18 @@ and the barrier function is
 
     A_j(r) = integral_0^r ( (1/H_j(t)) * integral_0^t H_j a_j )^(1/(p_j-1)) dt.
 
-The growth scale F maps s >= anchor to
+The growth scale F maps s >= r_start (``ProbeConfig.r_start``, where every probe
+starts, and the "F anchor" of the messages; the paper leaves the lower limit free,
+and no condition depends on it) to
 
-    F(s) = integral_anchor^s (1 + sum_j f_j(t, ..., t))^(1/(1 - min_j p_j)) dt,
+    F(s) = integral_r_start^s (1 + sum_j f_j(t, ..., t))^(1/(1 - min_j p_j)) dt,
 
 a strictly increasing function whose tabulated inverse gives the upper
 solution bound (``solver.verify_bounds``, its only reader); the C6 window reads
 F off the F tail probe's own trapezoid instead (``conditions.check_C6``).
 The nonlinearities take d arguments; inside F they are evaluated on the
 diagonal ``f_j(s, ..., s)``.  The F table is a ``quadrature.CumulativeInterpolant``
-from the anchor: ``build_F`` tabulates its first octave, and ``eval_F`` and
+from r_start: ``build_F`` tabulates its first octave, and ``eval_F`` and
 ``invert_F`` extend it in place by whole octaves as queries need, so every
 query against one table reads the same tabulation.  ``ProblemSpec.diagonal(j)``
 is f_j on the diagonal, one shared callable per spec, so the F tail probe, C6
@@ -76,7 +78,7 @@ __all__ = [
 # errs by at most s^2 |F''| / (8 * 4096^2), which is 7.5e-9 where s^2 |F''| <= 1
 # (as for the shipped configs)
 _F_INTERVALS = 4096
-# how far past the anchor the inverse looks for a value before giving up
+# how far past r_start the inverse looks for a value before giving up
 _F_OCTAVES = 60
 # intervals per octave of the barrier tail probe, whatever ProbeConfig.nodes_per_octave is
 A_INTERVALS = 1024
@@ -116,7 +118,6 @@ class ProblemSpec:
     h      gradient-term coefficient per component, radial expression
     a      source coefficient per component, radial expression
     f      nonlinearity per component, expression in u1 .. ud
-    anchor lower limit of the F integral, > 0
     """
 
     N: int
@@ -125,7 +126,6 @@ class ProblemSpec:
     h: tuple[Expr, ...]
     a: tuple[Expr, ...]
     f: tuple[Expr, ...]
-    anchor: float = 1.0
     _diagonals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -138,11 +138,9 @@ class ProblemSpec:
                 raise ValueError(f"{name} must have exactly d = {self.d} entries")
         if any(not pj > 1.0 for pj in self.p):
             raise ValueError("every exponent p_j must be > 1")
-        if not (np.isfinite(self.anchor) and self.anchor > 0):
-            raise ValueError("anchor must be positive and finite")
 
     @classmethod
-    def from_strings(cls, N: int, d: int, p, h, a, f, anchor: float = 1.0) -> "ProblemSpec":
+    def from_strings(cls, N: int, d: int, p, h, a, f) -> "ProblemSpec":
         """Build a spec from expression strings (single items allowed for d = 1)."""
         def listify(x):
             return [x] * d if isinstance(x, (str, int, float)) else list(x)
@@ -150,8 +148,7 @@ class ProblemSpec:
         h_list = [exprlang.parse(s, "radial") for s in listify(h)]
         a_list = [exprlang.parse(s, "radial") for s in listify(a)]
         f_list = [exprlang.parse(s, "nonlinearity", d) for s in listify(f)]
-        return cls(int(N), int(d), tuple(p_list), tuple(h_list), tuple(a_list),
-                   tuple(f_list), float(anchor))
+        return cls(int(N), int(d), tuple(p_list), tuple(h_list), tuple(a_list), tuple(f_list))
 
     @property
     def min_p(self) -> float:
@@ -261,15 +258,15 @@ def build_A(spec: ProblemSpec, grid: RadialGrid, j: int,
     return A
 
 
-def build_F(spec: ProblemSpec) -> CumulativeInterpolant:
-    """The first octave [anchor, 2 * anchor] of the F table."""
-    return CumulativeInterpolant(spec.diagonal_integrand(), 2.0 * spec.anchor,
-                                 lo=spec.anchor, intervals=_F_INTERVALS)
+def build_F(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> CumulativeInterpolant:
+    """The first octave [r_start, 2 * r_start] of the F table."""
+    return CumulativeInterpolant(spec.diagonal_integrand(), 2.0 * probe.r_start,
+                                 lo=probe.r_start, intervals=_F_INTERVALS)
 
 
 def eval_F(table: CumulativeInterpolant, s) -> float | np.ndarray:
-    """F at ``s`` >= anchor, extending the table in place to cover ``s``; an ``s``
-    beyond ``_F_OCTAVES`` octaves of the anchor, the reach of ``invert_F``, raises
+    """F at ``s`` >= r_start, extending the table in place to cover ``s``; an ``s``
+    beyond ``_F_OCTAVES`` octaves of r_start, the reach of ``invert_F``, raises
     ``FInverseRangeError``."""
     s_max = float(np.max(s))
     if s_max > table.lo * 2.0 ** _F_OCTAVES:
@@ -284,7 +281,7 @@ def invert_F(table: CumulativeInterpolant, ys: np.ndarray,
 
     Raises ``FInverseRangeError`` when a value lies at or beyond the limit
     ``f_inf`` estimates for a convergent F, or is not reached within
-    ``_F_OCTAVES`` octaves of the anchor.
+    ``_F_OCTAVES`` octaves of r_start.
     """
     ys = np.asarray(ys, dtype=float)
     if np.any(ys < 0):
@@ -305,8 +302,8 @@ def invert_F(table: CumulativeInterpolant, ys: np.ndarray,
 
 
 def estimate_F_inf(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
-    """Tail probe of the F integral from the anchor; a convergent limit estimates F(inf)."""
-    return probe_divergence(spec.diagonal_integrand(), spec.anchor, probe)
+    """Tail probe of the F integral from ``probe.r_start``; a convergent limit estimates F(inf)."""
+    return probe_divergence(spec.diagonal_integrand(), probe.r_start, probe)
 
 
 def estimate_A_inf(spec: ProblemSpec, j: int, probe: ProbeConfig = ProbeConfig(),
@@ -347,7 +344,7 @@ class TransformTables:
 
     @functools.cached_property
     def F(self) -> CumulativeInterpolant:
-        return build_F(self.spec)
+        return build_F(self.spec, self.probe)
 
     @functools.cached_property
     def F_inf(self) -> DivergenceVerdict:

@@ -604,10 +604,10 @@ def test_solve_reports_when_the_F_inverse_is_out_of_reach(tmp_path):
 
 @pytest.mark.parametrize("anchor", [1e-300, 1e-321])
 def test_solve_reports_when_the_F_anchor_is_too_small_to_reach_beta(tmp_path, anchor):
-    # F(1) lies beyond 60 octaves of the anchor, the reach of the F inverse:
-    # the upper bound is reported not evaluable before any F table is grown
-    doc = base_config(grid={"R": 5.0, "M": 400})
-    doc["problem"]["F_anchor"] = anchor
+    # F starts at probes.r_start, so F(1) lies beyond 60 octaves of that anchor, the
+    # reach of the F inverse: the upper bound is reported not evaluable before any F
+    # table is grown
+    doc = base_config(grid={"R": 5.0, "M": 400}, probes={"K": 8, "r_start": anchor})
     out = tmp_path / "out"
     code = main(["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
     verification = json.loads((out / "report.json").read_text())["solutions"][0]["verification"]
@@ -743,10 +743,10 @@ def test_report_config_echo_revalidates(tmp_path):
 
 
 def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
-    # d = 2 with F_anchor = probes.r_start: the F tail probe, Ye-Zhou and the
-    # reciprocal-power remark run on the same block of octave nodes and share
-    # the f_j samples; Keller-Osserman and the primitive-root remark share one
-    # primitive on that block, made from those samples and one head table
+    # d = 2: the F tail probe, Ye-Zhou and the reciprocal-power remark run on the
+    # same block of octave nodes and share the f_j samples; Keller-Osserman and the
+    # primitive-root remark share one primitive on that block, made from those
+    # samples and one head table
     doc = base_config()
     doc["problem"].update(d=2, p=[2.0, 3.0], h=["0", "0.1"], a=["1", "1"],
                           f=["u2 + 1", "u1^2"])
@@ -807,8 +807,8 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
 def test_classify_growth_tests_at_p_3_read_as_the_remark_does(tmp_path):
     # p = 3, f = u1^1.5: the Keller-Osserman integrand P^(-1/3) ~ s^(-5/6) and the
     # reciprocal one f^(-1/2) = s^(-3/4) both diverge (at the Laplacian's exponents
-    # 1/2 and 1 both would converge); with d = 1 and F_anchor = r_start the remark's
-    # entries are the same probes.  The bracket 1 + s^1.5 under the root is ~ s^0.75,
+    # 1/2 and 1 both would converge); with d = 1 the remark's entries are the same
+    # probes.  The bracket 1 + s^1.5 under the root is ~ s^0.75,
     # sublinear, so Theorem 3's large facet applies
     doc = base_config()
     doc["problem"].update(p=[3.0], a=["(1+r)^(-4)"], f=["u1^1.5"])
@@ -823,7 +823,7 @@ def test_classify_growth_tests_at_p_3_read_as_the_remark_does(tmp_path):
 
 
 def test_classify_probes_each_growth_integral_once(tmp_path, monkeypatch):
-    # d = 2, p = (2, 3), F_anchor = r_start: Keller-Osserman and Ye-Zhou probe each
+    # d = 2, p = (2, 3): Keller-Osserman and Ye-Zhou probe each
     # component at its own p (4 probes), and the remark reuses component 1's, whose p is
     # min_p, and probes only component 2 at min_p (2 more): 6 auxiliary probes, not 8
     doc = base_config()
@@ -888,6 +888,40 @@ def test_an_overflowing_number_literal_is_a_config_error(tmp_path, capsys, comma
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config error: problem: expression error: number out of range at position 0" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400"])
+@pytest.mark.parametrize("key", ["grid.M", "grid.R", "problem.N", "problem.p[0]", "probes.K",
+                                 "solver.max_iter", "beta"])
+def test_a_non_finite_number_is_a_config_error_naming_its_key(tmp_path, capsys, key, literal):
+    # JSON as Python reads it takes Infinity, NaN and 1e400 (which overflows to inf)
+    doc = base_config()
+    *parents, last = key.replace("[0]", "").split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[last] = ["X"] if key.endswith("[0]") else "X"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"X"', literal), encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key}: expected a finite number, got " in capsys.readouterr().err
+
+
+def test_an_output_path_that_is_a_file_is_a_file_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    path = write_config(tmp_path, base_config(grid={"R": 1.0, "M": 64}))
+    assert main(["solve", "--config", str(path), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[radsolve] file error: ") and str(taken) in err
+
+
+def test_verify_of_a_solution_path_that_is_a_directory_is_a_file_error(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(grid={"R": 1.0, "M": 64}))
+    assert main(["verify", "--config", str(path), "--solution", str(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[radsolve] file error: ") and str(tmp_path) in err
 
 
 @pytest.mark.parametrize("probes", [{"K": 1100}, {"K": 1024}, {"K": 100, "r_start": 1e300}])

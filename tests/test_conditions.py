@@ -207,7 +207,7 @@ def test_classify_reads_F_off_its_probe_without_an_F_table(tmp_path, monkeypatch
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["classification"]["conditions"]["C6"]["status"] == "holds"
     assert calls == []
-    # an F table starts at the anchor; the primitive heads from 0 are all that is left
+    # an F table starts at r_start; the primitive heads from 0 are all that is left
     assert starts and all(lo == 0.0 for lo in starts)
 
 
@@ -230,7 +230,7 @@ def test_check_C6_zero_barrier_is_capped():
     verdict, window = check_C6(spec, f_inf, a_inf)
     assert verdict.status == "holds"
     assert verdict.evidence["capped"]
-    assert window[1] == pytest.approx(spec.anchor * 2.0 ** 10)
+    assert window[1] == pytest.approx(ProbeConfig().t_max)  # r_start * 2^K over d = 1
 
 
 def test_check_C6_requires_convergent_inputs():

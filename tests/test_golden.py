@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from radsolve import transforms
-from radsolve.cli import load_config, main, parse_config
+from radsolve.cli import load_config, main
 from radsolve.conditions import classify
 from radsolve.exprlang import evaluate_array, unparse
 
@@ -113,16 +113,15 @@ def test_verify_of_a_solved_csv_is_byte_identical(tmp_path, monkeypatch):
 
 
 # Two classify runs that pin the sharing of diagonal work between probes: one
-# whose F anchor (2) differs from the probe start (1), so the F and remark
-# probes run on other octave arrays than Ye-Zhou and the Keller-Osserman
-# primitive is taken on another block than the remark one; and f = exp(u1),
-# whose F, Ye-Zhou, reciprocal-power and primitive probes all stop at the
-# overflow in the last octave.
+# whose exponents differ (1.6, 2.5), so the remark reuses the growth tests of
+# component 1, whose p is min_p, and probes component 2 again at min_p on the same
+# block; and f = exp(u1), whose F, Ye-Zhou, reciprocal-power and primitive probes
+# all stop at the overflow in the last octave.
 SHARING_RUNS = {
-    "classify_anchor_apart": {
+    "classify_p_apart": {
         "problem": {"N": 3, "d": 2, "p": [1.6, 2.5], "h": ["0", "0.5/(1+r)"],
                     "a": ["1", "exp(-r)"], "f": ["u2 + sqrt(u1)", "u1^2 + u2"],
-                    "F_anchor": 2.0},
+                    "F_anchor": 1.0},
         "grid": {"R": 2.0, "M": 200},
         "probes": {"K": 10, "r_start": 1.0},
         "beta": [1.0, 1.0],
@@ -136,9 +135,9 @@ SHARING_RUNS = {
 }
 
 SHARING_GOLDEN = {
-    "classify_anchor_apart": 5,
-    "classify_anchor_apart/report.json":
-        "5569202eb0175d571f7b462d8b55ffaab8160568bed11d403d0d12ed68af92e7",
+    "classify_p_apart": 5,
+    "classify_p_apart/report.json":
+        "21c36d35c1f49785230e0bd56b8323501e6fcfcfba43523fef47510b727c74c1",
     "classify_exp_overflow": 5,
     "classify_exp_overflow/report.json":
         "23ee757055e49c32002d1140c92d53ca63af9b9b5e938b4e6d4024387ae036c8",
@@ -184,8 +183,8 @@ def test_probes_stopped_by_an_overflow_share_their_octave_samples(tmp_path, monk
 
 @pytest.mark.parametrize("stem, evaluations", [("bounded_cubic", 1), ("coupled_sweep", 2)])
 def test_classify_evaluates_each_f_on_the_diagonal_once(monkeypatch, stem, evaluations):
-    # with F_anchor = r_start the F probe, the monotonicity check, C6 and both bracket
-    # checks read f_j off the samples of spec.diagonal(j) on the one probe block
+    # the F probe, the monotonicity check, C6 and both bracket checks read f_j off the
+    # samples of spec.diagonal(j) on the one probe block
     cfg = load_config(CONFIGS / f"{stem}.json")
     writeable = []
 
@@ -199,16 +198,24 @@ def test_classify_evaluates_each_f_on_the_diagonal_once(monkeypatch, stem, evalu
     assert writeable == [False] * evaluations
 
 
-def test_the_bracket_checks_do_not_depend_on_the_F_anchor():
-    # B depends on f alone and is read on the block from r_start, whatever the anchor;
-    # the theorem at anchor 1e-20 is not asserted, as the F probe mislabels F there
+@pytest.mark.parametrize("anchor", [1e-20, 2.0])
+def test_an_F_anchor_key_in_the_config_is_ignored(tmp_path, anchor):
+    # F starts at probes.r_start, where every probe starts, so a config's F_anchor
+    # changes nothing but the echoed config: bounded_cubic stays Thm2-bounded
     doc = json.loads((CONFIGS / "bounded_cubic.json").read_text(encoding="utf-8"))
-    shipped = parse_config(doc)
-    doc["problem"]["F_anchor"] = 1e-20
-    shipped, moved = (classify(c.spec, c.betas[0].values, c.probe)
-                      for c in (shipped, parse_config(doc)))
-    for name in ("sublinearity", "sup_bounded"):
-        assert moved.conditions[name] == shipped.conditions[name]
+    moved = json.loads(json.dumps(doc))
+    moved["problem"]["F_anchor"] = anchor
+    reports = []
+    for name, config in (("shipped", doc), ("moved", moved)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["classify", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    shipped, got = reports
+    assert got["classification"]["theorem"] == "Thm2-bounded"
+    assert got.pop("config") == moved and shipped.pop("config") == doc
+    assert got == shipped
 
 
 # Two classify runs whose probes stop at a domain error in mid-horizon, the
@@ -255,7 +262,7 @@ def test_classify_with_probes_stopped_midway_is_byte_identical(tmp_path):
 def _suite_config(spec, central, grid) -> dict:
     return {"problem": {"N": spec.N, "d": spec.d, "p": list(spec.p),
                         "h": [unparse(e) for e in spec.h], "a": [unparse(e) for e in spec.a],
-                        "f": [unparse(e) for e in spec.f], "F_anchor": spec.anchor},
+                        "f": [unparse(e) for e in spec.f], "F_anchor": 1.0},
             "grid": {"R": grid.horizon, "M": grid.intervals},
             "beta": list(central.values)}
 

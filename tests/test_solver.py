@@ -202,13 +202,17 @@ def test_upper_bound_skipped_for_nonuniform_central_values():
 
 
 def test_upper_bound_unevaluable_below_anchor():
-    spec = linear_spec()  # anchor 1.0
+    spec = linear_spec()  # F starts at the default probes.r_start, 1.0
     grid = RadialGrid(2.0, 64)
     tables = build_transform_tables(spec, grid)
     bundle = iterate(spec, grid, CentralValues.uniform(0.5, 1))
     rep = verify_bounds(bundle, tables, spec)
     assert rep.upper_margins is None
-    assert "below the F anchor" in rep.upper_reason
+    assert rep.upper_reason == "d*beta = 0.5 is below the F anchor 1; upper bound not evaluable"
+    # from r_start 0.25 the same central value is in reach
+    tables = build_transform_tables(spec, grid, ProbeConfig(r_start=0.25))
+    rep = verify_bounds(bundle, tables, spec)
+    assert rep.upper_reason == "" and max(rep.upper_margins) <= 1e-9
 
 
 def test_residuals_zero_for_constant_solution():

@@ -45,8 +45,6 @@ def test_spec_validation():
         ProblemSpec.from_strings(2, 1, 2.0, "0", "1", "u1")
     with pytest.raises(ValueError, match="p_j must be > 1"):
         ProblemSpec.from_strings(3, 1, 1.0, "0", "1", "u1")
-    with pytest.raises(ValueError, match="anchor"):
-        ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1", anchor=0.0)
 
 
 def test_H_without_gradient_term_is_pure_power():
@@ -148,6 +146,17 @@ def test_F_unit_integrand_for_zero_nonlinearity():
     assert np.allclose(eval_F(table, ss), ss - 1.0, atol=1e-12)
 
 
+def test_F_starts_where_the_probes_start():
+    # F(s) = s - r_start for f = 0, in build_F's table and the tables' own alike
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
+    probe = ProbeConfig(r_start=0.25)
+    tables = build_transform_tables(spec, RadialGrid(1.0, 16), probe)
+    for table in (build_F(spec, probe), tables.F):
+        assert table.lo == 0.25
+        assert eval_F(table, 3.0) == pytest.approx(2.75, abs=1e-12)
+    assert estimate_F_inf(spec, probe).horizons[0] == 0.5  # its first octave edge
+
+
 def test_F_strictly_increasing():
     table = build_F(ProblemSpec.from_strings(3, 2, [2.0, 3.0], ["0", "0"],
                                              ["1", "1"], ["u1^2", "u1 + u2"]))
@@ -186,7 +195,7 @@ def test_F_table_grown_by_octaves_equals_one_built_at_once(spec):
     extended_once = build_F(spec)
     extended_once.extend(2.0 ** 18)
     built_once = CumulativeInterpolant(spec.diagonal_integrand(), 2.0 ** 18,
-                                       lo=spec.anchor, intervals=intervals)
+                                       lo=ProbeConfig().r_start, intervals=intervals)
     for table in (extended_once, built_once):
         assert np.array_equal(table.s, grown.s)
         assert np.array_equal(table.values, grown.values)
