@@ -147,7 +147,10 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("grid", "must be an object")
     R = _number(_require(grid_doc, "R", "grid"), "grid.R", minimum=0.0, strict=True)
     M = int(_number(grid_doc.get("M", 2000), "grid.M", minimum=8, integer=True))
-    grid = RadialGrid(R, M)
+    try:
+        grid = RadialGrid(R, M)
+    except (MemoryError, ValueError) as err:  # numpy cannot allocate, or index, the nodes
+        raise ConfigError("grid.M", f"too many nodes: {err}") from None
 
     sol = doc.get("solver", {})
     if not isinstance(sol, dict):
@@ -159,13 +162,16 @@ def parse_config(doc: dict) -> RunConfig:
     pr = doc.get("probes", {})
     if not isinstance(pr, dict):
         raise ConfigError("probes", "must be an object")
+    per_octave = int(_number(pr.get("nodes_per_octave", 256), "probes.nodes_per_octave",
+                             minimum=8, integer=True))
+    if per_octave % 2:
+        raise ConfigError("probes.nodes_per_octave", f"must be even, got {per_octave}")
     try:
         probe = ProbeConfig(
             horizon_count=int(_number(pr.get("K", 10), "probes.K", minimum=4, integer=True)),
             r_start=_number(pr.get("r_start", 1.0), "probes.r_start", minimum=0.0, strict=True),
             rho_conv=_number(pr.get("rho_conv", 0.9), "probes.rho_conv"),
-            nodes_per_octave=int(_number(pr.get("nodes_per_octave", 2048),
-                                         "probes.nodes_per_octave", minimum=8, integer=True)),
+            nodes_per_octave=per_octave,
         )
     except ValueError as err:
         raise ConfigError("probes", str(err)) from None

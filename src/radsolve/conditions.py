@@ -24,11 +24,12 @@ min_p, and the nested-integral criterion for the sublinear two-component Laplaci
 system (which the solver can cross-check).
 
 Every probe here (F, the barriers, the growth tests, the Lair integrals) is read by
-``quadrature.probe_samples`` on a shared ``probe_block``; a domain error, a non-finite or
-a clearly negative value makes it inconclusive, with the octaves before as evidence.
-The F probe, the growth tests, C6 and the monotonicity check read f_j off the same samples
-of ``probe_block(r_start)``; Theorem 3's diagonal bracket is read at its K + 1 octave
-edges r_start * 2^k, so its checks see f only up to r_start * 2^K.
+``quadrature.probe_samples`` on a shared ``probe_block``, by Simpson's rule; a domain error,
+a non-finite or a clearly negative value makes it inconclusive, with the octaves before as
+evidence.  The F probe, the growth tests, C6 and the monotonicity check read f_j off the same
+samples of ``probe_block(r_start)``; Theorem 3's diagonal bracket is read at its K + 1 octave
+edges r_start * 2^k (those before a domain error), so its checks see f only up to
+r_start * 2^K.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .quadrature import (
     ProbeConfig,
     SharedSamples,
     classify_tail,
-    cumulative_trapezoid,
+    cumulative_simpson,
     probe_block,
     probe_divergence,
     probe_samples,
@@ -225,12 +226,13 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     Requires convergent estimates for F and every barrier.  The condition,
     sum_j A_j(inf) < F(inf) - F(d*beta) for some beta > r_start/d, is monotone:
     F increases, so feasibility at any beta implies feasibility of everything
-    below it.  F(inf) is the F probe's limit and F the running trapezoid of its
+    below it.  F(inf) is the F probe's limit and F the ``cumulative_simpson`` of its
     integrand on that probe's block, r_start to r_start * 2^K (the f_j samples are
-    shared through ``spec.diagonal(j)``): one quadrature for both.  We test just
-    above r_start/d and, when feasible, invert that trapezoid's linear pieces at
-    F(inf) - sum_j A_j(inf) for the right end, capped at r_start * 2^K / d if F
-    stays below that value.  The window is the open interval between the two.
+    shared through ``spec.diagonal(j)``): one quadrature for both.  Between nodes F is
+    the cubic Hermite interpolant with slope F' = the integrand.  We test just above
+    r_start/d and, when feasible, invert that interpolant at F(inf) - sum_j A_j(inf)
+    for the right end, capped at r_start * 2^K / d if F stays below that value.  The
+    window is the open interval between the two.
     """
     if f_inf.verdict != "converges":
         raise ValueError("C6 requires a convergent F tail estimate")
@@ -241,9 +243,10 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     d, anchor = spec.d, probe.r_start
 
     s = probe_block(anchor, probe)  # the F probe's nodes, sampled already
-    F = cumulative_trapezoid(s, spec.diagonal_integrand()(s))
+    slope = spec.diagonal_integrand()(s)
+    F = cumulative_simpson(s, slope)
     beta_lo = (anchor / d) * (1.0 + 1e-6)
-    g_lo = F_lim - float(np.interp(d * beta_lo, s, F)) - total_A
+    g_lo = F_lim - _hermite(s, F, slope, x=d * beta_lo) - total_A
     evidence = {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo}
     if g_lo <= 0.0:
         return (ConditionVerdict("fails", evidence, "the barrier tails already exceed the "
@@ -256,22 +259,48 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
                                  "feasible everywhere probed; right end capped at the "
                                  "probe horizon"), (anchor / d, cap))
 
-    beta_max = float(np.interp(target, F, s)) / d
-    g_final = F_lim - float(np.interp(d * beta_max, s, F)) - total_A
+    beta_max = _hermite(s, F, slope, y=target) / d
+    g_final = F_lim - _hermite(s, F, slope, x=d * beta_max) - total_A
     return (ConditionVerdict("holds", {**evidence, "beta_max": beta_max,
                                        "gap_at_beta_max": g_final, "capped": False}),
             (anchor / d, beta_max))
 
 
-def _bracket_at_edges(spec: ProblemSpec, probe: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The octave edges r_start * 2^k, k = 0 .. K, of ``probe_block(probe.r_start, probe)`` and
-    the diagonal bracket sum_i (1 + f_i(s, .., s)) ** (1 / (min_p - 1)) there, read off the
-    block's samples of ``spec.diagonal(i)``, the F probe's."""
-    block = probe_block(probe.r_start, probe)
-    edges = slice(None, None, probe.nodes_per_octave)
-    expo = 1.0 / (spec.min_p - 1.0)
-    return block[edges], sum(np.power(1.0 + spec.diagonal(i)(block)[edges], expo)
-                             for i in range(spec.d))
+def _hermite(s: np.ndarray, F: np.ndarray, slope: np.ndarray, *, x: float | None = None,
+             y: float | None = None) -> float:
+    """F at ``x``, or the inverse of F at ``y`` in [F[0], F[-1]], by the cubic Hermite
+    interpolant of the values F and the slopes ``slope`` at the nodes ``s`` on the interval
+    that brackets ``x`` or ``y``; the inverse bisects that cubic, so it stays in the interval."""
+    knots, at = (s, x) if y is None else (F, y)
+    i = min(max(int(np.searchsorted(knots, at)) - 1, 0), len(s) - 2)
+    w, rise = s[i + 1] - s[i], F[i + 1] - F[i]
+    c1, c3 = w * slope[i], w * (slope[i] + slope[i + 1]) - 2.0 * rise
+    c2 = rise - c1 - c3
+
+    def cubic(t: float) -> float:
+        return float(F[i] + t * (c1 + t * (c2 + t * c3)))
+
+    if y is None:
+        return cubic((x - s[i]) / w)
+    lo, hi = 0.0, 1.0
+    for _ in range(53):  # to the resolution of t in [0, 1]
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if cubic(mid) < y else (lo, mid)
+    return float(s[i] + hi * w)
+
+
+def _bracket_at_edges(spec: ProblemSpec, probe: ProbeConfig) -> tuple[np.ndarray, np.ndarray, str]:
+    """The octave edges r_start * 2^k of ``probe_block(probe.r_start, probe)`` before the first
+    domain error of an f_i, the diagonal bracket sum_i (1 + f_i(s, .., s)) ** (1 / (min_p - 1))
+    there, read off the block's samples of ``spec.diagonal(i)`` (the F probe's, through
+    ``sample_block``), and that error ("" if none)."""
+    expo, n = 1.0 / (spec.min_p - 1.0), probe.nodes_per_octave
+    samples = [sample_block(spec.diagonal(i), probe.r_start, probe) for i in range(spec.d)]
+    if isinstance(why := next((why for _, why in samples if why), ""), Exception):
+        raise why  # not a domain error, and no earlier one stops the samples
+    k = min(len(values) for values, _ in samples)
+    return (probe_block(probe.r_start, probe)[:k:n],
+            sum(np.power(1.0 + values[:k:n], expo) for values, _ in samples), why)
 
 
 def check_sublinearity(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> ConditionVerdict:
@@ -279,16 +308,17 @@ def check_sublinearity(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) ->
 
     Classifies bracket(s)/s at the probe block's octave edges like the increments of a tail
     probe: holds when its tail shrinks geometrically (so it tends to 0), fails when the tail
-    is nondecreasing (bounded away from zero), inconclusive otherwise or on a domain error.
+    is nondecreasing (bounded away from zero), inconclusive otherwise or on a domain error,
+    with the edges before it as evidence.
     """
-    try:
-        s, bracket = _bracket_at_edges(spec, probe)
-    except (ExprError, ArithmeticError) as err:
-        return ConditionVerdict("inconclusive", {"error": str(err)},
-                                "bracket not evaluable on the probe block")
+    s, bracket, why = _bracket_at_edges(spec, probe)
     ratios = bracket / s
+    evidence = {"s": s.tolist(), "ratios": ratios.tolist()}
+    if why:
+        return ConditionVerdict("inconclusive", {**evidence, "error": why},
+                                "bracket not evaluable on the whole probe block")
     verdict, _, tail = classify_tail(ratios, probe.rho_conv)
-    evidence = {"s": s.tolist(), "ratios": ratios.tolist(), "tail_ratios": list(tail)}
+    evidence["tail_ratios"] = list(tail)
     if verdict == "converges":
         return ConditionVerdict("holds", evidence)
     if verdict == "diverges":
@@ -303,15 +333,16 @@ def check_sup_bounded(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> 
     The bracket is nondecreasing for monotone nonlinearities, so its increments between
     the probe block's octave edges are classified exactly like the partial integrals of a
     tail probe: geometrically shrinking increments mean a finite plateau (holds),
-    nondecreasing increments mean growth (fails); a domain error is inconclusive.
+    nondecreasing increments mean growth (fails); a domain error is inconclusive, with the
+    edges before it as evidence.
     """
-    try:
-        s, vals = _bracket_at_edges(spec, probe)
-    except (ExprError, ArithmeticError) as err:
-        return ConditionVerdict("inconclusive", {"error": str(err)},
-                                "bracket not evaluable on the probe block")
+    s, vals, why = _bracket_at_edges(spec, probe)
+    evidence = {"s": s.tolist(), "bracket": vals.tolist()}
+    if why:
+        return ConditionVerdict("inconclusive", {**evidence, "error": why},
+                                "bracket not evaluable on the whole probe block")
     verdict, extra, ratios = classify_tail(np.maximum(np.diff(vals), 0.0), probe.rho_conv)
-    evidence = {"s": s.tolist(), "bracket": vals.tolist(), "tail_ratios": list(ratios)}
+    evidence["tail_ratios"] = list(ratios)
     if verdict == "converges":
         evidence["plateau"] = float(vals[-1] + extra)
         return ConditionVerdict("holds", evidence)

@@ -1,8 +1,10 @@
 """Radial grids, cumulative quadrature, and improper-integral tail probing.
 
 ``cumulative_trapezoid`` is the composite trapezoid running integral of given
-node values (exact for affine integrands).  The product rule for the nested
-radial kernels, which integrates ``s^(N-1) * w(s)`` with exact monomial
+node values (exact for affine integrands), the solver's.  ``cumulative_simpson`` is the
+probes' fourth-order one on an even number of intervals: Simpson's rule over pairs of
+intervals, and the three-point rule at the odd nodes between them.  The product rule
+for the nested radial kernels, which integrates ``s^(N-1) * w(s)`` with exact monomial
 moments, lives in ``transforms.RadialKernel``, where its node-only factors are
 computed once per grid.
 
@@ -17,11 +19,11 @@ Improper integrals are probed on geometric horizons ``start * 2^k`` on one layou
 or from 0 with a head of 2n intervals over ``[0, r_start]``), read-only and shared by the
 probes with the same start and knobs.  ``sample_block`` is the one sampler (one call on
 the block, octave by octave only if that call raises), ``probe_samples`` the one reader,
-and ``probe_divergence`` both over ``[start, inf)``.  A probe's evidence ends at the last
-octave edge before a domain error, a non-finite or a clearly negative value; its verdict
-is three-valued with an explicit ``inconclusive`` outcome, since divergence is not
-decidable numerically.  ``SharedSamples`` evaluates a function probed several times, and
-its primitive on a block, only once.
+and ``probe_divergence`` both over ``[start, inf)``, each octave's area by Simpson's rule.
+A probe's evidence ends at the last octave edge before a domain error, a non-finite or a
+clearly negative value; its verdict is three-valued with an explicit ``inconclusive``
+outcome, since divergence is not decidable numerically.  ``SharedSamples`` evaluates a
+function probed several times, and its primitive on a block, only once.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "DivergenceVerdict",
     "ProbeConfig",
     "cumulative_trapezoid",
+    "cumulative_simpson",
     "probe_block",
     "probe_divergence",
     "probe_samples",
@@ -81,22 +84,38 @@ class RadialGrid:
 
 def cumulative_trapezoid(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Composite trapezoid running integral; output[0] = 0."""
-    return np.concatenate([[0.0], np.cumsum(_trapezoids(nodes, values))])
+    return np.concatenate([[0.0], np.cumsum((values[1:] + values[:-1]) / 2.0 * np.diff(nodes))])
 
 
-def _trapezoids(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return (values[1:] + values[:-1]) / 2.0 * np.diff(nodes)
+def _simpson_pairs(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Simpson's rule (x2 - x0) / 6 * (y0 + 4 y1 + y2) over each pair of intervals of
+    ``nodes[:len(values)]``, an even number of them."""
+    x = nodes[:len(values)]
+    return (x[2::2] - x[:-2:2]) / 6.0 * (values[:-2:2] + 4.0 * values[1::2] + values[2::2])
+
+
+def cumulative_simpson(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Running integral from ``nodes[0]`` at each of ``nodes[:len(values)]``, an even number of
+    intervals (or none): Simpson's rule at the even nodes (exact for cubics), and at each odd
+    node the value before it plus the three-point rule w (5 y0 + 8 y1 - y2) / 12 over the
+    interval of width w between them (exact for quadratics)."""
+    x, out = nodes[:len(values)], np.zeros(len(values))
+    out[2::2] = np.cumsum(_simpson_pairs(x, values))
+    out[1::2] = out[:-1:2] + (x[1::2] - x[:-1:2]) / 12.0 * (
+        5.0 * values[:-1:2] + 8.0 * values[1::2] - values[2::2])
+    return out
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Knobs for improper-integral probing.  The barrier probe (``transforms.estimate_A_inf``)
+    """Knobs for improper-integral probing.  ``nodes_per_octave`` is even, since Simpson's
+    rule takes the intervals in pairs.  The barrier probe (``transforms.estimate_A_inf``)
     keeps 1024 intervals per octave, whatever ``nodes_per_octave`` is."""
 
     horizon_count: int = 10
     r_start: float = 1.0
     rho_conv: float = 0.9
-    nodes_per_octave: int = 2048
+    nodes_per_octave: int = 256
 
     def __post_init__(self):
         if self.horizon_count < 4:
@@ -107,6 +126,8 @@ class ProbeConfig:
             raise ValueError("rho_conv must lie in (0, 1)")
         if self.nodes_per_octave < 8:
             raise ValueError("nodes_per_octave must be >= 8")
+        if self.nodes_per_octave % 2:
+            raise ValueError("nodes_per_octave must be even, for Simpson's pairs of intervals")
         # 2.0 ** 1024 raises OverflowError rather than giving inf
         if self.horizon_count >= 1024 or not math.isfinite(self.t_max):
             raise ValueError("the outermost horizon r_start * 2^horizon_count must be finite")
@@ -197,15 +218,14 @@ def _block(start: float, cfg: ProbeConfig, intervals: int | None) -> tuple:
 @functools.lru_cache(maxsize=4)
 def _octaves(start: float, first: float, horizon_count: int, intervals: int) -> tuple:
     """Read-only ``octave_nodes`` from ``start`` to ``first * 2^horizon_count`` (``first`` is
-    ``start``, or, from 0, the head's end), their read-only interval widths, the intervals
-    per octave, those of the head (0 from ``start`` > 0) and a view of the nodes of each
-    octave with both its edges (the head is one), the same views on every call."""
+    ``start``, or, from 0, the head's end), the intervals per octave, those of the head (0
+    from ``start`` > 0) and a view of the nodes of each octave with both its edges (the head
+    is one), the same views on every call."""
     nodes = octave_nodes(first * 2.0 ** horizon_count, start, intervals, head=first)
-    widths = np.diff(nodes)
-    nodes.flags.writeable = widths.flags.writeable = False
+    nodes.flags.writeable = False
     head = 0 if start else 2 * intervals
     edges = [0, *range(head or intervals, len(nodes), intervals)]
-    return nodes, widths, intervals, head, tuple(nodes[a:b + 1] for a, b in zip(edges, edges[1:]))
+    return nodes, intervals, head, tuple(nodes[a:b + 1] for a, b in zip(edges, edges[1:]))
 
 
 def probe_block(start: float, cfg: ProbeConfig, intervals: int | None = None) -> np.ndarray:
@@ -242,7 +262,7 @@ def _usable(values: np.ndarray, why: str | Exception, block: tuple) -> tuple[np.
     """``values`` on ``block`` up to the last octave edge before the first unusable one, and
     why they end: that value (non-finite, or below -1e-12 of the largest |value| before it,
     at least 1), else ``why`` (raised if an exception).  Rounding negatives are clipped to 0."""
-    nodes, _, n, head, _ = block
+    nodes, n, head, _ = block
     finite = np.isfinite(values)
     k = len(values) if finite.all() else int(np.argmin(finite))
     clip = k > 0 and values[:k].min() < 0  # only then is there anything to check or clip
@@ -262,7 +282,7 @@ def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> Div
     """Probe ``integral of integrand over [start, inf)`` for divergence.
 
     Partial integrals ``I_k`` over ``[start, start * 2^k]``, k = 1 ..
-    ``cfg.horizon_count``, are computed by composite trapezoid with
+    ``cfg.horizon_count``, are computed by Simpson's rule with
     ``cfg.nodes_per_octave`` intervals per octave.  With
     ``delta_k = I_k - I_{k-1}``: if every tail ratio ``delta_k / delta_{k-1}``
     is at most ``cfg.rho_conv`` the verdict is ``converges`` with limit
@@ -282,17 +302,16 @@ def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig, st
                   intervals: int | None = None) -> DivergenceVerdict:
     """The probe from ``start`` of an integrand given by its ``values`` on ``probe_block(start,
     cfg, intervals)`` and ``why`` they stop, as ``sample_block`` returns them.  The increments
-    are the octave sums of the block's trapezoids (so a tail far below a head keeps its digits)
-    and the partials their running sum; from 0 (``nodes[0] == 0``) partial k is A(r_start 2^k)
-    - A(r_start), A the running trapezoid, and a convergent limit includes the head."""
-    nodes, widths, n, head, _ = block = _block(start, cfg, intervals)
+    are the octave sums of the block's Simpson pairs (so a tail far below a head keeps its
+    digits) and the partials their running sum; from 0 (``nodes[0] == 0``) partial k is
+    A(r_start 2^k) - A(r_start), A the running Simpson sum (``cumulative_simpson`` at its even
+    nodes), and a convergent limit includes the head."""
+    nodes, n, head, _ = block = _block(start, cfg, intervals)
     ys, why = _usable(values, why, block)
-    segs = ys[1:] + ys[:-1]  # times the widths, halved: np.trapezoid's, in one array
-    segs *= widths[:len(segs)]
-    segs /= 2.0
-    areas = segs[head:].reshape(-1, n).sum(1)
+    pairs = _simpson_pairs(nodes, ys)
+    areas = pairs[head // 2:].reshape(-1, n // 2).sum(1)
     tail = np.cumsum(np.concatenate([[0.0], areas]))
-    at = np.cumsum(segs)[head - 1::n] if head else tail  # at start, then at each horizon
+    at = np.cumsum(pairs)[head // 2 - 1::n // 2] if head else tail  # at start, at each horizon
     horizons = tuple(nodes[head + n::n][:len(areas)].tolist())
     partials = tuple((at[1:] - at[:1]).tolist())
     if why:
@@ -411,7 +430,8 @@ class SharedSamples:
         """P(t) = integral of ``fn`` over [0, t] on ``probe_block(cfg.r_start, cfg)``, up to the
         last octave edge before ``fn`` is unusable, and why ("primitive not computable: ...";
         "" if it is usable throughout): the Gauss rule of ``CumulativeInterpolant`` on [0,
-        r_start], which never evaluates ``fn`` at 0, plus the trapezoids of the block's samples."""
+        r_start], which never evaluates ``fn`` at 0, plus ``cumulative_simpson`` of the block's
+        samples."""
         block = _block(cfg.r_start, cfg, None)
         nodes, key = block[0], ("primitive", id(block[0]))
         if self._values.get(key, (None,))[0] is not nodes:
@@ -420,6 +440,6 @@ class SharedSamples:
                 ys, why = _usable(*sample_block(self, cfg.r_start, cfg), block)
             except (ExprError, ArithmeticError, ValueError) as err:
                 ys, why, head = np.empty(0), str(err), 0.0
-            P = np.cumsum(np.concatenate([[head], _trapezoids(nodes[:len(ys)], ys)]))[:len(ys)]
+            P = head + cumulative_simpson(nodes, ys)
             self._values[key] = nodes, (P, why and f"primitive not computable: {why}")
         return self._values[key][1]

@@ -16,7 +16,7 @@ and no condition depends on it) to
 
 a strictly increasing function whose tabulated inverse gives the upper
 solution bound (``solver.verify_bounds``, its only reader); the C6 window reads
-F off the F tail probe's own trapezoid instead (``conditions.check_C6``).
+F off the F tail probe's own Simpson sums instead (``conditions.check_C6``).
 The nonlinearities take d arguments; inside F they are evaluated on the
 diagonal ``f_j(s, ..., s)``.  The F table is a ``quadrature.CumulativeInterpolant``
 from r_start: ``build_F`` tabulates its first octave, and ``eval_F`` and
@@ -25,7 +25,8 @@ query against one table reads the same tabulation.  ``ProblemSpec.diagonal(j)``
 is f_j on the diagonal, one shared callable per spec, so the F tail probe, C6
 and the classifier's diagonal probes sample it once; ``release_diagonals`` drops
 them and their samples after the last reader.  The barrier tail probe reads the
-kernel's ratio on the probe block from 0, ``A_INTERVALS`` intervals per octave.
+kernel's ratio on the probe block from 0, ``A_INTERVALS`` intervals per octave, by
+Simpson's rule like every probe.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
@@ -310,9 +311,10 @@ def estimate_A_inf(spec: ProblemSpec, j: int, probe: ProbeConfig = ProbeConfig()
                    factors: tuple[np.ndarray, ...] | None = None) -> DivergenceVerdict:
     """Tail probe of the barrier integral; a convergent limit estimates A_j(inf).
 
-    ``probe_samples`` reads it off the trapezoid of the kernel's ratio that ``build_A``
-    takes, on ``probe_block(0, probe, A_INTERVALS)`` (or its ``node_factors``, shared):
-    partial k is A_j(r_start 2^k) - A_j(r_start), a convergent limit the full A_j(inf).
+    ``probe_samples`` reads it off Simpson's rule of the kernel's ratio that ``build_A``
+    takes by the trapezoid, on ``probe_block(0, probe, A_INTERVALS)`` (or its
+    ``node_factors``, shared): partial k is A_j(r_start 2^k) - A_j(r_start), a convergent
+    limit the full A_j(inf).
     A kernel that cannot be built (negative h_j or a_j, overflow, domain errors) is
     inconclusive, not an exception.
     """

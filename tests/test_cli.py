@@ -57,6 +57,31 @@ def test_config_rejects_small_grid():
         parse_config(base_config(grid={"R": 3.0, "M": 4}))
 
 
+@pytest.mark.parametrize("command", ["solve", "classify", "verify", "sweep"])
+def test_a_grid_too_large_to_allocate_is_a_config_error_naming_grid_M(tmp_path, capsys, command):
+    # numpy refuses the 7.11 PiB of nodes of M = 1e15 without allocating them; never test a
+    # value that fits in memory
+    with pytest.raises(ConfigError, match="too many nodes") as err:
+        parse_config(base_config(grid={"R": 1.0, "M": 1e15}))
+    assert err.value.path == "grid.M"
+    path = write_config(tmp_path, base_config(grid={"R": 1.0, "M": 1e15}, beta=[1.0, 2.0]))
+    extra = ["--solution", str(tmp_path / "none.csv")] if command == "verify" else []
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), *extra]) == 2
+    assert "config error: grid.M: too many nodes: " in capsys.readouterr().err
+
+
+def test_an_odd_nodes_per_octave_is_a_config_error_naming_its_key(tmp_path, capsys):
+    # Simpson's rule takes the intervals of an octave in pairs
+    doc = base_config(probes={"K": 8, "nodes_per_octave": 255})
+    with pytest.raises(ConfigError, match="must be even, got 255") as err:
+        parse_config(doc)
+    assert err.value.path == "probes.nodes_per_octave"
+    path = write_config(tmp_path, doc)
+    assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: probes.nodes_per_octave: must be even, got 255" in (
+        capsys.readouterr().err)
+
+
 def test_config_rejects_bad_expression_with_path():
     doc = base_config()
     doc["problem"]["f"] = ["u2"]
@@ -584,7 +609,8 @@ def test_classify_makes_no_lair_prediction_off_a_negative_integrand(tmp_path):
     lair = json.loads((out / "report.json").read_text())["auxiliary"]["lair"]
     for side in ("first", "second"):
         assert lair[side]["verdict"] == "inconclusive"
-        assert lair[side]["note"] == f"integrand negative near r = {2.0 ** -12:g}"
+        # the head's first node past 0: 2 * 256 intervals over [0, 1]
+        assert lair[side]["note"] == f"integrand negative near r = {2.0 ** -9:g}"
     assert lair["explosive_predicted"] is None
 
 

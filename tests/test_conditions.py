@@ -166,11 +166,20 @@ def test_check_C6_window_and_residual():
     assert verdict.status == "holds"
     lo, hi = window
     assert lo == pytest.approx(1.0)
-    assert hi == verdict.evidence["beta_max"] == pytest.approx(1.6643997587096482, rel=1e-12)
+    # F by Simpson's rule on the F probe's block, inverted by its cubic Hermite interpolant
+    assert hi == verdict.evidence["beta_max"] == pytest.approx(1.6643996676164592, rel=1e-12)
     assert hi == pytest.approx(BETA_MAX_CUBIC, rel=1e-5)
     # the right end is the exact root of the tabulated gap, not a bracket of it
     assert abs(verdict.evidence["gap_at_beta_max"]) <= 1e-14 * verdict.evidence["F_limit"]
     assert "trace" not in verdict.evidence
+
+
+def test_F_probe_limit_of_bounded_cubic_matches_the_closed_form():
+    # integral over [1, inf) of ds / (1 + s^3) = pi / (3 sqrt 3) - ln 4 / 6; Simpson's rule
+    # at 256 intervals per octave errs by about 1e-11 (the trapezoid at 2048 by 2.7e-8)
+    f_inf = estimate_F_inf(spec_cubic_decaying())
+    assert f_inf.verdict == "converges"
+    assert abs(f_inf.limit - (np.pi / (3.0 * np.sqrt(3.0)) - np.log(4.0) / 6.0)) <= 1e-9
 
 
 def test_check_C6_window_end_below_a_tiny_barrier_sum_is_not_capped():
@@ -280,6 +289,21 @@ def test_sublinearity_fixtures():
         3, 2, [2.0, 2.0], "0", "1", ["u2^2", "u1"])).status == "fails"
 
 
+def test_bracket_checks_keep_the_octave_edges_before_a_domain_error():
+    # exp(u1) overflows past s = 709.8, in the last octave [512, 1024]: both checks keep the
+    # edges 1 .. 512 as the F probe keeps its nine octaves, and stay inconclusive
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "exp(u1)")
+    for check, key in ((check_sublinearity, "ratios"), (check_sup_bounded, "bracket")):
+        v = check(spec)
+        assert v.status == "inconclusive" and v.note.startswith("bracket not evaluable")
+        assert v.evidence["s"] == (2.0 ** np.arange(10)).tolist()
+        np.testing.assert_allclose(v.evidence[key], (1.0 + np.exp(2.0 ** np.arange(10)))
+                                   / (2.0 ** np.arange(10) if key == "ratios" else 1.0),
+                                   rtol=1e-12)
+        assert v.evidence["error"].startswith("integrand error on [512,1024]: overflow")
+    assert estimate_F_inf(spec).horizons == tuple(2.0 ** np.arange(1, 10))
+
+
 def test_sup_bounded_fixtures():
     saturating = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1/(1+u1)")
     v = check_sup_bounded(saturating)
@@ -301,7 +325,7 @@ def test_keller_osserman_and_ye_zhou_linear_diverge():
 
 
 def test_keller_osserman_partials_for_f_linear_match_the_closed_form():
-    # P = t^2 / 2 exactly (the Gauss head and the block trapezoid of t are exact),
+    # P = t^2 / 2 exactly (the Gauss head and the block's Simpson sums of t are exact),
     # so the partial over [1, 2^k] of dt / sqrt(P) = sqrt(2) / t is sqrt(2) k ln 2
     ko = check_keller_osserman(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1").diagonal(0),
                                2.0)

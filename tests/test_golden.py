@@ -39,13 +39,13 @@ RUNS = (
 GOLDEN = {
     "classify_sinh_oracle": 0,
     "classify_sinh_oracle/report.json":
-        "d3e6bfe8e0dced204026f10e6f0ba696b219f01bcd46d5d022a21deae188f03a",
+        "bd1c0c8e05e40b9047912bd9b88412823eba9d11915454346afcf72274784a57",
     "classify_bounded_cubic": 0,
     "classify_bounded_cubic/report.json":
-        "7223569d92ff6adc38c7d37fc4d93bf0ee47ae8a359cbc605f203ca3b7e18a2b",
+        "66cb3584fc6e3836ce3541d2fab50c27106b6d95cdde1b85b9732209a9cb6766",
     "classify_coupled_sweep": 0,
     "classify_coupled_sweep/report.json":
-        "0b3f407ced183eae36d903254c39a82cbe145756b08fa91206a3402c34224a75",
+        "067190910c2c74b92707520e404b352c4f9172258810c23f929e161cbf1ba1dc",
     "solve_sinh_oracle": 0,
     "solve_sinh_oracle/report.json":
         "e8058708ae9afe901db1f0be73fe854405590cf9437726ea59050d48b4ecba51",
@@ -116,7 +116,8 @@ def test_verify_of_a_solved_csv_is_byte_identical(tmp_path, monkeypatch):
 # whose exponents differ (1.6, 2.5), so the remark reuses the growth tests of
 # component 1, whose p is min_p, and probes component 2 again at min_p on the same
 # block; and f = exp(u1), whose F, Ye-Zhou, reciprocal-power and primitive probes
-# all stop at the overflow in the last octave.
+# all stop at the overflow in the last octave, and whose bracket checks keep the
+# octave edges 1 .. 512 before it.
 SHARING_RUNS = {
     "classify_p_apart": {
         "problem": {"N": 3, "d": 2, "p": [1.6, 2.5], "h": ["0", "0.5/(1+r)"],
@@ -137,10 +138,10 @@ SHARING_RUNS = {
 SHARING_GOLDEN = {
     "classify_p_apart": 5,
     "classify_p_apart/report.json":
-        "21c36d35c1f49785230e0bd56b8323501e6fcfcfba43523fef47510b727c74c1",
+        "9c6e96d4537d884abd3ad333193007af8581d7daf18beef5b02618e385131057",
     "classify_exp_overflow": 5,
     "classify_exp_overflow/report.json":
-        "23ee757055e49c32002d1140c92d53ca63af9b9b5e938b4e6d4024387ae036c8",
+        "e0cb73a7bfc66765b6a302b003f97b41974ddd02c333a6ea0963483c0144136c",
 }
 
 
@@ -244,10 +245,10 @@ FALLBACK_RUNS = {
 FALLBACK_GOLDEN = {
     "classify_expr_error_midway": 5,
     "classify_expr_error_midway/report.json":
-        "d01a915be5301107d916a035153baf44663db48a858f524d506c9f801ab41cba",
+        "3f442f838ab23191e2a79dd9178ab07b5bcebc3d3bebc088e34aad32ab42b132",
     "classify_lair_expr_error_midway": 5,
     "classify_lair_expr_error_midway/report.json":
-        "b55f3a9b5aa12bc53cffedfddd13bb8ffb5472ac16797f6843867d7789439d9b",
+        "dd03a4510024fd9e579552481ea164c37856ca583cba43df9796b07514261ff0",
 }
 
 
@@ -268,30 +269,30 @@ def _suite_config(spec, central, grid) -> dict:
 
 
 SUITE_REPORT_GOLDEN = [  # (exit code, report SHA-256)
-    (0, "bd7c6159449949630134f9d15cca9dec9721b2e26c034427622c1410d0faec0b"),
-    (0, "5e4eb789d6eeee509114f149e2600983f3468a8a3db04f9f36a3d8bc56262beb"),
-    (0, "b157cc67ac19e5397620db049a5fa11e492159ca0823bc60eae6f7aab2c5ce79"),
-    (0, "ee1997072e0022851ef209d719d92d5f1f6664315699fe7ffeddfbd5d018e866"),
-    (0, "1b9c15a7191abc1f44dd5eb7ecada9abec3679a2269c125b2786f9905a9c4b7c"),
-    (5, "10496681746ca47d6040fb453de40983561aeaa36e8c2b27430af4a68bc4f6e7"),
-    (0, "5e4ed53794e54c9d23addc6c9c0f6ccb366cd701140b24d8c686ec16d5f23729"),
-    (5, "cb141a59c836c03484cc2ae8289441980001c90c83307718d23309cdb83c13c2"),
-    (5, "feb884a86899151e5f8f027ac097a70a65261a6dc400687619c7b126964d79fc"),
-    (5, "00628562284d0ec6d79168fa3f7325db71689dfcb03b809b16c14f356edae570"),
-    (0, "a11dd4e8986ba8d832db385f3c960054759ce5c784cbe736382ef418c260b3ef"),
-    (5, "000e506265c3c634ade659a931f4628e5bdb0e72dd83ae119f227aa685c87fc7"),
-    (0, "4d8abd7a9f81d6fd8c371bb309bfa85069f19b9dce4a9917c893ad0b33b1dc00"),
-    (0, "d98734885bc37de13f6fae1f21f2685b783b2c12f2eaa88305efb1abff837df8"),
-    (0, "c6a0486f1476573339c2c99408cd1c81a5b698051a4f83ea4bdd107c6da79a9f"),
-    (5, "0f85aecb2da1eda65135bb8c02afd0736becf4f1f57f232b3e3dc21231a8793f"),
-    (5, "736fdbe695bb2ee99e1d6fc866f528e64837ac7d45ffc5cce5051e484c34b8de"),
-    (0, "fb130890a907d26e449b53c2c3a25755fd10590009ecdcf0070a7737134fb6d9"),
-    (0, "b119b22bbf34b513bf15205deada3deeaed114b1e8c501671841ba927ce0ae7a"),
-    (0, "88d98304b6b2587b2d43bf045b260899f88ca012cec1c0fffc69535573d75118"),
-    (0, "56ea15fee7893e4758d0ec7b46a745d95e90c81042106c3678a3ededc140d34b"),
-    (5, "fb71f1441758c6033c66bfecddf2e3530eda776e1deeed72473ed96505952038"),
-    (5, "f8f2e60c5a60ffad708238192a26cdeb06bfd37c525fd41babc12edeb4431d80"),
-    (5, "aa00496bfbfda92f25d72daf5fcbadcfd7d268e2a4780f4cbd06ea5d00c98d52"),
+    (0, "dcbbfe9406649b05533b23dbfbd663dfe5db36a4c5a1a139d51c8d267eae1364"),
+    (0, "36883b73a3ca8d54b1682b67748cd212ce23f1013ded152d855d9ab19e390fc1"),
+    (0, "7e70ecd7b54f585b52b1f2eb2e411a435782d9e0d4b7a841889b79169dea082b"),
+    (0, "e43750692b4ce0e3abc9ce2d30f8b4a8fa018b28f74346e504614c1d9a1c32c2"),
+    (0, "3b084aa3fd9c160e40ce3b84b21e427ad586fc23d015420769d29c3cfb10a163"),
+    (5, "d919f54ca3268d905e7b4568be001f313fc5f3b984bb760c16dfb61e2829def1"),
+    (0, "c59a0d9161e8ae60b4f60a0405e55afa931d3983f6ad778b05fb4a5236c038e6"),
+    (5, "38dbdcbdaa9d322960f1bab1ecc23066607a1a16f0812034a66dab6195a18eb7"),
+    (5, "f0299516aec21261acbb603913ebe05922b531399e7294310553a349115e5a2f"),
+    (5, "2463e895f5d4f710ab0b5a44f51b9009f07d06b8800a0cb7fb38dbc3a129b3c7"),
+    (0, "319ed3f6ee4ab04dc65cdcb8468798708c35e8f6af145b40f1f9ce63f246811b"),
+    (5, "c290c889421112f936937fa8dcddb0ce4ea84f7461a3141cac2b0d11c7c94c97"),
+    (0, "90f03f0f27f548dabad37c33522749b3c967f3052988e4f36a13299e7c8c57a4"),
+    (0, "8654699a692469e1bf632a2e43d103044a4018159ef365b5a5e80840a71064c6"),
+    (0, "4a1e3e862367bd48365bec3bc8e6ff322fd97f2d4391c268c3be1038050d8400"),
+    (5, "62b1e6f2ccc3a591c7f57db4a7b4c3c77aed477f8c971ae49cedd4adc580efab"),
+    (5, "69cb5d4f1e28643dcd28d717f1bf0dbb4307af3ff1a64934c6b469cc2d2b5c6e"),
+    (0, "4bb3346314cf28c44878cb9318a18920ae91057ede862e6677f4eb62da45aff3"),
+    (0, "8520d8108842351d574284f8fd571bdd5dd2f57a99ae0e1fcfbc7e90097549a5"),
+    (0, "cb4935355d8ad1e4e2d113b1ed4e7681b9a89e12e98b6aec114915941c220bdd"),
+    (0, "b9e30b44bff58798384e185c8402475d21d012ce97eff38e1a70cd98dd33745a"),
+    (5, "0f564d90ff4f585524a813b80ee082b12840ec6da47f82ce33aab8c59423db73"),
+    (5, "92be8bb5a0329a458bd92b400d55bf825d18d1d95f8187f256834a2e54665025"),
+    (5, "4b4078b6b4db19d5ca772f94558885b22687e96d63b06e111acb163081d092d1"),
 ]
 
 

@@ -9,6 +9,7 @@ from radsolve.quadrature import (
     ProbeConfig,
     RadialGrid,
     classify_tail,
+    cumulative_simpson,
     cumulative_trapezoid,
     octave_nodes,
     SharedSamples,
@@ -114,6 +115,17 @@ def test_power_weighted_node_factors_once_match_the_per_call_rule(N):
                               _power_weighted_reference(x, smooth, N - 1))
 
 
+def test_cumulative_simpson_is_exact_for_cubics_at_even_nodes_and_quadratics_at_odd():
+    x = np.linspace(1.0, 3.0, 41)
+    cubic = cumulative_simpson(x, x ** 3)
+    np.testing.assert_allclose(cubic[::2], (x[::2] ** 4 - 1.0) / 4.0, rtol=1e-14, atol=1e-14)
+    quadratic = cumulative_simpson(x, x ** 2)
+    np.testing.assert_allclose(quadratic, (x ** 3 - 1.0) / 3.0, rtol=1e-14, atol=1e-14)
+    # on the first nodes only, and on none
+    assert cumulative_simpson(x, np.ones(5)).tolist() == pytest.approx(x[:5] - 1.0)
+    assert cumulative_simpson(x, np.empty(0)).shape == (0,)
+
+
 def test_gauss2_is_fourth_order():
     x = np.linspace(0.0, 1.0, 101)
     table = CumulativeInterpolant(np.exp, 1.0, intervals=50)
@@ -183,6 +195,23 @@ def test_probe_rejects_nonpositive_start():
             probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, start, ProbeConfig())
 
 
+@pytest.mark.parametrize("start", [0.0, 1.0])
+def test_probe_partials_of_a_cubic_are_exact(start):
+    # Simpson's rule is exact for cubics: the partials of r^3 over [1, 2^k] are (16^k - 1) / 4,
+    # from 1 and from 0 (where partial k is the running integral at 2^k less its value at 1)
+    cfg = ProbeConfig()
+    v = probe_samples(*sample_block(lambda r: r ** 3, start, cfg), cfg, start)
+    k = np.arange(1, cfg.horizon_count + 1)
+    assert v.horizons == tuple(2.0 ** k)
+    np.testing.assert_allclose(v.partials, (16.0 ** k - 1.0) / 4.0, rtol=1e-13, atol=0.0)
+
+
+def test_probe_config_rejects_an_odd_nodes_per_octave():
+    with pytest.raises(ValueError, match="must be even"):
+        ProbeConfig(nodes_per_octave=255)
+    assert ProbeConfig(nodes_per_octave=254).nodes_per_octave == 254
+
+
 def test_probe_config_t_max_is_last_horizon():
     cfg = ProbeConfig(horizon_count=7, r_start=0.5)
     assert cfg.t_max == 0.5 * 2.0 ** 7
@@ -209,9 +238,9 @@ def test_probe_running_of_an_integrand_includes_the_head():
     assert "head over [0, 1]" in v.note
     # the octaves are the tail probe's nodes, so its octave areas and tail ratios
     assert v.note.startswith(tail.note + ";")
-    # the partials are differences of the running trapezoid at r_start * 2^k
+    # the partials are differences of the running Simpson sum at r_start * 2^k
     nodes = octave_nodes(cfg.t_max, intervals=cfg.nodes_per_octave)
-    A = cumulative_trapezoid(nodes, integrand(nodes))
+    A = cumulative_simpson(nodes, integrand(nodes))
     ends = A[np.searchsorted(nodes, 2.0 ** np.arange(9))]
     assert v.horizons == tail.horizons == tuple(2.0 ** np.arange(1, 9))
     assert v.partials == tuple(ends[1:] - ends[0])  # bit for bit
@@ -261,7 +290,7 @@ def test_probe_running_of_an_integrand_stops_before_a_negative_value():
     v = _running_probe(lambda r: (5.0 - r) / (1.0 + r) ** 4, cfg)
     whole = _running_probe(lambda r: 1.0 / (1.0 + r) ** 4, cfg)
     assert v.verdict == "inconclusive" and v.limit is None
-    assert v.note == f"integrand negative near r = {5.0 + 2.0 ** -9:g}"
+    assert v.note == f"integrand negative near r = {5.0 + 4.0 / 256:g}"  # [4, 8] in 256
     assert v.horizons == (2.0, 4.0) and len(v.partials) == 2
     # negative in the head, and after a rounding-sized dip only
     v = _running_probe(lambda r: -1.0 / (1.0 + r) ** 4, cfg)
@@ -293,19 +322,19 @@ def test_octave_nodes_layout_from_origin():
 
 @pytest.mark.parametrize("start, count, n", [(1.0, 10, 2048), (0.37, 6, 100), (3.3, 4, 8)])
 def test_octave_block_is_read_only_with_row_views_and_widths(start, count, n):
+    # the block keeps no widths: Simpson's rule takes its pairs off the nodes
     cfg = ProbeConfig(horizon_count=count, nodes_per_octave=n, r_start=start)
-    nodes, widths, per_octave, head, rows = _octaves(start, start, count, n)
+    nodes, per_octave, head, rows = _octaves(start, start, count, n)
     octaves = [np.linspace(start * 2.0 ** (k - 1), start * 2.0 ** k, n + 1)
                for k in range(1, count + 1)]
     assert len(nodes) == count * n + 1 and (per_octave, head) == (n, 0)
-    assert not nodes.flags.writeable and not widths.flags.writeable
+    assert not nodes.flags.writeable
     assert len(rows) == count
     for k, (row, octave) in enumerate(zip(rows, octaves)):  # views of the block, edges shared
         assert row.base is nodes and not row.flags.writeable
         assert row.tobytes() == nodes[k * n:(k + 1) * n + 1].tobytes() == octave.tobytes()
-        assert widths[k * n:(k + 1) * n].tobytes() == np.diff(octave).tobytes()
     again = _octaves(start, start, count, n)  # the same block and views for the next probe
-    assert again[0] is nodes and all(a is b for a, b in zip(again[4], rows))
+    assert again[0] is nodes and all(a is b for a, b in zip(again[3], rows))
     assert probe_block(start, cfg) is nodes
     # from 0 the block is octave_nodes with the head over [0, r_start], read-only too
     origin = probe_block(0.0, cfg)
@@ -345,9 +374,14 @@ def test_cumulative_interpolant_tracks_primitive():
     assert ci3(8.0) == pytest.approx(8.0 ** 3 / 3.0, rel=1e-9)
 
 
+def _simpson(ys, xs):
+    """Simpson's rule over the pairs of intervals of one octave, summed."""
+    return ((xs[2::2] - xs[:-2:2]) / 6.0 * (ys[:-2:2] + 4.0 * ys[1::2] + ys[2::2])).sum()
+
+
 def _reference_probe(integrand, start, cfg):
     """The per-octave probe loop with fresh ``np.linspace`` nodes and no shared
-    state: sample one octave, check it, add its trapezoid."""
+    state: sample one octave, check it, add its Simpson sum."""
     partials, horizons, total, left, peak = [], [], 0.0, start, 1.0
     for k in range(1, cfg.horizon_count + 1):
         right = start * 2.0 ** k
@@ -371,7 +405,7 @@ def _reference_probe(integrand, start, cfg):
                                      partials=tuple(partials),
                                      note=f"integrand not finite near r = {bad:g}")
         peak = max(peak, float(np.abs(ys).max()))
-        total += float(np.trapezoid(np.maximum(ys, 0.0), xs))
+        total += float(_simpson(np.maximum(ys, 0.0), xs))
         partials.append(total)
         horizons.append(right)
         left = right
@@ -584,7 +618,7 @@ def test_primitive_rows_are_made_once_per_probe_block_from_its_own_samples():
     assert [xs.flags.writeable for xs in calls] == [True, False] and calls[1] is nodes
     shared(nodes)  # the samples the block's other probes read
     assert len(calls) == 2
-    # P = t^2 on the block's nodes: the trapezoid of 2t is exact
+    # P = t^2 on the block's nodes: Simpson's and the three-point rule of 2t are exact
     assert P.shape == nodes.shape
     np.testing.assert_allclose(P, nodes ** 2, rtol=1e-14)
     other = shared.primitive(ProbeConfig(horizon_count=5, nodes_per_octave=64, r_start=2.0))

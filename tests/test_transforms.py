@@ -10,6 +10,7 @@ from radsolve.quadrature import (
     CumulativeInterpolant,
     ProbeConfig,
     RadialGrid,
+    cumulative_simpson,
     cumulative_trapezoid,
     octave_nodes,
 )
@@ -252,7 +253,7 @@ def test_estimate_A_inf_fixtures():
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_estimate_A_inf_partials_match_the_closed_form(N):
     # a = 1, h = 0, p = 2: the ratio is t/N, so the partial over [1, 2^k] is
-    # (4^k - 1) / (2N), and the trapezoid of the ratio is exact
+    # (4^k - 1) / (2N), and Simpson's rule of the ratio is exact
     v = estimate_A_inf(ProblemSpec.from_strings(N, 1, 2.0, "0", "1", "u1"), 0)
     k = np.arange(1, len(v.partials) + 1)
     assert v.horizons == tuple(2.0 ** k)
@@ -292,7 +293,7 @@ def test_a_ratio_that_stops_being_finite_far_out_leaves_the_octaves_before_it():
     # the kernel's first non-finite node is 988.5, in the octave [512, 1024]
     spec = ProblemSpec.from_strings(5, 1, 2.0, "0.69", "1", "u1")
     nodes = octave_nodes(1024.0)
-    A = cumulative_trapezoid(nodes, RadialKernel(spec, 0, nodes).ratio())
+    A = cumulative_simpson(nodes, RadialKernel(spec, 0, nodes).ratio())
     v = estimate_A_inf(spec, 0)
     assert v.horizons == tuple(2.0 ** np.arange(1, 10))
     ends = A[np.searchsorted(nodes, (1.0,) + v.horizons)]
@@ -301,9 +302,10 @@ def test_a_ratio_that_stops_being_finite_far_out_leaves_the_octaves_before_it():
 
 @pytest.mark.parametrize("N", [3, 5])
 def test_estimate_A_inf_partials_are_differences_of_the_barrier_trapezoid(N):
+    # the probe takes Simpson's rule, not build_A's trapezoid, on the same kernel ratio
     spec = ProblemSpec.from_strings(N, 1, 2.5, "0.3/(1+r)", "exp(-r)", "u1")
     nodes = octave_nodes(1024.0)
-    A = cumulative_trapezoid(nodes, RadialKernel(spec, 0, nodes).ratio())
+    A = cumulative_simpson(nodes, RadialKernel(spec, 0, nodes).ratio())
     v = estimate_A_inf(spec, 0)
     ends = A[np.searchsorted(nodes, 2.0 ** np.arange(11))]
     assert v.horizons == tuple(2.0 ** np.arange(1, 11))
