@@ -27,9 +27,10 @@ Every probe here (F, the barriers, the growth tests, the Lair integrals) is read
 ``quadrature.probe_samples`` on a shared ``probe_block``, by Simpson's rule; a domain error,
 a non-finite or a clearly negative value makes it inconclusive, with the octaves before as
 evidence.  The F probe, the growth tests, C6 and the monotonicity check read f_j off the same
-samples of ``probe_block(r_start)``; Theorem 3's diagonal bracket is read at its K + 1 octave
-edges r_start * 2^k (those before a domain error), so its checks see f only up to
-r_start * 2^K.
+samples of ``probe_block(r_start)`` (the check, like the probes, up to a domain error), and C6
+reads F itself through ``transforms.build_F``, the one F quadrature, on that block; Theorem
+3's diagonal bracket is read at its K + 1 octave edges r_start * 2^k (those before a domain
+error), so its checks see f only up to r_start * 2^K.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from .quadrature import (
     ProbeConfig,
     SharedSamples,
     classify_tail,
-    cumulative_simpson,
     probe_block,
     probe_divergence,
     probe_samples,
     sample_block,
 )
-from .transforms import A_INTERVALS, ProblemSpec, estimate_A_inf, estimate_F_inf, node_factors
+from .transforms import (A_INTERVALS, ProblemSpec, build_F, estimate_A_inf, estimate_F_inf,
+                         eval_F, invert_F, node_factors)
 
 __all__ = [
     "ConditionVerdict",
@@ -189,10 +190,7 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
         barrier_tail=tail)
     block = probe_block(probe.r_start, probe)  # where the F probe sampled every f_j
     for j in range(spec.d):
-        try:
-            f = spec.diagonal(j)(block)
-        except (ExprError, ArithmeticError):  # the F probe's evidence says why
-            continue
+        f = sample_block(spec.diagonal(j), probe.r_start, probe)[0]  # up to a domain error
         if (drop := np.flatnonzero(np.diff(f) < -1e-12 * np.maximum(1.0, np.abs(f[:-1])))).size:
             theorem = "inconclusive"  # f_j nondecreasing in each argument is so on the diagonal
             notes.append(f"f[{j}] decreases on the diagonal near s = {block[drop[0]]:g}, "
@@ -226,13 +224,12 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     Requires convergent estimates for F and every barrier.  The condition,
     sum_j A_j(inf) < F(inf) - F(d*beta) for some beta > r_start/d, is monotone:
     F increases, so feasibility at any beta implies feasibility of everything
-    below it.  F(inf) is the F probe's limit and F the ``cumulative_simpson`` of its
-    integrand on that probe's block, r_start to r_start * 2^K (the f_j samples are
-    shared through ``spec.diagonal(j)``): one quadrature for both.  Between nodes F is
-    the cubic Hermite interpolant with slope F' = the integrand.  We test just above
-    r_start/d and, when feasible, invert that interpolant at F(inf) - sum_j A_j(inf)
-    for the right end, capped at r_start * 2^K / d if F stays below that value.  The
-    window is the open interval between the two.
+    below it.  F(inf) is the F probe's limit and F is ``build_F`` on that probe's block,
+    r_start to r_start * 2^K, the same samples of f_j (shared through
+    ``spec.diagonal(j)``): one quadrature for both.  We test just above r_start/d with
+    ``eval_F`` and, when feasible, take ``invert_F`` at F(inf) - sum_j A_j(inf) for the
+    right end, capped at r_start * 2^K / d if F stays below that value.  The window is
+    the open interval between the two.
     """
     if f_inf.verdict != "converges":
         raise ValueError("C6 requires a convergent F tail estimate")
@@ -242,51 +239,26 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     total_A = float(sum(v.limit for v in a_inf))
     d, anchor = spec.d, probe.r_start
 
-    s = probe_block(anchor, probe)  # the F probe's nodes, sampled already
-    slope = spec.diagonal_integrand()(s)
-    F = cumulative_simpson(s, slope)
+    F = build_F(spec, probe)  # on the F probe's nodes, sampled already
     beta_lo = (anchor / d) * (1.0 + 1e-6)
-    g_lo = F_lim - _hermite(s, F, slope, x=d * beta_lo) - total_A
+    g_lo = F_lim - eval_F(F, d * beta_lo) - total_A
     evidence = {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo}
     if g_lo <= 0.0:
         return (ConditionVerdict("fails", evidence, "the barrier tails already exceed the "
                                  "remaining F range just above anchor/d"), None)
 
     target = F_lim - total_A
-    if F[-1] < target:
-        cap = float(s[-1]) / d
+    if F.values[-1] < target:
+        cap = float(F.s[-1]) / d
         return (ConditionVerdict("holds", {**evidence, "beta_max": cap, "capped": True},
                                  "feasible everywhere probed; right end capped at the "
                                  "probe horizon"), (anchor / d, cap))
 
-    beta_max = _hermite(s, F, slope, y=target) / d
-    g_final = F_lim - _hermite(s, F, slope, x=d * beta_max) - total_A
+    beta_max = float(invert_F(F, target, f_inf)) / d
+    g_final = F_lim - eval_F(F, d * beta_max) - total_A
     return (ConditionVerdict("holds", {**evidence, "beta_max": beta_max,
                                        "gap_at_beta_max": g_final, "capped": False}),
             (anchor / d, beta_max))
-
-
-def _hermite(s: np.ndarray, F: np.ndarray, slope: np.ndarray, *, x: float | None = None,
-             y: float | None = None) -> float:
-    """F at ``x``, or the inverse of F at ``y`` in [F[0], F[-1]], by the cubic Hermite
-    interpolant of the values F and the slopes ``slope`` at the nodes ``s`` on the interval
-    that brackets ``x`` or ``y``; the inverse bisects that cubic, so it stays in the interval."""
-    knots, at = (s, x) if y is None else (F, y)
-    i = min(max(int(np.searchsorted(knots, at)) - 1, 0), len(s) - 2)
-    w, rise = s[i + 1] - s[i], F[i + 1] - F[i]
-    c1, c3 = w * slope[i], w * (slope[i] + slope[i + 1]) - 2.0 * rise
-    c2 = rise - c1 - c3
-
-    def cubic(t: float) -> float:
-        return float(F[i] + t * (c1 + t * (c2 + t * c3)))
-
-    if y is None:
-        return cubic((x - s[i]) / w)
-    lo, hi = 0.0, 1.0
-    for _ in range(53):  # to the resolution of t in [0, 1]
-        mid = (lo + hi) / 2.0
-        lo, hi = (mid, hi) if cubic(mid) < y else (lo, mid)
-    return float(s[i] + hi * w)
 
 
 def _bracket_at_edges(spec: ProblemSpec, probe: ProbeConfig) -> tuple[np.ndarray, np.ndarray, str]:

@@ -8,18 +8,20 @@ for the nested radial kernels, which integrates ``s^(N-1) * w(s)`` with exact mo
 moments, lives in ``transforms.RadialKernel``, where its node-only factors are
 computed once per grid.
 
-``CumulativeInterpolant`` is the one running-integral table of a callable:
-two-point Gauss segment integrals on ``octave_nodes``, linear interpolation
-between nodes, an exact inverse on the same linear pieces, and ``extend``,
-which appends whole octaves without re-sampling what is already tabulated.
-It is the only mutable object here; everything else is pure.
+``CumulativeInterpolant`` is the running-integral table of a callable from 0,
+where no probe block samples it: two-point Gauss segment integrals on
+``octave_nodes`` (so the callable is never evaluated at 0) and linear
+interpolation between nodes.  The head of the Keller-Osserman primitive over
+[0, r_start] and the nested integrals of the Lair checker read it; F does not
+(``transforms.build_F`` takes F off a probe block by ``cumulative_simpson``).
 
 Improper integrals are probed on geometric horizons ``start * 2^k`` on one layout,
 ``probe_block``: the contiguous ``octave_nodes`` of the probe's octaves (from ``start``,
 or from 0 with a head of 2n intervals over ``[0, r_start]``), read-only and shared by the
 probes with the same start and knobs.  ``sample_block`` is the one sampler (one call on
 the block, octave by octave only if that call raises), ``probe_samples`` the one reader,
-and ``probe_divergence`` both over ``[start, inf)``, each octave's area by Simpson's rule.
+and ``probe_divergence`` both over ``[start, inf)``, each octave's area by Simpson's rule;
+``usable_samples`` is the sampler's values as far as a reader takes them.
 A probe's evidence ends at the last octave edge before a domain error, a non-finite or a
 clearly negative value; its verdict is three-valued with an explicit ``inconclusive``
 outcome, since divergence is not decidable numerically.  ``SharedSamples`` evaluates a
@@ -47,6 +49,7 @@ __all__ = [
     "probe_divergence",
     "probe_samples",
     "sample_block",
+    "usable_samples",
     "classify_tail",
     "octave_nodes",
     "CumulativeInterpolant",
@@ -278,6 +281,14 @@ def _usable(values: np.ndarray, why: str | Exception, block: tuple) -> tuple[np.
     return np.maximum(values, 0.0) if clip else values, why
 
 
+def usable_samples(values: np.ndarray, why: str | Exception, start: float,
+                   cfg: ProbeConfig) -> tuple[np.ndarray, str]:
+    """``values`` and ``why`` as ``sample_block`` returns them from ``start``, cut by ``_usable``
+    at the last octave edge before the first unusable value, and why they end ("" if they do
+    not; an exception is raised unless an earlier value ends them)."""
+    return _usable(values, why, _block(start, cfg, None))
+
+
 def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
     """Probe ``integral of integrand over [start, inf)`` for divergence.
 
@@ -344,64 +355,31 @@ def octave_nodes(t_max: float, lo: float = 0.0, intervals: int = 1024,
 
 
 class CumulativeInterpolant:
-    """Running integral of ``fn`` from ``lo``, tabulated on ``octave_nodes``.
+    """Running integral of ``fn`` from 0, tabulated on ``octave_nodes``.
 
     ``s`` holds the nodes and ``values`` the running integral there, built
     from a two-point Gauss rule per interval, so ``fn`` is never evaluated
-    outside (lo, t_max).  Between nodes the integral is linear, and
-    ``inverse`` solves those same linear pieces exactly.  ``extend`` appends
-    whole octaves and accumulates them in one sequential sum with the last
-    tabulated value, so a table grown octave by octave holds the same bits as
-    one built in a single step.
+    outside (0, t_max).  Between nodes the integral is linear.
     """
 
-    def __init__(self, fn: Callable, t_max: float, lo: float = 0.0, intervals: int = 1024):
-        self._fn = fn
-        self._intervals = intervals
-        self.lo = float(lo)
-        self.s = octave_nodes(t_max, self.lo, intervals)
-        self.values = self._running(self.s, 0.0)
-
-    @property
-    def t_max(self) -> float:
-        return float(self.s[-1])
-
-    def _running(self, nodes: np.ndarray, start: float) -> np.ndarray:
-        """``start`` followed by the running integral over consecutive ``nodes``."""
-        mid = (nodes[:-1] + nodes[1:]) / 2.0
-        half = np.diff(nodes) / 2.0
+    def __init__(self, fn: Callable, t_max: float, intervals: int = 1024):
+        self.s = octave_nodes(t_max, intervals=intervals)
+        mid, half = (self.s[:-1] + self.s[1:]) / 2.0, np.diff(self.s) / 2.0
         off = half / np.sqrt(3.0)
         xs = np.concatenate([mid - off, mid + off])
-        vals = _eval_segment(self._fn, xs)
+        vals = _eval_segment(fn, xs)
         if not np.all(np.isfinite(vals)):
             bad = float(xs[int(np.argmax(~np.isfinite(vals)))])
             raise ValueError(f"integrand not finite near t = {bad:g}")
         segs = half * (vals[:len(mid)] + vals[len(mid):])
-        return np.cumsum(np.concatenate([[start], segs]))
-
-    def extend(self, t: float) -> None:
-        """Append whole octaves until the table reaches ``t``."""
-        if t <= self.t_max:
-            return
-        octaves = math.ceil(math.log2(t / self.t_max))
-        nodes = octave_nodes(self.t_max * 2.0 ** octaves, self.t_max, self._intervals)
-        self.values = np.concatenate([self.values, self._running(nodes, self.values[-1])[1:]])
-        self.s = np.concatenate([self.s, nodes[1:]])
+        self.values = np.cumsum(np.concatenate([[0.0], segs]))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.lo * (1 - 1e-12)) or np.any(t_arr > self.t_max * (1 + 1e-12)):
-            raise ValueError(f"query outside [{self.lo:g}, {self.t_max:g}]")
+        if np.any(t_arr < 0.0) or np.any(t_arr > self.s[-1] * (1 + 1e-12)):
+            raise ValueError(f"query outside [0, {self.s[-1]:g}]")
         out = np.interp(t_arr, self.s, self.values)
         return float(out) if t_arr.ndim == 0 else out
-
-    def inverse(self, ys: np.ndarray) -> np.ndarray:
-        """The node-linear inverse at ``ys`` in [0, values[-1]]; the table
-        must increase strictly."""
-        hi = np.clip(np.searchsorted(self.values, ys, side="left"), 1, len(self.values) - 1)
-        f0, f1 = self.values[hi - 1], self.values[hi]
-        s0, s1 = self.s[hi - 1], self.s[hi]
-        return s0 + (ys - f0) * (s1 - s0) / (f1 - f0)
 
 
 class SharedSamples:

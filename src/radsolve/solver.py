@@ -234,9 +234,11 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables,
 
     Lower bound per component:  beta_j + f_j(beta)^(1/(p_j-1)) * A_j(r).
     Upper bound (uniform central values only):  the F-inverse of
-    F(d*beta) + sum_j A_j(r).  A central value with d*beta below the F anchor
-    ``tables.probe.r_start``, or an inverse query beyond a finite F limit, leaves
-    the upper bound unevaluated with the reason recorded; that is exactly the
+    F(d*beta) + sum_j A_j(r), both by ``eval_F`` and ``invert_F`` on ``tables.F``,
+    the one F quadrature (the Simpson sums of the F probe's layout, widened to 60
+    octaves of the F anchor ``tables.probe.r_start``).  A central value with d*beta
+    below that anchor, or a query beyond the table or a finite F limit, leaves the
+    upper bound unevaluated with the reason recorded; a finite limit is exactly the
     feasibility boundary of the bounded-solution regime.
     """
     beta = bundle.central.values

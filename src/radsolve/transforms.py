@@ -14,19 +14,20 @@ and no condition depends on it) to
 
     F(s) = integral_r_start^s (1 + sum_j f_j(t, ..., t))^(1/(1 - min_j p_j)) dt,
 
-a strictly increasing function whose tabulated inverse gives the upper
-solution bound (``solver.verify_bounds``, its only reader); the C6 window reads
-F off the F tail probe's own Simpson sums instead (``conditions.check_C6``).
-The nonlinearities take d arguments; inside F they are evaluated on the
-diagonal ``f_j(s, ..., s)``.  The F table is a ``quadrature.CumulativeInterpolant``
-from r_start: ``build_F`` tabulates its first octave, and ``eval_F`` and
-``invert_F`` extend it in place by whole octaves as queries need, so every
-query against one table reads the same tabulation.  ``ProblemSpec.diagonal(j)``
-is f_j on the diagonal, one shared callable per spec, so the F tail probe, C6
-and the classifier's diagonal probes sample it once; ``release_diagonals`` drops
-them and their samples after the last reader.  The barrier tail probe reads the
-kernel's ratio on the probe block from 0, ``A_INTERVALS`` intervals per octave, by
-Simpson's rule like every probe.
+a strictly increasing function whose inverse gives the upper solution bound
+(``solver.verify_bounds``) and whose values give the C6 window
+(``conditions.check_C6``).  The nonlinearities take d arguments; inside F they
+are evaluated on the diagonal ``f_j(s, ..., s)``.  There is one F quadrature:
+``build_F`` samples the integrand on a probe layout from r_start (``probe_block``)
+and takes F as the ``cumulative_simpson`` of those samples, which are also its
+slopes, so ``eval_F`` is the cubic Hermite interpolant of values and slopes and
+``invert_F`` bisects that same cubic.  C6 reads the F probe's own block;
+``TransformTables.F`` the same layout over ``_F_OCTAVES`` octaves.
+``ProblemSpec.diagonal(j)`` is f_j on the diagonal, one shared callable per spec,
+so the F tail probe, C6 and the classifier's diagonal probes sample it once;
+``release_diagonals`` drops them and their samples after the last reader.  The
+barrier tail probe reads the kernel's ratio on the probe block from 0,
+``A_INTERVALS`` intervals per octave, by Simpson's rule like every probe.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
@@ -38,7 +39,8 @@ vanishes there); its limit is 0, and the kernel defines it so.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -46,15 +48,17 @@ import numpy as np
 from . import exprlang
 from .exprlang import Expr, ExprError, ValidationReport, evaluate_array, validate_sampled
 from .quadrature import (
-    CumulativeInterpolant,
     DivergenceVerdict,
     ProbeConfig,
     RadialGrid,
     SharedSamples,
+    cumulative_simpson,
     cumulative_trapezoid,
     probe_block,
     probe_divergence,
     probe_samples,
+    sample_block,
+    usable_samples,
 )
 
 __all__ = [
@@ -75,11 +79,7 @@ __all__ = [
     "validate_hypotheses",
 ]
 
-# intervals per octave of the F table: linear interpolation between nodes then
-# errs by at most s^2 |F''| / (8 * 4096^2), which is 7.5e-9 where s^2 |F''| <= 1
-# (as for the shipped configs)
-_F_INTERVALS = 4096
-# how far past r_start the inverse looks for a value before giving up
+# how far past r_start the F table of the upper bound reaches, in octaves
 _F_OCTAVES = 60
 # intervals per octave of the barrier tail probe, whatever ProbeConfig.nodes_per_octave is
 A_INTERVALS = 1024
@@ -259,47 +259,81 @@ def build_A(spec: ProblemSpec, grid: RadialGrid, j: int,
     return A
 
 
-def build_F(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> CumulativeInterpolant:
-    """The first octave [r_start, 2 * r_start] of the F table."""
-    return CumulativeInterpolant(spec.diagonal_integrand(), 2.0 * probe.r_start,
-                                 lo=probe.r_start, intervals=_F_INTERVALS)
+@dataclass(frozen=True)
+class FTable:
+    """F on the nodes ``s`` of a probe layout from r_start: its running Simpson integral
+    ``values`` and the integrand samples ``slopes``, as far as ``reach`` says ("60 octaves
+    of the anchor", and why they stop short if they do)."""
+
+    s: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    reach: str
 
 
-def eval_F(table: CumulativeInterpolant, s) -> float | np.ndarray:
-    """F at ``s`` >= r_start, extending the table in place to cover ``s``; an ``s``
-    beyond ``_F_OCTAVES`` octaves of r_start, the reach of ``invert_F``, raises
-    ``FInverseRangeError``."""
-    s_max = float(np.max(s))
-    if s_max > table.lo * 2.0 ** _F_OCTAVES:
-        raise FInverseRangeError(f"F at {s_max:g} lies beyond {_F_OCTAVES} octaves of the anchor")
-    table.extend(s_max)
-    return table(s)
+def build_F(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> FTable:
+    """F on ``probe_block(probe.r_start, probe)`` up to the last octave edge before its
+    integrand is unusable, or an f_j negative: ``cumulative_simpson`` of the integrand's
+    samples there (those of the F probe, through ``spec.diagonal(j)``), which are F's
+    slopes."""
+    values, why = sample_block(spec.diagonal_integrand(), probe.r_start, probe)
+    if isinstance(why, NegativeCoefficientError):  # F ends there, as at a domain error
+        why = str(why)
+    slopes, why = usable_samples(values, why, probe.r_start, probe)
+    s = probe_block(probe.r_start, probe)[:len(slopes)]
+    reach = f"{max(len(s) - 1, 0) // probe.nodes_per_octave} octaves of the anchor"
+    return FTable(s, cumulative_simpson(s, slopes), slopes, reach + (f" ({why})" if why else ""))
 
 
-def invert_F(table: CumulativeInterpolant, ys: np.ndarray,
-             f_inf: DivergenceVerdict) -> np.ndarray:
-    """F^-1 at ``ys`` >= 0, extending the table in place until it covers them.
+def _hermite(table: FTable, knots: np.ndarray, at: np.ndarray) -> tuple:
+    """The interval ``i`` of ``table`` whose ``knots`` (its nodes or its values) bracket each
+    ``at``, its width, and the cubic Hermite interpolant of F's values and slopes over it as a
+    function of t in [0, 1]."""
+    s, F, slope = table.s, table.values, table.slopes
+    i = np.clip(np.searchsorted(knots, at) - 1, 0, len(s) - 2)
+    w, rise = s[i + 1] - s[i], F[i + 1] - F[i]
+    c1, c3 = w * slope[i], w * (slope[i] + slope[i + 1]) - 2.0 * rise
+    c2 = rise - c1 - c3
+    return i, w, lambda t: F[i] + t * (c1 + t * (c2 + t * c3))
 
-    Raises ``FInverseRangeError`` when a value lies at or beyond the limit
-    ``f_inf`` estimates for a convergent F, or is not reached within
-    ``_F_OCTAVES`` octaves of r_start.
+
+def eval_F(table: FTable, s) -> float | np.ndarray:
+    """F at ``s`` >= r_start by the cubic Hermite interpolant of ``table``; an ``s`` beyond
+    the table raises ``FInverseRangeError``."""
+    x = np.asarray(s, dtype=float)
+    if not table.s.size or np.max(x) > table.s[-1] * (1 + 1e-12):
+        raise FInverseRangeError(f"F at {np.max(x):g} lies beyond {table.reach}")
+    if np.min(x) < table.s[0]:
+        raise ValueError(f"F is tabulated from r_start = {table.s[0]:g}")
+    i, w, cubic = _hermite(table, table.s, x)
+    out = cubic((x - table.s[i]) / w)
+    return float(out) if x.ndim == 0 else out
+
+
+def invert_F(table: FTable, ys, f_inf: DivergenceVerdict) -> np.ndarray:
+    """F^-1 at ``ys`` >= 0: on the interval of ``table`` whose values bracket each y, the
+    least t in [0, 1] of 53-bit resolution at which the cubic of ``eval_F`` reaches y, by
+    bisection (so the result stays in that interval).
+
+    Raises ``FInverseRangeError`` when a value lies beyond the table: at or beyond the
+    limit ``f_inf`` estimates for a convergent F, or else not reached within its reach.
     """
     ys = np.asarray(ys, dtype=float)
     if np.any(ys < 0):
         raise ValueError("inverse queries must be nonnegative")
     y_max = float(ys.max()) if ys.size else 0.0
-    while table.values[-1] < y_max:
+    if not table.values.size or table.values[-1] < y_max:
         if f_inf.verdict == "converges" and f_inf.limit <= y_max:
             raise FInverseRangeError(
                 f"value {y_max:g} is beyond the range of the inverse "
                 f"(estimated F limit {f_inf.limit:g})")
-        if table.t_max >= table.lo * 2.0 ** _F_OCTAVES:
-            raise FInverseRangeError(
-                f"value {y_max:g} not reached within {_F_OCTAVES} octaves of the anchor")
-        table.extend(2.0 * table.t_max)
-    if not np.all(np.diff(table.values) > 0):
-        raise RuntimeError("F table is not strictly increasing; integrand underflowed")
-    return table.inverse(ys)
+        raise FInverseRangeError(f"value {y_max:g} not reached within {table.reach}")
+    i, w, cubic = _hermite(table, table.values, ys)
+    lo, step = np.zeros_like(ys), 1.0
+    for _ in range(53):  # to the resolution of t in [0, 1]
+        step /= 2.0
+        lo = lo + step * (cubic(lo + step) < ys)  # up by step where the cubic is below y
+    return table.s[i] + (lo + step) * w
 
 
 def estimate_F_inf(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
@@ -335,8 +369,9 @@ class TransformTables:
     ``estimate_A_inf``).
 
     F and its tail estimate are made on first use (only the upper bound of a
-    uniform central value reads them); the F table then grows in place as
-    ``eval_F`` and ``invert_F`` need, shared by every central value verified.
+    uniform central value reads them), once for every central value verified:
+    ``build_F`` on the probe layout widened to ``_F_OCTAVES`` octaves, or to as many
+    as stay below the largest double.
     """
 
     A: tuple[np.ndarray, ...]
@@ -345,8 +380,10 @@ class TransformTables:
     probe: ProbeConfig
 
     @functools.cached_property
-    def F(self) -> CumulativeInterpolant:
-        return build_F(self.spec, self.probe)
+    def F(self) -> FTable:
+        # r_start = m * 2^e with m < 1, so r_start * 2^k is finite up to k = 1024 - e
+        octaves = min(_F_OCTAVES, 1024 - math.frexp(self.probe.r_start)[1])
+        return build_F(self.spec, replace(self.probe, horizon_count=octaves))
 
     @functools.cached_property
     def F_inf(self) -> DivergenceVerdict:

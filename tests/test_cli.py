@@ -643,6 +643,32 @@ def test_solve_reports_when_the_F_anchor_is_too_small_to_reach_beta(tmp_path, an
         "upper bound not evaluable: F at 1 lies beyond 60 octaves of the anchor")
 
 
+def test_solve_bounds_a_huge_anchor_within_the_largest_double(tmp_path):
+    # from r_start = 1e300 only 27 octaves stay finite, so the F table stops there; F(s)
+    # = s - r_start for f = 0, and the upper bound is beta itself, as the solution is
+    doc = base_config(grid={"R": 2.0, "M": 100}, probes={"K": 8, "r_start": 1e300}, beta=2e300)
+    doc["problem"]["f"] = ["0"]
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    verification = json.loads((out / "report.json").read_text())["solutions"][0]["verification"]
+    assert code == 0
+    assert verification["upper_margins"] == [0.0] and verification["upper_reason"] == ""
+    rows = (out / "solution_000.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert all(row.endswith(",2e+300,2e+300,2e+300") for row in rows)  # u_1, lb_1 and ub
+
+
+def test_solve_bounds_a_nonlinearity_that_turns_negative_beyond_the_bound(tmp_path):
+    # f = u1 (2e6 - u1) is negative only past 2e6; the upper bound stays near beta, so
+    # the F table that ends before 2e6 serves it, and the solve passes
+    doc = base_config(grid={"R": 2.0, "M": 100})
+    doc["problem"].update(a=["1e-9*(1+r)^(-4)"], f=["u1*(2e6-u1)"])
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    verification = json.loads((out / "report.json").read_text())["solutions"][0]["verification"]
+    assert code == 0 and verification["passed"]
+    assert verification["upper_margins"] is not None and verification["upper_reason"] == ""
+
+
 def test_sweep_ordering_and_linear_scaling(tmp_path):
     doc = base_config(grid={"R": 3.0, "M": 200}, beta=[1.0, 2.0])
     path = write_config(tmp_path, doc)
@@ -793,17 +819,15 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     heads = []
     init = CumulativeInterpolant.__init__
 
-    def counting_init(self, fn, t_max, lo=0.0, intervals=1024):
-        if lo == 0.0:
-            heads.append(t_max)
-        init(self, fn, t_max, lo, intervals)
+    def counting_init(self, fn, t_max, intervals=1024):
+        heads.append(t_max)
+        init(self, fn, t_max, intervals)
 
     queries = []  # interpolations of a table from 0, such as a primitive
     call = CumulativeInterpolant.__call__
 
     def counting_call(self, t):
-        if self.lo == 0.0:
-            queries.append(t)
+        queries.append(t)
         return call(self, t)
 
     monkeypatch.setattr(transforms, "evaluate_array", counting_evaluate)

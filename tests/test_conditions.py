@@ -194,30 +194,40 @@ def test_check_C6_window_end_below_a_tiny_barrier_sum_is_not_capped():
 
 
 def test_classify_reads_F_off_its_probe_without_an_F_table(tmp_path, monkeypatch):
-    assert not {"build_F", "eval_F", "invert_F"} & set(vars(conditions))
-    calls, starts = [], []
-    eval_F = transforms.eval_F
+    # C6's F is build_F on the F probe's own block, already sampled: no nodes of its own
+    # and no new evaluation of f
+    built, evaluations = [], []
+    build_F, evaluate = conditions.build_F, transforms.evaluate_array
 
-    def counted(*args):
-        calls.append(args)
-        return eval_F(*args)
+    def counted_build(spec, probe):
+        before = len(evaluations)
+        table = build_F(spec, probe)
+        built.append((table, probe, len(evaluations) - before))
+        return table
 
-    monkeypatch.setattr(transforms, "eval_F", counted)
-    init = quadrature.CumulativeInterpolant.__init__
-
-    def counted_init(self, fn, t_max, lo=0.0, intervals=1024):
-        starts.append(lo)
-        init(self, fn, t_max, lo, intervals)
-
-    monkeypatch.setattr(quadrature.CumulativeInterpolant, "__init__", counted_init)
+    monkeypatch.setattr(conditions, "build_F", counted_build)
+    monkeypatch.setattr(transforms, "evaluate_array",
+                        lambda e, env: evaluations.append(e) or evaluate(e, env))
     config = Path(__file__).resolve().parent.parent / "configs" / "bounded_cubic.json"
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(["classify", "--config", str(config), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["classification"]["conditions"]["C6"]["status"] == "holds"
-    assert calls == []
-    # an F table starts at r_start; the primitive heads from 0 are all that is left
-    assert starts and all(lo == 0.0 for lo in starts)
+    [(table, probe, new_evaluations)] = built
+    block = quadrature.probe_block(probe.r_start, probe)
+    assert table.s.base is block and len(table.s) == len(block)
+    assert new_evaluations == 0
+
+
+@pytest.mark.parametrize("f", ["1/(1+u1)", "1/(1+u1) + 0*exp(u1)"])
+def test_classify_notes_a_decrease_before_a_domain_error(f):
+    # exp(u1) overflows past s = 709, inside the block, so f is read up to the octave
+    # edge before that, as the F probe reads it; the decrease shows there all the same
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "(1+r)^-4", f)
+    result = classify(spec)
+    assert result.theorem == "inconclusive"
+    assert ("f[0] decreases on the diagonal near s = 1, against the monotonicity every "
+            "theorem assumes") in result.notes
 
 
 def test_check_C6_reuses_the_F_probes_samples_of_f(monkeypatch):

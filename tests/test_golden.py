@@ -50,21 +50,21 @@ GOLDEN = {
     "solve_sinh_oracle/report.json":
         "e8058708ae9afe901db1f0be73fe854405590cf9437726ea59050d48b4ecba51",
     "solve_sinh_oracle/solution_000.csv":
-        "7338364835b3aa3fdcb31b105ce6601d8b404c1b7def29d9c08a10991feec6c5",
+        "b7e9429b1b2e5eda299aaa8411ef6bad6537b82af897d5b80e30b1c2a3878745",
     "solve_bounded_cubic": 0,
     "solve_bounded_cubic/report.json":
         "ccc8c23ffe9083ec0346ac3d7a4776468bc25c9b7db10b6446cc28d6fbae5f97",
     "solve_bounded_cubic/solution_000.csv":
-        "c2daeac9b79763626448462d2f26ccd41427021821ddac8e4bbc0dc83e624f74",
+        "2cddf92fa3129a9e0b3152e1703439c7eddb2f843ad84754dc4800a998b93419",
     "sweep_coupled_sweep": 0,
     "sweep_coupled_sweep/report.json":
-        "f81aab7e4f66c42e000098471e66e2758320fffd3141683b12eb849361de6fd0",
+        "98d1a5ae16883b54b15d27590d3009b044de9247102c58adaab31b4cbbcac755",
     "sweep_coupled_sweep/solution_000.csv":
-        "c3e48feaff585ec7ee6ee726e3451fabd4360329934b238ac5cc6fd3a60a1209",
+        "6c41f922dea4e462d894b0b63ba1924a921914969aeb0f38378fdb65cbd4b197",
     "sweep_coupled_sweep/solution_001.csv":
-        "c13176158edef39dea3c504796ad30b78071e864561ef2688cba9dbb0b0eb03f",
+        "7d4559a923f08b4312db2cce22cbb38d2bb6a5e7e15c94d73a3aa67c4db518ea",
     "sweep_coupled_sweep/solution_002.csv":
-        "0ef38893c629866fbd2944e4e023cff0c61ff4fd1cf31ca1694b776269cb354e",
+        "5be000a3660f12eec151eed247c147fd8440dd07cae82a46f94a3876c812fd3d",
     "sweep_coupled_sweep/sweep_table.csv":
         "8feaa8bfa6fccadd297094e05bc5a3cb373588e59f79c94e17bdebd6b12b9dd5",
 }

@@ -179,6 +179,22 @@ def test_upper_bound_starts_at_d_beta():
     assert rep.upper_margins == pytest.approx((-2.0, -2.0), rel=1e-12)
 
 
+def test_upper_curve_matches_its_closed_form_beyond_the_probe_horizon():
+    # F(s) = ln((1 + 2s) / 3) / 2 for f = (u2, u1), so the upper bound is
+    # (3 e^(2y) - 1) / 2 with y = F(2 beta) + sum_j A_j(r); at R = 4 it reaches about
+    # 2e5, far past the probe horizon r_start * 2^10
+    spec = ProblemSpec.from_strings(3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"],
+                                    ["u2", "u1"])
+    grid = RadialGrid(4.0, 400)
+    tables = build_transform_tables(spec, grid)
+    bundle = iterate(spec, grid, CentralValues.uniform(2.0, 2), tol=1e-10)
+    rep = verify_bounds(bundle, tables, spec)
+    y = 0.5 * np.log(3.0) + np.sum(tables.A, axis=0)
+    assert rep.upper_curve[-1] > 1e5
+    np.testing.assert_allclose(rep.upper_curve, (3.0 * np.exp(2.0 * y) - 1.0) / 2.0,
+                               rtol=1e-9, atol=0.0)
+
+
 def test_bounds_degenerate_zero_source():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "0", "u1")
     grid = RadialGrid(2.0, 64)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 
 from radsolve.quadrature import (
-    CumulativeInterpolant,
     ProbeConfig,
     RadialGrid,
     cumulative_simpson,
@@ -137,7 +136,6 @@ def test_A_scales_linearly_with_source_when_p_is_2(c):
 def test_F_closed_form_log():
     table = build_F(linear_spec())
     assert abs(eval_F(table, 3.0) - LN2) < 1e-8
-    assert np.max(np.diff(table.s[table.s <= 4.0])) <= 1e-3
 
 
 def test_F_unit_integrand_for_zero_nonlinearity():
@@ -153,7 +151,7 @@ def test_F_starts_where_the_probes_start():
     probe = ProbeConfig(r_start=0.25)
     tables = build_transform_tables(spec, RadialGrid(1.0, 16), probe)
     for table in (build_F(spec, probe), tables.F):
-        assert table.lo == 0.25
+        assert table.s[0] == 0.25
         assert eval_F(table, 3.0) == pytest.approx(2.75, abs=1e-12)
     assert estimate_F_inf(spec, probe).horizons[0] == 0.5  # its first octave edge
 
@@ -161,8 +159,7 @@ def test_F_starts_where_the_probes_start():
 def test_F_strictly_increasing():
     table = build_F(ProblemSpec.from_strings(3, 2, [2.0, 3.0], ["0", "0"],
                                              ["1", "1"], ["u1^2", "u1 + u2"]))
-    eval_F(table, 6.0)
-    assert table.t_max >= 6.0
+    assert table.s[-1] >= 6.0
     assert np.all(np.diff(table.values) > 0.0)
 
 
@@ -177,29 +174,36 @@ F_CLOSED_FORMS = (
 
 @pytest.mark.parametrize("spec, exact", F_CLOSED_FORMS)
 def test_F_table_and_inverse_match_closed_form_up_to_2e5(spec, exact):
-    table = build_F(spec)
-    eval_F(table, 2e5)
+    table = build_transform_tables(spec, RadialGrid(1.0, 16)).F  # 60 octaves from r_start = 1
     nodes = table.s[table.s <= 2e5]
     # nodes carry the quadrature error, midpoints the interpolation error too
     s = np.concatenate([nodes, (nodes[:-1] + nodes[1:]) / 2.0])
-    assert np.max(np.abs(eval_F(table, s) - exact(s))) <= 1e-8
+    assert np.max(np.abs(eval_F(table, s) - exact(s))) <= 1e-9
     s_back = invert_F(table, exact(s), estimate_F_inf(spec))
-    assert np.max(np.abs(s_back - s) / s) <= 1e-8
+    assert np.max(np.abs(s_back - s) / s) <= 1e-9
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in F_CLOSED_FORMS])
-def test_F_table_grown_by_octaves_equals_one_built_at_once(spec):
-    grown = build_F(spec)
-    intervals = len(grown.s) - 1  # one octave
-    for k in range(2, 19):
-        eval_F(grown, 2.0 ** k)
-    extended_once = build_F(spec)
-    extended_once.extend(2.0 ** 18)
-    built_once = CumulativeInterpolant(spec.diagonal_integrand(), 2.0 ** 18,
-                                       lo=ProbeConfig().r_start, intervals=intervals)
-    for table in (extended_once, built_once):
-        assert np.array_equal(table.s, grown.s)
-        assert np.array_equal(table.values, grown.values)
+def test_F_table_on_the_widened_layout_extends_the_probes_F_table(spec):
+    # one F quadrature: the upper bound's table over 60 octaves holds, bit for bit on
+    # its first K octaves, the table that C6 reads off the F probe's block
+    probe_F = build_F(spec)
+    wide = build_transform_tables(spec, RadialGrid(1.0, 16)).F
+    assert len(probe_F.s) == 10 * 256 + 1 and len(wide.s) == 60 * 256 + 1
+    assert (probe_F.reach, wide.reach) == ("10 octaves of the anchor", "60 octaves of the anchor")
+    for name in ("s", "values", "slopes"):
+        assert np.array_equal(getattr(wide, name)[:len(probe_F.s)], getattr(probe_F, name))
+
+
+def test_F_table_ends_before_a_nonlinearity_turns_negative():
+    # f = u1 (2e6 - u1) is negative past 2e6: F stops at the octave edge 2^20 before,
+    # and a query beyond says why instead of the solve failing on a value it never needs
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1*(2e6-u1)")
+    table = build_transform_tables(spec, RadialGrid(1.0, 16)).F
+    assert table.s[-1] == 2.0 ** 20
+    with pytest.raises(FInverseRangeError, match=r"F at 4e\+06 lies beyond 20 octaves of the "
+                       r"anchor \(f\[0\] takes negative values on \[1\.04858e\+06, "):
+        eval_F(table, 4e6)
 
 
 def test_invert_F_round_trip():
@@ -217,12 +221,15 @@ def test_invert_F_known_value():
     assert abs(float(s[0]) - 3.0) < 1e-6
 
 
-def test_invert_F_linear_case_auto_extends():
+def test_invert_F_linear_case_up_to_the_tables_reach():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
-    table = build_F(spec)
-    s = invert_F(table, np.array([100.0]), estimate_F_inf(spec))  # F(s) = s - 1: s = 101
+    table, f_inf = build_F(spec), estimate_F_inf(spec)
+    s = invert_F(table, np.array([100.0]), f_inf)  # F(s) = s - 1: s = 101
     assert float(s[0]) == pytest.approx(101.0, abs=1e-9)
-    assert table.t_max >= 101.0
+    with pytest.raises(FInverseRangeError, match="not reached within 10 octaves of the anchor"):
+        invert_F(table, np.array([2000.0]), f_inf)  # F(2^10) = 1023
+    with pytest.raises(FInverseRangeError, match="F at 2000 lies beyond 10 octaves"):
+        eval_F(table, 2000.0)
 
 
 def test_invert_F_beyond_finite_range():
