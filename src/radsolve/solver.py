@@ -5,12 +5,14 @@ Starting from the constant central values, each sweep applies
     u_j <- beta_j + integral_0^r ( (1/H_j(t)) *
               integral_0^t H_j a_j f_j(u_1, .., u_d) ds )^(1/(p_j-1)) dt
 
-with every component update reading the frozen previous iterate (a Jacobi
-sweep).  The nested ratio is ``transforms.RadialKernel.ratio`` with f_j at the
-iterate as its source, the same kernel whose f = 1 case is the barrier A_j.
+in Gauss-Seidel order: u_j reads u_1 .. u_{j-1} from this sweep, the rest from
+the last one.  The nested ratio is ``transforms.RadialKernel.ratio`` with f_j at
+the iterate as its source, the same kernel whose f = 1 case is the barrier A_j.
 For nondecreasing nonnegative nonlinearities the discrete operator preserves
-order, so the iterates form a nodewise nondecreasing sequence; the loop stops
-when the sup-norm update falls below the tolerance.
+order, so every value read lies between the last sweep's and the minimal fixed
+point: the iterates are nondecreasing lower bounds of it, each at least the
+Jacobi iterate of its sweep.  The loop stops when the sup-norm update falls
+below the tolerance.
 
 Verification is two-sided: the sandwich bounds built from the barrier and
 growth-scale tables, and a residual pair (the integral-equation identity as
@@ -123,10 +125,13 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
     """Run the monotone iteration until the sup-norm update is at most ``tol``,
     on the components' ``kernels`` on ``grid`` (built here when not given).
 
-    The iterates are nondecreasing in the iteration index for a nondecreasing f; a
-    raw nodewise dip beyond rounding raises ``IterateDecreaseError`` (a decreasing
-    f_j, or a broken kernel).  A sweep that leaves a value inf or NaN
-    raises ``IterateOverflowError`` naming the sweep and the first such node.
+    A sweep updates u_1 .. u_d in turn, each reading the components before it
+    from this sweep; ``iterations`` counts whole sweeps.  For a nondecreasing f the
+    iterates are nondecreasing lower bounds of the minimal fixed point; a raw
+    nodewise dip beyond rounding raises ``IterateDecreaseError`` (a decreasing
+    f_j, or a broken kernel).  A component that leaves a value inf or NaN raises
+    ``IterateOverflowError`` naming the sweep and its first such node, before a
+    later component reads it.
     Hitting ``max_iter`` returns a bundle flagged as non-converged (no fixed
     point found at this tolerance), which is a report outcome, not evidence
     of non-existence.
@@ -142,26 +147,31 @@ def iterate(spec: ProblemSpec, grid: RadialGrid, central: CentralValues,
     worst_dip = 0.0
     while iterations < max_iter:
         iterations += 1
-        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-            u_next = [_operator(spec, k, u, central, j) for j, k in enumerate(kernels)]
-            # a finite sum means finite values; only a non-finite one needs the exact scan
-            scan = not all(np.isfinite(np.add.reduce(x, axis=None)) for x in u_next)
-        if scan and (bad := ~np.isfinite(u_next)).any():
-            r = float(grid.nodes[int(np.argmax(bad.any(axis=0)))])
-            raise IterateOverflowError(
-                f"iterate not finite at sweep {iterations} near r = {r:g}; "
-                "the solution leaves the floating-point range before the horizon")
-        # one difference per component, held one at a time: its least and greatest step
-        lows, highs = zip(*((float(s.min()), float(s.max())) for s in map(np.subtract, u_next, u)))
+        u_next = list(u)
+        steps = []  # per component: its least and greatest step
+        for j, k in enumerate(kernels):
+            with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+                x = _operator(spec, k, u_next, central, j)
+                # a finite sum means finite values; only a non-finite one needs the exact scan
+                scan = not np.isfinite(np.add.reduce(x, axis=None))
+            if scan and (bad := ~np.isfinite(x)).any():
+                r = float(grid.nodes[int(np.argmax(bad))])
+                raise IterateOverflowError(
+                    f"iterate not finite at sweep {iterations} near r = {r:g}; "
+                    "the solution leaves the floating-point range before the horizon")
+            step = x - u[j]
+            steps.append((float(step.min()), float(step.max())))
+            del step  # not held through the next component's operator
+            # keep the recorded sequence exactly nondecreasing (dips are rounding noise)
+            u_next[j] = np.maximum(x, u[j], out=x)
+        lows, highs = zip(*steps)
         dip = min(lows)
         worst_dip = min(worst_dip, dip)
         scale = 1.0 + max(float(np.max(np.abs(x))) for x in u_next)
         if dip < -_MONOTONE_SLACK * scale:
             raise IterateDecreaseError(
                 f"iterate decreased by {-dip:g} at some node; the monotone structure is broken")
-        # keep the recorded sequence exactly nondecreasing (dips are rounding noise)
-        u_next = [np.maximum(nxt, cur) for nxt, cur in zip(u_next, u)]
-        update = max(max(highs), 0.0)  # the greatest step of u_next over u
+        update = max(max(highs), 0.0)  # the greatest step of this sweep over the last
         u = u_next
         if update <= tol:
             break

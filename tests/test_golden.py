@@ -58,15 +58,15 @@ GOLDEN = {
         "2cddf92fa3129a9e0b3152e1703439c7eddb2f843ad84754dc4800a998b93419",
     "sweep_coupled_sweep": 0,
     "sweep_coupled_sweep/report.json":
-        "98d1a5ae16883b54b15d27590d3009b044de9247102c58adaab31b4cbbcac755",
+        "2cb4c66a34373d5d961728cb22f33b514fd96dd850aa54f47a966705ce68608c",
     "sweep_coupled_sweep/solution_000.csv":
-        "6c41f922dea4e462d894b0b63ba1924a921914969aeb0f38378fdb65cbd4b197",
+        "a7ac9bf74f12d2c4d15710c76498c0ae31a91b00123d194816c76d2763e3376e",
     "sweep_coupled_sweep/solution_001.csv":
-        "7d4559a923f08b4312db2cce22cbb38d2bb6a5e7e15c94d73a3aa67c4db518ea",
+        "c3f3b880684e4828aedc393850df41e371bbd1bd6937fc1cd17ed2039d7791ea",
     "sweep_coupled_sweep/solution_002.csv":
-        "5be000a3660f12eec151eed247c147fd8440dd07cae82a46f94a3876c812fd3d",
+        "82f078954d8fceee27d198d086b96992dc2200fff917e0c9c9a9cd7e7e774cc7",
     "sweep_coupled_sweep/sweep_table.csv":
-        "8feaa8bfa6fccadd297094e05bc5a3cb373588e59f79c94e17bdebd6b12b9dd5",
+        "657cfd944030333b9c8b11b35f2a4899625c670b1c2e15e437b0d3fa6f1379ed",
 }
 
 

@@ -1,13 +1,17 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from radsolve.cli import load_config
 from radsolve.quadrature import ProbeConfig, RadialGrid
 from radsolve.solver import (CentralValues, IterateDecreaseError, IterateOverflowError,
-                             SolutionBundle, iterate, residual, verify_bounds, verify_solution)
+                             SolutionBundle, _operator, iterate, residual, verify_bounds,
+                             verify_solution)
 from radsolve.transforms import (
     ProblemSpec,
+    RadialKernel,
     build_A,
     build_transform_tables,
     eval_F,
@@ -80,13 +84,77 @@ def test_sinh_oracle_medium_grid():
 
 
 def test_symmetric_pair_reduces_to_the_scalar_oracle():
+    # in Gauss-Seidel order the pair f = (u2, u1) runs the scalar iteration of
+    # f = u1 twice per sweep: after k sweeps u_1 is its iterate after 2k - 1
+    # sweeps and u_2 its iterate after 2k, bit for bit
     spec = ProblemSpec.from_strings(3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"],
                                     ["u2", "u1"])
     grid = RadialGrid(5.0, 1000)
+
+    def scalar(sweeps):
+        return iterate(linear_spec(), grid, CentralValues.uniform(1.0, 1), tol=1e-300,
+                       max_iter=sweeps).u[0]
+
+    for k in range(1, 6):
+        bundle = iterate(spec, grid, CentralValues.uniform(1.0, 2), tol=1e-300, max_iter=k)
+        assert bundle.iterations == k
+        assert np.array_equal(bundle.u[0], scalar(2 * k - 1))
+        assert np.array_equal(bundle.u[1], scalar(2 * k))
     bundle = iterate(spec, grid, CentralValues.uniform(1.0, 2), tol=1e-10)
-    assert np.array_equal(bundle.u[0], bundle.u[1])
+    assert bundle.converged and bundle.iterations == 8
+    assert np.array_equal(bundle.u[0], scalar(15)) and np.array_equal(bundle.u[1], scalar(16))
     exact = series_sinh_over_r(grid.nodes)
-    assert np.max(np.abs(bundle.u[0] - exact) / exact) < 1e-4
+    for x in bundle.u:
+        assert np.max(np.abs(x - exact) / exact) < 1e-4
+
+
+def stress_instance():
+    """The benchmark's d = 3 stress instance on M = 20000 (one grid array is 0.15 MB)."""
+    spec = ProblemSpec.from_strings(3, 3, [2.0, 2.5, 1.6], ["0.5/(1+r)", "0.1", "0.2*exp(-r)"],
+                                    ["4", "4", "exp(-r)"],
+                                    ["u2 + sqrt(u3)", "0.5*u1 + sqrt(u3)", "0.2*u1 + sqrt(u2)"])
+    return spec, RadialGrid(20.0, 20000), CentralValues((1.0, 1.5, 2.0))
+
+
+def jacobi_sweeps(spec, grid, central, max_iter=100):
+    """The monotone iteration in Jacobi order, every component reading the last
+    sweep's iterate, clamped as ``iterate`` clamps: yields each sweep's iterate and
+    its greatest step."""
+    kernels = [RadialKernel(spec, j, grid.nodes) for j in range(spec.d)]
+    u = [np.full(len(grid), b) for b in central.values]
+    for _ in range(max_iter):
+        nxt = [np.maximum(_operator(spec, k, u, central, j), u[j]) for j, k in enumerate(kernels)]
+        update = max(float(np.max(x - y)) for x, y in zip(nxt, u))
+        u = nxt
+        yield u, update
+
+
+def _coupled_sweep_cases():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "coupled_sweep.json")
+    return [(cfg.spec, cfg.grid, beta, 7, 12) for beta in cfg.betas]
+
+
+@pytest.mark.parametrize("spec, grid, central, sweeps, jacobi",
+                         [(*stress_instance(), 15, 28), *_coupled_sweep_cases()],
+                         ids=["stress", "coupled_beta_1", "coupled_beta_1.5", "coupled_beta_2"])
+def test_gauss_seidel_sweeps_dominate_the_jacobi_sweeps(spec, grid, central, sweeps, jacobi):
+    # both orders rise from the central values to the same minimal fixed point;
+    # the Gauss-Seidel iterate is at least the Jacobi one after every sweep
+    # (Pao's comparison of monotone iterations), and gets there in fewer sweeps
+    tol = 1e-10
+    reference = jacobi_sweeps(spec, grid, central)
+    for k in range(1, 12):
+        ref, _ = next(reference)
+        got = iterate(spec, grid, central, tol=1e-300, max_iter=k)
+        assert got.iterations == k or got.final_update == 0.0  # an exact fixed point stops
+        assert all(np.all(x >= y) for x, y in zip(got.u, ref))
+    for k, (ref, update) in enumerate(reference, start=12):
+        if update <= tol:
+            break
+    assert k == jacobi
+    bundle = iterate(spec, grid, central, tol=tol)
+    assert bundle.converged and bundle.iterations == sweeps
+    assert max(float(np.max(np.abs(x - y))) for x, y in zip(bundle.u, ref)) <= 10 * tol
 
 
 def test_iterates_and_solution_are_monotone():
@@ -114,15 +182,19 @@ def test_non_convergence_is_flagged_not_raised():
 def test_an_overflowing_iterate_raises_at_its_first_non_finite_sweep():
     # beta * sinh(r)/r leaves the double range beyond r = 717, inside R = 800:
     # the iterates overflow on their way up, and iterate names the first sweep
-    # and node where one does instead of sweeping on over inf and NaN
+    # and node where one does instead of sweeping on over inf and NaN.  In the
+    # pair, u_1 overflows first, and the sweep stops before f_2 = 0.5*u1 reads it
     grid = RadialGrid(800.0, 4000)
-    with pytest.raises(IterateOverflowError, match=r"at sweep 223 near r = 799\.4;") as info:
-        iterate(linear_spec(), grid, CentralValues.uniform(1.0, 1))
-    assert isinstance(info.value, ArithmeticError)
-    # every bundle that iterate returns holds finite values, one per grid node
-    bundle = iterate(linear_spec(), grid, CentralValues.uniform(1.0, 1), max_iter=222)
-    assert not bundle.converged
-    assert all(x.shape == (len(grid),) and np.all(np.isfinite(x)) for x in bundle.u)
+    pair = ProblemSpec.from_strings(3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"], ["u1", "0.5*u1"])
+    for spec in (linear_spec(), pair):
+        central = CentralValues.uniform(1.0, spec.d)
+        with pytest.raises(IterateOverflowError, match=r"at sweep 223 near r = 799\.4;") as info:
+            iterate(spec, grid, central)
+        assert isinstance(info.value, ArithmeticError)
+        # every bundle that iterate returns holds finite values, one per grid node
+        bundle = iterate(spec, grid, central, max_iter=222)
+        assert not bundle.converged
+        assert all(x.shape == (len(grid),) and np.all(np.isfinite(x)) for x in bundle.u)
 
 
 def test_central_values_validation():
@@ -259,15 +331,11 @@ def test_verify_solution_end_to_end():
 
 
 def test_verify_solution_on_the_stress_grid_peaks_at_a_few_grid_arrays():
-    # the benchmark's d = 3 stress instance on M = 20000 (one grid array is 0.15 MB),
-    # with a stand-in solution: the memory does not depend on the values.  Holding
-    # every component's operator value and the bound curves through the residual
-    # peaked at 2.31 MB; one component at a time, the curves after it, at 1.09 MB
-    spec = ProblemSpec.from_strings(3, 3, [2.0, 2.5, 1.6], ["0.5/(1+r)", "0.1", "0.2*exp(-r)"],
-                                    ["4", "4", "exp(-r)"],
-                                    ["u2 + sqrt(u3)", "0.5*u1 + sqrt(u3)", "0.2*u1 + sqrt(u2)"])
-    grid = RadialGrid(20.0, 20000)
-    central = CentralValues((1.0, 1.5, 2.0))
+    # the stress instance with a stand-in solution: the memory does not depend on
+    # the values.  Holding every component's operator value and the bound curves
+    # through the residual peaked at 2.31 MB; one component at a time, the curves
+    # after it, at 1.09 MB
+    spec, grid, central = stress_instance()
     tables = build_transform_tables(spec, grid)
     u = tuple(b + grid.nodes ** 2 for b in central.values)
     bundle = SolutionBundle(grid, central, u, 1, 0.0, True, 1e-10, True, float(np.max(u[2])))
