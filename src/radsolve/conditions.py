@@ -18,10 +18,11 @@ inconclusive overall verdict.
 The module also houses stand-alone checkers for two classical blow-up
 criteria of the p-Laplacian, each at a component's own p (the Keller-Osserman
 test, the integral of P^(-1/p) with P the primitive of f, from the probe block's
-samples of f, and the reciprocal test, the integral of f^(-1/(p-1))), two
-implication cross-checks against the divergence of F, which are the same tests at
-min_p, and the nested-integral criterion for the sublinear two-component Laplacian
-system (which the solver can cross-check).
+samples of f and those on the head [0, r_start] of the block from 0, and the
+reciprocal test, the integral of f^(-1/(p-1))), two implication cross-checks against
+the divergence of F, which are the same tests at min_p, and the nested-integral
+criterion for the sublinear two-component Laplacian system (which the solver can
+cross-check), whose nested integrals are running Simpson sums on the block from 0.
 
 Every probe here (F, the barriers, the growth tests, the Lair integrals) is read by
 ``quadrature.probe_samples`` on a shared ``probe_block``, by Simpson's rule; a domain error,
@@ -42,11 +43,11 @@ import numpy as np
 
 from .exprlang import Expr, ExprError, evaluate_array
 from .quadrature import (
-    CumulativeInterpolant,
     DivergenceVerdict,
     ProbeConfig,
     SharedSamples,
     classify_tail,
+    cumulative_simpson,
     probe_block,
     probe_divergence,
     probe_samples,
@@ -328,8 +329,9 @@ def check_keller_osserman(f_diag: Callable, p: float,
     """Probe the Keller-Osserman test of Delta_p u = f(u) (Keller 1957, Osserman 1957), dt /
     P(t)^(1/p) from ``probe.r_start``, P the primitive of f from 0 on the probe block
     (``SharedSamples.primitive``, once per block for ``spec.diagonal(j)``): its divergence
-    allows blow-up solutions.  A primitive that vanishes or cannot be computed makes the
-    verdict inconclusive with a note."""
+    allows blow-up solutions.  f is sampled at 0, so it must be finite there, as the paper
+    assumes; a primitive that vanishes or cannot be computed makes the verdict
+    inconclusive with a note."""
     shared = f_diag if isinstance(f_diag, SharedSamples) else SharedSamples(f_diag)
     primitive, why = shared.primitive(probe)
     with np.errstate(divide="ignore"):
@@ -415,32 +417,27 @@ def check_lair_proposition(inst: LairInstance,
     """Probe the pair of nested integrals whose joint divergence predicts an
     explosive solution of the two-component system.
 
-    Each integrand is t * a_out(t) * (t^(2-N) * nested(t))^exponent where
-    nested stacks two weighted primitives of the other coefficient; ``probe_samples``
-    reads its ``sample_block`` from 0, up to a domain error or a negative value (a
-    negative coefficient), which makes that side inconclusive.
+    Each integrand is t * a_out(t) * (t^(2-N) * nested(t))^exponent where nested stacks
+    two weighted primitives of the other coefficient, both ``cumulative_simpson`` on
+    ``probe_block(0, probe)``, the nodes where ``probe_samples`` reads the integrand.  A
+    domain error of either coefficient, or a negative or NaN value (a negative
+    coefficient), ends that side's probe and makes it inconclusive.
     Outside the sublinear exponent range the probes still run, but the prediction
     is not theorem-backed; callers should consult ``within_sublinear_range``.
     """
+    nodes = probe_block(0.0, probe)
+
     def one_side(a_out: Expr, a_in: Expr, expo: float) -> DivergenceVerdict:
         try:
-            inner = CumulativeInterpolant(
-                lambda tau: tau * evaluate_array(a_in, {"r": np.asarray(tau, float)}),
-                probe.t_max)
-            nested = CumulativeInterpolant(lambda s: s ** (inst.N - 3) * inner(s), probe.t_max)
-        except (ExprError, ValueError) as err:
+            inner = cumulative_simpson(nodes, nodes * evaluate_array(a_in, {"r": nodes}))
+        except ExprError as err:
             return DivergenceVerdict("inconclusive", note=f"nested kernel not probeable: {err}")
-
-        def integrand(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            pos = t > 0
-            tp = t[pos]
-            av = evaluate_array(a_out, {"r": tp})
-            out[pos] = tp * av * np.power(tp ** (2.0 - inst.N) * nested(tp), expo)
-            return out
-
-        return probe_samples(*sample_block(integrand, 0.0, probe), probe, 0.0)
+        nested = cumulative_simpson(nodes, nodes ** (inst.N - 3) * inner)
+        ratio = np.concatenate([[0.0], nodes[1:] ** (2.0 - inst.N) * nested[1:]])  # 0 at t = 0
+        values, why = sample_block(lambda t: t * evaluate_array(a_out, {"r": t}), 0.0, probe)
+        with np.errstate(invalid="ignore"):  # a negative a_in: NaN, where the probe ends
+            values = values * np.power(ratio[:len(values)], expo)
+        return probe_samples(values, why, probe, 0.0)
 
     return (one_side(inst.a1, inst.a2, inst.alpha),
             one_side(inst.a2, inst.a1, inst.beta_exp))
@@ -456,14 +453,6 @@ def _power_of(e: Expr, var: str) -> float | None:
     return None
 
 
-def _is_zero_expr(e: Expr) -> bool:
-    sample = np.linspace(0.0, 16.0, 65)
-    try:
-        return bool(np.all(evaluate_array(e, {"r": sample}) == 0.0))
-    except ExprError:
-        return False
-
-
 def match_lair_form(spec: ProblemSpec) -> LairInstance | None:
     """Recognize the two-component pure-Laplacian cross-power shape.
 
@@ -473,7 +462,7 @@ def match_lair_form(spec: ProblemSpec) -> LairInstance | None:
     """
     if spec.d != 2 or spec.p != (2.0, 2.0):
         return None
-    if not (_is_zero_expr(spec.h[0]) and _is_zero_expr(spec.h[1])):
+    if not all(h.kind == "num" and h.value == 0 for h in spec.h):
         return None
     alpha = _power_of(spec.f[0], "u2")
     beta_exp = _power_of(spec.f[1], "u1")

@@ -3,17 +3,12 @@
 ``cumulative_trapezoid`` is the composite trapezoid running integral of given
 node values (exact for affine integrands), the solver's.  ``cumulative_simpson`` is the
 probes' fourth-order one on an even number of intervals: Simpson's rule over pairs of
-intervals, and the three-point rule at the odd nodes between them.  The product rule
+intervals, and the three-point rule at the odd nodes between them.  F, the primitive of the
+Keller-Osserman test and the Lair checker's nested integrals are such Simpson sums on probe
+blocks (from 0, a block's head holds 2n intervals on [0, r_start]).  The product rule
 for the nested radial kernels, which integrates ``s^(N-1) * w(s)`` with exact monomial
 moments, lives in ``transforms.RadialKernel``, where its node-only factors are
 computed once per grid.
-
-``CumulativeInterpolant`` is the running-integral table of a callable from 0,
-where no probe block samples it: two-point Gauss segment integrals on
-``octave_nodes`` (so the callable is never evaluated at 0) and linear
-interpolation between nodes.  The head of the Keller-Osserman primitive over
-[0, r_start] and the nested integrals of the Lair checker read it; F does not
-(``transforms.build_F`` takes F off a probe block by ``cumulative_simpson``).
 
 Improper integrals are probed on geometric horizons ``start * 2^k`` on one layout,
 ``probe_block``: the contiguous ``octave_nodes`` of the probe's octaves (from ``start``,
@@ -52,7 +47,6 @@ __all__ = [
     "usable_samples",
     "classify_tail",
     "octave_nodes",
-    "CumulativeInterpolant",
     "SharedSamples",
 ]
 
@@ -354,34 +348,6 @@ def octave_nodes(t_max: float, lo: float = 0.0, intervals: int = 1024,
     return np.concatenate(pieces)
 
 
-class CumulativeInterpolant:
-    """Running integral of ``fn`` from 0, tabulated on ``octave_nodes``.
-
-    ``s`` holds the nodes and ``values`` the running integral there, built
-    from a two-point Gauss rule per interval, so ``fn`` is never evaluated
-    outside (0, t_max).  Between nodes the integral is linear.
-    """
-
-    def __init__(self, fn: Callable, t_max: float, intervals: int = 1024):
-        self.s = octave_nodes(t_max, intervals=intervals)
-        mid, half = (self.s[:-1] + self.s[1:]) / 2.0, np.diff(self.s) / 2.0
-        off = half / np.sqrt(3.0)
-        xs = np.concatenate([mid - off, mid + off])
-        vals = _eval_segment(fn, xs)
-        if not np.all(np.isfinite(vals)):
-            bad = float(xs[int(np.argmax(~np.isfinite(vals)))])
-            raise ValueError(f"integrand not finite near t = {bad:g}")
-        segs = half * (vals[:len(mid)] + vals[len(mid):])
-        self.values = np.cumsum(np.concatenate([[0.0], segs]))
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0) or np.any(t_arr > self.s[-1] * (1 + 1e-12)):
-            raise ValueError(f"query outside [0, {self.s[-1]:g}]")
-        out = np.interp(t_arr, self.s, self.values)
-        return float(out) if t_arr.ndim == 0 else out
-
-
 class SharedSamples:
     """``fn`` evaluated once per read-only array such as a probe block, and its
     ``primitive`` once per block: kept by identity, with the array held so that
@@ -407,14 +373,17 @@ class SharedSamples:
     def primitive(self, cfg: ProbeConfig) -> tuple[np.ndarray, str]:
         """P(t) = integral of ``fn`` over [0, t] on ``probe_block(cfg.r_start, cfg)``, up to the
         last octave edge before ``fn`` is unusable, and why ("primitive not computable: ...";
-        "" if it is usable throughout): the Gauss rule of ``CumulativeInterpolant`` on [0,
-        r_start], which never evaluates ``fn`` at 0, plus ``cumulative_simpson`` of the block's
-        samples."""
+        "" if it is usable throughout): Simpson's rule on the head of ``probe_block(0, cfg)``,
+        2n intervals on [0, r_start] (so ``fn`` is sampled at 0 and must be finite there),
+        plus ``cumulative_simpson`` of the block's samples."""
         block = _block(cfg.r_start, cfg, None)
         nodes, key = block[0], ("primitive", id(block[0]))
         if self._values.get(key, (None,))[0] is not nodes:
             try:
-                head = CumulativeInterpolant(self, float(nodes[0])).values[-1]
+                xs = _block(0.0, cfg, None)[3][0]  # read-only, so sampled once
+                head = _simpson_pairs(xs, _eval_segment(self, xs)).sum()
+                if not np.isfinite(head):
+                    raise ValueError(f"integral over [0, {cfg.r_start:g}] not finite")
                 ys, why = _usable(*sample_block(self, cfg.r_start, cfg), block)
             except (ExprError, ArithmeticError, ValueError) as err:
                 ys, why, head = np.empty(0), str(err), 0.0

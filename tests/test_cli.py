@@ -22,7 +22,7 @@ from radsolve.cli import (
     write_solution_csv,
 )
 from radsolve import cli, conditions, quadrature, transforms
-from radsolve.quadrature import CumulativeInterpolant, RadialGrid
+from radsolve.quadrature import RadialGrid
 
 
 def base_config(**overrides):
@@ -798,7 +798,7 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     # d = 2: the F tail probe, Ye-Zhou and the reciprocal-power remark run on the
     # same block of octave nodes and share the f_j samples; Keller-Osserman and the
     # primitive-root remark share one primitive on that block, made from those
-    # samples and one head table
+    # samples and the samples on the head [0, r_start] of the block from 0
     doc = base_config()
     doc["problem"].update(d=2, p=[2.0, 3.0], h=["0", "0.1"], a=["1", "1"],
                           f=["u2 + 1", "u1^2"])
@@ -811,43 +811,28 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
 
     def counting_evaluate(e, env):
         arrays = list(env.values())
-        if len(env) == 2 and arrays[0] is arrays[1] and not arrays[0].flags.writeable:
+        if len(env) == 2 and arrays[0] is arrays[1]:
             key = (id(e), id(arrays[0]))
             samples.setdefault(key, [arrays[0], 0])[1] += 1
         return evaluate(e, env)
 
-    heads = []
-    init = CumulativeInterpolant.__init__
-
-    def counting_init(self, fn, t_max, intervals=1024):
-        heads.append(t_max)
-        init(self, fn, t_max, intervals)
-
-    queries = []  # interpolations of a table from 0, such as a primitive
-    call = CumulativeInterpolant.__call__
-
-    def counting_call(self, t):
-        queries.append(t)
-        return call(self, t)
-
     monkeypatch.setattr(transforms, "evaluate_array", counting_evaluate)
-    monkeypatch.setattr(quadrature.CumulativeInterpolant, "__init__", counting_init)
-    monkeypatch.setattr(quadrature.CumulativeInterpolant, "__call__", counting_call)
     assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 5)
 
     assert max(count for _, count in samples.values()) == 1
+    assert all(not xs.flags.writeable for xs, _ in samples.values())
     blocks = {id(xs): xs for xs, _ in samples.values()}
-    assert len(blocks) == 1  # one block of all 8 octaves for the one probe start
-    assert [len(xs) for xs in blocks.values()] == [8 * 256 + 1]
-    assert len(samples) == 2  # each f_j sampled on that block, once
-    assert heads == [1.0] * 2  # one head table over [0, r_start] per component
-    assert queries == []  # no primitive is interpolated
-    # the primitive on the block: P = t^3 / 3 for f_2 = u1^2 on the diagonal
+    # one block of all 8 octaves for the one probe start, and the head: 2 * 256 intervals
+    # on [0, 1]
+    assert sorted(len(xs) for xs in blocks.values()) == [2 * 256 + 1, 8 * 256 + 1]
+    assert len(samples) == 4  # each f_j sampled on each, once
+    # the primitive on the block: P = t^3 / 3 for f_2 = u1^2 on the diagonal, exact on the
+    # head and the block, since Simpson's and the three-point rule are exact for t^2
     cfg = parse_config(doc)
     P, why = cfg.spec.diagonal(1).primitive(cfg.probe)
     assert why == "" and P.shape == (8 * 256 + 1,)
     np.testing.assert_allclose(P, quadrature.probe_block(1.0, cfg.probe) ** 3 / 3.0,
-                               rtol=1e-5)
+                               rtol=1e-13)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     remarks = report["auxiliary"]["remarks"]
     assert len(remarks["reciprocal_power"]) == len(remarks["primitive_root"]) == 2

@@ -335,7 +335,7 @@ def test_keller_osserman_and_ye_zhou_linear_diverge():
 
 
 def test_keller_osserman_partials_for_f_linear_match_the_closed_form():
-    # P = t^2 / 2 exactly (the Gauss head and the block's Simpson sums of t are exact),
+    # P = t^2 / 2 exactly (the Simpson sums of t on the head and the block are exact),
     # so the partial over [1, 2^k] of dt / sqrt(P) = sqrt(2) / t is sqrt(2) k ln 2
     ko = check_keller_osserman(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1").diagonal(0),
                                2.0)
@@ -429,6 +429,12 @@ def test_lair_flat_coefficients_predict_explosion():
     v1, v2 = check_lair_proposition(inst)
     assert v1.verdict == "diverges"
     assert v2.verdict == "diverges"
+    # inner = t^2 / 2 and nested = t^3 / 6 at every node (the three-point rule is exact for
+    # quadratics), so the integrand is t^3 / 6, on which Simpson's rule is exact: the
+    # partial over [1, 2^k] is (16^k - 1) / 24
+    k = np.arange(1, 11)
+    for v in (v1, v2):
+        np.testing.assert_allclose(v.partials, (16.0 ** k - 1.0) / 24.0, rtol=1e-12, atol=0.0)
 
 
 def test_lair_decaying_coefficients_do_not():
@@ -461,6 +467,9 @@ def test_match_lair_form():
         3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"], ["u1", "u2"])) is None
     assert match_lair_form(ProblemSpec.from_strings(
         3, 2, [2.0, 2.0], ["r", "0"], ["1", "1"], ["u2", "u1"])) is None
+    # zero up to r = 20 only: a gradient term all the same, whatever the probe layout samples
+    assert match_lair_form(ProblemSpec.from_strings(
+        3, 2, [2.0, 2.0], ["max(r - 20, 0)", "0"], ["1", "1"], ["u2", "u1"])) is None
 
     superlinear = match_lair_form(ProblemSpec.from_strings(
         3, 2, [2.0, 2.0], ["0", "0"], ["1", "1"], ["u2^2", "u1"]))

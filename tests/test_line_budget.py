@@ -8,7 +8,7 @@ CHANGES.md; ROADMAP item 2 states the number in force.
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "radsolve"
-BUDGET = 2961
+BUDGET = 2919
 
 
 def test_src_stays_within_the_line_budget():

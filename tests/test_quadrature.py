@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from radsolve.quadrature import (
-    CumulativeInterpolant,
     DivergenceVerdict,
     ProbeConfig,
     RadialGrid,
@@ -124,13 +123,6 @@ def test_cumulative_simpson_is_exact_for_cubics_at_even_nodes_and_quadratics_at_
     # on the first nodes only, and on none
     assert cumulative_simpson(x, np.ones(5)).tolist() == pytest.approx(x[:5] - 1.0)
     assert cumulative_simpson(x, np.empty(0)).shape == (0,)
-
-
-def test_gauss2_is_fourth_order():
-    x = np.linspace(0.0, 1.0, 101)
-    table = CumulativeInterpolant(np.exp, 1.0, intervals=50)
-    assert np.array_equal(table.s, x)
-    assert abs(table.values[-1] - (np.e - 1.0)) < 1e-11
 
 
 # --- probing ----------------------------------------------------------------
@@ -342,29 +334,6 @@ def test_octave_block_is_read_only_with_row_views_and_widths(start, count, n):
     assert not origin.flags.writeable and probe_block(0.0, cfg) is origin
 
 
-def test_cumulative_interpolant_samples_inside_its_range():
-    seen = []
-
-    def fn(t):
-        seen.append(np.asarray(t))
-        return np.ones_like(seen[-1])
-
-    table = CumulativeInterpolant(fn, 5.0)
-    assert min(x.min() for x in seen) > 0.0 and max(x.max() for x in seen) < 5.0
-    assert table(5.0) == pytest.approx(5.0, rel=1e-13)
-    for t in (-0.5, 5.5):
-        with pytest.raises(ValueError, match="outside"):
-            table(t)
-
-
-def test_cumulative_interpolant_tracks_primitive():
-    ci = CumulativeInterpolant(lambda t: np.asarray(t), 64.0)
-    for t in (0.5, 1.0, 7.3, 64.0):
-        assert ci(t) == pytest.approx(t * t / 2.0, rel=1e-6)
-    ci3 = CumulativeInterpolant(lambda t: np.asarray(t) ** 2, 32.0)
-    assert ci3(8.0) == pytest.approx(8.0 ** 3 / 3.0, rel=1e-9)
-
-
 def _simpson(ys, xs):
     """Simpson's rule over the pairs of intervals of one octave, summed."""
     return ((xs[2::2] - xs[:-2:2]) / 6.0 * (ys[:-2:2] + 4.0 * ys[1::2] + ys[2::2])).sum()
@@ -535,8 +504,6 @@ def test_a_scalar_callable_is_a_type_error_naming_the_shape(start):
         probe_divergence(lambda t: 1.0, start, cfg)
     with pytest.raises(TypeError, match=r"array of shape \(129,\)"):  # the head's 2 * 64 intervals
         _running_probe(lambda t: 1.0, cfg)
-    with pytest.raises(TypeError, match=r"array of shape \(4096,\)"):  # two per interval
-        CumulativeInterpolant(lambda t: 1.0, 1.0)
 
 
 def test_probe_reraises_a_non_domain_error_unless_an_earlier_octave_stops_it():
@@ -605,15 +572,51 @@ def test_primitive_rows_are_made_once_per_probe_block_from_its_own_samples():
     nodes = probe_block(1.0, cfg)
     P, why = shared.primitive(cfg)
     assert shared.primitive(cfg)[0] is P and why == ""
-    # one Gauss head table on [0, 1] (writeable, so not kept) and the block, once
-    assert [xs.flags.writeable for xs in calls] == [True, False] and calls[1] is nodes
+    # the head of the block from 0, 2 * 64 intervals on [0, 1], and the block, once each:
+    # both are read-only views, kept for the other probes that read them
+    head = _octaves(0.0, 1.0, 5, 64)[3][0]
+    assert len(calls) == 2 and calls[0] is head and calls[1] is nodes
+    assert head.tolist() == np.linspace(0.0, 1.0, 129).tolist() and not head.flags.writeable
     shared(nodes)  # the samples the block's other probes read
+    shared(head)
     assert len(calls) == 2
     # P = t^2 on the block's nodes: Simpson's and the three-point rule of 2t are exact
     assert P.shape == nodes.shape
     np.testing.assert_allclose(P, nodes ** 2, rtol=1e-14)
     other = shared.primitive(ProbeConfig(horizon_count=5, nodes_per_octave=64, r_start=2.0))
     assert other[0] is not P and other[0][0] == pytest.approx(4.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("f, closed, head_rtol, block_rtol", [
+    ("u1", lambda t: t ** 2 / 2.0, 1e-13, 1e-13),
+    # at the odd nodes the three-point rule is exact for quadratics only
+    ("u1^3", lambda t: t ** 4 / 4.0, 1e-13, 1e-9),
+    # t^0.5 is not smooth at the endpoint 0, so Simpson's rule on the head [0, 1] errs by
+    # ~ h^1.5 there, 7.0e-6 absolute; every P on the block carries that error
+    ("u1^0.5", lambda t: 2.0 / 3.0 * t ** 1.5, 2e-5, 2e-5),
+])
+def test_primitive_head_and_block_match_the_closed_form(f, closed, head_rtol, block_rtol):
+    cfg = ProbeConfig()
+    P, why = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", f).diagonal(0).primitive(cfg)
+    nodes = probe_block(cfg.r_start, cfg)
+    assert why == "" and P.shape == nodes.shape
+    assert P[0] == pytest.approx(closed(cfg.r_start), rel=head_rtol, abs=0.0)  # the head
+    np.testing.assert_allclose(P, closed(nodes), rtol=block_rtol, atol=0.0)
+
+
+def test_primitive_of_an_f_not_finite_at_0_is_not_computable():
+    # the head samples f at 0, where f = u1^-1 is undefined and 1/t infinite: the paper's
+    # f_j are continuous on [0, inf), and the integral of 1/t over [0, 1] diverges anyway
+    P, why = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^-1").diagonal(0).primitive(
+        ProbeConfig())
+    assert P.shape == (0,) and why.startswith("primitive not computable: zero base")
+
+    def reciprocal(xs):
+        with np.errstate(divide="ignore"):
+            return 1.0 / xs
+
+    P, why = SharedSamples(reciprocal).primitive(ProbeConfig())
+    assert P.shape == (0,) and why == "primitive not computable: integral over [0, 1] not finite"
 
 
 def test_primitive_rows_stop_at_the_octave_where_f_is_unusable_and_never_raise():

@@ -1,11 +1,10 @@
 """The functions the benchmark's layer trace times, pinned by name.
 
 ``radbench/tracer.py`` wraps every public function that a layer module
-defines, plus ``CumulativeInterpolant.__init__`` and ``__call__``, and reads
-its per-layer metrics off those names.  A timed function that is renamed,
-inlined or made private is no longer wrapped, and its metric silently reads 0.
-So each of the 22 names below must stay a public function of its module, with
-the call shape the trace's counters read.
+defines, and reads its per-layer metrics off those names.  A timed function
+that is renamed, inlined or made private is no longer wrapped, and its metric
+silently reads 0.  So each of the 20 names below must stay a public function
+of its module, with the call shape the trace's counters read.
 """
 
 import dataclasses
@@ -14,7 +13,7 @@ import inspect
 
 import pytest
 
-from radsolve import cli, quadrature, solver
+from radsolve import cli, solver
 
 TIMED = {
     "exprlang": ("evaluate_array",),
@@ -26,7 +25,6 @@ TIMED = {
                    "check_remark_implications", "check_lair_proposition"),
     "cli": ("load_config", "canonical_json", "write_solution_csv", "read_solution_csv"),
 }
-TIMED_METHODS = ("__init__", "__call__")  # of quadrature.CumulativeInterpolant
 
 
 @pytest.mark.parametrize("layer, name", [(layer, name) for layer, names in TIMED.items()
@@ -37,11 +35,6 @@ def test_timed_function_is_a_public_function_of_its_module(layer, name):
     assert inspect.isfunction(fn), f"radsolve.{layer}.{name} is not a function"
     assert fn.__module__ == module.__name__, f"{name} is imported into {layer}, not defined there"
     assert not name.startswith("_")
-
-
-@pytest.mark.parametrize("method", TIMED_METHODS)
-def test_timed_method_is_defined_on_the_interpolant(method):
-    assert inspect.isfunction(vars(quadrature.CumulativeInterpolant).get(method))
 
 
 def test_timed_call_shapes_the_counters_read():
