@@ -778,18 +778,15 @@ def cmd_sweep(cfg: RunConfig, out_override: str | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="radsolve",
-        description="Monotone-iteration solver and classifier for radial "
-                    "quasilinear elliptic systems")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "classify", "verify", "sweep"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="path to the JSON config")
-        sp.add_argument("--out", default=None, help="output directory override")
-        if name == "verify":
-            sp.add_argument("--solution", required=True, help="solution CSV to recheck")
+    parser = argparse.ArgumentParser(prog="radsolve", description="Monotone-iteration solver and "
+                                     "classifier for radial quasilinear elliptic systems")
+    parser.add_argument("command", choices=("solve", "classify", "verify", "sweep"))
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--solution", help="solution CSV to recheck (verify only)")
     args = parser.parse_args(argv)
+    if (args.command == "verify") != (args.solution is not None):
+        parser.error("verify requires --solution, which no other command takes")
 
     try:
         cfg = load_config(args.config)

@@ -53,7 +53,7 @@ from .quadrature import (
     probe_samples,
     sample_block,
 )
-from .transforms import (A_INTERVALS, ProblemSpec, build_F, estimate_A_inf, estimate_F_inf,
+from .transforms import (ProblemSpec, build_F, estimate_A_inf, estimate_F_inf,
                          eval_F, invert_F, node_factors)
 
 __all__ = [
@@ -124,7 +124,7 @@ def _barrier_tail_state(a_inf: tuple[DivergenceVerdict, ...]) -> str:
 
 def _probe_barriers(spec: ProblemSpec, probe: ProbeConfig) -> tuple[DivergenceVerdict, ...]:
     """``estimate_A_inf`` of every component, on one set of probe nodes and kernel factors."""
-    factors = node_factors(probe_block(0.0, probe, A_INTERVALS), spec.N)
+    factors = node_factors(probe_block(0.0, probe), spec.N)
     return tuple(estimate_A_inf(spec, j, probe, factors) for j in range(spec.d))
 
 

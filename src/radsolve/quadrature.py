@@ -7,8 +7,8 @@ intervals, and the three-point rule at the odd nodes between them.  F, the primi
 Keller-Osserman test and the Lair checker's nested integrals are such Simpson sums on probe
 blocks (from 0, a block's head holds 2n intervals on [0, r_start]).  The product rule
 for the nested radial kernels, which integrates ``s^(N-1) * w(s)`` with exact monomial
-moments, lives in ``transforms.RadialKernel``, where its node-only factors are
-computed once per grid.
+moments (Richardson-corrected to fourth order for the barrier probe), lives in
+``transforms.RadialKernel``, where its node-only factors are computed once per grid.
 
 Improper integrals are probed on geometric horizons ``start * 2^k`` on one layout,
 ``probe_block``: the contiguous ``octave_nodes`` of the probe's octaves (from ``start``,
@@ -106,8 +106,7 @@ def cumulative_simpson(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ProbeConfig:
     """Knobs for improper-integral probing.  ``nodes_per_octave`` is even, since Simpson's
-    rule takes the intervals in pairs.  The barrier probe (``transforms.estimate_A_inf``)
-    keeps 1024 intervals per octave, whatever ``nodes_per_octave`` is."""
+    rule takes the intervals in pairs."""
 
     horizon_count: int = 10
     r_start: float = 1.0
@@ -205,11 +204,9 @@ def _eval_segment(integrand: Callable, xs: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _block(start: float, cfg: ProbeConfig, intervals: int | None) -> tuple:
-    """``_octaves`` of a probe from ``start`` (from 0: with the head over [0, cfg.r_start]) with
-    ``intervals`` per octave (None: ``cfg.nodes_per_octave``)."""
-    return _octaves(start, start or cfg.r_start, cfg.horizon_count,
-                    intervals or cfg.nodes_per_octave)
+def _block(start: float, cfg: ProbeConfig) -> tuple:
+    """``_octaves`` of a probe from ``start`` (from 0: with the head over [0, cfg.r_start])."""
+    return _octaves(start, start or cfg.r_start, cfg.horizon_count, cfg.nodes_per_octave)
 
 
 @functools.lru_cache(maxsize=4)
@@ -225,20 +222,20 @@ def _octaves(start: float, first: float, horizon_count: int, intervals: int) -> 
     return nodes, intervals, head, tuple(nodes[a:b + 1] for a, b in zip(edges, edges[1:]))
 
 
-def probe_block(start: float, cfg: ProbeConfig, intervals: int | None = None) -> np.ndarray:
+def probe_block(start: float, cfg: ProbeConfig) -> np.ndarray:
     """The read-only nodes on which a probe from ``start`` samples its integrand, shared by
     the probes with the same start and knobs: the ``cfg.horizon_count`` octaves from ``start``,
-    ``intervals`` each (``cfg.nodes_per_octave`` if None), and from 0 the head before them."""
-    return _block(start, cfg, intervals)[0]
+    ``cfg.nodes_per_octave`` intervals each, and from 0 the head before them."""
+    return _block(start, cfg)[0]
 
 
-def sample_block(integrand: Callable, start: float, cfg: ProbeConfig,
-                 intervals: int | None = None) -> tuple[np.ndarray, str | Exception]:
-    """``integrand`` on ``probe_block(start, cfg, intervals)`` as far as it goes, and what
+def sample_block(integrand: Callable, start: float,
+                 cfg: ProbeConfig) -> tuple[np.ndarray, str | Exception]:
+    """``integrand`` on ``probe_block(start, cfg)`` as far as it goes, and what
     stopped it ("" if nothing did): one call on the block, and if that raises, one per octave
     (the head is one) up to one that raises, whose domain error is a note and whose other
     exceptions ``probe_samples`` raises unless an earlier value ends the evidence."""
-    nodes, *_, octaves = _block(start, cfg, intervals)
+    nodes, *_, octaves = _block(start, cfg)
     try:
         return _eval_segment(integrand, nodes), ""
     except Exception:  # whatever it is, found again below octave by octave
@@ -280,7 +277,7 @@ def usable_samples(values: np.ndarray, why: str | Exception, start: float,
     """``values`` and ``why`` as ``sample_block`` returns them from ``start``, cut by ``_usable``
     at the last octave edge before the first unusable value, and why they end ("" if they do
     not; an exception is raised unless an earlier value ends them)."""
-    return _usable(values, why, _block(start, cfg, None))
+    return _usable(values, why, _block(start, cfg))
 
 
 def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
@@ -303,15 +300,15 @@ def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> Div
     return probe_samples(*sample_block(integrand, start, cfg), cfg, start)
 
 
-def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig, start: float,
-                  intervals: int | None = None) -> DivergenceVerdict:
+def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig,
+                  start: float) -> DivergenceVerdict:
     """The probe from ``start`` of an integrand given by its ``values`` on ``probe_block(start,
-    cfg, intervals)`` and ``why`` they stop, as ``sample_block`` returns them.  The increments
+    cfg)`` and ``why`` they stop, as ``sample_block`` returns them.  The increments
     are the octave sums of the block's Simpson pairs (so a tail far below a head keeps its
     digits) and the partials their running sum; from 0 (``nodes[0] == 0``) partial k is
     A(r_start 2^k) - A(r_start), A the running Simpson sum (``cumulative_simpson`` at its even
     nodes), and a convergent limit includes the head."""
-    nodes, n, head, _ = block = _block(start, cfg, intervals)
+    nodes, n, head, _ = block = _block(start, cfg)
     ys, why = _usable(values, why, block)
     pairs = _simpson_pairs(nodes, ys)
     areas = pairs[head // 2:].reshape(-1, n // 2).sum(1)
@@ -376,11 +373,11 @@ class SharedSamples:
         "" if it is usable throughout): Simpson's rule on the head of ``probe_block(0, cfg)``,
         2n intervals on [0, r_start] (so ``fn`` is sampled at 0 and must be finite there),
         plus ``cumulative_simpson`` of the block's samples."""
-        block = _block(cfg.r_start, cfg, None)
+        block = _block(cfg.r_start, cfg)
         nodes, key = block[0], ("primitive", id(block[0]))
         if self._values.get(key, (None,))[0] is not nodes:
             try:
-                xs = _block(0.0, cfg, None)[3][0]  # read-only, so sampled once
+                xs = _block(0.0, cfg)[3][0]  # read-only, so sampled once
                 head = _simpson_pairs(xs, _eval_segment(self, xs)).sum()
                 if not np.isfinite(head):
                     raise ValueError(f"integral over [0, {cfg.r_start:g}] not finite")

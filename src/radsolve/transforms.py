@@ -26,8 +26,8 @@ slopes, so ``eval_F`` is the cubic Hermite interpolant of values and slopes and
 ``ProblemSpec.diagonal(j)`` is f_j on the diagonal, one shared callable per spec,
 so the F tail probe, C6 and the classifier's diagonal probes sample it once;
 ``release_diagonals`` drops them and their samples after the last reader.  The
-barrier tail probe reads the kernel's ratio on the probe block from 0,
-``A_INTERVALS`` intervals per octave, by Simpson's rule like every probe.
+barrier tail probe reads a fourth-order kernel's ratio on the probe block from 0
+(the Keller-Osserman head's and Lair's), by Simpson's rule like every probe.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
@@ -81,8 +81,6 @@ __all__ = [
 
 # how far past r_start the F table of the upper bound reaches, in octaves
 _F_OCTAVES = 60
-# intervals per octave of the barrier tail probe, whatever ProbeConfig.nodes_per_octave is
-A_INTERVALS = 1024
 
 
 class FInverseRangeError(Exception):
@@ -203,9 +201,13 @@ class RadialKernel:
     ``KernelOverflowError``.  ``inner`` integrates s^(N-1) * w with w piecewise
     linear, taking the monomial moments of each interval exactly (second order even
     where s^(N-1) vanishes); ``nodes`` may be ``node_factors(nodes, spec.N)``, shared.
+    ``fourth_order`` (the barrier probe's, on equal-width pairs of intervals) takes h_cum by
+    ``cumulative_simpson`` and ``inner`` at even nodes as fine + (fine - coarse) / 3, coarse
+    the same rule over the pairs: exact where it is, and fourth order.
     """
 
-    def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray | tuple[np.ndarray, ...]):
+    def __init__(self, spec: ProblemSpec, j: int, nodes: np.ndarray | tuple[np.ndarray, ...],
+                 fourth_order: bool = False):
         factors = nodes if isinstance(nodes, tuple) else node_factors(nodes, spec.N)
         nodes = factors[0]
         if not 0 <= j < spec.d:
@@ -214,8 +216,8 @@ class RadialKernel:
         hv = check(evaluate_array(spec.h[j], {"r": nodes}), f"h[{j}]", nodes)
         av = check(evaluate_array(spec.a[j], {"r": nodes}), f"a[{j}]", nodes)
         self.nodes = nodes
-        self.expo = 1.0 / (spec.p[j] - 1.0)
-        h_cum = cumulative_trapezoid(nodes, hv)
+        self.expo, self.fourth_order = 1.0 / (spec.p[j] - 1.0), fourth_order
+        h_cum = (cumulative_simpson if fourth_order else cumulative_trapezoid)(nodes, hv)
         _, self._m0, self._m1, self._widths, r_power = factors
         with np.errstate(over="ignore"):
             self.H = np.exp(h_cum)  # times r^(N-1) once weighted_a is taken
@@ -226,14 +228,25 @@ class RadialKernel:
             raise KernelOverflowError(f"integrand not finite near t = {bad:g}")
 
     def inner(self, source: np.ndarray | None = None) -> np.ndarray:
-        """Running integral of H_j * a_j * source (source = 1 when omitted);
-        rounding-negative intervals of a nonnegative integrand are clipped to 0."""
+        """Running integral of H_j * a_j * source (source = 1 when omitted); negative
+        intervals (or pairs) of a nonnegative integrand are clipped to 0."""
+        m0, m1, w = self._m0, self._m1, self._widths
         with np.errstate(over="ignore"):  # far out under a steep h_j; ratio() then reads inf
             smooth = self.weighted_a if source is None else self.weighted_a * source
-            segs = smooth[:-1] * self._m0 + np.diff(smooth) / self._widths * self._m1
-            if np.all(smooth >= 0):
-                segs = np.maximum(segs, 0.0)
-            return np.concatenate([[0.0], np.cumsum(segs)])
+            segs = smooth[:-1] * m0 + np.diff(smooth) / w * m1
+            nonneg = bool(np.all(smooth >= 0))
+            segs = np.maximum(segs, 0.0) if nonneg else segs
+            if not self.fourth_order:
+                return np.concatenate([[0.0], np.cumsum(segs)])
+            coarse = smooth[:-2:2] * (m0[::2] + m0[1::2]) + (smooth[2::2] - smooth[:-2:2]) / (
+                w[::2] + w[1::2]) * (m1[::2] + m1[1::2] + w[::2] * m0[1::2])  # pairs' moments
+            fine = segs[::2] + segs[1::2]
+            with np.errstate(invalid="ignore"):  # inf - inf where both overflow: ratio() nan
+                pairs = fine + (fine - coarse) / 3.0
+            out = np.zeros(len(smooth))
+            out[2::2] = np.cumsum(np.maximum(pairs, 0.0) if nonneg else pairs)
+            out[1::2] = out[:-1:2] + segs[::2]
+            return out
 
     def ratio(self, source: np.ndarray | None = None) -> np.ndarray:
         """((1/H_j) * inner(source))^(1/(p_j-1)), taken as 0 at the origin."""
@@ -286,15 +299,17 @@ def build_F(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> FTable:
 
 
 def _hermite(table: FTable, knots: np.ndarray, at: np.ndarray) -> tuple:
-    """The interval ``i`` of ``table`` whose ``knots`` (its nodes or its values) bracket each
-    ``at``, its width, and the cubic Hermite interpolant of F's values and slopes over it as a
-    function of t in [0, 1]."""
-    s, F, slope = table.s, table.values, table.slopes
-    i = np.clip(np.searchsorted(knots, at) - 1, 0, len(s) - 2)
-    w, rise = s[i + 1] - s[i], F[i + 1] - F[i]
-    c1, c3 = w * slope[i], w * (slope[i] + slope[i + 1]) - 2.0 * rise
+    """The left node of the interval of ``table`` whose ``knots`` (its nodes or its values)
+    bracket each ``at``, its width, and the cubic Hermite interpolant of F's values and slopes
+    over it as a function of t in [0, 1]; in Python floats for a 0-d ``at``."""
+    i = np.clip(np.searchsorted(knots, at) - 1, 0, len(table.s) - 2)
+    cast = float if np.ndim(at) == 0 else np.asarray
+    s0, s1, F0, F1, d0, d1 = (cast(x[i + k]) for x in (table.s, table.values, table.slopes)
+                              for k in (0, 1))
+    w, rise = s1 - s0, F1 - F0
+    c1, c3 = w * d0, w * (d0 + d1) - 2.0 * rise
     c2 = rise - c1 - c3
-    return i, w, lambda t: F[i] + t * (c1 + t * (c2 + t * c3))
+    return s0, w, lambda t: F0 + t * (c1 + t * (c2 + t * c3))
 
 
 def eval_F(table: FTable, s) -> float | np.ndarray:
@@ -305,15 +320,15 @@ def eval_F(table: FTable, s) -> float | np.ndarray:
         raise FInverseRangeError(f"F at {np.max(x):g} lies beyond {table.reach}")
     if np.min(x) < table.s[0]:
         raise ValueError(f"F is tabulated from r_start = {table.s[0]:g}")
-    i, w, cubic = _hermite(table, table.s, x)
-    out = cubic((x - table.s[i]) / w)
+    s0, w, cubic = _hermite(table, table.s, x)
+    out = cubic((x - s0) / w)
     return float(out) if x.ndim == 0 else out
 
 
-def invert_F(table: FTable, ys, f_inf: DivergenceVerdict) -> np.ndarray:
+def invert_F(table: FTable, ys, f_inf: DivergenceVerdict) -> float | np.ndarray:
     """F^-1 at ``ys`` >= 0: on the interval of ``table`` whose values bracket each y, the
     least t in [0, 1] of 53-bit resolution at which the cubic of ``eval_F`` reaches y, by
-    bisection (so the result stays in that interval).
+    bisection (so the result stays in that interval; for one query, in Python floats).
 
     Raises ``FInverseRangeError`` when a value lies beyond the table: at or beyond the
     limit ``f_inf`` estimates for a convergent F, or else not reached within its reach.
@@ -328,12 +343,12 @@ def invert_F(table: FTable, ys, f_inf: DivergenceVerdict) -> np.ndarray:
                 f"value {y_max:g} is beyond the range of the inverse "
                 f"(estimated F limit {f_inf.limit:g})")
         raise FInverseRangeError(f"value {y_max:g} not reached within {table.reach}")
-    i, w, cubic = _hermite(table, table.values, ys)
-    lo, step = np.zeros_like(ys), 1.0
+    s0, w, cubic = _hermite(table, table.values, ys)
+    lo, step, ys = (0.0, 1.0, float(ys)) if ys.ndim == 0 else (np.zeros_like(ys), 1.0, ys)
     for _ in range(53):  # to the resolution of t in [0, 1]
         step /= 2.0
         lo = lo + step * (cubic(lo + step) < ys)  # up by step where the cubic is below y
-    return table.s[i] + (lo + step) * w
+    return s0 + (lo + step) * w
 
 
 def estimate_F_inf(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
@@ -345,20 +360,20 @@ def estimate_A_inf(spec: ProblemSpec, j: int, probe: ProbeConfig = ProbeConfig()
                    factors: tuple[np.ndarray, ...] | None = None) -> DivergenceVerdict:
     """Tail probe of the barrier integral; a convergent limit estimates A_j(inf).
 
-    ``probe_samples`` reads it off Simpson's rule of the kernel's ratio that ``build_A``
-    takes by the trapezoid, on ``probe_block(0, probe, A_INTERVALS)`` (or its
-    ``node_factors``, shared): partial k is A_j(r_start 2^k) - A_j(r_start), a convergent
-    limit the full A_j(inf).
+    ``probe_samples`` reads it off Simpson's rule of the ratio of the ``fourth_order``
+    kernel (``build_A`` takes the second-order one's by the trapezoid) on ``probe_block(0,
+    probe)`` (or its ``node_factors``, shared): partial k is A_j(r_start 2^k) - A_j(r_start),
+    a convergent limit the full A_j(inf).
     A kernel that cannot be built (negative h_j or a_j, overflow, domain errors) is
     inconclusive, not an exception.
     """
     if not 0 <= j < spec.d:
         raise ValueError(f"component index {j} out of range for d = {spec.d}")
     try:
-        kernel = RadialKernel(spec, j, factors or probe_block(0.0, probe, A_INTERVALS))
+        kernel = RadialKernel(spec, j, factors or probe_block(0.0, probe), fourth_order=True)
     except (ExprError, ValueError, FloatingPointError) as err:
         return DivergenceVerdict("inconclusive", note=f"barrier kernel not probeable: {err}")
-    return probe_samples(kernel.ratio(), "", probe, 0.0, A_INTERVALS)
+    return probe_samples(kernel.ratio(), "", probe, 0.0)
 
 
 @dataclass(frozen=True)

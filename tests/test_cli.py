@@ -118,6 +118,38 @@ def test_cli_exit_code_on_config_error(tmp_path):
     assert main(["solve", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("argv, call", [
+    (["solve", "--config", "c.json"], ("solve", "c.json", None)),
+    (["classify", "--config", "c.json", "--out", "o"], ("classify", "c.json", "o")),
+    (["verify", "--config", "c.json", "--solution", "s.csv"], ("verify", "c.json", "s.csv", None)),
+    (["sweep", "--out", "o", "--config", "c.json"], ("sweep", "c.json", "o")),
+])
+def test_each_command_parses_to_its_handler(monkeypatch, argv, call):
+    calls = []
+    monkeypatch.setattr(cli, "load_config", lambda path: path)
+    for name in ("solve", "classify", "verify", "sweep"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda *a, name=name: calls.append((name, *a)) or 0)
+    assert main(argv) == 0
+    assert calls == [call]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "c.json"],
+    ["verify", "--config", "c.json", "--out", "o"],
+    ["solve", "--config", "c.json", "--solution", "x"],
+    ["classify", "--config", "c.json", "--solution", "x"],
+    ["sweep", "--config", "c.json", "--solution", "x"],
+])
+def test_solution_goes_with_verify_alone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: radsolve [-h] --config CONFIG")
+    assert err.endswith("radsolve: error: verify requires --solution, which no other command "
+                        "takes\n")
+
+
 def test_solve_zero_nonlinearity_writes_constant_solution(tmp_path):
     doc = base_config(grid={"R": 2.0, "M": 64}, beta=1.5)
     doc["problem"]["f"] = ["0"]

@@ -166,12 +166,24 @@ def test_check_C6_window_and_residual():
     assert verdict.status == "holds"
     lo, hi = window
     assert lo == pytest.approx(1.0)
-    # F by Simpson's rule on the F probe's block, inverted by its cubic Hermite interpolant
-    assert hi == verdict.evidence["beta_max"] == pytest.approx(1.6643996676164592, rel=1e-12)
+    # F by Simpson's rule on the F probe's block, inverted by its cubic Hermite interpolant;
+    # A(inf) by the fourth-order barrier kernel at 256 intervals per octave
+    assert hi == verdict.evidence["beta_max"] == pytest.approx(1.6643999447081383, rel=1e-12)
     assert hi == pytest.approx(BETA_MAX_CUBIC, rel=1e-5)
     # the right end is the exact root of the tabulated gap, not a bracket of it
     assert abs(verdict.evidence["gap_at_beta_max"]) <= 1e-14 * verdict.evidence["F_limit"]
     assert "trace" not in verdict.evidence
+
+
+def test_bounded_cubic_barrier_and_window_end_errors():
+    # A(inf) = 1/6 in closed form; the end solves integral_beta^inf ds / (1 + s^3) = 1/6.
+    # Nearly all of the end's error is A(inf)'s tail extrapolation (the 1024-per-octave
+    # second-order probe erred by 1.962e-6 and 1.10e-5)
+    spec = spec_cubic_decaying()
+    a_inf = estimate_A_inf(spec, 0)
+    assert abs(a_inf.limit - 1.0 / 6.0) <= 1.96e-6
+    _, window = check_C6(spec, estimate_F_inf(spec), (a_inf,))
+    assert abs(window[1] - BETA_MAX_CUBIC) <= 1.1e-5
 
 
 def test_F_probe_limit_of_bounded_cubic_matches_the_closed_form():

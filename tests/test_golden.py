@@ -42,7 +42,7 @@ GOLDEN = {
         "bd1c0c8e05e40b9047912bd9b88412823eba9d11915454346afcf72274784a57",
     "classify_bounded_cubic": 0,
     "classify_bounded_cubic/report.json":
-        "66cb3584fc6e3836ce3541d2fab50c27106b6d95cdde1b85b9732209a9cb6766",
+        "c67c09b86533e165a146d189d2b359a5790681e1da72b7698a8115e069fd3a68",
     "classify_coupled_sweep": 0,
     "classify_coupled_sweep/report.json":
         "f94f093ca2e3dfab864f75ddc8458fa0c5c057152c12bdcd67a730f83bcdf90a",
@@ -138,7 +138,7 @@ SHARING_RUNS = {
 SHARING_GOLDEN = {
     "classify_p_apart": 5,
     "classify_p_apart/report.json":
-        "a27f1ca77f0ba445b673c3a353aa3b37dd8d0791fd3e3ed06c21b3abee58a5b6",
+        "0bf49051297f6fe4378382dd7eebed148de27bc5b4fa1cc4e68d746a7dc922e3",
     "classify_exp_overflow": 5,
     "classify_exp_overflow/report.json":
         "f0c4ce541697cddd05c7d17888682384a5e5dcc110792eeee465fdec4bd7d1e4",
@@ -246,10 +246,10 @@ FALLBACK_RUNS = {
 FALLBACK_GOLDEN = {
     "classify_expr_error_midway": 5,
     "classify_expr_error_midway/report.json":
-        "25ba8e06f26ef8ee68553f3608cc24b7c869cd3a51b2c7a309d6c755223db5f1",
+        "f0f82b7fdd2521eb69ec837a746d0bc0580bf6178dc568712ef8b2558766870d",
     "classify_lair_expr_error_midway": 5,
     "classify_lair_expr_error_midway/report.json":
-        "0dd906bf5f0097ce0e9a7380a6d408b901840857e36bcbab0faa8b04df5d4a7b",
+        "5b0d02729d3ff3ae8c0324381601426d1931f3d381e3d8d141c699610b5932af",
 }
 
 
@@ -270,30 +270,30 @@ def _suite_config(spec, central, grid) -> dict:
 
 
 SUITE_REPORT_GOLDEN = [  # (exit code, report SHA-256)
-    (0, "dcbbfe9406649b05533b23dbfbd663dfe5db36a4c5a1a139d51c8d267eae1364"),
+    (0, "fec4076fd03a8e1f51b388f05dea7f7cb50fd42a179d226001d747f34157876b"),
     (0, "36883b73a3ca8d54b1682b67748cd212ce23f1013ded152d855d9ab19e390fc1"),
     (0, "c9834837f7680480cc2ddae020445b9ea6ffeb64d3f8428e84d40f2fc74abcd4"),
-    (0, "86a56e18a8ea72b07edffdbf67b7fe1d8fb3fa5607657187e78b8fe742e839c1"),
-    (0, "5bd1a8b6c75acec5480fa45f221189f75ccfa2044a3ec196bedca09b756ef928"),
-    (5, "9fee8b64aa9d6dc92f4a781fa595bb27f02ddc196923aa5629787fc03c8ce754"),
-    (0, "f7afc386657f82328357e6799fee8c94b83a5adefbb11e2cb6a81c690eeb760b"),
-    (5, "b6e33dde69262951e0b3c25326bc937f4e2aa7b97fa5b16bf61496f66556133a"),
-    (5, "08cfa15861dd47630e3c5f16cbb23ceeeb3ab989cffed5df5ebb46f3b40f8d99"),
-    (5, "e05f8257c587bbf9d37930fcc6552de4e75da5c1b259120bcb77876c4788ac49"),
-    (0, "319ed3f6ee4ab04dc65cdcb8468798708c35e8f6af145b40f1f9ce63f246811b"),
-    (5, "0ee97805c2edd6252067dce222865f6d235865eac6d10bf4aac8ac286e17dd5a"),
-    (0, "e21f5a5a1a961578dc3504d5d3cf06fa3f561c5a473575cd3f254f81e6ad4673"),
-    (0, "8654699a692469e1bf632a2e43d103044a4018159ef365b5a5e80840a71064c6"),
-    (0, "9670336919e75c7f975af456479495f7270538c172083eeb78bba98eff4ff956"),
-    (5, "2f0b382cfa6673318eb52e739c110b5a0e4957a5838ccc99aeaf0d34517e2c60"),
-    (5, "6ddf0bdd89cde57c98b2f59aef2182636268ddc3ac8759d1bb822ff0d0afb359"),
-    (0, "419a7909a03023262ec6b21d0b4e9c0e71929a3c729c677e52ae00fb1835445c"),
-    (0, "8fffb6d6ad17037c052626b0f23c97fc3bd196950f1a62d176d7584403c46f8a"),
-    (0, "fe031dfc3065ab614f226f1a577700005b57cd98a88e14aeb00c9413e1705bef"),
-    (0, "b9e30b44bff58798384e185c8402475d21d012ce97eff38e1a70cd98dd33745a"),
-    (5, "1d203dc9b04bcfa0eb94a7485d25eaef8376414c9912ba807a08eac471ecc874"),
-    (5, "0c908589ece85b381b3f484ad5cea1af5693b8b86b15a1b9b178943bbffbfa7d"),
-    (5, "af7e51abed18031cb98c099aca166be0a3d797eb07c47d9db82471e93f57cbab"),
+    (0, "78a70d5eb3c87692e01b786a708bc5fbf0e628b832dad55ea9f1538d87d2997b"),
+    (0, "55eb23b7c3d2edb2be9e14c80b88e34348ee57b52e125b9be8a692d922f704bd"),
+    (5, "90f562b806044233f7027a1d85b86e2c2e43ac74fd6d0e083c2d5df84693ce33"),
+    (0, "56314c353a242e2ebd0c883ea138659522dcc93be9a4b93ff597cb80c82f3a22"),
+    (5, "fe9646e46a3f04ec3fd0cd169b9cad0923a0adcd45d404bf30059038364e8799"),
+    (5, "8d536a73e9ce731b22827e62a003fef913f0e4f670274cccf124ced10314120b"),
+    (5, "5425b528257584a8feae4de5f4249c08773803975034e988de140248f593222f"),
+    (0, "aa7b755daa0e024c1946c8134a5bf9a4ff20044e3f2719ddc6c594dc947bb66e"),
+    (5, "1b1ff1d7a266bdca99601198c960eadd9954f0e69e00eece812d5e73d51ff3c3"),
+    (0, "9fef438dabb51aafa0a71d389f06a022ff066c2ab865d016705f8fed1b09268a"),
+    (0, "245e2e07a3f0594035617c621049d43ac0d51da744a794233a031cac171ded91"),
+    (0, "ed2ea874052471f8ab2cc251aa3efd1f9f532cae9ef43ebb7ef5a7d0da49dfe3"),
+    (5, "2c5dea7e1a0399435cc80d32f823a56287fe69b7d138f612203e573cd40d4653"),
+    (5, "2f42165c5aad0b2a8b1cb1e86c15dc848a27bbc70cd056e2d59a2508d2d5c712"),
+    (0, "bd44522ed1c89842cdd737c4c121fcaf5350495a1d7cc9aba9659456f8007303"),
+    (0, "7d58bb54a718332a51f48f8ffcb18cc2af3b1561fbbf74493ec09d9c0b1e70cd"),
+    (0, "73f2a31ac631d86edeea275d4f49555349fa6b49434ad411c31d9769944840ad"),
+    (0, "08fb4c3d5167052ea6ec457bc2c657b49399f322f0f07d9b4a9cdde66a822917"),
+    (5, "0ddaa8019220c910141b4e9b0580ec37f750b7687f66a125d485506cf1655f11"),
+    (5, "70e1d45c3a26f5b5e1965d0616df8a5e3b8a312800d21b4420a07381169f58a0"),
+    (5, "d2309856cca58b6285e89746ab23de2b319ccc6bc68a9519992dd3993ab79bb5"),
 ]
 
 

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from radsolve import transforms
 from radsolve.quadrature import (
     ProbeConfig,
     RadialGrid,
     cumulative_simpson,
     cumulative_trapezoid,
-    octave_nodes,
+    probe_block,
+    probe_samples,
 )
 from radsolve.transforms import (
     FInverseRangeError,
@@ -215,6 +217,16 @@ def test_invert_F_round_trip():
         assert abs(float(s_back[0]) - s) < 1e-8
 
 
+def test_invert_F_of_one_query_in_python_floats_is_the_array_path_bit_for_bit():
+    # C6's window end asks for one value: the same bisection on floats, not 0-d arrays
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "(1+r)^(-4)", "u1^3")
+    table, f_inf = build_F(spec), estimate_F_inf(spec)
+    ys = np.random.default_rng(7).uniform(0.0, table.values[-1], 2000)
+    scalars = [invert_F(table, y, f_inf) for y in ys]
+    assert all(type(x) is float for x in scalars)
+    assert np.array(scalars).tobytes() == invert_F(table, ys, f_inf).tobytes()
+
+
 def test_invert_F_known_value():
     table = build_F(linear_spec())
     s = invert_F(table, np.array([LN2]), estimate_F_inf(linear_spec()))
@@ -267,6 +279,31 @@ def test_estimate_A_inf_partials_match_the_closed_form(N):
     np.testing.assert_allclose(v.partials, (4.0 ** k - 1.0) / (2 * N), rtol=1e-13, atol=0.0)
 
 
+def test_estimate_A_inf_samples_the_probe_block_from_0(monkeypatch):
+    # h_j and a_j on the block the Keller-Osserman head and the Lair checker read
+    probe, seen = ProbeConfig(r_start=2.0), []
+    evaluate = transforms.evaluate_array
+    monkeypatch.setattr(transforms, "evaluate_array",
+                        lambda e, env: seen.append(env["r"]) or evaluate(e, env))
+    estimate_A_inf(ProblemSpec.from_strings(3, 1, 2.0, "1/(1+r)", "exp(-r)", "u1"), 0, probe)
+    assert len(seen) == 2 and all(r is probe_block(0.0, probe) for r in seen)
+
+
+@pytest.mark.parametrize("p", [1.6, 3.0])
+@pytest.mark.parametrize("h", ["0", "1/(1+r)"])
+def test_barrier_partials_at_256_per_octave_agree_with_2048(p, h):
+    # the fourth-order kernel errs by at most 6e-8 here; the second-order one (h_cum by
+    # the trapezoid, inner by the moment rule) by 1.9e-6 to 5.2e-6, which fails the check
+    spec = ProblemSpec.from_strings(5, 1, p, h, "exp(-r)", "u1")
+    fine = estimate_A_inf(spec, 0, ProbeConfig(nodes_per_octave=2048))
+    coarse = estimate_A_inf(spec, 0)
+    assert fine.verdict == coarse.verdict == "converges"
+    np.testing.assert_allclose(coarse.partials, fine.partials, rtol=1e-6, atol=0.0)
+    nodes = probe_block(0.0, ProbeConfig())
+    second = probe_samples(RadialKernel(spec, 0, nodes).ratio(), "", ProbeConfig(), 0.0)
+    assert np.max(np.abs(np.array(second.partials) / fine.partials - 1.0)) > 1e-6
+
+
 def test_estimate_A_inf_zero_source():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "0", "u1")
     v = estimate_A_inf(spec, 0)
@@ -283,24 +320,41 @@ def test_estimate_A_inf_overflowing_weight_is_inconclusive():
     assert v.note
 
 
+def barrier_kernel(spec, probe=ProbeConfig()):
+    """The kernel ``estimate_A_inf`` builds for component 0, and its nodes."""
+    nodes = probe_block(0.0, probe)
+    return RadialKernel(spec, 0, nodes, fourth_order=True), nodes
+
+
 def test_a_ratio_of_two_overflows_is_not_finite_without_an_invalid_value_warning():
-    # inner and H both overflow near r = 988, so the ratio there is inf / inf; the
-    # probe reports that in its note, with no overflow or invalid-value warning
+    # inner and H both overflow near r = 990, so the ratio there is inf / inf (and the
+    # correction of inner inf - inf); the probe reports that in its note, with no overflow
+    # or invalid-value warning
     spec = ProblemSpec.from_strings(5, 1, 2.0, "0.69", "1", "u1")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ratio = RadialKernel(spec, 0, octave_nodes(1024.0)).ratio()
+        ratio = barrier_kernel(spec)[0].ratio()
         v = estimate_A_inf(spec, 0)
     assert np.isnan(ratio[-1])
     assert v.verdict == "inconclusive"
-    assert v.note == "integrand not finite near r = 988.5"
+    assert v.note == "integrand not finite near r = 990"
+
+
+def test_a_steep_source_keeps_the_barrier_inner_integral_nonnegative():
+    # a = exp(-5000 r) lies almost all in the first pair of intervals, where the rule over
+    # the pair weighs the node at 0 more than the two intervals do, so the corrected pair
+    # reads -8e-10; it is clipped to 0, and the probe is not a negative ratio's RuntimeError
+    spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "exp(-5000*r)", "u1")
+    inner = barrier_kernel(spec)[0].inner()
+    assert inner.min() == 0.0 and np.all(np.diff(inner[::2]) >= 0.0)
+    assert estimate_A_inf(spec, 0).verdict == "converges"
 
 
 def test_a_ratio_that_stops_being_finite_far_out_leaves_the_octaves_before_it():
-    # the kernel's first non-finite node is 988.5, in the octave [512, 1024]
+    # the kernel's first non-finite node is 990, in the octave [512, 1024]
     spec = ProblemSpec.from_strings(5, 1, 2.0, "0.69", "1", "u1")
-    nodes = octave_nodes(1024.0)
-    A = cumulative_simpson(nodes, RadialKernel(spec, 0, nodes).ratio())
+    kernel, nodes = barrier_kernel(spec)
+    A = cumulative_simpson(nodes, kernel.ratio())
     v = estimate_A_inf(spec, 0)
     assert v.horizons == tuple(2.0 ** np.arange(1, 10))
     ends = A[np.searchsorted(nodes, (1.0,) + v.horizons)]
@@ -311,8 +365,8 @@ def test_a_ratio_that_stops_being_finite_far_out_leaves_the_octaves_before_it():
 def test_estimate_A_inf_partials_are_differences_of_the_barrier_trapezoid(N):
     # the probe takes Simpson's rule, not build_A's trapezoid, on the same kernel ratio
     spec = ProblemSpec.from_strings(N, 1, 2.5, "0.3/(1+r)", "exp(-r)", "u1")
-    nodes = octave_nodes(1024.0)
-    A = cumulative_simpson(nodes, RadialKernel(spec, 0, nodes).ratio())
+    kernel, nodes = barrier_kernel(spec)
+    A = cumulative_simpson(nodes, kernel.ratio())
     v = estimate_A_inf(spec, 0)
     ends = A[np.searchsorted(nodes, 2.0 ** np.arange(11))]
     assert v.horizons == tuple(2.0 ** np.arange(1, 11))
@@ -323,8 +377,8 @@ def test_estimate_A_inf_partials_are_differences_of_the_barrier_trapezoid(N):
 @pytest.mark.parametrize("r_start", [0.5, 3.0])
 def test_estimate_A_inf_probes_from_its_start(r_start):
     probe = ProbeConfig(r_start=r_start)
-    nodes = octave_nodes(probe.t_max, head=r_start)
-    assert len(nodes) == 2049 + 10 * 1024 and nodes[2048] == r_start
+    nodes = probe_block(0.0, probe)
+    assert len(nodes) == 513 + 10 * 256 and nodes[512] == r_start
     diverging = estimate_A_inf(linear_spec(), 0, probe)
     assert diverging.verdict == "diverges"
     assert diverging.horizons == tuple(r_start * 2.0 ** np.arange(1, 11))
