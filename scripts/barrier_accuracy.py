@@ -14,7 +14,7 @@ kernel at 1024 per octave.
 
 import statistics
 
-from radsolve.quadrature import ProbeConfig, probe_block, probe_samples
+from radsolve.quadrature import ProbeConfig, probe_block, probe_divergence
 from radsolve.transforms import ProblemSpec, RadialKernel
 
 PS = (1.6, 2.0, 2.5, 3.0)
@@ -30,7 +30,7 @@ def probe(spec: ProblemSpec, n: int, fourth_order: bool):
     """The barrier probe of component 0 at ``n`` intervals per octave."""
     cfg = ProbeConfig(nodes_per_octave=n)
     kernel = RadialKernel(spec, 0, probe_block(0.0, cfg), fourth_order=fourth_order)
-    return probe_samples(kernel.ratio(), "", cfg, 0.0)
+    return probe_divergence(kernel.ratio(), "", cfg, 0.0)
 
 
 def main() -> None:

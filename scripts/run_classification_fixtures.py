@@ -8,6 +8,7 @@ the classical blow-up tests alongside.
 """
 
 from radsolve import ProblemSpec, check_keller_osserman, check_ye_zhou, classify
+from radsolve.quadrature import ProbeConfig
 
 FIXTURES = [
     ("flat source, linear f", ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1")),
@@ -23,14 +24,14 @@ FIXTURES = [
 
 def main() -> None:
     for name, spec in FIXTURES:
-        c = classify(spec, (1.2,))
+        f = spec.diagonals(ProbeConfig())  # sampled once, for the classifier and the tests
+        c = classify(spec, (1.2,), ProbeConfig(), f)
         window = (f", beta window ({c.beta_window[0]:.4g}, {c.beta_window[1]:.4g})"
                   if c.beta_window else "")
         print(f"{name:35s} -> {c.theorem}{window}")
         conds = ", ".join(f"{k}={v.status}" for k, v in c.conditions.items())
         print(f"{'':35s}    {conds}")
-        ko, yz = (check_keller_osserman(spec.diagonal(0), spec.p[0]),
-                  check_ye_zhou(spec.diagonal(0), spec.p[0]))
+        ko, yz = check_keller_osserman(f[0], spec.p[0]), check_ye_zhou(f[0], spec.p[0])
         print(f"{'':35s}    blow-up tests: primitive-root {ko.verdict}, "
               f"reciprocal {yz.verdict}")
         print()

@@ -18,6 +18,7 @@ the command makes to one of its stages is measured:
 
 in ``solve`` and ``verify``, and in ``classify``
 
+    samples          ProblemSpec.diagonals      (each f_j on the probe block, once)
     F probe          estimate_F_inf             (the tail of the F integral)
     A_j probes       _probe_barriers            (every barrier tail, one call)
     C6               check_C6                   (only when F and every A_j converge)
@@ -52,6 +53,7 @@ import tempfile
 import tracemalloc
 
 from radsolve import cli, conditions
+from radsolve.transforms import ProblemSpec
 
 STAGES = {
     "build_transform_tables": "tables",
@@ -60,8 +62,9 @@ STAGES = {
     "write_solution_csv": "csv write",
     "read_solution_csv": "csv read",
 }
-# patched where the command looks them up: in cli, else in conditions
+# patched where the command looks them up: in cli, conditions or ProblemSpec
 CLASSIFY_STAGES = {
+    "diagonals": "samples",
     "estimate_F_inf": "F probe",
     "_probe_barriers": "A_j probes",
     "check_C6": "C6",
@@ -97,7 +100,8 @@ def stage_table(config: str, mode: str = "solve"
     top = (0.0, "")
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as undo:
         for name, stage in (STAGES if mode == "solve" else CLASSIFY_STAGES).items():
-            module = cli if name in vars(cli) else conditions
+            module = next(owner for owner in (cli, conditions, ProblemSpec)
+                          if name in vars(owner))
             original = getattr(module, name)
             setattr(module, name, _measured(original, stage, rows))
             undo.callback(setattr, module, name, original)

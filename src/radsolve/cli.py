@@ -17,8 +17,9 @@ block's cells are text at once.  Timings go to stderr, never the report.
 Exit codes: 0 success, 2 config or file error, 3 solver non-convergence,
 4 verification or consistency failure (among them an iterate that decreases, whose
 report carries the error and the hypotheses block), 5 inconclusive classification.  An
-iterate, kernel or barrier A_j that overflows before the horizon is a config
-error on ``grid.R`` naming the radius (and, for an iterate, the sweep).
+iterate, kernel or barrier A_j that overflows before the horizon is a config error on
+``grid.R`` naming the radius (and, for an iterate, the sweep), a probe layout that numpy
+cannot allocate or index one on ``probes.nodes_per_octave``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .conditions import (
     match_lair_form,
 )
 from .exprlang import ExprError
-from .quadrature import ProbeConfig, RadialGrid
+from .quadrature import ProbeConfig, ProbeLayoutError, RadialGrid
 from .solver import (CentralValues, IterateDecreaseError, IterateOverflowError, SolutionBundle,
                      VerificationReport, iterate, verify_solution)
 from .transforms import (KernelOverflowError, NegativeCoefficientError, ProblemSpec,
@@ -654,12 +655,13 @@ def cmd_classify(cfg: RunConfig, out_override: str | None = None) -> int:
     out = _out_dir(cfg, out_override)
     t0 = time.perf_counter()
     spec, probe = cfg.spec, cfg.probe
-    classification = classify(spec, cfg.betas[0].values, probe)
-    ko = [check_keller_osserman(spec.diagonal(j), p, probe) for j, p in enumerate(spec.p)]
-    yz = [check_ye_zhou(spec.diagonal(j), p, probe) for j, p in enumerate(spec.p)]
-    remarks = check_remark_implications(spec, classification.conditions["C3"].status, probe,
-                                        (ko, yz))
-    spec.release_diagonals()  # the remarks read the diagonals last
+    diagonals = spec.diagonals(probe)
+    classification = classify(spec, cfg.betas[0].values, probe, diagonals)
+    ko = [check_keller_osserman(f, p) for f, p in zip(diagonals, spec.p)]
+    yz = [check_ye_zhou(f, p) for f, p in zip(diagonals, spec.p)]
+    remarks = check_remark_implications(spec, classification.conditions["C3"].status,
+                                        diagonals, (ko, yz))
+    del diagonals  # the remarks read the samples last
     lair_doc = None
     inst = match_lair_form(spec)
     if inst is not None:
@@ -803,8 +805,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except IterateDecreaseError as err:  # from solve or sweep: an f_j is not nondecreasing
         return _decreasing_iterate(cfg, _out_dir(cfg, args.out), args.command, err)
-    except (IterateOverflowError, KernelOverflowError) as err:  # the horizon is out of reach
-        print(f"[radsolve] config error: {ConfigError('grid.R', str(err))}", file=sys.stderr)
+    except (IterateOverflowError, KernelOverflowError, ProbeLayoutError) as err:
+        key = "probes.nodes_per_octave" if isinstance(err, ProbeLayoutError) else "grid.R"
+        print(f"[radsolve] config error: {ConfigError(key, str(err))}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as err:
         print(f"[radsolve] config error: {err}", file=sys.stderr)

@@ -25,35 +25,35 @@ criterion for the sublinear two-component Laplacian system (which the solver can
 cross-check), whose nested integrals are running Simpson sums on the block from 0.
 
 Every probe here (F, the barriers, the growth tests, the Lair integrals) is read by
-``quadrature.probe_samples`` on a shared ``probe_block``, by Simpson's rule; a domain error,
+``quadrature.probe_divergence`` on a shared ``probe_block``, by Simpson's rule; a domain error,
 a non-finite or a clearly negative value makes it inconclusive, with the octaves before as
-evidence.  The F probe, the growth tests, C6 and the monotonicity check read f_j off the same
-samples of ``probe_block(r_start)`` (the check, like the probes, up to a domain error), and C6
-reads F itself through ``transforms.build_F``, the one F quadrature, on that block; Theorem
-3's diagonal bracket is read at its K + 1 octave edges r_start * 2^k (those before a domain
+evidence.  The F probe, the growth tests, C6 and the monotonicity check read f_j off the
+``spec.diagonals(probe)`` its caller holds, sampled once on ``probe_block(r_start)`` (the
+check, like the probes, up to a domain error), and C6 reads F itself through
+``transforms.build_F``, the one F quadrature, off the F probe's integrand; Theorem 3's
+diagonal bracket is read at its K + 1 octave edges r_start * 2^k (those before a domain
 error), so its checks see f only up to r_start * 2^K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .exprlang import Expr, ExprError, evaluate_array
 from .quadrature import (
+    BlockSamples,
     DivergenceVerdict,
     ProbeConfig,
-    SharedSamples,
     classify_tail,
     cumulative_simpson,
     probe_block,
     probe_divergence,
-    probe_samples,
     sample_block,
 )
-from .transforms import (ProblemSpec, build_F, estimate_A_inf, estimate_F_inf,
+from .transforms import (F_integrand, ProblemSpec, build_F, estimate_A_inf, estimate_F_inf,
                          eval_F, invert_F, node_factors)
 
 __all__ = [
@@ -155,14 +155,18 @@ def decide_theorem(*, uniform_beta: bool, c3: str, c4: str, c5: str, c6: str,
 
 
 def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
-             probe: ProbeConfig = ProbeConfig()) -> Classification:
-    """Probe all conditions and map them to the applicable theorem verdict."""
+             probe: ProbeConfig = ProbeConfig(),
+             diagonals: Sequence[BlockSamples] | None = None) -> Classification:
+    """Probe all conditions and map them to the applicable theorem verdict, reading f_j off
+    ``diagonals`` (``spec.diagonals(probe)`` when not given)."""
     beta = central_values if central_values is not None else (1.0,) * spec.d
     if len(beta) != spec.d:
         raise ValueError(f"expected {spec.d} central values")
     uniform = all(b == beta[0] for b in beta)
 
-    f_inf = estimate_F_inf(spec, probe)
+    diagonals = diagonals or spec.diagonals(probe)
+    integrand = F_integrand(spec, diagonals)
+    f_inf = estimate_F_inf(*integrand, probe)
     a_inf = _probe_barriers(spec, probe)
     tail = _barrier_tail_state(a_inf)
 
@@ -177,21 +181,20 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
     beta_window = None
     notes: list[str] = []
     if c4.status == "holds" and c5.status == "holds":
-        c6, beta_window = check_C6(spec, f_inf, a_inf, probe)
+        c6, beta_window = check_C6(spec, f_inf, a_inf, integrand, probe)
     else:
         c6 = ConditionVerdict("inconclusive", {},
                               "not applicable: requires convergent F and barrier tails")
 
-    sublin = check_sublinearity(spec, probe)
-    supb = check_sup_bounded(spec, probe)
+    sublin = check_sublinearity(spec, diagonals)
+    supb = check_sup_bounded(spec, diagonals)
 
     theorem = decide_theorem(
         uniform_beta=uniform, c3=c3.status, c4=c4.status, c5=c5.status,
         c6=c6.status, sublinearity=sublin.status, sup_bounded=supb.status,
         barrier_tail=tail)
     block = probe_block(probe.r_start, probe)  # where the F probe sampled every f_j
-    for j in range(spec.d):
-        f = sample_block(spec.diagonal(j), probe.r_start, probe)[0]  # up to a domain error
+    for j, f in enumerate(samples.values for samples in diagonals):  # up to a domain error
         if (drop := np.flatnonzero(np.diff(f) < -1e-12 * np.maximum(1.0, np.abs(f[:-1])))).size:
             theorem = "inconclusive"  # f_j nondecreasing in each argument is so on the diagonal
             notes.append(f"f[{j}] decreases on the diagonal near s = {block[drop[0]]:g}, "
@@ -217,20 +220,19 @@ def classify(spec: ProblemSpec, central_values: tuple[float, ...] | None = None,
     )
 
 
-def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
-             a_inf: tuple[DivergenceVerdict, ...],
-             probe: ProbeConfig = ProbeConfig()) -> tuple[ConditionVerdict, tuple[float, float] | None]:
+def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict, a_inf: tuple[DivergenceVerdict, ...],
+             integrand: tuple[np.ndarray, str | Exception], probe: ProbeConfig
+             ) -> tuple[ConditionVerdict, tuple[float, float] | None]:
     """Feasible central values for the bounded-solution condition.
 
     Requires convergent estimates for F and every barrier.  The condition,
     sum_j A_j(inf) < F(inf) - F(d*beta) for some beta > r_start/d, is monotone:
     F increases, so feasibility at any beta implies feasibility of everything
-    below it.  F(inf) is the F probe's limit and F is ``build_F`` on that probe's block,
-    r_start to r_start * 2^K, the same samples of f_j (shared through
-    ``spec.diagonal(j)``): one quadrature for both.  We test just above r_start/d with
-    ``eval_F`` and, when feasible, take ``invert_F`` at F(inf) - sum_j A_j(inf) for the
-    right end, capped at r_start * 2^K / d if F stays below that value.  The window is
-    the open interval between the two.
+    below it.  F(inf) is the F probe's limit and F is ``build_F`` of that probe's
+    ``integrand`` (``F_integrand``), r_start to r_start * 2^K: one quadrature for both.
+    We test just above r_start/d with ``eval_F`` and, when feasible, take ``invert_F`` at
+    F(inf) - sum_j A_j(inf) for the right end, capped at r_start * 2^K / d if F stays
+    below that value.  The window is the open interval between the two.
     """
     if f_inf.verdict != "converges":
         raise ValueError("C6 requires a convergent F tail estimate")
@@ -240,7 +242,7 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
     total_A = float(sum(v.limit for v in a_inf))
     d, anchor = spec.d, probe.r_start
 
-    F = build_F(spec, probe)  # on the F probe's nodes, sampled already
+    F = build_F(*integrand, probe)
     beta_lo = (anchor / d) * (1.0 + 1e-6)
     g_lo = F_lim - eval_F(F, d * beta_lo) - total_A
     evidence = {"F_limit": F_lim, "sum_A_limit": total_A, "gap_at_low": g_lo}
@@ -262,21 +264,20 @@ def check_C6(spec: ProblemSpec, f_inf: DivergenceVerdict,
             (anchor / d, beta_max))
 
 
-def _bracket_at_edges(spec: ProblemSpec, probe: ProbeConfig) -> tuple[np.ndarray, np.ndarray, str]:
-    """The octave edges r_start * 2^k of ``probe_block(probe.r_start, probe)`` before the first
-    domain error of an f_i, the diagonal bracket sum_i (1 + f_i(s, .., s)) ** (1 / (min_p - 1))
-    there, read off the block's samples of ``spec.diagonal(i)`` (the F probe's, through
-    ``sample_block``), and that error ("" if none)."""
-    expo, n = 1.0 / (spec.min_p - 1.0), probe.nodes_per_octave
-    samples = [sample_block(spec.diagonal(i), probe.r_start, probe) for i in range(spec.d)]
-    if isinstance(why := next((why for _, why in samples if why), ""), Exception):
+def _bracket_at_edges(spec: ProblemSpec,
+                      diagonals: Sequence[BlockSamples]) -> tuple[np.ndarray, np.ndarray, str]:
+    """The octave edges r_start * 2^k of the ``diagonals``' block before the first domain
+    error of an f_i, the diagonal bracket sum_i (1 + f_i(s, .., s)) ** (1 / (min_p - 1))
+    there, read off their samples, and that error ("" if none)."""
+    probe = diagonals[0].probe
+    if isinstance(why := next((f.why for f in diagonals if f.why), ""), Exception):
         raise why  # not a domain error, and no earlier one stops the samples
-    k = min(len(values) for values, _ in samples)
+    k, n = min(len(f.values) for f in diagonals), probe.nodes_per_octave
     return (probe_block(probe.r_start, probe)[:k:n],
-            sum(np.power(1.0 + values[:k:n], expo) for values, _ in samples), why)
+            sum(np.power(1.0 + f.values[:k:n], 1.0 / (spec.min_p - 1.0)) for f in diagonals), why)
 
 
-def check_sublinearity(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> ConditionVerdict:
+def check_sublinearity(spec: ProblemSpec, diagonals: Sequence[BlockSamples]) -> ConditionVerdict:
     """Does the diagonal bracket grow slower than s?
 
     Classifies bracket(s)/s at the probe block's octave edges like the increments of a tail
@@ -284,13 +285,13 @@ def check_sublinearity(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) ->
     is nondecreasing (bounded away from zero), inconclusive otherwise or on a domain error,
     with the edges before it as evidence.
     """
-    s, bracket, why = _bracket_at_edges(spec, probe)
+    s, bracket, why = _bracket_at_edges(spec, diagonals)
     ratios = bracket / s
     evidence = {"s": s.tolist(), "ratios": ratios.tolist()}
     if why:
         return ConditionVerdict("inconclusive", {**evidence, "error": why},
                                 "bracket not evaluable on the whole probe block")
-    verdict, _, tail = classify_tail(ratios, probe.rho_conv)
+    verdict, _, tail = classify_tail(ratios, diagonals[0].probe.rho_conv)
     evidence["tail_ratios"] = list(tail)
     if verdict == "converges":
         return ConditionVerdict("holds", evidence)
@@ -300,7 +301,7 @@ def check_sublinearity(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) ->
     return ConditionVerdict("inconclusive", evidence)
 
 
-def check_sup_bounded(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> ConditionVerdict:
+def check_sup_bounded(spec: ProblemSpec, diagonals: Sequence[BlockSamples]) -> ConditionVerdict:
     """Does the diagonal bracket stay bounded as s grows?
 
     The bracket is nondecreasing for monotone nonlinearities, so its increments between
@@ -309,12 +310,13 @@ def check_sup_bounded(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> 
     nondecreasing increments mean growth (fails); a domain error is inconclusive, with the
     edges before it as evidence.
     """
-    s, vals, why = _bracket_at_edges(spec, probe)
+    s, vals, why = _bracket_at_edges(spec, diagonals)
     evidence = {"s": s.tolist(), "bracket": vals.tolist()}
     if why:
         return ConditionVerdict("inconclusive", {**evidence, "error": why},
                                 "bracket not evaluable on the whole probe block")
-    verdict, extra, ratios = classify_tail(np.maximum(np.diff(vals), 0.0), probe.rho_conv)
+    verdict, extra, ratios = classify_tail(np.maximum(np.diff(vals), 0.0),
+                                           diagonals[0].probe.rho_conv)
     evidence["tail_ratios"] = list(ratios)
     if verdict == "converges":
         evidence["plateau"] = float(vals[-1] + extra)
@@ -324,31 +326,23 @@ def check_sup_bounded(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> 
     return ConditionVerdict("inconclusive", evidence)
 
 
-def check_keller_osserman(f_diag: Callable, p: float,
-                          probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
+def check_keller_osserman(f: BlockSamples, p: float) -> DivergenceVerdict:
     """Probe the Keller-Osserman test of Delta_p u = f(u) (Keller 1957, Osserman 1957), dt /
-    P(t)^(1/p) from ``probe.r_start``, P the primitive of f from 0 on the probe block
-    (``SharedSamples.primitive``, once per block for ``spec.diagonal(j)``): its divergence
-    allows blow-up solutions.  f is sampled at 0, so it must be finite there, as the paper
-    assumes; a primitive that vanishes or cannot be computed makes the verdict
+    P(t)^(1/p) from r_start, P the ``primitive`` of f from 0 on its samples' block: its
+    divergence allows blow-up solutions.  f is sampled at 0, so it must be finite there, as
+    the paper assumes; a primitive that vanishes or cannot be computed makes the verdict
     inconclusive with a note."""
-    shared = f_diag if isinstance(f_diag, SharedSamples) else SharedSamples(f_diag)
-    primitive, why = shared.primitive(probe)
+    primitive, why = f.primitive
     with np.errstate(divide="ignore"):
-        return probe_samples(np.power(primitive, -1.0 / p), why, probe, probe.r_start)
+        return probe_divergence(np.power(primitive, -1.0 / p), why, f.probe, f.probe.r_start)
 
 
-def check_ye_zhou(f_diag: Callable, p: float,
-                  probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
-    """Probe the reciprocal test of Delta_p u = f(u), ds / f(s)^(1/(p - 1)) from
-    ``probe.r_start`` (inconclusive where f vanishes), on the samples of the F probe
-    when ``f_diag`` is ``spec.diagonal(j)``."""
-
-    def integrand(s):
-        with np.errstate(divide="ignore"):
-            return np.power(np.asarray(f_diag(s), dtype=float), -1.0 / (p - 1.0))
-
-    return probe_divergence(integrand, probe.r_start, probe)
+def check_ye_zhou(f: BlockSamples, p: float) -> DivergenceVerdict:
+    """Probe the reciprocal test of Delta_p u = f(u), ds / f(s)^(1/(p - 1)) from r_start, off
+    the samples of f (inconclusive where f vanishes)."""
+    with np.errstate(divide="ignore"):
+        return probe_divergence(np.power(f.values, -1.0 / (p - 1.0)), f.why, f.probe,
+                                f.probe.r_start)
 
 
 @dataclass(frozen=True)
@@ -363,7 +357,7 @@ class RemarkReport:
 
 
 def check_remark_implications(spec: ProblemSpec, c3_status: str,
-                              probe: ProbeConfig = ProbeConfig(),
+                              diagonals: Sequence[BlockSamples],
                               known: tuple[Sequence, Sequence] | None = None) -> RemarkReport:
     """When F diverges, two companion integrals must diverge as well.
 
@@ -374,9 +368,8 @@ def check_remark_implications(spec: ProblemSpec, c3_status: str,
     contradiction worth investigating; nothing here can prove the implication.
     """
     r1, r2 = zip(*[(known[1][j], known[0][j]) if known is not None and spec.p[j] == spec.min_p
-                   else (check_ye_zhou(spec.diagonal(j), spec.min_p, probe),
-                         check_keller_osserman(spec.diagonal(j), spec.min_p, probe))
-                   for j in range(spec.d)])
+                   else (check_ye_zhou(f, spec.min_p), check_keller_osserman(f, spec.min_p))
+                   for j, f in enumerate(diagonals)])
 
     if c3_status != "holds":
         return RemarkReport(False, r1, r2, None,
@@ -419,7 +412,7 @@ def check_lair_proposition(inst: LairInstance,
 
     Each integrand is t * a_out(t) * (t^(2-N) * nested(t))^exponent where nested stacks
     two weighted primitives of the other coefficient, both ``cumulative_simpson`` on
-    ``probe_block(0, probe)``, the nodes where ``probe_samples`` reads the integrand.  A
+    ``probe_block(0, probe)``, the nodes where ``probe_divergence`` reads the integrand.  A
     domain error of either coefficient, or a negative or NaN value (a negative
     coefficient), ends that side's probe and makes it inconclusive.
     Outside the sublinear exponent range the probes still run, but the prediction
@@ -437,7 +430,7 @@ def check_lair_proposition(inst: LairInstance,
         values, why = sample_block(lambda t: t * evaluate_array(a_out, {"r": t}), 0.0, probe)
         with np.errstate(invalid="ignore"):  # a negative a_in: NaN, where the probe ends
             values = values * np.power(ratio[:len(values)], expo)
-        return probe_samples(values, why, probe, 0.0)
+        return probe_divergence(values, why, probe, 0.0)
 
     return (one_side(inst.a1, inst.a2, inst.alpha),
             one_side(inst.a2, inst.a1, inst.beta_exp))

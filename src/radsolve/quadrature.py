@@ -13,21 +13,21 @@ moments (Richardson-corrected to fourth order for the barrier probe), lives in
 Improper integrals are probed on geometric horizons ``start * 2^k`` on one layout,
 ``probe_block``: the contiguous ``octave_nodes`` of the probe's octaves (from ``start``,
 or from 0 with a head of 2n intervals over ``[0, r_start]``), read-only and shared by the
-probes with the same start and knobs.  ``sample_block`` is the one sampler (one call on
-the block, octave by octave only if that call raises), ``probe_samples`` the one reader,
-and ``probe_divergence`` both over ``[start, inf)``, each octave's area by Simpson's rule;
-``usable_samples`` is the sampler's values as far as a reader takes them.
+probes with the same start and knobs (``ProbeLayoutError`` if numpy cannot hold it).
+``sample_block`` is the one sampler (one call on the block, octave by octave only if that
+call raises), ``BlockSamples`` its values from r_start as plain data, and
+``probe_divergence`` the one reader of sampled values over ``[start, inf)``, each octave's
+area by Simpson's rule; ``usable_samples`` is the values as far as a reader takes them.
 A probe's evidence ends at the last octave edge before a domain error, a non-finite or a
 clearly negative value; its verdict is three-valued with an explicit ``inconclusive``
-outcome, since divergence is not decidable numerically.  ``SharedSamples`` evaluates a
-function probed several times, and its primitive on a block, only once.
+outcome, since divergence is not decidable numerically.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,16 +38,16 @@ __all__ = [
     "RadialGrid",
     "DivergenceVerdict",
     "ProbeConfig",
+    "ProbeLayoutError",
+    "BlockSamples",
     "cumulative_trapezoid",
     "cumulative_simpson",
     "probe_block",
     "probe_divergence",
-    "probe_samples",
     "sample_block",
     "usable_samples",
     "classify_tail",
     "octave_nodes",
-    "SharedSamples",
 ]
 
 
@@ -209,6 +209,10 @@ def _block(start: float, cfg: ProbeConfig) -> tuple:
     return _octaves(start, start or cfg.r_start, cfg.horizon_count, cfg.nodes_per_octave)
 
 
+class ProbeLayoutError(MemoryError):
+    """A probe layout with more nodes than numpy can allocate or index."""
+
+
 @functools.lru_cache(maxsize=4)
 def _octaves(start: float, first: float, horizon_count: int, intervals: int) -> tuple:
     """Read-only ``octave_nodes`` from ``start`` to ``first * 2^horizon_count`` (``first`` is
@@ -234,7 +238,7 @@ def sample_block(integrand: Callable, start: float,
     """``integrand`` on ``probe_block(start, cfg)`` as far as it goes, and what
     stopped it ("" if nothing did): one call on the block, and if that raises, one per octave
     (the head is one) up to one that raises, whose domain error is a note and whose other
-    exceptions ``probe_samples`` raises unless an earlier value ends the evidence."""
+    exceptions ``probe_divergence`` raises unless an earlier value ends the evidence."""
     nodes, *_, octaves = _block(start, cfg)
     try:
         return _eval_segment(integrand, nodes), ""
@@ -280,34 +284,54 @@ def usable_samples(values: np.ndarray, why: str | Exception, start: float,
     return _usable(values, why, _block(start, cfg))
 
 
-def probe_divergence(integrand: Callable, start: float, cfg: ProbeConfig) -> DivergenceVerdict:
-    """Probe ``integral of integrand over [start, inf)`` for divergence.
+@dataclass(frozen=True, eq=False)
+class BlockSamples:
+    """``fn`` on ``probe_block(probe.r_start, probe)``, sampled once as ``sample_block`` does:
+    its ``values`` and ``why`` they stop, plain data for every probe of ``fn`` there."""
 
-    Partial integrals ``I_k`` over ``[start, start * 2^k]``, k = 1 ..
-    ``cfg.horizon_count``, are computed by Simpson's rule with
-    ``cfg.nodes_per_octave`` intervals per octave.  With
-    ``delta_k = I_k - I_{k-1}``: if every tail ratio ``delta_k / delta_{k-1}``
-    is at most ``cfg.rho_conv`` the verdict is ``converges`` with limit
-    ``I_K + delta_K * q / (1 - q)`` (q the last ratio); if the tail increments
-    are nondecreasing the verdict is ``diverges``; anything else, or a domain
-    error, a non-finite or a clearly negative integrand value at a probe point,
-    is ``inconclusive`` with the octaves before that point as evidence.  The
-    integrand is evaluated once, on the ``probe_block`` shared by probes with the
-    same start and knobs.
-    """
-    if not start > 0:
-        raise ValueError("start must be positive")
-    return probe_samples(*sample_block(integrand, start, cfg), cfg, start)
+    fn: Callable[[np.ndarray], np.ndarray]
+    probe: ProbeConfig
+    values: np.ndarray = field(init=False)
+    why: str | Exception = field(init=False)
+
+    def __post_init__(self):
+        values, why = sample_block(self.fn, self.probe.r_start, self.probe)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "why", why)
+
+    @functools.cached_property
+    def primitive(self) -> tuple[np.ndarray, str]:
+        """P(t) = integral of ``fn`` over [0, t] on the block, up to the last octave edge before
+        ``fn`` is unusable, and why ("primitive not computable: ..."; "" if it is usable
+        throughout): Simpson's rule on the head of ``probe_block(0, probe)``, 2n intervals on
+        [0, r_start] (so ``fn`` is sampled at 0 and must be finite there), plus
+        ``cumulative_simpson`` of the block's samples."""
+        cfg = self.probe
+        block = _block(cfg.r_start, cfg)
+        try:
+            xs = _block(0.0, cfg)[3][0]
+            head = _simpson_pairs(xs, _eval_segment(self.fn, xs)).sum()
+            if not np.isfinite(head):
+                raise ValueError(f"integral over [0, {cfg.r_start:g}] not finite")
+            ys, why = _usable(self.values, self.why, block)
+        except (ExprError, ArithmeticError, ValueError) as err:
+            ys, why, head = np.empty(0), str(err), 0.0
+        return head + cumulative_simpson(block[0], ys), why and f"primitive not computable: {why}"
 
 
-def probe_samples(values: np.ndarray, why: str | Exception, cfg: ProbeConfig,
-                  start: float) -> DivergenceVerdict:
-    """The probe from ``start`` of an integrand given by its ``values`` on ``probe_block(start,
-    cfg)`` and ``why`` they stop, as ``sample_block`` returns them.  The increments
-    are the octave sums of the block's Simpson pairs (so a tail far below a head keeps its
-    digits) and the partials their running sum; from 0 (``nodes[0] == 0``) partial k is
-    A(r_start 2^k) - A(r_start), A the running Simpson sum (``cumulative_simpson`` at its even
-    nodes), and a convergent limit includes the head."""
+def probe_divergence(values: np.ndarray, why: str | Exception, cfg: ProbeConfig,
+                     start: float) -> DivergenceVerdict:
+    """Probe the integral over ``[start, inf)`` of an integrand given by its ``values`` on
+    ``probe_block(start, cfg)`` and ``why`` they stop, as ``sample_block`` returns them.
+
+    The increments are the octave sums of the block's Simpson pairs (so a tail far below a
+    head keeps its digits) and the partials ``I_k`` over ``[start, start * 2^k]`` their
+    running sum; from 0, partial k is A(r_start 2^k) - A(r_start), A the running Simpson sum
+    (``cumulative_simpson`` at its even nodes), and a convergent limit includes the head.
+    If every tail ratio of the increments is at most ``cfg.rho_conv`` the verdict is
+    ``converges`` with limit ``I_K + delta_K * q / (1 - q)`` (q the last ratio); if the tail
+    increments are nondecreasing it is ``diverges``; anything else, or evidence that ends
+    early (``usable_samples``), is ``inconclusive`` with the octaves before as evidence."""
     nodes, n, head, _ = block = _block(start, cfg)
     ys, why = _usable(values, why, block)
     pairs = _simpson_pairs(nodes, ys)
@@ -331,59 +355,19 @@ def octave_nodes(t_max: float, lo: float = 0.0, intervals: int = 1024,
     """Nodes on [lo, t_max] in octaves [t, 2t] of ``intervals`` intervals each,
     the last one clipped at ``t_max``, so the relative resolution stays roughly
     constant out to large ``t_max``.  From ``lo = 0`` the first piece is
-    [0, head] with ``2 * intervals`` intervals."""
+    [0, head] with ``2 * intervals`` intervals; ``ProbeLayoutError`` if numpy cannot
+    allocate or index them."""
     if not t_max > lo >= 0:
         raise ValueError("need 0 <= lo < t_max")
-    if lo == 0.0:
-        pieces, left = [np.linspace(0.0, min(head, t_max), 2 * intervals + 1)], head
-    else:
-        pieces, left = [np.array([lo])], lo
-    while left < t_max:
-        right = min(2.0 * left, t_max)
-        pieces.append(np.linspace(left, right, intervals + 1)[1:])
-        left = right
-    return np.concatenate(pieces)
-
-
-class SharedSamples:
-    """``fn`` evaluated once per read-only array such as a probe block, and its
-    ``primitive`` once per block: kept by identity, with the array held so that
-    its id stays unique, as are domain errors; writeable arrays are not kept."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn, self._values = fn, {}
-
-    def __call__(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.flags.writeable:
-            return self._fn(xs)
-        if self._values.get(id(xs), (None,))[0] is not xs:
-            try:
-                self._values[id(xs)] = xs, self._fn(xs)
-            except (ExprError, ArithmeticError) as err:
-                self._values[id(xs)] = xs, err.with_traceback(None)
-        out = self._values[id(xs)][1]
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-    def primitive(self, cfg: ProbeConfig) -> tuple[np.ndarray, str]:
-        """P(t) = integral of ``fn`` over [0, t] on ``probe_block(cfg.r_start, cfg)``, up to the
-        last octave edge before ``fn`` is unusable, and why ("primitive not computable: ...";
-        "" if it is usable throughout): Simpson's rule on the head of ``probe_block(0, cfg)``,
-        2n intervals on [0, r_start] (so ``fn`` is sampled at 0 and must be finite there),
-        plus ``cumulative_simpson`` of the block's samples."""
-        block = _block(cfg.r_start, cfg)
-        nodes, key = block[0], ("primitive", id(block[0]))
-        if self._values.get(key, (None,))[0] is not nodes:
-            try:
-                xs = _block(0.0, cfg)[3][0]  # read-only, so sampled once
-                head = _simpson_pairs(xs, _eval_segment(self, xs)).sum()
-                if not np.isfinite(head):
-                    raise ValueError(f"integral over [0, {cfg.r_start:g}] not finite")
-                ys, why = _usable(*sample_block(self, cfg.r_start, cfg), block)
-            except (ExprError, ArithmeticError, ValueError) as err:
-                ys, why, head = np.empty(0), str(err), 0.0
-            P = head + cumulative_simpson(nodes, ys)
-            self._values[key] = nodes, (P, why and f"primitive not computable: {why}")
-        return self._values[key][1]
+    try:
+        if lo == 0.0:
+            pieces, left = [np.linspace(0.0, min(head, t_max), 2 * intervals + 1)], head
+        else:
+            pieces, left = [np.array([lo])], lo
+        while left < t_max:
+            right = min(2.0 * left, t_max)
+            pieces.append(np.linspace(left, right, intervals + 1)[1:])
+            left = right
+        return np.concatenate(pieces)
+    except (MemoryError, ValueError) as err:
+        raise ProbeLayoutError(f"too many nodes: {err}") from None

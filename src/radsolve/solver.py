@@ -259,7 +259,11 @@ def verify_bounds(bundle: SolutionBundle, tables: TransformTables,
     for j in range(spec.d):
         fbeta = float(NegativeCoefficientError.check(evaluate_array(spec.f[j], env),
                                                      f"f[{j}]", beta)[0])
-        lb = beta[j] + fbeta ** (1.0 / (spec.p[j] - 1.0)) * tables.A[j]
+        try:
+            lb = beta[j] + fbeta ** (1.0 / (spec.p[j] - 1.0)) * tables.A[j]
+        except OverflowError:  # p_j near 1: the same bound, as the operator at u = beta
+            lb = _operator(spec, tables.kernels[j], [np.full(len(bundle.grid), b) for b in beta],
+                           bundle.central, j)
         lower_curves.append(lb)
         lower_margins.append(float(np.max(lb - bundle.u[j])))
 

@@ -17,17 +17,15 @@ and no condition depends on it) to
 a strictly increasing function whose inverse gives the upper solution bound
 (``solver.verify_bounds``) and whose values give the C6 window
 (``conditions.check_C6``).  The nonlinearities take d arguments; inside F they
-are evaluated on the diagonal ``f_j(s, ..., s)``.  There is one F quadrature:
-``build_F`` samples the integrand on a probe layout from r_start (``probe_block``)
-and takes F as the ``cumulative_simpson`` of those samples, which are also its
-slopes, so ``eval_F`` is the cubic Hermite interpolant of values and slopes and
-``invert_F`` bisects that same cubic.  C6 reads the F probe's own block;
-``TransformTables.F`` the same layout over ``_F_OCTAVES`` octaves.
-``ProblemSpec.diagonal(j)`` is f_j on the diagonal, one shared callable per spec,
-so the F tail probe, C6 and the classifier's diagonal probes sample it once;
-``release_diagonals`` drops them and their samples after the last reader.  The
-barrier tail probe reads a fourth-order kernel's ratio on the probe block from 0
-(the Keller-Osserman head's and Lair's), by Simpson's rule like every probe.
+are evaluated on the diagonal ``f_j(s, ..., s)``: ``ProblemSpec.diagonals(probe)``
+samples each once on the probe layout from r_start (``probe_block``), as plain data
+that its caller holds for every reader, and ``F_integrand`` is F's integrand made from
+them.  There is one F quadrature: ``build_F`` takes F as the ``cumulative_simpson``
+of those samples, which are also its slopes, so ``eval_F`` is the cubic Hermite
+interpolant of values and slopes and ``invert_F`` bisects that same cubic.  C6 reads
+the F probe's own samples; ``TransformTables.F`` the same layout over ``_F_OCTAVES``
+octaves.  The barrier tail probe reads a fourth-order kernel's ratio on the probe block
+from 0 (the Keller-Osserman head's and Lair's), by Simpson's rule like every probe.
 
 ``RadialKernel`` is the one implementation of H_j and of the nested ratio
 ((1/H_j) * integral_0^t H_j a_j f)^(1/(p_j-1)): A_j and its tail probe
@@ -40,24 +38,22 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import exprlang
 from .exprlang import Expr, ExprError, ValidationReport, evaluate_array, validate_sampled
 from .quadrature import (
+    BlockSamples,
     DivergenceVerdict,
     ProbeConfig,
     RadialGrid,
-    SharedSamples,
     cumulative_simpson,
     cumulative_trapezoid,
     probe_block,
     probe_divergence,
-    probe_samples,
-    sample_block,
     usable_samples,
 )
 
@@ -69,6 +65,7 @@ __all__ = [
     "TransformTables",
     "RadialKernel",
     "build_A",
+    "F_integrand",
     "build_F",
     "eval_F",
     "invert_F",
@@ -125,7 +122,6 @@ class ProblemSpec:
     h: tuple[Expr, ...]
     a: tuple[Expr, ...]
     f: tuple[Expr, ...]
-    _diagonals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 3:
@@ -153,33 +149,14 @@ class ProblemSpec:
     def min_p(self) -> float:
         return min(self.p)
 
-    def diagonal(self, j: int) -> SharedSamples:
-        """s -> f_j(s, .., s), one shared callable per component of this spec; a negative
-        value raises ``NegativeCoefficientError`` before any caller takes a power of it."""
-        if j not in self._diagonals:
-            names = [f"u{i}" for i in range(1, self.d + 1)]
-            check = NegativeCoefficientError.check
-            self._diagonals[j] = SharedSamples(lambda s, f=self.f[j]: check(
-                evaluate_array(f, dict.fromkeys(names, s)), f"f[{j}]", s))
-        return self._diagonals[j]
-
-    def release_diagonals(self) -> None:
-        """Drop every ``diagonal(j)`` and its samples; a later call builds a fresh one."""
-        self._diagonals.clear()
-
-    def diagonal_integrand(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Integrand of F: (1 + sum_j f_j(s, .., s)) ** (1 / (1 - min_p))."""
-        expo = 1.0 / (1.0 - self.min_p)
-        diagonals = [self.diagonal(j) for j in range(self.d)]
-
-        def fn(s: np.ndarray) -> np.ndarray:
-            s = np.asarray(s, dtype=float)
-            total = np.zeros_like(s)
-            for f_j in diagonals:
-                total = total + f_j(s)
-            return np.power(1.0 + total, expo)
-
-        return fn
+    def diagonals(self, probe: ProbeConfig) -> tuple[BlockSamples, ...]:
+        """f_j(s, .., s) of each component, sampled once on ``probe_block(probe.r_start,
+        probe)``; a negative value stops them with a ``NegativeCoefficientError``, before
+        any reader takes a power of it."""
+        names, check = [f"u{i}" for i in range(1, self.d + 1)], NegativeCoefficientError.check
+        return tuple(BlockSamples(lambda s, f=f, key=f"f[{j}]": check(
+            evaluate_array(f, dict.fromkeys(names, s)), key, s), probe)
+            for j, f in enumerate(self.f))
 
 
 def node_factors(nodes: np.ndarray, N: int) -> tuple[np.ndarray, ...]:
@@ -284,12 +261,20 @@ class FTable:
     reach: str
 
 
-def build_F(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> FTable:
+def F_integrand(spec: ProblemSpec,
+                diagonals: Sequence[BlockSamples]) -> tuple[np.ndarray, str | Exception]:
+    """F's integrand (1 + sum_j f_j(s, .., s)) ** (1 / (1 - min_p)) from ``diagonals``, as
+    far as all of them go, and why it stops there (the first of those that stop first), as
+    ``sample_block`` returns an integrand."""
+    k = min(len(f.values) for f in diagonals)
+    why = next(f.why for f in diagonals if len(f.values) == k)
+    return np.power(1.0 + sum(f.values[:k] for f in diagonals), 1.0 / (1.0 - spec.min_p)), why
+
+
+def build_F(values: np.ndarray, why: str | Exception, probe: ProbeConfig) -> FTable:
     """F on ``probe_block(probe.r_start, probe)`` up to the last octave edge before its
-    integrand is unusable, or an f_j negative: ``cumulative_simpson`` of the integrand's
-    samples there (those of the F probe, through ``spec.diagonal(j)``), which are F's
-    slopes."""
-    values, why = sample_block(spec.diagonal_integrand(), probe.r_start, probe)
+    integrand (``values`` and ``why`` from ``F_integrand``) is unusable, or an f_j negative:
+    ``cumulative_simpson`` of the integrand's samples, which are F's slopes."""
     if isinstance(why, NegativeCoefficientError):  # F ends there, as at a domain error
         why = str(why)
     slopes, why = usable_samples(values, why, probe.r_start, probe)
@@ -351,16 +336,18 @@ def invert_F(table: FTable, ys, f_inf: DivergenceVerdict) -> float | np.ndarray:
     return s0 + (lo + step) * w
 
 
-def estimate_F_inf(spec: ProblemSpec, probe: ProbeConfig = ProbeConfig()) -> DivergenceVerdict:
-    """Tail probe of the F integral from ``probe.r_start``; a convergent limit estimates F(inf)."""
-    return probe_divergence(spec.diagonal_integrand(), probe.r_start, probe)
+def estimate_F_inf(values: np.ndarray, why: str | Exception,
+                   probe: ProbeConfig) -> DivergenceVerdict:
+    """Tail probe of the F integral from ``probe.r_start``, off ``F_integrand``'s ``values``
+    and ``why``; a convergent limit estimates F(inf)."""
+    return probe_divergence(values, why, probe, probe.r_start)
 
 
 def estimate_A_inf(spec: ProblemSpec, j: int, probe: ProbeConfig = ProbeConfig(),
                    factors: tuple[np.ndarray, ...] | None = None) -> DivergenceVerdict:
     """Tail probe of the barrier integral; a convergent limit estimates A_j(inf).
 
-    ``probe_samples`` reads it off Simpson's rule of the ratio of the ``fourth_order``
+    ``probe_divergence`` reads it off Simpson's rule of the ratio of the ``fourth_order``
     kernel (``build_A`` takes the second-order one's by the trapezoid) on ``probe_block(0,
     probe)`` (or its ``node_factors``, shared): partial k is A_j(r_start 2^k) - A_j(r_start),
     a convergent limit the full A_j(inf).
@@ -373,7 +360,7 @@ def estimate_A_inf(spec: ProblemSpec, j: int, probe: ProbeConfig = ProbeConfig()
         kernel = RadialKernel(spec, j, factors or probe_block(0.0, probe), fourth_order=True)
     except (ExprError, ValueError, FloatingPointError) as err:
         return DivergenceVerdict("inconclusive", note=f"barrier kernel not probeable: {err}")
-    return probe_samples(kernel.ratio(), "", probe, 0.0)
+    return probe_divergence(kernel.ratio(), "", probe, 0.0)
 
 
 @dataclass(frozen=True)
@@ -384,9 +371,9 @@ class TransformTables:
     ``estimate_A_inf``).
 
     F and its tail estimate are made on first use (only the upper bound of a
-    uniform central value reads them), once for every central value verified:
-    ``build_F`` on the probe layout widened to ``_F_OCTAVES`` octaves, or to as many
-    as stay below the largest double.
+    uniform central value reads them), once for every central value verified, each from
+    its own ``spec.diagonals``: ``build_F`` on the probe layout widened to ``_F_OCTAVES``
+    octaves, or to as many as stay below the largest double.
     """
 
     A: tuple[np.ndarray, ...]
@@ -398,11 +385,13 @@ class TransformTables:
     def F(self) -> FTable:
         # r_start = m * 2^e with m < 1, so r_start * 2^k is finite up to k = 1024 - e
         octaves = min(_F_OCTAVES, 1024 - math.frexp(self.probe.r_start)[1])
-        return build_F(self.spec, replace(self.probe, horizon_count=octaves))
+        wide = replace(self.probe, horizon_count=octaves)
+        return build_F(*F_integrand(self.spec, self.spec.diagonals(wide)), wide)
 
     @functools.cached_property
     def F_inf(self) -> DivergenceVerdict:
-        return estimate_F_inf(self.spec, self.probe)
+        return estimate_F_inf(*F_integrand(self.spec, self.spec.diagonals(self.probe)),
+                              self.probe)
 
 
 def build_transform_tables(spec: ProblemSpec, grid: RadialGrid,

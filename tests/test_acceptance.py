@@ -21,19 +21,19 @@ from radsolve.conditions import (
     classify,
 )
 from radsolve.exprlang import parse
-from radsolve.quadrature import ProbeConfig, RadialGrid, probe_divergence
+from radsolve.quadrature import (BlockSamples, ProbeConfig, RadialGrid, probe_divergence,
+                                 sample_block)
 from radsolve.solver import CentralValues, iterate, residual, verify_bounds
 from radsolve.transforms import (
     ProblemSpec,
     build_A,
-    build_F,
     build_transform_tables,
-    estimate_F_inf,
     eval_F,
     invert_F,
 )
 
 from test_solver import series_sinh_over_r
+from test_transforms import F_table, F_tail
 
 LN2 = 0.69314718055994530942
 
@@ -68,8 +68,8 @@ def test_criterion_2_transform_closed_forms():
     A = build_A(sinh_spec(), grid, 0)
     a_err = abs(A[-1] - 1.0 / 6.0) / (1.0 / 6.0)
 
-    table = build_F(sinh_spec())
-    f_inf = estimate_F_inf(sinh_spec())
+    table = F_table(sinh_spec())
+    f_inf = F_tail(sinh_spec())
     f_err = abs(float(eval_F(table, 3.0)) - LN2)
 
     round_trip = 0.0
@@ -192,15 +192,16 @@ def test_criterion_7_grid_convergence():
 def test_criterion_8_probe_correctness():
     results = []
 
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r), 1.0, ProbeConfig(horizon_count=8))
+    cfg = ProbeConfig(horizon_count=8)
+    v = probe_divergence(*sample_block(lambda r: 1.0 / (1.0 + r), 1.0, cfg), cfg, 1.0)
     results.append(("1/(1+r)", v.verdict == "diverges"))
 
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
+    v = probe_divergence(*sample_block(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, cfg), cfg, 1.0)
     results.append(("1/(1+r)^2", v.verdict == "converges"
                     and abs(v.limit - 0.5) / 0.5 <= 0.05))
 
-    f_lin = lambda t: np.asarray(t, dtype=float)
-    f_cub = lambda t: np.asarray(t, dtype=float) ** 3
+    f_lin = BlockSamples(lambda t: t, ProbeConfig())
+    f_cub = BlockSamples(lambda t: t ** 3, ProbeConfig())
 
     results.append(("KO f=t", check_keller_osserman(f_lin, 2.0).verdict == "diverges"))
     v = check_keller_osserman(f_cub, 2.0)

@@ -4,8 +4,8 @@ A user runs one command per process, so a cache that lives across commands
 (of kernels, node arrays or parsers) pays off only when many commands share
 one interpreter, as in an in-process benchmark.  ``_octaves`` is kept: the
 probes of one ``classify`` command share its block of octave nodes.  State a
-command needs for longer belongs to an object the command creates, such as
-``ProblemSpec.diagonal``.
+command needs for longer belongs to an object the command creates and drops, such
+as the samples of f_j that ``ProblemSpec.diagonals`` returns.
 """
 
 import ast

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -861,7 +862,7 @@ def test_classify_samples_each_f_once_per_probe_octave(tmp_path, monkeypatch):
     # the primitive on the block: P = t^3 / 3 for f_2 = u1^2 on the diagonal, exact on the
     # head and the block, since Simpson's and the three-point rule are exact for t^2
     cfg = parse_config(doc)
-    P, why = cfg.spec.diagonal(1).primitive(cfg.probe)
+    P, why = cfg.spec.diagonals(cfg.probe)[1].primitive
     assert why == "" and P.shape == (8 * 256 + 1,)
     np.testing.assert_allclose(P, quadrature.probe_block(1.0, cfg.probe) ** 3 / 3.0,
                                rtol=1e-13)
@@ -900,10 +901,10 @@ def test_classify_probes_each_growth_integral_once(tmp_path, monkeypatch):
     doc["probes"] = {"K": 8, "nodes_per_octave": 256}
     path = write_config(tmp_path, doc)
     calls = []
-    probe_samples = quadrature.probe_samples
-    counting = lambda *args, **kw: calls.append(1) or probe_samples(*args, **kw)
+    probe_divergence = quadrature.probe_divergence
+    counting = lambda *args, **kw: calls.append(1) or probe_divergence(*args, **kw)
     for module in (quadrature, transforms, conditions):
-        monkeypatch.setattr(module, "probe_samples", counting)
+        monkeypatch.setattr(module, "probe_divergence", counting)
     in_classify = []
     classify = cli.classify
 
@@ -1006,6 +1007,22 @@ def test_a_horizon_beyond_the_floats_is_a_probes_config_error(tmp_path, monkeypa
     assert parse_config(base_config(probes={"K": 1023})).probe.t_max == 2.0 ** 1023
 
 
+def _bounded_cubic(**changes) -> dict:
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "bounded_cubic.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("command", ["classify", "solve"])
+def test_a_probe_layout_numpy_cannot_hold_is_a_config_error(tmp_path, capsys, command):
+    # 2^60 intervals per octave: numpy refuses the block's size before it allocates anything
+    path = write_config(tmp_path, _bounded_cubic(probes={"nodes_per_octave": 2 ** 60}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: probes.nodes_per_octave: too many nodes: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def _negative_source_config(tmp_path, a="1-r"):
     doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
                       / "sinh_oracle.json").read_text())
@@ -1087,6 +1104,21 @@ def test_solve_with_an_overflowing_iterate_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, beta", [("solve", 1.2), ("sweep", [1.2, 1.5])])
+def test_p_near_1_gives_a_report_with_finite_lower_margins(tmp_path, command, beta):
+    # f(beta)^(1/(p-1)) = 1.728^1e6 overflows a float, so the lower bound is the operator at
+    # the constant iterate beta, the same bound without that factor; the FD residual flags
+    # the derivative, which underflows
+    doc = _bounded_cubic(beta=beta)
+    doc["problem"]["p"] = [1.000001]
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    margins = [m for s in report["solutions"] for m in s["verification"]["lower_margins"]]
+    assert len(margins) == np.size(beta)
+    assert all(math.isfinite(m) and m <= 1e-6 for m in margins)
+
+
 def test_a_kernel_that_overflows_on_the_grid_is_a_config_error(tmp_path, capsys):
     # exp(integral of h) = exp(100 r) leaves the double range near r = 7.1 < R = 10
     doc = base_config(grid={"R": 10.0, "M": 200})
@@ -1165,18 +1197,18 @@ def test_a_decreasing_nonlinearity_ends_in_a_report_with_the_consistency_exit_co
     assert "monotone iteration failed: iterate decreased" in capsys.readouterr().err
 
 
-def test_classify_empties_the_diagonal_store_after_the_remarks_and_keeps_its_report(
-        tmp_path, monkeypatch):
-    # coupled_sweep has the Lair form, so the Lair probes run after the remarks
+def test_classify_holds_no_samples_past_the_remarks_and_keeps_its_report(tmp_path, monkeypatch):
+    # coupled_sweep has the Lair form, so the Lair probes run after the remarks: by then no
+    # samples of an f_j are alive, as after the command
     config = Path(__file__).resolve().parent.parent / "configs" / "coupled_sweep.json"
-    stores = []
+
+    def alive():
+        return sum(isinstance(obj, quadrature.BlockSamples) for obj in gc.get_objects())
+
+    gc.collect()
+    before, at_lair = alive(), []
     match = cli.match_lair_form
-    monkeypatch.setattr(cli, "match_lair_form",
-                        lambda spec: stores.append(len(spec._diagonals)) or match(spec))
-    assert main(["classify", "--config", str(config), "--out", str(tmp_path / "released")]) == 0
-    monkeypatch.setattr(transforms.ProblemSpec, "release_diagonals", lambda self: None)
-    assert main(["classify", "--config", str(config), "--out", str(tmp_path / "kept")]) == 0
-    assert stores == [0, 2]  # empty once released; both components' diagonals otherwise
-    assert ((tmp_path / "released" / "report.json").read_bytes()
-            == (tmp_path / "kept" / "report.json").read_bytes())
-    assert json.loads((tmp_path / "kept" / "report.json").read_text())["auxiliary"]["lair"]
+    monkeypatch.setattr(cli, "match_lair_form", lambda spec: at_lair.append(alive()) or match(spec))
+    assert main(["classify", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert at_lair == [before] and alive() == before
+    assert json.loads((tmp_path / "report.json").read_text())["auxiliary"]["lair"]

@@ -22,10 +22,11 @@ from radsolve.conditions import (
     match_lair_form,
 )
 from radsolve.exprlang import parse
-from radsolve.quadrature import ProbeConfig
+from radsolve.quadrature import BlockSamples, ProbeConfig
 from radsolve import quadrature, transforms
 from radsolve.cli import main
-from radsolve.transforms import ProblemSpec, estimate_A_inf, estimate_F_inf
+from radsolve.transforms import F_integrand, ProblemSpec, estimate_A_inf, estimate_F_inf
+from test_transforms import F_tail
 
 # oracle values from high-precision quadrature
 F_INF_CUBIC = 0.37355072789142418
@@ -42,6 +43,17 @@ def spec_linear_decaying():
 
 def spec_cubic_decaying():
     return ProblemSpec.from_strings(3, 1, 2.0, "0", "(1+r)^(-4)", "u1^3")
+
+
+def C6(spec, a_inf, probe=ProbeConfig()):
+    """``check_C6`` off the F probe of ``spec`` on ``probe``'s block, as ``classify`` runs it."""
+    integrand = F_integrand(spec, spec.diagonals(probe))
+    return check_C6(spec, estimate_F_inf(*integrand, probe), a_inf, integrand, probe)
+
+
+def diagonals(spec):
+    """``spec``'s f_j on the default probe block."""
+    return spec.diagonals(ProbeConfig())
 
 
 def test_classify_thm1_large():
@@ -160,9 +172,7 @@ def test_decide_theorem_monotone_in_evidence():
 
 def test_check_C6_window_and_residual():
     spec = spec_cubic_decaying()  # configs/bounded_cubic.json
-    f_inf = estimate_F_inf(spec)
-    a_inf = (estimate_A_inf(spec, 0),)
-    verdict, window = check_C6(spec, f_inf, a_inf)
+    verdict, window = C6(spec, (estimate_A_inf(spec, 0),))
     assert verdict.status == "holds"
     lo, hi = window
     assert lo == pytest.approx(1.0)
@@ -182,14 +192,14 @@ def test_bounded_cubic_barrier_and_window_end_errors():
     spec = spec_cubic_decaying()
     a_inf = estimate_A_inf(spec, 0)
     assert abs(a_inf.limit - 1.0 / 6.0) <= 1.96e-6
-    _, window = check_C6(spec, estimate_F_inf(spec), (a_inf,))
+    _, window = C6(spec, (a_inf,))
     assert abs(window[1] - BETA_MAX_CUBIC) <= 1.1e-5
 
 
 def test_F_probe_limit_of_bounded_cubic_matches_the_closed_form():
     # integral over [1, inf) of ds / (1 + s^3) = pi / (3 sqrt 3) - ln 4 / 6; Simpson's rule
     # at 256 intervals per octave errs by about 1e-11 (the trapezoid at 2048 by 2.7e-8)
-    f_inf = estimate_F_inf(spec_cubic_decaying())
+    f_inf = F_tail(spec_cubic_decaying())
     assert f_inf.verdict == "converges"
     assert abs(f_inf.limit - (np.pi / (3.0 * np.sqrt(3.0)) - np.log(4.0) / 6.0)) <= 1e-9
 
@@ -200,20 +210,20 @@ def test_check_C6_window_end_below_a_tiny_barrier_sum_is_not_capped():
     # the end is the root of F(inf) - F(s) = sum_j A_j(inf), from adaptive
     # quadrature and bracketing on the exact integrands
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1e-8*(1+r)^(-8)", "u1^10")
-    verdict, window = check_C6(spec, estimate_F_inf(spec), (estimate_A_inf(spec, 0),))
+    verdict, window = C6(spec, (estimate_A_inf(spec, 0),))
     assert verdict.status == "holds" and verdict.evidence["capped"] is False
     assert window[1] == pytest.approx(9.18804138, rel=0.01)
 
 
 def test_classify_reads_F_off_its_probe_without_an_F_table(tmp_path, monkeypatch):
-    # C6's F is build_F on the F probe's own block, already sampled: no nodes of its own
-    # and no new evaluation of f
+    # C6's F is build_F of the F probe's own integrand, already sampled: no nodes of its
+    # own and no new evaluation of f
     built, evaluations = [], []
     build_F, evaluate = conditions.build_F, transforms.evaluate_array
 
-    def counted_build(spec, probe):
+    def counted_build(values, why, probe):
         before = len(evaluations)
-        table = build_F(spec, probe)
+        table = build_F(values, why, probe)
         built.append((table, probe, len(evaluations) - before))
         return table
 
@@ -244,31 +254,30 @@ def test_classify_notes_a_decrease_before_a_domain_error(f):
 
 def test_check_C6_reuses_the_F_probes_samples_of_f(monkeypatch):
     spec = spec_cubic_decaying()
-    f_inf, a_inf = estimate_F_inf(spec), (estimate_A_inf(spec, 0),)
+    integrand = F_integrand(spec, diagonals(spec))
+    f_inf, a_inf = estimate_F_inf(*integrand, ProbeConfig()), (estimate_A_inf(spec, 0),)
     calls = []
     evaluate = transforms.evaluate_array
     monkeypatch.setattr(transforms, "evaluate_array",
                         lambda e, env: calls.append(e) or evaluate(e, env))
-    check_C6(spec, f_inf, a_inf)
-    assert calls == []  # the block is the probe's, and spec.diagonal(0) kept its samples
+    check_C6(spec, f_inf, a_inf, integrand, ProbeConfig())
+    assert calls == []  # C6 reads the F probe's integrand, made from the samples of f
 
 
 def test_check_C6_zero_barrier_is_capped():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "0", "u1^3")
-    f_inf = estimate_F_inf(spec)
     a_inf = (estimate_A_inf(spec, 0),)
     assert a_inf[0].limit == 0.0
-    verdict, window = check_C6(spec, f_inf, a_inf)
+    verdict, window = C6(spec, a_inf)
     assert verdict.status == "holds"
     assert verdict.evidence["capped"]
     assert window[1] == pytest.approx(ProbeConfig().t_max)  # r_start * 2^K over d = 1
 
 
 def test_check_C6_requires_convergent_inputs():
-    spec = spec_linear_flat()
-    f_inf = estimate_F_inf(spec)  # diverges
+    spec = spec_linear_flat()  # F diverges
     with pytest.raises(ValueError, match="convergent"):
-        check_C6(spec, f_inf, (estimate_A_inf(spec, 0),))
+        C6(spec, (estimate_A_inf(spec, 0),))
 
 
 def test_classify_zero_nonlinearity_gates_C6():
@@ -281,33 +290,41 @@ def test_classify_zero_nonlinearity_gates_C6():
 
 # --- diagonal growth checks ---------------------------------------------------
 
+def sublinearity(spec):
+    return check_sublinearity(spec, diagonals(spec))
+
+
+def sup_bounded(spec):
+    return check_sup_bounded(spec, diagonals(spec))
+
+
 def test_sublinearity_fixtures():
-    holds = check_sublinearity(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^0.5"))
+    holds = sublinearity(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^0.5"))
     assert holds.status == "holds"
-    fails = check_sublinearity(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^3"))
+    fails = sublinearity(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^3"))
     assert fails.status == "fails"
-    const = check_sublinearity(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0"))
+    const = sublinearity(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0"))
     assert const.status == "holds"
     # the linear case has bracket/s -> 1 from above, its octave ratios -> 1 from below:
     # no finite horizon tells that limit from a slow decay to 0
-    linear = check_sublinearity(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1"))
+    linear = sublinearity(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1"))
     assert linear.status == "inconclusive"
     assert linear.evidence["s"] == (2.0 ** np.arange(11)).tolist()  # the octave edges to 1024
     # f = u1^q with bracket (1 + s^q)^(1/(p - 1)) ~ s^gamma, gamma = q / (p - 1): never a
     # decided wrong verdict, and decided away from gamma = 1
     for p, gamma in itertools.product((1.5, 2.0, 3.0), (0.5, 0.75, 0.9, 1.2, 1.5, 2.0)):
-        v = check_sublinearity(ProblemSpec.from_strings(3, 1, p, "0", "1",
-                                                        f"u1^{gamma * (p - 1)!r}"))
+        v = sublinearity(ProblemSpec.from_strings(3, 1, p, "0", "1",
+                                                  f"u1^{gamma * (p - 1)!r}"))
         right = "holds" if gamma < 1 else "fails"
         decided = gamma <= 0.75 or gamma >= 1.2
         assert v.status in ((right,) if decided else (right, "inconclusive")), (p, gamma, v)
     # bracket/s = (1 + s^0.45)^2 / s ~ s^(-0.1) -> 0: too slow to decide, but never "fails"
-    slow = check_sublinearity(ProblemSpec.from_strings(3, 1, 1.5, "0", "1", "u1^0.45"))
+    slow = sublinearity(ProblemSpec.from_strings(3, 1, 1.5, "0", "1", "u1^0.45"))
     assert slow.status != "fails"
     # d = 2 at min_p = 2: 2 + s^0.4 + s^0.5 is sublinear, 2 + s^2 + s is not
-    assert check_sublinearity(ProblemSpec.from_strings(
+    assert sublinearity(ProblemSpec.from_strings(
         3, 2, [2.0, 3.0], "0", "1", ["u2^0.4", "u1^0.5"])).status == "holds"
-    assert check_sublinearity(ProblemSpec.from_strings(
+    assert sublinearity(ProblemSpec.from_strings(
         3, 2, [2.0, 2.0], "0", "1", ["u2^2", "u1"])).status == "fails"
 
 
@@ -315,7 +332,7 @@ def test_bracket_checks_keep_the_octave_edges_before_a_domain_error():
     # exp(u1) overflows past s = 709.8, in the last octave [512, 1024]: both checks keep the
     # edges 1 .. 512 as the F probe keeps its nine octaves, and stay inconclusive
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "exp(u1)")
-    for check, key in ((check_sublinearity, "ratios"), (check_sup_bounded, "bracket")):
+    for check, key in ((sublinearity, "ratios"), (sup_bounded, "bracket")):
         v = check(spec)
         assert v.status == "inconclusive" and v.note.startswith("bracket not evaluable")
         assert v.evidence["s"] == (2.0 ** np.arange(10)).tolist()
@@ -323,17 +340,17 @@ def test_bracket_checks_keep_the_octave_edges_before_a_domain_error():
                                    / (2.0 ** np.arange(10) if key == "ratios" else 1.0),
                                    rtol=1e-12)
         assert v.evidence["error"].startswith("integrand error on [512,1024]: overflow")
-    assert estimate_F_inf(spec).horizons == tuple(2.0 ** np.arange(1, 10))
+    assert F_tail(spec).horizons == tuple(2.0 ** np.arange(1, 10))
 
 
 def test_sup_bounded_fixtures():
     saturating = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1/(1+u1)")
-    v = check_sup_bounded(saturating)
+    v = sup_bounded(saturating)
     assert v.status == "holds"
     assert v.evidence["plateau"] == pytest.approx(2.0, rel=1e-3)  # 2 + 3.8e-6 at s <= 1024
-    linear = check_sup_bounded(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1"))
+    linear = sup_bounded(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1"))
     assert linear.status == "fails"
-    const = check_sup_bounded(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0"))
+    const = sup_bounded(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0"))
     assert const.status == "holds"
     assert const.evidence["plateau"] == pytest.approx(1.0)
 
@@ -341,7 +358,7 @@ def test_sup_bounded_fixtures():
 # --- classical growth tests ---------------------------------------------------
 
 def test_keller_osserman_and_ye_zhou_linear_diverge():
-    f = lambda t: np.asarray(t, dtype=float)
+    f = BlockSamples(lambda t: np.asarray(t, dtype=float), ProbeConfig())
     assert check_keller_osserman(f, 2.0).verdict == "diverges"
     assert check_ye_zhou(f, 2.0).verdict == "diverges"
 
@@ -349,7 +366,7 @@ def test_keller_osserman_and_ye_zhou_linear_diverge():
 def test_keller_osserman_partials_for_f_linear_match_the_closed_form():
     # P = t^2 / 2 exactly (the Simpson sums of t on the head and the block are exact),
     # so the partial over [1, 2^k] of dt / sqrt(P) = sqrt(2) / t is sqrt(2) k ln 2
-    ko = check_keller_osserman(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1").diagonal(0),
+    ko = check_keller_osserman(diagonals(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1"))[0],
                                2.0)
     k = np.arange(1, 11)
     np.testing.assert_allclose(ko.partials, np.sqrt(2.0) * k * np.log(2.0), rtol=1e-7, atol=0.0)
@@ -357,7 +374,7 @@ def test_keller_osserman_partials_for_f_linear_match_the_closed_form():
 
 
 def test_keller_osserman_and_ye_zhou_cubic_converge():
-    f = lambda t: np.asarray(t, dtype=float) ** 3
+    f = BlockSamples(lambda t: np.asarray(t, dtype=float) ** 3, ProbeConfig())
     ko = check_keller_osserman(f, 2.0)
     yz = check_ye_zhou(f, 2.0)
     assert ko.verdict == "converges"
@@ -367,7 +384,7 @@ def test_keller_osserman_and_ye_zhou_cubic_converge():
 
 
 def test_ye_zhou_log_squared_converges_ko_reported_independently():
-    f = lambda t: np.asarray(t, dtype=float) * np.log1p(np.asarray(t, dtype=float)) ** 2
+    f = BlockSamples(lambda t: t * np.log1p(t) ** 2, ProbeConfig())
     yz = check_ye_zhou(f, 2.0)
     assert yz.verdict == "converges"
     ko = check_keller_osserman(f, 2.0)
@@ -375,7 +392,7 @@ def test_ye_zhou_log_squared_converges_ko_reported_independently():
 
 
 def test_zero_nonlinearity_probes_are_inconclusive():
-    f = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    f = BlockSamples(lambda t: np.zeros_like(np.asarray(t, dtype=float)), ProbeConfig())
     assert check_ye_zhou(f, 2.0).verdict == "inconclusive"
     assert check_keller_osserman(f, 2.0).verdict == "inconclusive"
 
@@ -392,7 +409,7 @@ def test_growth_tests_at_p_follow_the_closed_form_of_a_power(q, p):
     # P^(-1/p) ~ s^(-(q+1)/p) and the reciprocal one f^(-1/(p-1)) = s^(-q/(p-1)), so
     # each octave increment is the one before times 2^(1 - exponent), and each integral
     # converges iff its exponent exceeds 1
-    f = ProblemSpec.from_strings(3, 1, p, "0", "1", f"u1^{q}").diagonal(0)
+    f = diagonals(ProblemSpec.from_strings(3, 1, p, "0", "1", f"u1^{q}"))[0]
     for v, expo in ((check_keller_osserman(f, p), (q + 1.0) / p),
                     (check_ye_zhou(f, p), q / (p - 1.0))):
         assert v.verdict == ("converges" if expo > 1.0 else "diverges")
@@ -403,7 +420,7 @@ def test_growth_tests_at_p_follow_the_closed_form_of_a_power(q, p):
     (3.0, 2.0 ** (1 / 6), 2.0 ** (1 / 4), "diverges"),
     (2.0, 2.0 ** (-1 / 4), 2.0 ** (-1 / 2), "converges")])
 def test_growth_tests_of_u_to_the_1_5_read_their_own_p(p, ko_ratio, yz_ratio, verdict):
-    f = ProblemSpec.from_strings(3, 1, p, "0", "1", "u1^1.5").diagonal(0)
+    f = diagonals(ProblemSpec.from_strings(3, 1, p, "0", "1", "u1^1.5"))[0]
     for v, ratio in ((check_keller_osserman(f, p), ko_ratio), (check_ye_zhou(f, p), yz_ratio)):
         assert v.verdict == verdict
         noted = [float(x) for x in v.note.split(": ")[1].split("; ")[0].split(", ")]
@@ -414,7 +431,7 @@ def test_growth_tests_of_u_to_the_1_5_read_their_own_p(p, ko_ratio, yz_ratio, ve
 
 def test_remarks_consistent_for_linear():
     spec = spec_linear_flat()
-    rep = check_remark_implications(spec, "holds")
+    rep = check_remark_implications(spec, "holds", diagonals(spec))
     assert rep.applicable
     assert rep.consistent is True
     assert all(v.verdict == "diverges" for v in rep.reciprocal_power)
@@ -422,14 +439,14 @@ def test_remarks_consistent_for_linear():
 
 def test_remarks_not_applicable_when_F_converges():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^3")
-    rep = check_remark_implications(spec, "fails")
+    rep = check_remark_implications(spec, "fails", diagonals(spec))
     assert not rep.applicable
     assert "not applicable" in rep.note
 
 
 def test_remarks_zero_denominator_inconclusive():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
-    rep = check_remark_implications(spec, "holds")
+    rep = check_remark_implications(spec, "holds", diagonals(spec))
     assert rep.consistent is None
     assert all(v.verdict == "inconclusive" for v in rep.reciprocal_power)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from radsolve.quadrature import (
+    BlockSamples,
     DivergenceVerdict,
     ProbeConfig,
     RadialGrid,
@@ -11,11 +12,9 @@ from radsolve.quadrature import (
     cumulative_simpson,
     cumulative_trapezoid,
     octave_nodes,
-    SharedSamples,
     _octaves,
     probe_block,
     probe_divergence,
-    probe_samples,
     sample_block,
 )
 from radsolve.exprlang import ExprError, evaluate_array, parse
@@ -127,20 +126,26 @@ def test_cumulative_simpson_is_exact_for_cubics_at_even_nodes_and_quadratics_at_
 
 # --- probing ----------------------------------------------------------------
 
+def _probe(integrand, start, cfg):
+    """The probe from ``start`` of the callable ``integrand``: ``probe_divergence`` of its
+    ``sample_block`` samples."""
+    return probe_divergence(*sample_block(integrand, start, cfg), cfg, start)
+
+
 def test_probe_convergent_quadratic_tail():
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
+    v = _probe(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
     assert v.verdict == "converges"
     assert v.limit == pytest.approx(0.5, rel=0.05)
 
 
 def test_probe_divergent_harmonic_tail():
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r), 1.0, ProbeConfig(horizon_count=8))
+    v = _probe(lambda r: 1.0 / (1.0 + r), 1.0, ProbeConfig(horizon_count=8))
     assert v.verdict == "diverges"
     assert v.limit is None
 
 
 def test_probe_zero_integrand():
-    v = probe_divergence(lambda r: np.zeros_like(np.asarray(r)), 1.0, ProbeConfig(horizon_count=6))
+    v = _probe(lambda r: np.zeros_like(np.asarray(r)), 1.0, ProbeConfig(horizon_count=6))
     assert v.verdict == "converges"
     assert v.limit == 0.0
 
@@ -149,42 +154,45 @@ def test_probe_domain_error_is_inconclusive():
     def bad(r):
         raise ZeroDivisionError("boom")
 
-    v = probe_divergence(bad, 1.0, ProbeConfig(horizon_count=5))
+    v = _probe(bad, 1.0, ProbeConfig(horizon_count=5))
     assert v.verdict == "inconclusive"
     assert "boom" in v.note
 
 
 def test_probe_nonfinite_integrand_is_inconclusive():
-    v = probe_divergence(lambda r: np.full_like(np.asarray(r, dtype=float), np.inf), 1.0,
-                         ProbeConfig(horizon_count=5))
+    v = _probe(lambda r: np.full_like(np.asarray(r, dtype=float), np.inf), 1.0,
+               ProbeConfig(horizon_count=5))
     assert v.verdict == "inconclusive"
 
 
 def test_probe_rejects_negative_integrand():
     # a clearly negative value ends the evidence at the octave edge before it, here the start
-    v = probe_divergence(lambda r: -np.ones_like(np.asarray(r)), 1.0, ProbeConfig(horizon_count=5))
+    v = _probe(lambda r: -np.ones_like(np.asarray(r)), 1.0, ProbeConfig(horizon_count=5))
     assert v.verdict == "inconclusive" and v.partials == v.horizons == ()
     assert v.note == "integrand negative near r = 1"
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_probe_scaling_invariance(c):
-    base = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
-    scaled = probe_divergence(lambda r: c / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
+    base = _probe(lambda r: 1.0 / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
+    scaled = _probe(lambda r: c / (1.0 + r) ** 2, 1.0, ProbeConfig(horizon_count=8))
     assert scaled.verdict == base.verdict
     assert scaled.limit == pytest.approx(c * base.limit, rel=1e-9)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_probe_scaling_preserves_divergence(c):
-    scaled = probe_divergence(lambda r: c / (1.0 + r), 1.0, ProbeConfig(horizon_count=6))
+    scaled = _probe(lambda r: c / (1.0 + r), 1.0, ProbeConfig(horizon_count=6))
     assert scaled.verdict == "diverges"
 
 
-def test_probe_rejects_nonpositive_start():
-    for start in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="start must be positive"):
-            probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, start, ProbeConfig())
+def test_probe_rejects_a_negative_or_nan_start():
+    # from 0 a probe reads the block with the head over [0, r_start]; below 0 there is none
+    for start in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="need 0 <= lo < t_max"):
+            sample_block(lambda r: 1.0 / (1.0 + r) ** 2, start, ProbeConfig())
+        with pytest.raises(ValueError, match="need 0 <= lo < t_max"):
+            probe_divergence(np.ones(3073), "", ProbeConfig(), start)
 
 
 @pytest.mark.parametrize("start", [0.0, 1.0])
@@ -192,7 +200,7 @@ def test_probe_partials_of_a_cubic_are_exact(start):
     # Simpson's rule is exact for cubics: the partials of r^3 over [1, 2^k] are (16^k - 1) / 4,
     # from 1 and from 0 (where partial k is the running integral at 2^k less its value at 1)
     cfg = ProbeConfig()
-    v = probe_samples(*sample_block(lambda r: r ** 3, start, cfg), cfg, start)
+    v = _probe(lambda r: r ** 3, start, cfg)
     k = np.arange(1, cfg.horizon_count + 1)
     assert v.horizons == tuple(2.0 ** k)
     np.testing.assert_allclose(v.partials, (16.0 ** k - 1.0) / 4.0, rtol=1e-13, atol=0.0)
@@ -207,13 +215,13 @@ def test_probe_config_rejects_an_odd_nodes_per_octave():
 def test_probe_config_t_max_is_last_horizon():
     cfg = ProbeConfig(horizon_count=7, r_start=0.5)
     assert cfg.t_max == 0.5 * 2.0 ** 7
-    v = probe_divergence(lambda r: 1.0 / (1.0 + r) ** 2, cfg.r_start, cfg)
+    v = _probe(lambda r: 1.0 / (1.0 + r) ** 2, cfg.r_start, cfg)
     assert v.horizons[-1] == cfg.t_max
 
 
 def _running_probe(integrand, cfg):
     """The probe of ``integrand`` on the head and octaves from 0, as the Lair probe."""
-    return probe_samples(*sample_block(integrand, 0.0, cfg), cfg, 0.0)
+    return _probe(integrand, 0.0, cfg)
 
 
 def test_probe_running_of_an_integrand_includes_the_head():
@@ -223,7 +231,7 @@ def test_probe_running_of_an_integrand_includes_the_head():
 
     cfg = ProbeConfig(horizon_count=8)
     v = _running_probe(integrand, cfg)
-    tail = probe_divergence(integrand, 1.0, cfg)
+    tail = _probe(integrand, 1.0, cfg)
     assert v.verdict == "converges"
     assert v.limit == pytest.approx(tail.limit + 0.5, rel=1e-6)
     assert v.limit == pytest.approx(1.0, rel=0.05)
@@ -381,6 +389,36 @@ def _radial(text):
     return lambda r: evaluate_array(expr, {"r": np.asarray(r, dtype=float)})
 
 
+def _refusing_the_block(integrand, start, cfg):
+    """``integrand``, but a non-domain error on the whole ``probe_block(start, cfg)``, so that
+    ``sample_block`` takes it octave by octave."""
+    def fn(xs):
+        if len(xs) == len(probe_block(start, cfg)):
+            raise TypeError("not on the whole block")
+        return integrand(xs)
+    return fn
+
+
+@pytest.mark.parametrize("start", [0.0, 1.0])
+@pytest.mark.parametrize("text", ["exp(r/64)", "log(1+r)", "sqrt(r)", "r^1.7", "1/(1+r)",
+                                  "min(r, 50)", "max(r, 50)"])
+def test_samples_taken_octave_by_octave_have_the_bits_of_one_call(start, text):
+    # F's integrand is made from each f_j's samples, some taken in one call on the block and
+    # some octave by octave after that call failed: both must give the same bits, and so
+    # must F's power of their sum
+    cfg = ProbeConfig()
+    f, g = _radial(text), _radial("sqrt(r) + 0.5")
+
+    def integrand(xs):
+        return np.power(1.0 + (0 + f(xs) + g(xs)), 1.0 / (1.0 - 2.5))
+
+    for fn in (f, integrand):
+        whole, why = sample_block(fn, start, cfg)
+        pieces, why_pieces = sample_block(_refusing_the_block(fn, start, cfg), start, cfg)
+        assert why == why_pieces == "" and len(whole) == len(probe_block(start, cfg))
+        assert whole.tobytes() == pieces.tobytes()
+
+
 # clearly negative past r = 20.7, and past r = 999 (for the default probe from 1, in its
 # last octave only): the probe stops at the last octave edge before, as the reference does
 NEGATIVE_PAST = {"exp(-r) - 1e-9": 20.7, "1/(1+r)^2 - 1e-6": 999.0}
@@ -398,10 +436,10 @@ NEGATIVE_PAST = {"exp(-r) - 1e-9": 20.7, "1/(1+r)^2 - 1e-6": 999.0}
 def test_probe_is_bit_equal_to_the_per_octave_reference(start, text, cfg):
     integrand = _radial(text)
     want = repr(_reference_probe(integrand, start, cfg))  # repr tells -0.0 from 0.0
-    got = probe_divergence(integrand, start, cfg)
+    got = _probe(integrand, start, cfg)
     assert repr(got) == want
     # a second probe on the now shared octave arrays reads the same bits
-    assert repr(probe_divergence(integrand, start, cfg)) == want
+    assert repr(_probe(integrand, start, cfg)) == want
     if start * 2.0 ** cfg.horizon_count > NEGATIVE_PAST.get(text, np.inf):
         assert got.verdict == "inconclusive" and got.note.startswith("integrand negative near")
         assert all(r < NEGATIVE_PAST[text] for r in got.horizons)
@@ -411,7 +449,7 @@ def test_probe_is_bit_equal_to_the_per_octave_reference(start, text, cfg):
 def test_probe_domain_error_stops_at_its_octave_like_the_reference(start):
     # sqrt(40 - r) is undefined past r = 40: the probe keeps the octaves before it
     integrand = _radial("1/(1+r)^2 + sqrt(40 - r)*0")
-    got = probe_divergence(integrand, start, ProbeConfig())
+    got = _probe(integrand, start, ProbeConfig())
     want = _reference_probe(integrand, start, ProbeConfig())
     assert got == want
     assert got.verdict == "inconclusive" and got.note.startswith("integrand error on [")
@@ -428,7 +466,7 @@ def test_probe_negativity_scale_is_per_octave():
         ys[xs == 1.5] = -1e-9
         return ys
 
-    got = probe_divergence(integrand, 1.0, ProbeConfig())
+    got = _probe(integrand, 1.0, ProbeConfig())
     assert got == _reference_probe(integrand, 1.0, ProbeConfig())
     assert got.verdict == "inconclusive" and got.partials == ()
     assert got.note == "integrand negative near r = 1.5"
@@ -490,7 +528,7 @@ def _not_finite_then_dip(xs):
 ])
 def test_probe_fallback_is_bit_equal_to_the_reference(start, integrand, kind):
     cfg = ProbeConfig(nodes_per_octave=256)
-    got = _probe_outcome(probe_divergence, integrand, start, cfg)
+    got = _probe_outcome(_probe, integrand, start, cfg)
     assert got == _probe_outcome(_reference_probe, integrand, start, cfg)
     assert got.verdict == kind
     assert got.note.startswith(("integrand error", "integrand not", "integrand negative"))
@@ -501,7 +539,7 @@ def test_a_scalar_callable_is_a_type_error_naming_the_shape(start):
     # integrands take and return arrays; a scalar result is refused, not looped over
     cfg = ProbeConfig(r_start=start, nodes_per_octave=64)
     with pytest.raises(TypeError, match=r"array of shape \(65,\), the shape of its input, not \(\)"):
-        probe_divergence(lambda t: 1.0, start, cfg)
+        _probe(lambda t: 1.0, start, cfg)
     with pytest.raises(TypeError, match=r"array of shape \(129,\)"):  # the head's 2 * 64 intervals
         _running_probe(lambda t: 1.0, cfg)
 
@@ -524,18 +562,18 @@ def test_probe_reraises_a_non_domain_error_unless_an_earlier_octave_stops_it():
 
     for start in (1.0, 0.37):
         for integrand in (type_error_past_20, not_finite_then_type_error):
-            got = _probe_outcome(probe_divergence, integrand, start, ProbeConfig())
+            got = _probe_outcome(_probe, integrand, start, ProbeConfig())
             assert got == _probe_outcome(_reference_probe, integrand, start, ProbeConfig())
-        assert _probe_outcome(probe_divergence, type_error_past_20, start, ProbeConfig()) == (
+        assert _probe_outcome(_probe, type_error_past_20, start, ProbeConfig()) == (
             TypeError, "not an array function")
         assert got.verdict == "inconclusive" and got.note.startswith("integrand not finite")
         # a clearly negative value is an earlier stop too
-        got = _probe_outcome(probe_divergence, negative_then_type_error, start, ProbeConfig())
+        got = _probe_outcome(_probe, negative_then_type_error, start, ProbeConfig())
         assert got == _probe_outcome(_reference_probe, negative_then_type_error, start, ProbeConfig())
         assert got.verdict == "inconclusive" and got.note.startswith("integrand negative near r = 3")
 
 
-def test_shared_samples_evaluate_once_per_read_only_array():
+def test_block_samples_take_fn_once_on_the_block_and_hold_why_they_stop():
     calls = []
 
     def fn(xs):
@@ -544,20 +582,20 @@ def test_shared_samples_evaluate_once_per_read_only_array():
             raise ExprError("out of range")
         return 2.0 * xs
 
-    shared = SharedSamples(fn)
-    nodes = np.linspace(0.0, 200.0, 11)
-    nodes.flags.writeable = False
-    first = shared(nodes[:6])  # a new view each call: not the same array object
-    kept = nodes[:6]
-    assert shared(kept) is shared(kept)
-    assert np.array_equal(first, shared(kept))
-    for _ in range(2):
-        with pytest.raises(ExprError, match="out of range"):
-            shared(nodes)
-    writeable = np.linspace(0.0, 1.0, 5)
-    shared(writeable)
-    shared(writeable)
-    assert len(calls) == 5  # first, kept, nodes once, the writeable array twice
+    cfg = ProbeConfig(horizon_count=8, nodes_per_octave=64)
+    nodes = probe_block(1.0, cfg)
+    f = BlockSamples(fn, cfg)
+    # one call on the block, which raises, then one per octave up to [64, 128], which does
+    octaves = _octaves(1.0, 1.0, 8, 64)[3]
+    assert len(calls) == 8 and calls[0] is nodes
+    assert all(a is b for a, b in zip(calls[1:], octaves))  # the same read-only views
+    assert f.why == "integrand error on [64,128]: out of range"
+    assert f.values.tolist() == (2.0 * nodes[:6 * 64 + 1]).tolist()
+    # the probes read the record: fn is evaluated again only on the primitive's head
+    v = probe_divergence(f.values, f.why, cfg, 1.0)
+    assert v.verdict == "inconclusive" and len(v.horizons) == 6
+    assert f.primitive is f.primitive and len(calls) == 9
+    assert calls[-1] is _octaves(0.0, 1.0, 8, 64)[3][0]
 
 
 def test_primitive_rows_are_made_once_per_probe_block_from_its_own_samples():
@@ -567,24 +605,21 @@ def test_primitive_rows_are_made_once_per_probe_block_from_its_own_samples():
         calls.append(xs)
         return 2.0 * xs
 
-    shared = SharedSamples(fn)
     cfg = ProbeConfig(horizon_count=5, nodes_per_octave=64)
+    shared = BlockSamples(fn, cfg)
     nodes = probe_block(1.0, cfg)
-    P, why = shared.primitive(cfg)
-    assert shared.primitive(cfg)[0] is P and why == ""
-    # the head of the block from 0, 2 * 64 intervals on [0, 1], and the block, once each:
-    # both are read-only views, kept for the other probes that read them
+    P, why = shared.primitive
+    assert shared.primitive[0] is P and why == ""
+    # the block, then the head of the block from 0, 2 * 64 intervals on [0, 1], once each:
+    # both are read-only views, the same for every probe that reads them
     head = _octaves(0.0, 1.0, 5, 64)[3][0]
-    assert len(calls) == 2 and calls[0] is head and calls[1] is nodes
+    assert len(calls) == 2 and calls[0] is nodes and calls[1] is head
     assert head.tolist() == np.linspace(0.0, 1.0, 129).tolist() and not head.flags.writeable
-    shared(nodes)  # the samples the block's other probes read
-    shared(head)
-    assert len(calls) == 2
     # P = t^2 on the block's nodes: Simpson's and the three-point rule of 2t are exact
     assert P.shape == nodes.shape
     np.testing.assert_allclose(P, nodes ** 2, rtol=1e-14)
-    other = shared.primitive(ProbeConfig(horizon_count=5, nodes_per_octave=64, r_start=2.0))
-    assert other[0] is not P and other[0][0] == pytest.approx(4.0, rel=1e-14)
+    other = BlockSamples(fn, ProbeConfig(horizon_count=5, nodes_per_octave=64, r_start=2.0))
+    assert other.primitive[0] is not P and other.primitive[0][0] == pytest.approx(4.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("f, closed, head_rtol, block_rtol", [
@@ -597,7 +632,7 @@ def test_primitive_rows_are_made_once_per_probe_block_from_its_own_samples():
 ])
 def test_primitive_head_and_block_match_the_closed_form(f, closed, head_rtol, block_rtol):
     cfg = ProbeConfig()
-    P, why = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", f).diagonal(0).primitive(cfg)
+    P, why = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", f).diagonals(cfg)[0].primitive
     nodes = probe_block(cfg.r_start, cfg)
     assert why == "" and P.shape == nodes.shape
     assert P[0] == pytest.approx(closed(cfg.r_start), rel=head_rtol, abs=0.0)  # the head
@@ -607,15 +642,15 @@ def test_primitive_head_and_block_match_the_closed_form(f, closed, head_rtol, bl
 def test_primitive_of_an_f_not_finite_at_0_is_not_computable():
     # the head samples f at 0, where f = u1^-1 is undefined and 1/t infinite: the paper's
     # f_j are continuous on [0, inf), and the integral of 1/t over [0, 1] diverges anyway
-    P, why = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^-1").diagonal(0).primitive(
-        ProbeConfig())
+    P, why = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^-1").diagonals(
+        ProbeConfig())[0].primitive
     assert P.shape == (0,) and why.startswith("primitive not computable: zero base")
 
     def reciprocal(xs):
         with np.errstate(divide="ignore"):
             return 1.0 / xs
 
-    P, why = SharedSamples(reciprocal).primitive(ProbeConfig())
+    P, why = BlockSamples(reciprocal, ProbeConfig()).primitive
     assert P.shape == (0,) and why == "primitive not computable: integral over [0, 1] not finite"
 
 
@@ -625,7 +660,7 @@ def test_primitive_rows_stop_at_the_octave_where_f_is_unusable_and_never_raise()
     def overflowing(xs):  # finite up to r = 20
         return np.where(xs < 20.0, 1.0, np.inf)
 
-    P, why = SharedSamples(overflowing).primitive(cfg)  # four octaves, up to r = 16
+    P, why = BlockSamples(overflowing, cfg).primitive  # four octaves, up to r = 16
     assert P.shape == (4 * 64 + 1,) and why == "primitive not computable: integrand not finite near r = 20"
 
     def undefined(xs):  # a domain error from r = 40 on
@@ -633,17 +668,17 @@ def test_primitive_rows_stop_at_the_octave_where_f_is_unusable_and_never_raise()
             raise ExprError("undefined")
         return np.ones_like(xs)
 
-    P, why = SharedSamples(undefined).primitive(cfg)
+    P, why = BlockSamples(undefined, cfg).primitive
     assert P.shape == (5 * 64 + 1,) and why == "primitive not computable: integrand error on [32,64]: undefined"
 
     def negative(xs):  # clearly negative past r = 10, in the octave [8, 16]
         return np.where(xs <= 10.0, 1.0, -1.0)
 
-    P, why = SharedSamples(negative).primitive(cfg)
+    P, why = BlockSamples(negative, cfg).primitive
     assert P.shape == (3 * 64 + 1,) and why == "primitive not computable: integrand negative near r = 10.125"
 
     def undefined_at_the_head(xs):
         raise ExprError("undefined")
 
-    P, why = SharedSamples(undefined_at_the_head).primitive(cfg)
+    P, why = BlockSamples(undefined_at_the_head, cfg).primitive
     assert P.shape == (0,) and why == "primitive not computable: undefined"

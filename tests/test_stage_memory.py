@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 from radsolve import cli, conditions
+from radsolve.transforms import ProblemSpec
 
 _ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("stage_memory",
@@ -44,14 +45,18 @@ def test_every_stage_of_classify_is_measured_in_order_and_unwrapped_after(tmp_pa
         "beta": [1.0, 1.0],
     }), encoding="utf-8")
     names = stage_memory.CLASSIFY_STAGES
-    originals = {name: getattr(cli if name in vars(cli) else conditions, name) for name in names}
+
+    def owner(name):
+        return next(o for o in (cli, conditions, ProblemSpec) if name in vars(o))
+
+    originals = {name: vars(owner(name))[name] for name in names}
     table, (top, where) = stage_memory.stage_table(str(config), "classify")
     assert [(command, stage) for command, stage, *_ in table] == [
-        ("classify", "F probe"), ("classify", "A_j probes"), ("classify", "C6"),
+        ("classify", "samples"), ("classify", "F probe"), ("classify", "A_j probes"),
+        ("classify", "C6"),
         ("classify", "Keller-Osserman"), ("classify", "Keller-Osserman"),
         ("classify", "Ye-Zhou"), ("classify", "Ye-Zhou"),
         ("classify", "remarks"), ("classify", "report")]
     assert all(peak >= held and peak > 0 and in_command > 0 for *_, peak, held, in_command in table)
     assert top >= max(in_command for *_, in_command in table) and where == "classify"
-    assert {name: getattr(cli if name in vars(cli) else conditions, name)
-            for name in names} == originals
+    assert {name: vars(owner(name))[name] for name in names} == originals

@@ -13,13 +13,14 @@ from radsolve.quadrature import (
     cumulative_simpson,
     cumulative_trapezoid,
     probe_block,
-    probe_samples,
+    probe_divergence,
 )
 from radsolve.transforms import (
     FInverseRangeError,
     KernelOverflowError,
     ProblemSpec,
     RadialKernel,
+    F_integrand,
     build_A,
     build_F,
     build_transform_tables,
@@ -36,6 +37,16 @@ LN2 = 0.69314718055994530942
 # barrier limit for a = (1+r)^-4, N = 3, p = 2: swapping the order of
 # integration gives integral_0^inf s (1+s)^-4 ds = B(2, 2) = 1/6
 A_INF_DECAYING = 1.0 / 6.0
+
+
+def F_table(spec, probe=ProbeConfig()):
+    """``build_F`` of ``spec``'s F integrand on ``probe``'s block from r_start."""
+    return build_F(*F_integrand(spec, spec.diagonals(probe)), probe)
+
+
+def F_tail(spec, probe=ProbeConfig()):
+    """``estimate_F_inf`` of ``spec``'s F integrand on ``probe``'s block from r_start."""
+    return estimate_F_inf(*F_integrand(spec, spec.diagonals(probe)), probe)
 
 
 def linear_spec():
@@ -136,13 +147,13 @@ def test_A_scales_linearly_with_source_when_p_is_2(c):
 
 
 def test_F_closed_form_log():
-    table = build_F(linear_spec())
+    table = F_table(linear_spec())
     assert abs(eval_F(table, 3.0) - LN2) < 1e-8
 
 
 def test_F_unit_integrand_for_zero_nonlinearity():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
-    table = build_F(spec)
+    table = F_table(spec)
     ss = np.linspace(1.0, 5.0, 11)
     assert np.allclose(eval_F(table, ss), ss - 1.0, atol=1e-12)
 
@@ -152,14 +163,14 @@ def test_F_starts_where_the_probes_start():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
     probe = ProbeConfig(r_start=0.25)
     tables = build_transform_tables(spec, RadialGrid(1.0, 16), probe)
-    for table in (build_F(spec, probe), tables.F):
+    for table in (F_table(spec, probe), tables.F):
         assert table.s[0] == 0.25
         assert eval_F(table, 3.0) == pytest.approx(2.75, abs=1e-12)
-    assert estimate_F_inf(spec, probe).horizons[0] == 0.5  # its first octave edge
+    assert F_tail(spec, probe).horizons[0] == 0.5  # its first octave edge
 
 
 def test_F_strictly_increasing():
-    table = build_F(ProblemSpec.from_strings(3, 2, [2.0, 3.0], ["0", "0"],
+    table = F_table(ProblemSpec.from_strings(3, 2, [2.0, 3.0], ["0", "0"],
                                              ["1", "1"], ["u1^2", "u1 + u2"]))
     assert table.s[-1] >= 6.0
     assert np.all(np.diff(table.values) > 0.0)
@@ -181,7 +192,7 @@ def test_F_table_and_inverse_match_closed_form_up_to_2e5(spec, exact):
     # nodes carry the quadrature error, midpoints the interpolation error too
     s = np.concatenate([nodes, (nodes[:-1] + nodes[1:]) / 2.0])
     assert np.max(np.abs(eval_F(table, s) - exact(s))) <= 1e-9
-    s_back = invert_F(table, exact(s), estimate_F_inf(spec))
+    s_back = invert_F(table, exact(s), F_tail(spec))
     assert np.max(np.abs(s_back - s) / s) <= 1e-9
 
 
@@ -189,7 +200,7 @@ def test_F_table_and_inverse_match_closed_form_up_to_2e5(spec, exact):
 def test_F_table_on_the_widened_layout_extends_the_probes_F_table(spec):
     # one F quadrature: the upper bound's table over 60 octaves holds, bit for bit on
     # its first K octaves, the table that C6 reads off the F probe's block
-    probe_F = build_F(spec)
+    probe_F = F_table(spec)
     wide = build_transform_tables(spec, RadialGrid(1.0, 16)).F
     assert len(probe_F.s) == 10 * 256 + 1 and len(wide.s) == 60 * 256 + 1
     assert (probe_F.reach, wide.reach) == ("10 octaves of the anchor", "60 octaves of the anchor")
@@ -209,8 +220,8 @@ def test_F_table_ends_before_a_nonlinearity_turns_negative():
 
 
 def test_invert_F_round_trip():
-    table = build_F(linear_spec())
-    f_inf = estimate_F_inf(linear_spec())
+    table = F_table(linear_spec())
+    f_inf = F_tail(linear_spec())
     for s in np.linspace(1.0, 7.5, 100):
         y = float(eval_F(table, s))
         s_back = invert_F(table, np.array([y]), f_inf)
@@ -220,7 +231,7 @@ def test_invert_F_round_trip():
 def test_invert_F_of_one_query_in_python_floats_is_the_array_path_bit_for_bit():
     # C6's window end asks for one value: the same bisection on floats, not 0-d arrays
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "(1+r)^(-4)", "u1^3")
-    table, f_inf = build_F(spec), estimate_F_inf(spec)
+    table, f_inf = F_table(spec), F_tail(spec)
     ys = np.random.default_rng(7).uniform(0.0, table.values[-1], 2000)
     scalars = [invert_F(table, y, f_inf) for y in ys]
     assert all(type(x) is float for x in scalars)
@@ -228,14 +239,14 @@ def test_invert_F_of_one_query_in_python_floats_is_the_array_path_bit_for_bit():
 
 
 def test_invert_F_known_value():
-    table = build_F(linear_spec())
-    s = invert_F(table, np.array([LN2]), estimate_F_inf(linear_spec()))
+    table = F_table(linear_spec())
+    s = invert_F(table, np.array([LN2]), F_tail(linear_spec()))
     assert abs(float(s[0]) - 3.0) < 1e-6
 
 
 def test_invert_F_linear_case_up_to_the_tables_reach():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "0")
-    table, f_inf = build_F(spec), estimate_F_inf(spec)
+    table, f_inf = F_table(spec), F_tail(spec)
     s = invert_F(table, np.array([100.0]), f_inf)  # F(s) = s - 1: s = 101
     assert float(s[0]) == pytest.approx(101.0, abs=1e-9)
     with pytest.raises(FInverseRangeError, match="not reached within 10 octaves of the anchor"):
@@ -246,16 +257,16 @@ def test_invert_F_linear_case_up_to_the_tables_reach():
 
 def test_invert_F_beyond_finite_range():
     spec = ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^3")
-    f_inf = estimate_F_inf(spec)
+    f_inf = F_tail(spec)
     assert f_inf.verdict == "converges"
-    table = build_F(spec)
+    table = F_table(spec)
     with pytest.raises(FInverseRangeError, match="beyond the range"):
         invert_F(table, np.array([1.0]), f_inf)
 
 
 def test_estimate_F_inf_fixtures():
-    assert estimate_F_inf(linear_spec()).verdict == "diverges"
-    cubic = estimate_F_inf(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^3"))
+    assert F_tail(linear_spec()).verdict == "diverges"
+    cubic = F_tail(ProblemSpec.from_strings(3, 1, 2.0, "0", "1", "u1^3"))
     assert cubic.verdict == "converges"
     assert cubic.limit == pytest.approx(0.37355072789142418, rel=0.01)
 
@@ -300,7 +311,7 @@ def test_barrier_partials_at_256_per_octave_agree_with_2048(p, h):
     assert fine.verdict == coarse.verdict == "converges"
     np.testing.assert_allclose(coarse.partials, fine.partials, rtol=1e-6, atol=0.0)
     nodes = probe_block(0.0, ProbeConfig())
-    second = probe_samples(RadialKernel(spec, 0, nodes).ratio(), "", ProbeConfig(), 0.0)
+    second = probe_divergence(RadialKernel(spec, 0, nodes).ratio(), "", ProbeConfig(), 0.0)
     assert np.max(np.abs(np.array(second.partials) / fine.partials - 1.0)) > 1e-6
 
 
